@@ -35,7 +35,9 @@ from .geometry import (
 from .mesh3d import TetMesh
 from .stepper import CoupledSystem, Observer, TransportProblem
 
-ALLOWED_LEVELS = (4, 8, 16, 32, 64)
+# Box levels the direct (LU) solver can factor in a few GB of memory; the fill
+# of n = 64 is extrapolated to hundreds of millions of nonzeros.
+ALLOWED_LEVELS = (4, 8, 16, 32)
 DIAGONAL_SNAPSHOT_TIMES = (0.0125, 0.5, 1.0)
 
 
@@ -270,10 +272,25 @@ def _parse_levels(text):
     return levels
 
 
+def _check_solver_limit(n):
+    """Reject a box level the direct solver cannot factor, before any mesh is built."""
+    if n > ALLOWED_LEVELS[-1]:
+        raise ConfigError(
+            f"level n={n} exceeds the direct-solver memory limit: the LU "
+            f"factorization supports box levels up to n={ALLOWED_LEVELS[-1]}"
+        )
+
+
+def _check_levels(levels):
+    for n in levels:
+        _check_solver_limit(n)
+        if n not in ALLOWED_LEVELS:
+            raise ConfigError(f"levels must be a subset of {ALLOWED_LEVELS}")
+
+
 def cmd_manufactured(args) -> int:
     levels = _parse_levels(args.levels)
-    if any(n not in ALLOWED_LEVELS for n in levels):
-        raise ConfigError(f"levels must be a subset of {ALLOWED_LEVELS}")
+    _check_levels(levels)
     os.makedirs(args.out, exist_ok=True)
 
     def snapshot_finest(n, system, state, _report):
@@ -325,6 +342,7 @@ def cmd_diagonal(args) -> int:
     if args.case not in (1, 2, 3):
         raise ConfigError("case must be 1, 2 or 3")
     levels = _parse_levels(args.levels)
+    _check_levels(levels + (args.fine,))
     if args.fine <= levels[-1]:
         raise ConfigError("--fine must exceed every coarse level")
     os.makedirs(args.out, exist_ok=True)
@@ -362,6 +380,7 @@ def cmd_diagonal(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = parse_config_file(args.config)
+    _check_solver_limit(cfg.n)
     os.makedirs(cfg.out, exist_ok=True)
     problem = problem_from_config(cfg)
     system = CoupledSystem(problem, n_cells=cfg.n, n_circle=cfg.n_circ)

@@ -22,15 +22,40 @@ _CHUNK = 65536  # tets per assembly block, caps temporary array size
 
 @dataclass(frozen=True)
 class ScalarField3:
-    """Scalar coefficient on the box; fn maps (points (m,3), t) -> (m,)."""
+    """Scalar coefficient on the box; fn maps (points (m,3), t) -> (m,).
+
+    ``terms``, when not empty, declares the field time-separable,
+    f(x, t) = sum_k g_k(t) f_k(x), as pairs (g_k, f_k) with g_k mapping t to
+    a float and f_k mapping points (m,3) to (m,).  ``fn`` is then that sum.
+    """
 
     fn: Callable
     space_constant: bool = False
     time_constant: bool = False
     is_zero: bool = False
+    terms: tuple = ()
 
     def __call__(self, x, t=0.0):
         return np.asarray(self.fn(x, t), dtype=float)
+
+    @classmethod
+    def separable(cls, *terms):
+        """Field sum_k g_k(t) f_k(x) from pairs (g_k, f_k)."""
+        terms = tuple((g, fk) for g, fk in terms)
+        if not terms:
+            raise ValueError("a separable field needs at least one term")
+
+        def fn(x, t):
+            return sum(float(g(t)) * np.asarray(fk(x), dtype=float) for g, fk in terms)
+
+        return cls(fn=fn, terms=terms)
+
+    def term_fields(self):
+        """The spatial factors f_k as time-independent fields."""
+        return [
+            ScalarField3(fn=lambda x, t, fk=fk: fk(x), time_constant=True)
+            for _, fk in self.terms
+        ]
 
     @classmethod
     def constant(cls, value):

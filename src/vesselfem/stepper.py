@@ -30,8 +30,10 @@ class TransportProblem:
 
     ``kappa_hat`` and ``source1`` act on vessel arclength; ``dirichlet`` maps
     (boundary points, t) to trace values (None = homogeneous); ``c_in`` is the
-    prescribed inflow concentration.  ``dt`` defaults to 0.1 times the mesh
-    cell size when left None.
+    prescribed inflow concentration.  ``dt`` is the requested step, 0.1 times
+    the mesh cell size when left None; the system shortens it so that a whole
+    number of steps lands on ``t_end``.  A ``source3`` with ``terms`` is
+    projected once per run instead of once per step.
     """
 
     geometry: VesselGeometry
@@ -116,9 +118,11 @@ class CoupledSystem:
         self.dg = DgSpace(Partition1D.uniform(geom.length, n_line), problem.degree)
         self.n_circle = n_circle
 
-        self.dt = problem.dt if problem.dt is not None else 0.1 * float(
+        dt = problem.dt if problem.dt is not None else 0.1 * float(
             self.mesh.cell_size.max()
         )
+        self.n_steps = max(1, math.ceil(problem.t_end / dt - 1e-12))
+        self.dt = problem.t_end / self.n_steps
 
         self.mass3 = fem3d.assemble_mass(self.fem)
         stiff3 = fem3d.assemble_stiffness(self.fem, problem.kappa)
@@ -145,6 +149,14 @@ class CoupledSystem:
         self.operator = system
         self.factorization = linalg.factorize(system)
         self._mass1_unweighted = None
+        self._term_loads = None  # projected source3 terms, filled on first use
+
+        # vessel-load quadrature: the basis values at the reference Gauss
+        # points are the same on every element
+        q = self.dg.degree + 2
+        xi, _ = np.polynomial.legendre.leggauss(q)
+        vals, _ = dg1d.legendre_basis(xi, self.dg.degree)
+        self._quad1 = (*self.dg.gauss_points(q), vals)
 
     def _kappa_min(self) -> float:
         pts = self.mesh.vertices[:: max(1, self.mesh.n_vertices // 512)]
@@ -175,9 +187,7 @@ class CoupledSystem:
     def _rhs(self, state: CoupledState, t_new: float):
         pr = self.problem
         inv_dt = 1.0 / self.dt
-        rhs3 = inv_dt * (self.mass3 @ state.c) + fem3d.assemble_load(
-            self.fem, pr.source3, t_new
-        )
+        rhs3 = inv_dt * (self.mass3 @ state.c) + self._load3(t_new)
         rhs1 = inv_dt * (self.mass1 @ state.c_hat)
         if pr.source1 is not None:
             rhs1 = rhs1 + self._load1(pr.source1, t_new)
@@ -192,22 +202,33 @@ class CoupledSystem:
         rhs[self.dirichlet_rows] = fem3d.dirichlet_values(self.fem, pr.dirichlet, t_new)
         return rhs
 
-    def _load1(self, fn, t):
-        q = self.dg.degree + 2
-        pts, wts = self.dg.gauss_points(q)
-        out = np.zeros(self.dg.n_dofs)
-        for e in range(self.dg.partition.n_elements):
-            vals, _ = self.dg.basis_at(e, pts[e])
-            out[self.dg.element_dofs(e)] = vals @ (
-                wts[e] * np.asarray(fn(pts[e], t), dtype=float)
-            )
+    def _load3(self, t):
+        """Box load of source3 at time t; a separable source is projected on
+        first use and afterwards only recombined."""
+        source = self.problem.source3
+        if not source.terms:
+            return fem3d.assemble_load(self.fem, source, t)
+        if self._term_loads is None:
+            self._term_loads = [
+                fem3d.assemble_load(self.fem, fk, 0.0) for fk in source.term_fields()
+            ]
+        out = np.zeros(self.fem.n_dofs)
+        for (g, _), load in zip(source.terms, self._term_loads):
+            out += float(g(t)) * load
         return out
 
+    def _load1(self, fn, t):
+        """Vessel load (fn(., t), phi_i) over every element and Gauss point at once."""
+        pts, wts, vals = self._quad1
+        fq = np.broadcast_to(np.asarray(fn(pts.ravel(), t), dtype=float), (pts.size,))
+        return np.einsum("eq,iq->ei", wts * fq.reshape(pts.shape), vals).ravel()
+
     def step(self, state: CoupledState) -> CoupledState:
-        t_new = (state.n + 1) * self.dt
+        n_new = state.n + 1
+        t_new = self.problem.t_end if n_new == self.n_steps else n_new * self.dt
         x = self.factorization.solve(self._rhs(state, t_new))
         c, c_hat = self.split(x)
-        return CoupledState(c=c, c_hat=c_hat, t=t_new, n=state.n + 1)
+        return CoupledState(c=c, c_hat=c_hat, t=t_new, n=n_new)
 
     def energy(self, state: CoupledState) -> float:
         """Squared L2 norm of the box field plus area-weighted vessel field."""
@@ -236,7 +257,7 @@ class CoupledSystem:
         return float(ones @ (self.mass1 @ state.c_hat))
 
     def run(self, observers: Sequence[Observer] = ()) -> tuple[CoupledState, RunReport]:
-        n_steps = max(1, math.ceil(self.problem.t_end / self.dt - 1e-12))
+        n_steps = self.n_steps
         state = self.initialize()
         energies = np.empty(n_steps + 1)
         energies[0] = self.energy(state)

@@ -81,15 +81,26 @@ class ManufacturedSolution:
         out[:, 2] = 0.5 * self.w(r) * t * np.pi * np.cos(np.pi * z)
         return out
 
-    def f(self, x, t):
-        """Bulk source: substitute c into the 3D balance with kappa = 1, U = e_z."""
+    def f0(self, x):
+        """Time-independent part of the bulk source: 1/2 w(r) dchat/dt."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        r = np.hypot(x[:, 0], x[:, 1])
+        return 0.5 * self.w(r) * (np.sin(np.pi * x[:, 2]) + 2.0)
+
+    def f1(self, x):
+        """Coefficient of t in the bulk source: 1/2 w(r) (d_z - d_zz) chat / t."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.hypot(x[:, 0], x[:, 1])
         z = x[:, 2]
-        sz = np.sin(np.pi * z)
-        return 0.5 * self.w(r) * (
-            (sz + 2.0) + np.pi**2 * t * sz + np.pi * t * np.cos(np.pi * z)
-        )
+        return 0.5 * self.w(r) * (np.pi**2 * np.sin(np.pi * z) + np.pi * np.cos(np.pi * z))
+
+    def f(self, x, t):
+        """Bulk source: substitute c into the 3D balance with kappa = 1, U = e_z.
+
+        It is affine in t, f = f0(x) + t f1(x), and the solver is handed the
+        same two parts as a separable field (see ``manufactured_problem``).
+        """
+        return self.f0(x) + t * self.f1(x)
 
     def f_hat(self, s, t):
         """Vessel source: substitute chat with area pi R^2 and exchange chat / 2."""
@@ -120,7 +131,7 @@ def manufactured_problem(
         kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
         velocity=VectorField3.constant((0.0, 0.0, 1.0)),
         u_hat=1.0,
-        source3=ScalarField3(fn=ms.f),
+        source3=ScalarField3.separable((lambda t: 1.0, ms.f0), (lambda t: t, ms.f1)),
         source1=ms.f_hat,
         c_in=ms.c_in,
         dirichlet=ms.c,

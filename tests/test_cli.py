@@ -134,6 +134,43 @@ class TestExitCodes:
         assert cli.main(["manufactured", "--levels", "4", "--out", str(tmp_path)]) == 4
 
 
+class TestSolverLimit:
+    """Levels beyond the direct solver's memory are refused before any mesh exists."""
+
+    @pytest.fixture(autouse=True)
+    def no_mesh(self, monkeypatch):
+        from vesselfem import stepper
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mesh was built for a rejected level")
+
+        monkeypatch.setattr(stepper, "build_box_mesh", refuse)
+
+    def _rejected(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert "direct-solver memory limit" in capsys.readouterr().err
+
+    def test_manufactured_level_64(self, tmp_path, capsys):
+        self._rejected(["manufactured", "--levels", "4,8,64", "--out", str(tmp_path)], capsys)
+
+    def test_diagonal_fine_64(self, tmp_path, capsys):
+        self._rejected(["diagonal", "--fine", "64", "--out", str(tmp_path)], capsys)
+
+    def test_diagonal_coarse_64(self, tmp_path, capsys):
+        self._rejected(
+            ["diagonal", "--levels", "4,64", "--fine", "128", "--out", str(tmp_path)], capsys
+        )
+
+    def test_run_n_64(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"n = 64\nout = {tmp_path / 'out'}\n")
+        self._rejected(["run", "--config", str(cfg_file)], capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_diagonal_fine_outside_levels(self, tmp_path):
+        assert cli.main(["diagonal", "--fine", "24", "--out", str(tmp_path)]) == 2
+
+
 class TestVtkIoErrors:
     def test_unwritable_path_has_context(self):
         mesh = build_box_mesh(*UNIT, 2)
@@ -160,6 +197,25 @@ class TestRunCommand:
         summary = (out / "run_summary.txt").read_text()
         assert "steps = 2" in summary
         assert "max_residual" in summary
+
+    def test_step_lands_on_horizon(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg_file.write_text(
+            "n = 2\n"
+            "t_end = 1.0\n"
+            "tau = 0.3\n"
+            f"out = {out}\n"
+            "snapshots = 1.0\n"
+        )
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        summary = (out / "run_summary.txt").read_text()
+        assert "steps = 4" in summary
+        assert "dt = 2.500000e-01" in summary
+        rows = (out / "run_energy.csv").read_text().splitlines()
+        assert len(rows) == 1 + 5
+        assert float(rows[-1].split(",")[1]) == 1.0
+        assert (out / "run_t1_3d.vtk").exists()
 
 
 @pytest.mark.slow

@@ -111,6 +111,43 @@ class TestLoad:
         assert np.array_equal(F1, F2)
 
 
+def _sample_terms():
+    return (
+        (lambda t: 1.0, lambda x: np.sin(3.0 * x[:, 0]) + x[:, 1]),
+        (lambda t: t, lambda x: x[:, 2] ** 2),
+        (lambda t: np.cos(t), lambda x: np.exp(x[:, 0] * x[:, 1])),
+    )
+
+
+class TestSeparableSource:
+    def test_fn_is_sum_of_terms(self):
+        terms = _sample_terms()
+        f = ScalarField3.separable(*terms)
+        x = np.random.default_rng(5).uniform(-0.5, 0.5, size=(50, 3))
+        for t in (0.0, 0.37, 1.0):
+            expected = sum(g(t) * fk(x) for g, fk in terms)
+            assert np.abs(f(x, t) - expected).max() < 1e-15
+        assert len(f.terms) == 3
+        assert not f.is_zero
+
+    def test_plain_field_has_no_terms(self):
+        assert ScalarField3(fn=lambda x, t: x[:, 0]).terms == ()
+        assert ScalarField3.zero().terms == ()
+
+    def test_needs_a_term(self):
+        with pytest.raises(ValueError):
+            ScalarField3.separable()
+
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+    def test_projected_terms_match_plain_load(self, space, t):
+        terms = _sample_terms()
+        f = ScalarField3.separable(*terms)
+        loads = [fem3d.assemble_load(space, fk, 0.0) for fk in f.term_fields()]
+        combined = sum(g(t) * F for (g, _), F in zip(terms, loads))
+        plain = fem3d.assemble_load(space, ScalarField3(fn=f.fn), t)
+        assert np.abs(combined - plain).max() <= 1e-13 * np.abs(plain).max()
+
+
 class TestDirichlet:
     def test_row_structure(self, space):
         A = fem3d.assemble_stiffness(space, ScalarField3.constant(1.0))

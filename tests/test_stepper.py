@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vesselfem import verify
+from vesselfem import fem3d, verify
 from vesselfem.dg1d import DgParams
 from vesselfem.errors import GeometryError
 from vesselfem.fem3d import ScalarField3, VectorField3
@@ -246,3 +246,94 @@ class TestGeometryGuard:
         )
         with pytest.raises(GeometryError):
             CoupledSystem(problem, n_cells=4)
+
+
+class TestSeparableSource:
+    def test_manufactured_source_is_sum_of_terms(self):
+        ms = verify.ManufacturedSolution()
+        terms = verify.manufactured_problem().source3.terms
+        x = np.random.default_rng(2).uniform(-0.5, 0.5, size=(200, 3))
+        for t in (0.0, 0.37, 1.0):
+            expected = sum(g(t) * fk(x) for g, fk in terms)
+            np.testing.assert_array_equal(ms.f(x, t), expected)
+
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+    def test_box_load_matches_per_step_assembly(self, t):
+        ms = verify.ManufacturedSolution()
+        system = CoupledSystem(verify.manufactured_problem(), n_cells=4)
+        plain = fem3d.assemble_load(system.fem, ScalarField3(fn=ms.f), t)
+        assert np.abs(system._load3(t) - plain).max() <= 1e-13 * np.abs(plain).max()
+
+    def test_run_matches_plain_source(self):
+        ms = verify.ManufacturedSolution()
+        separable = verify.manufactured_problem()
+        plain = replace(separable, source3=ScalarField3(fn=ms.f))
+        state_a, _ = CoupledSystem(separable, n_cells=4).run()
+        state_b, _ = CoupledSystem(plain, n_cells=4).run()
+        for a, b in ((state_a.c, state_b.c), (state_a.c_hat, state_b.c_hat)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_terms_are_projected_once_per_run(self, monkeypatch):
+        problem = replace(verify.manufactured_problem(), t_end=0.1)
+        calls = []
+        real = fem3d.assemble_load
+
+        def counting(space, f, t, order=4):
+            calls.append(t)
+            return real(space, f, t, order)
+
+        monkeypatch.setattr(fem3d, "assemble_load", counting)
+        system = CoupledSystem(problem, n_cells=4)
+        assert calls == []  # built but not marched: nothing projected yet
+        _, report = system.run()
+        assert report.n_steps == 4
+        assert len(calls) == len(problem.source3.terms)
+
+
+class TestVesselLoad:
+    @staticmethod
+    def _per_element_load(dg, fn, t):
+        """Reference: one basis evaluation and one source call per element."""
+        pts, wts = dg.gauss_points(dg.degree + 2)
+        out = np.zeros(dg.n_dofs)
+        for e in range(dg.partition.n_elements):
+            vals, _ = dg.basis_at(e, pts[e])
+            out[dg.element_dofs(e)] = vals @ (wts[e] * np.asarray(fn(pts[e], t)))
+        return out
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_matches_element_loop(self, degree):
+        ms = verify.ManufacturedSolution()
+        system = CoupledSystem(verify.manufactured_problem(degree=degree), n_cells=4, n_line=7)
+        for t in (0.0, 0.37, 1.0):
+            ref = self._per_element_load(system.dg, ms.f_hat, t)
+            assert np.abs(system._load1(ms.f_hat, t) - ref).max() <= 1e-14 * max(
+                1.0, np.abs(ref).max()
+            )
+
+    def test_scalar_source(self):
+        system = CoupledSystem(quiescent_problem(), n_cells=2, n_line=3)
+        fn = lambda s, t: 2.0
+        ref = self._per_element_load(system.dg, fn, 0.0)
+        assert np.abs(system._load1(fn, 0.0) - ref).max() < 1e-15
+
+
+class TestTimeGrid:
+    def test_step_shortened_to_land_on_horizon(self):
+        system = CoupledSystem(quiescent_problem(t_end=1.0, dt=0.3), n_cells=2)
+        state, report = system.run()
+        assert report.n_steps == 4
+        assert system.dt == 0.25
+        assert state.t == 1.0
+
+    def test_uneven_division_ends_exactly_at_horizon(self):
+        system = CoupledSystem(quiescent_problem(t_end=1.0, dt=1.0 / 49), n_cells=2)
+        state, report = system.run()
+        assert report.n_steps == 49
+        assert state.t == 1.0
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("t_end", [1.0, 0.1])
+    def test_default_step_unchanged_on_power_of_two_meshes(self, n, t_end):
+        system = CoupledSystem(quiescent_problem(t_end=t_end), n_cells=n)
+        assert system.dt == 0.1 * (1.0 / n)
