@@ -22,10 +22,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import verify
-from .dg1d import DgParams, DgSpace
+from .dg1d import DgParams, DgSpace, legendre_basis
 from .errors import ConfigError, SolverError, VerificationError
 from .fem3d import ScalarField3, VectorField3
 from .geometry import (
+    MIN_CIRCLE_POINTS,
     ConstantPermeability,
     ConstantRadius,
     PiecewisePermeability,
@@ -43,8 +44,25 @@ DIAGONAL_SNAPSHOT_TIMES = (0.0125, 0.5, 1.0)
 
 # -- VTK writers ---------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".16e")
+def _write_rows(fp, fmt, rows):
+    """One line per row of the array, all formatted in a single operation."""
+    fp.write(((fmt + "\n") * len(rows)) % tuple(np.ravel(rows).tolist()))
+
+
+def _write_vtk(path, title, dataset, points, cells, values, name):
+    """Legacy ASCII file: header, points, the cell sections and one point scalar."""
+    try:
+        with open(path, "w", newline="\n") as fp:
+            fp.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET {dataset}\n")
+            fp.write(f"POINTS {len(points)} double\n")
+            _write_rows(fp, "%.16e %.16e %.16e", points)
+            cells(fp)
+            fp.write(f"POINT_DATA {len(points)}\n")
+            fp.write(f"SCALARS {name} double 1\n")
+            fp.write("LOOKUP_TABLE default\n")
+            _write_rows(fp, "%.16e", values)
+    except OSError as err:
+        raise OSError(f"cannot write VTK file {path}: {err}") from err
 
 
 def write_vtk_3d(mesh: TetMesh, field, path, name: str = "concentration"):
@@ -52,70 +70,33 @@ def write_vtk_3d(mesh: TetMesh, field, path, name: str = "concentration"):
     field = np.asarray(field, dtype=float)
     if field.shape[0] != mesh.n_vertices:
         raise ValueError("field length does not match vertex count")
-    try:
-        with open(path, "w", newline="\n") as fp:
-            fp.write("# vtk DataFile Version 3.0\n")
-            fp.write("vesselfem 3d concentration\n")
-            fp.write("ASCII\n")
-            fp.write("DATASET UNSTRUCTURED_GRID\n")
-            fp.write(f"POINTS {mesh.n_vertices} double\n")
-            for p in mesh.vertices:
-                fp.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-            fp.write(f"CELLS {mesh.n_tets} {5 * mesh.n_tets}\n")
-            for tet in mesh.tets:
-                fp.write(f"4 {tet[0]} {tet[1]} {tet[2]} {tet[3]}\n")
-            fp.write(f"CELL_TYPES {mesh.n_tets}\n")
-            for _ in range(mesh.n_tets):
-                fp.write("10\n")
-            fp.write(f"POINT_DATA {mesh.n_vertices}\n")
-            fp.write(f"SCALARS {name} double 1\n")
-            fp.write("LOOKUP_TABLE default\n")
-            for v in field:
-                fp.write(f"{_fmt(v)}\n")
-    except OSError as err:
-        raise OSError(f"cannot write VTK file {path}: {err}") from err
+
+    def cells(fp):
+        fp.write(f"CELLS {mesh.n_tets} {5 * mesh.n_tets}\n")
+        _write_rows(fp, "4 %d %d %d %d", mesh.tets)
+        fp.write(f"CELL_TYPES {mesh.n_tets}\n")
+        fp.write("10\n" * mesh.n_tets)
+
+    _write_vtk(path, "vesselfem 3d concentration", "UNSTRUCTURED_GRID",
+               mesh.vertices, cells, field, name)
 
 
 def write_vtk_1d(dg: DgSpace, dofs, geometry: VesselGeometry, path,
                  name: str = "concentration"):
     """Legacy ASCII polydata of the vessel field, degree+1 samples per element."""
     n_sample = dg.degree + 1
-    points = []
-    values = []
-    for e in range(dg.partition.n_elements):
-        a = dg.partition.nodes[e]
-        b = dg.partition.nodes[e + 1]
-        ss = np.linspace(a, b, n_sample)
-        vals, _ = dg.basis_at(e, ss)
-        values.append(vals.T @ np.asarray(dofs)[dg.element_dofs(e)])
-        points.append(geometry.point_at(ss))
-    points = np.concatenate(points)
-    values = np.concatenate(values)
-    n_pts = points.shape[0]
-    segments = [
-        (e * n_sample + k, e * n_sample + k + 1)
-        for e in range(dg.partition.n_elements)
-        for k in range(n_sample - 1)
-    ]
-    try:
-        with open(path, "w", newline="\n") as fp:
-            fp.write("# vtk DataFile Version 3.0\n")
-            fp.write("vesselfem 1d concentration\n")
-            fp.write("ASCII\n")
-            fp.write("DATASET POLYDATA\n")
-            fp.write(f"POINTS {n_pts} double\n")
-            for p in points:
-                fp.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-            fp.write(f"LINES {len(segments)} {3 * len(segments)}\n")
-            for a, b in segments:
-                fp.write(f"2 {a} {b}\n")
-            fp.write(f"POINT_DATA {n_pts}\n")
-            fp.write(f"SCALARS {name} double 1\n")
-            fp.write("LOOKUP_TABLE default\n")
-            for v in values:
-                fp.write(f"{_fmt(v)}\n")
-    except OSError as err:
-        raise OSError(f"cannot write VTK file {path}: {err}") from err
+    nodes = dg.partition.nodes
+    ss = np.linspace(nodes[:-1], nodes[1:], n_sample, axis=1)  # (n_el, n_sample)
+    vals, _ = legendre_basis(np.linspace(-1.0, 1.0, n_sample), dg.degree)
+    values = np.asarray(dofs, dtype=float).reshape(-1, dg.n_local) @ vals
+    first = np.arange(ss.size).reshape(ss.shape)[:, :-1].ravel()
+
+    def cells(fp):
+        fp.write(f"LINES {first.size} {3 * first.size}\n")
+        _write_rows(fp, "2 %d %d", np.column_stack([first, first + 1]))
+
+    _write_vtk(path, "vesselfem 1d concentration", "POLYDATA",
+               geometry.point_at(ss.ravel()), cells, values.ravel(), name)
 
 
 # -- CSV -----------------------------------------------------------------------
@@ -153,7 +134,6 @@ class RunConfig:
     t_end: float = 1.0
     n_circ: int = 16
     out: str = "."
-    seed: int = 0
     p0: tuple = (-0.4, -0.4, -0.4)
     p1: tuple = (0.4, 0.4, 0.4)
     radius: float | None = 0.05
@@ -173,7 +153,7 @@ class RunConfig:
 
 
 _TUPLE_KEYS = {"p0", "p1", "u", "gamma_breaks", "gamma_values", "snapshots"}
-_INT_KEYS = {"n", "degree", "epsilon", "n_circ", "seed"}
+_INT_KEYS = {"n", "degree", "epsilon", "n_circ"}
 _STR_KEYS = {"out"}
 
 
@@ -281,6 +261,14 @@ def _check_solver_limit(n):
         )
 
 
+def _check_circle_count(n_circ):
+    """Reject a section-circle rule too coarse to average on, before any work starts."""
+    if n_circ < MIN_CIRCLE_POINTS:
+        raise ConfigError(
+            f"n_circ = {n_circ} is below the minimum of {MIN_CIRCLE_POINTS} circle points"
+        )
+
+
 def _check_levels(levels):
     for n in levels:
         _check_solver_limit(n)
@@ -291,6 +279,7 @@ def _check_levels(levels):
 def cmd_manufactured(args) -> int:
     levels = _parse_levels(args.levels)
     _check_levels(levels)
+    _check_circle_count(args.n_circ)
     os.makedirs(args.out, exist_ok=True)
 
     def snapshot_finest(n, system, state, _report):
@@ -343,6 +332,7 @@ def cmd_diagonal(args) -> int:
         raise ConfigError("case must be 1, 2 or 3")
     levels = _parse_levels(args.levels)
     _check_levels(levels + (args.fine,))
+    _check_circle_count(args.n_circ)
     if args.fine <= levels[-1]:
         raise ConfigError("--fine must exceed every coarse level")
     os.makedirs(args.out, exist_ok=True)
@@ -381,6 +371,7 @@ def cmd_diagonal(args) -> int:
 def cmd_run(args) -> int:
     cfg = parse_config_file(args.config)
     _check_solver_limit(cfg.n)
+    _check_circle_count(cfg.n_circ)
     os.makedirs(cfg.out, exist_ok=True)
     problem = problem_from_config(cfg)
     system = CoupledSystem(problem, n_cells=cfg.n, n_circle=cfg.n_circ)

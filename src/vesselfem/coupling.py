@@ -34,29 +34,39 @@ class CouplingBlocks:
     n_circle: int
 
 
-def average_row(fem: FemSpace, geometry: VesselGeometry, s: float, n_circle: int):
-    """Sparse row of the discrete lateral-average operator at arclength s.
+def average_rows(fem: FemSpace, geometry: VesselGeometry, s, n_circle: int):
+    """Sparse rows of the discrete lateral-average operator at arclengths s.
 
-    Returns (dof ids, weights): the average of a P1 field c at s is
-    sum(weights * c[dof ids]).  Duplicated dof ids are permitted.
+    Returns (dof ids, weights), each (m, 4 n_circle) for the m values of s:
+    the average of a P1 field c at s[k] is sum(weights[k] * c[dof ids[k]]).
+    Duplicated dof ids are permitted.
     """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
     pts, _ = geometry.circle_points(s, n_circle)
     try:
-        tet_ids, bary = fem.mesh.locate_many(pts)
+        tet_ids, bary = fem.mesh.locate_many(pts.reshape(-1, 3))
     except DomainError as err:
+        mesh = fem.mesh
+        overshoot = np.maximum(mesh.lo - pts, pts - mesh.hi).max(axis=(1, 2))
         raise GeometryError(
-            f"section circle at s = {s} leaves the box: {err}"
+            f"section circle at s = {s[np.argmax(overshoot)]} leaves the box: {err}"
         ) from err
-    dofs = fem.mesh.tets[tet_ids].ravel()
-    weights = (bary / n_circle).ravel()
+    dofs = fem.mesh.tets[tet_ids].reshape(s.size, 4 * n_circle)
+    weights = (bary / n_circle).reshape(s.size, 4 * n_circle)
     return dofs, weights
 
 
 def lateral_average(fem: FemSpace, geometry: VesselGeometry, c_dofs, s: float,
                     n_circle: int = DEFAULT_N_CIRCLE) -> float:
     """Mean of the P1 field over the section circle at arclength s."""
-    dofs, weights = average_row(fem, geometry, s, n_circle)
-    return float(weights @ np.asarray(c_dofs)[dofs])
+    dofs, weights = average_rows(fem, geometry, s, n_circle)
+    return float(weights[0] @ np.asarray(c_dofs)[dofs[0]])
+
+
+def _csr(rows, cols, data, shape):
+    """CSR matrix from broadcast-compatible triplet arrays."""
+    rows, cols, data = np.broadcast_arrays(rows, cols, data)
+    return sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
 
 
 def assemble_coupling(
@@ -66,61 +76,29 @@ def assemble_coupling(
     gauss_order: int | None = None,
     n_circle: int = DEFAULT_N_CIRCLE,
 ) -> CouplingBlocks:
-    """Assemble the four exchange blocks by 1D Gauss x circle quadrature."""
+    """Assemble the four exchange blocks by 1D Gauss x circle quadrature.
+
+    Every (element, Gauss point) with nonzero permeability is one point of
+    the rule; its circle is located with all the others in one call.
+    """
     q = gauss_order if gauss_order is not None else dg.degree + 2
-    pts, wts = dg.gauss_points(q)
+    pts, wts, vals, _ = dg.element_quadrature(q)
+    s = pts.ravel()
+    gam = np.asarray(geometry.gamma_at(s), dtype=float)
+    live = gam != 0.0
+    s = s[live]
+    factor = gam[live] * geometry.section_circumference(s) * wts.ravel()[live]
+    adofs, aw = average_rows(fem, geometry, s, n_circle)  # (m, a)
+    elem, k = np.divmod(np.nonzero(live)[0], q)
+    edofs = dg.n_local * elem[:, None] + np.arange(dg.n_local)  # (m, n_local)
+    brow = vals[:, k].T  # (m, n_local)
 
-    oo_r, oo_c, oo_d = [], [], []
-    ol_r, ol_c, ol_d = [], [], []
-    ll_r, ll_c, ll_d = [], [], []
-    for e in range(dg.partition.n_elements):
-        vals, _ = dg.basis_at(e, pts[e])
-        edofs = dg.element_dofs(e)
-        for k in range(q):
-            s_q = pts[e][k]
-            gam = float(np.asarray(geometry.gamma_at(s_q)))
-            if gam == 0.0:
-                continue
-            factor = gam * float(geometry.section_circumference(s_q)) * wts[e][k]
-            adofs, aw = average_row(fem, geometry, s_q, n_circle)
-            brow = vals[:, k]
-
-            oo_r.append(np.repeat(adofs, adofs.size))
-            oo_c.append(np.tile(adofs, adofs.size))
-            oo_d.append(factor * np.outer(aw, aw).ravel())
-
-            ol_r.append(np.repeat(adofs, edofs.size))
-            ol_c.append(np.tile(edofs, adofs.size))
-            ol_d.append(factor * np.outer(aw, brow).ravel())
-
-            ll_r.append(np.repeat(edofs, edofs.size))
-            ll_c.append(np.tile(edofs, edofs.size))
-            ll_d.append(factor * np.outer(brow, brow).ravel())
-
-    def build(rows, cols, data, shape):
-        if rows:
-            r = np.concatenate(rows)
-            c = np.concatenate(cols)
-            d = np.concatenate(data)
-        else:
-            r = c = np.zeros(0, dtype=np.int64)
-            d = np.zeros(0)
-        return sp.coo_matrix((d, (r, c)), shape=shape).tocsr()
-
+    f3 = factor[:, None, None]
+    ol_rows, ol_cols = adofs[:, :, None], edofs[:, None, :]
+    ol_data = f3 * (aw[:, :, None] * brow[:, None, :])
     n_o, n_l = fem.n_dofs, dg.n_dofs
-    c_oo = build(oo_r, oo_c, oo_d, (n_o, n_o))
-    c_ol = build(ol_r, ol_c, ol_d, (n_o, n_l))
-    c_lo = build(ol_c, ol_r, ol_d, (n_l, n_o))  # same triplets, transposed
-    c_ll = build(ll_r, ll_c, ll_d, (n_l, n_l))
+    c_oo = _csr(ol_rows, adofs[:, None, :], f3 * (aw[:, :, None] * aw[:, None, :]), (n_o, n_o))
+    c_ol = _csr(ol_rows, ol_cols, ol_data, (n_o, n_l))
+    c_lo = _csr(ol_cols, ol_rows, ol_data, (n_l, n_o))  # same triplets, transposed
+    c_ll = dg.block_matrix((dg.n_local * elem, f3 * (brow[:, :, None] * brow[:, None, :])))
     return CouplingBlocks(c_oo, c_ol, c_lo, c_ll, q, n_circle)
-
-
-def refinement_report(geometry, fem, dg, n_circle=DEFAULT_N_CIRCLE):
-    """Max entrywise change of each block when the circle count doubles."""
-    coarse = assemble_coupling(geometry, fem, dg, n_circle=n_circle)
-    fine = assemble_coupling(geometry, fem, dg, n_circle=2 * n_circle)
-    out = {}
-    for name in ("c_oo", "c_ol", "c_lo", "c_ll"):
-        delta = getattr(fine, name) - getattr(coarse, name)
-        out[name] = float(np.abs(delta.data).max()) if delta.nnz else 0.0
-    return out

@@ -8,7 +8,7 @@ the inflow datum enters the right-hand side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -127,7 +127,7 @@ class DgSpace:
         return 2.0 * (np.asarray(s, dtype=float) - a) / h - 1.0
 
     def basis_at(self, e, s):
-        """Values and s-derivatives of the local basis of element e at points s."""
+        """Values and s-derivatives of the local basis of element(s) e at points s."""
         xi = self.reference_coords(e, s)
         vals, ders = legendre_basis(xi, self.degree)
         scale = 2.0 / self.partition.lengths[e]
@@ -138,11 +138,9 @@ class DgSpace:
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
         e = self.element_of(s)
-        out = np.zeros(s.shape)
-        for elem in np.unique(e):
-            mask = e == elem
-            vals, _ = self.basis_at(elem, s[mask])
-            out[mask] = vals.T @ np.asarray(dofs)[self.element_dofs(elem)]
+        vals, _ = self.basis_at(e, s)
+        local = np.asarray(dofs, dtype=float).reshape(-1, self.n_local)[e]
+        out = np.einsum("im,mi->m", vals, local)
         return float(out[0]) if scalar else out
 
     def gauss_points(self, n_points):
@@ -154,6 +152,37 @@ class DgSpace:
         wts = 0.5 * h * w[None, :]
         return pts, wts
 
+    def element_quadrature(self, n_points):
+        """Gauss rule on every element with the local basis at its points.
+
+        Returns points and weights (n_elements, n_points), the basis values
+        (n_local, n_points), the same on every element, and the s-derivatives
+        (n_elements, n_local, n_points).
+        """
+        pts, wts = self.gauss_points(n_points)
+        vals, ders = legendre_basis(leggauss(n_points)[0], self.degree)
+        scale = 2.0 / self.partition.lengths
+        return pts, wts, vals, scale[:, None, None] * ders
+
+    def block_matrix(self, *groups):
+        """Sum of dense blocks over contiguous dof ranges as one CSR matrix.
+
+        Each group is (starts (m,), blocks (m, b, b)): block j covers dofs
+        starts[j] .. starts[j] + b - 1 in both rows and columns.
+        """
+        rows, cols, data = [], [], []
+        for starts, blocks in groups:
+            b = blocks.shape[-1]
+            idx = np.asarray(starts)[:, None] + np.arange(b)
+            rows.append(np.repeat(idx, b, axis=1).ravel())
+            cols.append(np.tile(idx, (1, b)).ravel())
+            data.append(np.asarray(blocks, dtype=float).ravel())
+        mat = sp.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.n_dofs, self.n_dofs),
+        )
+        return mat.tocsr()
+
     def constant_one(self):
         """Dof vector representing the constant function 1."""
         out = np.zeros(self.n_dofs)
@@ -162,8 +191,9 @@ class DgSpace:
 
 
 def _coef_array(coef, s):
-    out = np.asarray(coef(s), dtype=float)
-    return np.broadcast_to(out, np.shape(s)) if out.ndim == 0 else out
+    """coef at the points s (any shape); a scalar result is broadcast."""
+    out = np.asarray(coef(s.ravel()), dtype=float)
+    return np.broadcast_to(out, (s.size,)).reshape(s.shape)
 
 
 def trace_eval(space: DgSpace, dofs, i: int, side: str) -> float:
@@ -205,20 +235,18 @@ def _interface_traces(space: DgSpace):
     return vl, dl, vr, dr
 
 
+def _element_starts(space: DgSpace):
+    """First dof of every element; the block of interior node i starts at
+    element i - 1."""
+    return space.n_local * np.arange(space.partition.n_elements)
+
+
 def assemble_mass_weighted(space: DgSpace, weight):
     """Weighted mass matrix (weight ch, vh); block diagonal SPD."""
-    q = space.degree + 2
-    pts, wts = space.gauss_points(q)
-    rows, cols, data = [], [], []
-    for e in range(space.partition.n_elements):
-        vals, _ = space.basis_at(e, pts[e])
-        wq = wts[e] * _coef_array(weight, pts[e])
-        block = np.einsum("q,iq,jq->ij", wq, vals, vals)
-        dofs = space.element_dofs(e)
-        rows.append(np.repeat(dofs, space.n_local))
-        cols.append(np.tile(dofs, space.n_local))
-        data.append(block.ravel())
-    return _to_csr(space, rows, cols, data)
+    pts, wts, vals, _ = space.element_quadrature(space.degree + 2)
+    wq = wts * _coef_array(weight, pts)
+    blocks = np.einsum("eq,iq,jq->eij", wq, vals, vals)
+    return space.block_matrix((_element_starts(space), blocks))
 
 
 def assemble_a_lambda(space: DgSpace, kappa_hat, weight, params: DgParams):
@@ -228,77 +256,48 @@ def assemble_a_lambda(space: DgSpace, kappa_hat, weight, params: DgParams):
     symmetry terms at interior nodes, and the penalty (sigma / h_max) [ch][vh]
     with the global mesh size, matching the seminorm scaling.
     """
-    q = space.degree + 2
-    pts, wts = space.gauss_points(q)
-    rows, cols, data = [], [], []
-    for e in range(space.partition.n_elements):
-        vals, ders = space.basis_at(e, pts[e])
-        wq = wts[e] * _coef_array(weight, pts[e]) * _coef_array(kappa_hat, pts[e])
-        block = np.einsum("q,iq,jq->ij", wq, ders, ders)
-        dofs = space.element_dofs(e)
-        rows.append(np.repeat(dofs, space.n_local))
-        cols.append(np.tile(dofs, space.n_local))
-        data.append(block.ravel())
+    pts, wts, _, ders = space.element_quadrature(space.degree + 2)
+    wq = wts * _coef_array(weight, pts) * _coef_array(kappa_hat, pts)
+    blocks = np.einsum("eq,eiq,ejq->eij", wq, ders, ders)
 
     vl, dl, vr, dr = _interface_traces(space)
     sigma_h = params.sigma / space.partition.h_max
-    n = space.partition.n_elements
-    for i in range(1, n):
-        eL, eR = i - 1, i
-        hL, hR = space.partition.lengths[eL], space.partition.lengths[eR]
-        s_i = space.partition.nodes[i]
-        coef = float(np.asarray(weight(s_i)) * np.asarray(kappa_hat(s_i)))
-        dofs = np.concatenate([space.element_dofs(eL), space.element_dofs(eR)])
-        jump_row = np.concatenate([vr, -vl])
-        avg_der = 0.5 * coef * np.concatenate([dr * 2.0 / hL, dl * 2.0 / hR])
-        block = (
-            -np.outer(jump_row, avg_der)
-            - params.epsilon * np.outer(avg_der, jump_row)
-            + sigma_h * np.outer(jump_row, jump_row)
-        )
-        rows.append(np.repeat(dofs, dofs.size))
-        cols.append(np.tile(dofs, dofs.size))
-        data.append(block.ravel())
-    return _to_csr(space, rows, cols, data)
+    h = space.partition.lengths
+    s_int = space.partition.nodes[1:-1]
+    coef = _coef_array(weight, s_int) * _coef_array(kappa_hat, s_int)
+    jump_row = np.concatenate([vr, -vl])
+    avg_der = 0.5 * coef[:, None] * np.concatenate(
+        [np.outer(2.0 / h[:-1], dr), np.outer(2.0 / h[1:], dl)], axis=1
+    )
+    faces = (
+        -np.einsum("i,mj->mij", jump_row, avg_der)
+        - params.epsilon * np.einsum("mi,j->mij", avg_der, jump_row)
+        + sigma_h * np.outer(jump_row, jump_row)
+    )
+    starts = _element_starts(space)
+    return space.block_matrix((starts, blocks), (starts[:-1], faces))
 
 
 def assemble_b_lambda(space: DgSpace, u_hat: float, weight):
     """Upwinded advection form for constant vessel velocity u_hat > 0."""
     if u_hat <= 0.0:
         raise ConfigError("vessel velocity must be positive (upwinding is fixed)")
-    q = space.degree + 2
-    pts, wts = space.gauss_points(q)
-    rows, cols, data = [], [], []
-    for e in range(space.partition.n_elements):
-        vals, ders = space.basis_at(e, pts[e])
-        wq = wts[e] * _coef_array(weight, pts[e]) * u_hat
-        block = -np.einsum("q,iq,jq->ij", wq, ders, vals)  # row = test derivative
-        dofs = space.element_dofs(e)
-        rows.append(np.repeat(dofs, space.n_local))
-        cols.append(np.tile(dofs, space.n_local))
-        data.append(block.ravel())
+    pts, wts, vals, ders = space.element_quadrature(space.degree + 2)
+    wq = wts * _coef_array(weight, pts) * u_hat
+    blocks = -np.einsum("eq,eiq,jq->eij", wq, ders, vals)  # row = test derivative
 
     vl, _, vr, _ = _interface_traces(space)
-    n = space.partition.n_elements
-    for i in range(1, n):
-        eL, eR = i - 1, i
-        coef = float(np.asarray(weight(space.partition.nodes[i]))) * u_hat
-        dofs = np.concatenate([space.element_dofs(eL), space.element_dofs(eR)])
-        jump_row = np.concatenate([vr, -vl])
-        upwind_col = np.concatenate([vr, np.zeros_like(vl)])
-        block = coef * np.outer(jump_row, upwind_col)
-        rows.append(np.repeat(dofs, dofs.size))
-        cols.append(np.tile(dofs, dofs.size))
-        data.append(block.ravel())
+    coef = _coef_array(weight, space.partition.nodes[1:-1]) * u_hat
+    jump_row = np.concatenate([vr, -vl])
+    upwind_col = np.concatenate([vr, np.zeros_like(vl)])
+    faces = coef[:, None, None] * np.outer(jump_row, upwind_col)
 
     # outflow boundary term at s = L
-    eN = n - 1
-    coef = float(np.asarray(weight(space.partition.length))) * u_hat
-    dofs = space.element_dofs(eN)
-    rows.append(np.repeat(dofs, space.n_local))
-    cols.append(np.tile(dofs, space.n_local))
-    data.append((coef * np.outer(vr, vr)).ravel())
-    return _to_csr(space, rows, cols, data)
+    outflow = float(np.asarray(weight(space.partition.length))) * u_hat * np.outer(vr, vr)
+    starts = _element_starts(space)
+    return space.block_matrix(
+        (starts, blocks), (starts[:-1], faces), (starts[-1:], outflow[None])
+    )
 
 
 def assemble_inflow_rhs(space: DgSpace, weight, u_hat: float, c_in: float):
@@ -311,25 +310,14 @@ def assemble_inflow_rhs(space: DgSpace, weight, u_hat: float, c_in: float):
 
 def seminorm_matrix(space: DgSpace, params: DgParams):
     """Matrix of the broken-gradient-plus-penalty seminorm squared."""
-    q = space.degree + 1
-    pts, wts = space.gauss_points(q)
-    rows, cols, data = [], [], []
-    for e in range(space.partition.n_elements):
-        _, ders = space.basis_at(e, pts[e])
-        block = np.einsum("q,iq,jq->ij", wts[e], ders, ders)
-        dofs = space.element_dofs(e)
-        rows.append(np.repeat(dofs, space.n_local))
-        cols.append(np.tile(dofs, space.n_local))
-        data.append(block.ravel())
+    _, wts, _, ders = space.element_quadrature(space.degree + 1)
+    blocks = np.einsum("eq,eiq,ejq->eij", wts, ders, ders)
     vl, _, vr, _ = _interface_traces(space)
-    sigma_h = params.sigma / space.partition.h_max
-    for i in range(1, space.partition.n_elements):
-        dofs = np.concatenate([space.element_dofs(i - 1), space.element_dofs(i)])
-        jump_row = np.concatenate([vr, -vl])
-        rows.append(np.repeat(dofs, dofs.size))
-        cols.append(np.tile(dofs, dofs.size))
-        data.append((sigma_h * np.outer(jump_row, jump_row)).ravel())
-    return _to_csr(space, rows, cols, data)
+    jump_row = np.concatenate([vr, -vl])
+    face = params.sigma / space.partition.h_max * np.outer(jump_row, jump_row)
+    starts = _element_starts(space)
+    faces = np.broadcast_to(face, (starts.size - 1,) + face.shape)
+    return space.block_matrix((starts, blocks), (starts[:-1], faces))
 
 
 def dg_seminorm(space: DgSpace, dofs, params: DgParams) -> float:
@@ -341,21 +329,8 @@ def dg_seminorm(space: DgSpace, dofs, params: DgParams) -> float:
 
 def l2_project(space: DgSpace, fn):
     """Element-local unweighted L2 projection onto the broken space."""
-    q = space.degree + 4
-    pts, wts = space.gauss_points(q)
-    out = np.zeros(space.n_dofs)
+    pts, wts, vals, _ = space.element_quadrature(space.degree + 4)
+    rhs = np.einsum("eq,iq->ei", wts * _coef_array(fn, pts), vals)
     j = np.arange(space.n_local)
-    for e in range(space.partition.n_elements):
-        vals, _ = space.basis_at(e, pts[e])
-        rhs = vals @ (wts[e] * np.asarray(fn(pts[e]), dtype=float))
-        mass = space.partition.lengths[e] / (2.0 * j + 1.0)  # orthogonal basis
-        out[space.element_dofs(e)] = rhs / mass
-    return out
-
-
-def _to_csr(space: DgSpace, rows, cols, data):
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.n_dofs, space.n_dofs),
-    )
-    return mat.tocsr()
+    mass = space.partition.lengths[:, None] / (2.0 * j + 1.0)  # orthogonal basis
+    return (rhs / mass).ravel()

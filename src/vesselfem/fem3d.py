@@ -17,8 +17,6 @@ import scipy.sparse as sp
 from .errors import CoefficientError, ConfigError
 from .mesh3d import FemSpace, tet_quadrature
 
-_CHUNK = 65536  # tets per assembly block, caps temporary array size
-
 
 @dataclass(frozen=True)
 class ScalarField3:
@@ -93,11 +91,6 @@ class VectorField3:
         )
 
 
-def _quad_points(mesh, tets_slice, bary):
-    corners = mesh.vertices[mesh.tets[tets_slice]]  # (ne, 4, 3)
-    return np.einsum("qi,eic->eqc", bary, corners)  # (ne, nq, 3)
-
-
 def _scatter(space: FemSpace, local):
     """Accumulate per-element 4x4 blocks into a CSR matrix."""
     tets = space.mesh.tets
@@ -131,14 +124,11 @@ def assemble_stiffness(space: FemSpace, kappa: ScalarField3):
         local = (6.0 * w.sum() * kval) * mesh.volumes[:, None, None] * gg
     else:
         local = np.zeros_like(gg)
-        for start in range(0, mesh.n_tets, _CHUNK):
-            sl = slice(start, min(start + _CHUNK, mesh.n_tets))
-            xq = _quad_points(mesh, sl, bary)
-            kq = kappa(xq.reshape(-1, 3)).reshape(xq.shape[:2])
+        for sl, xq, wq in mesh.quadrature(2):
+            kq = kappa(xq.reshape(-1, 3)).reshape(wq.shape)
             if np.any(kq <= 0.0):
                 raise CoefficientError("diffusivity must be positive at all quadrature points")
-            kw = kq @ w  # (ne,)
-            local[sl] = (6.0 * mesh.volumes[sl] * kw)[:, None, None] * gg[sl]
+            local[sl] = np.einsum("eq,eq->e", wq, kq)[:, None, None] * gg[sl]
     return _scatter(space, local)
 
 
@@ -156,14 +146,10 @@ def assemble_convection(space: FemSpace, velocity: VectorField3):
         ref = np.einsum("q,qj->j", w, bary)  # integral of phi_j on reference tet
         local = -6.0 * mesh.volumes[:, None, None] * np.einsum("ei,j->eij", ug, ref)
     else:
-        for start in range(0, mesh.n_tets, _CHUNK):
-            sl = slice(start, min(start + _CHUNK, mesh.n_tets))
-            xq = _quad_points(mesh, sl, bary)
-            uq = velocity(xq.reshape(-1, 3)).reshape(xq.shape[:2] + (3,))
+        for sl, xq, wq in mesh.quadrature(2):
+            uq = velocity(xq.reshape(-1, 3)).reshape(xq.shape)
             ug = np.einsum("eqc,eic->eqi", uq, g[sl])
-            local[sl] = -6.0 * mesh.volumes[sl, None, None] * np.einsum(
-                "q,eqi,qj->eij", w, ug, bary
-            )
+            local[sl] = -np.einsum("eq,eqi,qj->eij", wq, ug, bary)
     return _scatter(space, local)
 
 
@@ -173,12 +159,10 @@ def assemble_load(space: FemSpace, f: ScalarField3, t: float, order: int = 4):
     if f.is_zero:
         return out
     mesh = space.mesh
-    bary, w = tet_quadrature(order)
-    for start in range(0, mesh.n_tets, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, mesh.n_tets))
-        xq = _quad_points(mesh, sl, bary)
-        fq = f(xq.reshape(-1, 3), t).reshape(xq.shape[:2])
-        loc = 6.0 * mesh.volumes[sl, None] * np.einsum("q,eq,qi->ei", w, fq, bary)
+    bary, _ = tet_quadrature(order)
+    for sl, xq, wq in mesh.quadrature(order):
+        fq = f(xq.reshape(-1, 3), t).reshape(wq.shape)
+        loc = np.einsum("eq,qi->ei", wq * fq, bary)
         np.add.at(out, mesh.tets[sl].ravel(), loc.ravel())
     return out
 
@@ -235,11 +219,8 @@ def check_velocity_bound(space: FemSpace, velocity: VectorField3, kappa_min: flo
     if velocity.space_constant:
         return
     mesh = space.mesh
-    bary, _ = tet_quadrature(2)
     sup = 0.0
-    for start in range(0, mesh.n_tets, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, mesh.n_tets))
-        xq = _quad_points(mesh, sl, bary)
+    for _, xq, _ in mesh.quadrature(2):
         uq = velocity(xq.reshape(-1, 3))
         sup = max(sup, float(np.linalg.norm(uq, axis=1).max()))
     bound = kappa_min / (2.0 * poincare_constant(mesh.lo, mesh.hi))

@@ -16,6 +16,7 @@ from .errors import DomainError, GeometryError
 
 _TOL = 1e-12
 _VALIDATION_SAMPLES = 10_000
+MIN_CIRCLE_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -176,19 +177,22 @@ class VesselGeometry:
         R(s) around the centerline; each weight is ``|circumference| / n`` so
         the weights sum to the circumference exactly.  The uniform rule is the
         periodic trapezoid rule, spectrally accurate for smooth integrands.
+        For an array s the results gain its shape in front: points
+        ``s.shape + (n, 3)`` and weights ``s.shape + (n,)``.
         """
-        if n < 4:
-            raise ValueError("need at least 4 circle points")
+        if n < MIN_CIRCLE_POINTS:
+            raise ValueError(f"need at least {MIN_CIRCLE_POINTS} circle points")
         self._check_arclength(s)
-        center = self.p0 + float(s) * self.tangent
-        r = float(self.radius(s, self.length))
+        s = np.asarray(s, dtype=float)
+        center = (self.p0 + np.multiply.outer(s, self.tangent))[..., None, :]
+        r = np.asarray(self.radius(s, self.length), dtype=float)[..., None, None]
         theta = 2.0 * np.pi * np.arange(n) / n
         pts = (
             center
             + r * np.outer(np.cos(theta), self.e1)
             + r * np.outer(np.sin(theta), self.e2)
         )
-        weights = np.full(n, 2.0 * np.pi * r / n)
+        weights = np.full(s.shape + (n,), 2.0 * np.pi * r[..., 0] / n)
         return pts, weights
 
     def check_inside_box(self, lo, hi, tol=_TOL):

@@ -1,4 +1,4 @@
-"""Sparse kernels and the direct solver contract.
+"""The direct solver contract.
 
 Storage is SciPy CSR; the monolithic coupled operator is factored once with
 SuperLU (partial pivoting, fill-reducing ordering) and reused for every time
@@ -7,7 +7,6 @@ step.  Every solve verifies the relative residual against a hard tolerance.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverError
@@ -16,27 +15,6 @@ RESIDUAL_RTOL = 1e-10
 # minimum-degree on A^T + A: markedly less fill than COLAMD on these
 # near-symmetric 3D stencils
 _ORDERING = "MMD_AT_PLUS_A"
-
-SparseMatrix = sp.csr_matrix
-
-
-def spmv(matrix, x):
-    x = np.asarray(x)
-    if matrix.shape[1] != x.shape[0]:
-        raise ValueError(f"shape mismatch: {matrix.shape} @ {x.shape}")
-    return matrix @ x
-
-
-def add_scaled(matrix, alpha, other):
-    """alpha * matrix + other, with exact shape check."""
-    if matrix.shape != other.shape:
-        raise ValueError(f"shape mismatch: {matrix.shape} vs {other.shape}")
-    return (alpha * matrix + other).tocsr()
-
-
-def block_compose(blocks):
-    """Flatten a 2x2 (or larger) block layout into one CSR matrix."""
-    return sp.bmat(blocks, format="csr")
 
 
 class Factorization:
@@ -75,11 +53,3 @@ class Factorization:
                 f"(n = {self.shape[0]}, |rhs| = {norm_b:.3e})"
             )
         return x
-
-
-def factorize(matrix) -> Factorization:
-    return Factorization(matrix)
-
-
-def solve(factorization: Factorization, rhs):
-    return factorization.solve(rhs)

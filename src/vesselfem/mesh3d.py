@@ -15,6 +15,7 @@ from scipy.special import roots_jacobi, roots_legendre
 from .errors import ConfigError, DomainError
 
 _BARY_TOL = 1e-12
+_CHUNK = 65536  # tets per quadrature block, caps temporary array size
 
 # axis orderings of the diagonal split; odd permutations get re-oriented
 _PERMS = sorted(permutations((0, 1, 2)))
@@ -99,6 +100,17 @@ class TetMesh:
     def diameter(self) -> float:
         """Longest tet edge (the cell diagonal)."""
         return float(np.linalg.norm(self.cell_size))
+
+    def quadrature(self, order):
+        """Tet quadrature of the given order, in blocks of at most _CHUNK tets.
+
+        Yields (tet slice, points (ne, nq, 3), weights 6|T| w_q (ne, nq)).
+        """
+        bary, w = tet_quadrature(order)
+        for start in range(0, self.n_tets, _CHUNK):
+            sl = slice(start, min(start + _CHUNK, self.n_tets))
+            points = np.einsum("qi,eic->eqc", bary, self.vertices[self.tets[sl]])
+            yield sl, points, 6.0 * self.volumes[sl, None] * w
 
     def barycentric(self, tet_ids, points):
         """Barycentric coordinates of points relative to the given tets."""
@@ -189,16 +201,6 @@ class FemSpace:
         """Evaluate the P1 field with the given dof vector at physical points."""
         tet_ids, bary = self.mesh.locate_many(points)
         return np.einsum("pi,pi->p", bary, np.asarray(dofs)[self.mesh.tets[tet_ids]])
-
-
-def shape_values(tet_id, bary):
-    """P1 shape function values: the barycentric coordinates themselves."""
-    return np.asarray(bary, dtype=float)
-
-
-def shape_gradients(mesh: TetMesh, tet_id):
-    """Constant P1 shape gradients on a tet, shape (4, 3)."""
-    return mesh.gradients[tet_id]
 
 
 def tet_quadrature(order):

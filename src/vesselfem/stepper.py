@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import coupling, dg1d, fem3d, linalg
 from .dg1d import DgParams, DgSpace, Partition1D
@@ -139,24 +140,19 @@ class CoupledSystem:
         )
 
         inv_dt = 1.0 / self.dt
-        top = linalg.add_scaled(self.mass3, inv_dt, stiff3 + conv3 + self.blocks.c_oo)
-        bottom = linalg.add_scaled(self.mass1, inv_dt, stiff1 + adv1 + self.blocks.c_ll)
-        system = linalg.block_compose(
-            [[top, -self.blocks.c_ol], [-self.blocks.c_lo, bottom]]
+        top = inv_dt * self.mass3 + (stiff3 + conv3 + self.blocks.c_oo)
+        bottom = inv_dt * self.mass1 + (stiff1 + adv1 + self.blocks.c_ll)
+        system = sp.bmat(
+            [[top, -self.blocks.c_ol], [-self.blocks.c_lo, bottom]], format="csr"
         )
         self.dirichlet_rows = np.nonzero(self.fem.dirichlet_mask)[0]
         system = fem3d.constrain_rows(system, self.dirichlet_rows)
         self.operator = system
-        self.factorization = linalg.factorize(system)
+        self.factorization = linalg.Factorization(system)
         self._mass1_unweighted = None
         self._term_loads = None  # projected source3 terms, filled on first use
 
-        # vessel-load quadrature: the basis values at the reference Gauss
-        # points are the same on every element
-        q = self.dg.degree + 2
-        xi, _ = np.polynomial.legendre.leggauss(q)
-        vals, _ = dg1d.legendre_basis(xi, self.dg.degree)
-        self._quad1 = (*self.dg.gauss_points(q), vals)
+        self._quad1 = self.dg.element_quadrature(self.dg.degree + 2)
 
     def _kappa_min(self) -> float:
         pts = self.mesh.vertices[:: max(1, self.mesh.n_vertices // 512)]
@@ -219,7 +215,7 @@ class CoupledSystem:
 
     def _load1(self, fn, t):
         """Vessel load (fn(., t), phi_i) over every element and Gauss point at once."""
-        pts, wts, vals = self._quad1
+        pts, wts, vals, _ = self._quad1
         fq = np.broadcast_to(np.asarray(fn(pts.ravel(), t), dtype=float), (pts.size,))
         return np.einsum("eq,iq->ei", wts * fq.reshape(pts.shape), vals).ravel()
 
@@ -277,23 +273,3 @@ class CoupledSystem:
             wall_time=wall,
         )
         return state, report
-
-
-def build_system(problem, n_cells, **kwargs) -> CoupledSystem:
-    return CoupledSystem(problem, n_cells, **kwargs)
-
-
-def initialize(system: CoupledSystem) -> CoupledState:
-    return system.initialize()
-
-
-def step(system: CoupledSystem, state: CoupledState) -> CoupledState:
-    return system.step(state)
-
-
-def run(system: CoupledSystem, observers=()) -> tuple[CoupledState, RunReport]:
-    return system.run(observers)
-
-
-def energy(system: CoupledSystem, state: CoupledState) -> float:
-    return system.energy(state)

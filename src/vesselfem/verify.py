@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import lateral_average
 from .dg1d import DgParams, DgSpace
 from .errors import VerificationError
 from .fem3d import ScalarField3, VectorField3
@@ -36,8 +35,6 @@ from .geometry import (
 )
 from .mesh3d import tet_quadrature
 from .stepper import CoupledSystem, Observer, TransportProblem
-
-_CHUNK = 65536
 
 F_RESIDUAL_TOL = 1e-5
 FHAT_RESIDUAL_TOL = 1e-8
@@ -243,50 +240,36 @@ def source_gate(**kwargs):
 def error_norms_3d(fem, c_dofs, exact, exact_grad, t, order: int = 4):
     """(L2 error, gradient L2 error) of a P1 field against closed forms."""
     mesh = fem.mesh
-    bary, w = tet_quadrature(order)
+    bary, _ = tet_quadrature(order)
     dofs = np.asarray(c_dofs, dtype=float)
     l2 = 0.0
     grad = 0.0
-    for start in range(0, mesh.n_tets, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, mesh.n_tets))
-        tets = mesh.tets[sl]
-        corners = mesh.vertices[tets]
-        xq = np.einsum("qi,eic->eqc", bary, corners)
+    for sl, xq, wq in mesh.quadrature(order):
         flat = xq.reshape(-1, 3)
-        local = dofs[tets]  # (ne, 4)
-        ch = np.einsum("qi,ei->eq", bary, local)
-        scale = 6.0 * mesh.volumes[sl]
-        if exact is not None:
-            ce = exact(flat, t).reshape(ch.shape)
-            l2 += float(np.einsum("e,q,eq->", scale, w, (ce - ch) ** 2))
-        else:
-            l2 += float(np.einsum("e,q,eq->", scale, w, ch**2))
+        local = dofs[mesh.tets[sl]]  # (ne, 4)
+        ch = local @ bary.T
+        ce = exact(flat, t).reshape(ch.shape) if exact is not None else 0.0
+        l2 += float(np.einsum("eq,eq->", wq, (ce - ch) ** 2))
         gh = np.einsum("eic,ei->ec", mesh.gradients[sl], local)
         if exact_grad is not None:
-            ge = exact_grad(flat, t).reshape(xq.shape)
-            diff = ge - gh[:, None, :]
-            grad += float(np.einsum("e,q,eqc->", scale, w, diff**2))
+            diff = exact_grad(flat, t).reshape(xq.shape) - gh[:, None, :]
+            grad += float(np.einsum("eq,eqc->", wq, diff**2))
         else:
-            grad += float(np.sum(scale * np.sum(gh**2, axis=1)) * w.sum())
+            grad += float(wq.sum(axis=1) @ np.sum(gh**2, axis=1))
     return math.sqrt(l2), math.sqrt(grad)
 
 
 def error_norms_1d(dg: DgSpace, dofs, exact, exact_ds, t, n_points: int | None = None):
     """(L2 error, broken gradient error) of a DG field against closed forms."""
     q = n_points if n_points is not None else dg.degree + 3
-    pts, wts = dg.gauss_points(q)
-    dofs = np.asarray(dofs, dtype=float)
-    l2 = 0.0
-    broken = 0.0
-    for e in range(dg.partition.n_elements):
-        vals, ders = dg.basis_at(e, pts[e])
-        local = dofs[dg.element_dofs(e)]
-        vh = vals.T @ local
-        dh = ders.T @ local
-        ve = exact(pts[e], t) if exact is not None else 0.0
-        de = exact_ds(pts[e], t) if exact_ds is not None else 0.0
-        l2 += float(wts[e] @ (ve - vh) ** 2)
-        broken += float(wts[e] @ (de - dh) ** 2)
+    pts, wts, vals, ders = dg.element_quadrature(q)
+    local = np.asarray(dofs, dtype=float).reshape(-1, dg.n_local)
+    vh = local @ vals
+    dh = np.einsum("ei,eiq->eq", local, ders)
+    ve = exact(pts, t) if exact is not None else 0.0
+    de = exact_ds(pts, t) if exact_ds is not None else 0.0
+    l2 = float(np.einsum("eq,eq->", wts, (ve - vh) ** 2))
+    broken = float(np.einsum("eq,eq->", wts, (de - dh) ** 2))
     return math.sqrt(l2), math.sqrt(broken)
 
 
@@ -448,30 +431,22 @@ class SelfConvergenceReport:
 def cross_error_3d(coarse_fem, coarse_dofs, fine_fem, fine_dofs, order: int = 4):
     """L2 distance between two P1 fields, integrated on the coarse mesh."""
     mesh = coarse_fem.mesh
-    bary, w = tet_quadrature(order)
+    bary, _ = tet_quadrature(order)
     cdofs = np.asarray(coarse_dofs, dtype=float)
     total = 0.0
-    for start in range(0, mesh.n_tets, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, mesh.n_tets))
-        tets = mesh.tets[sl]
-        xq = np.einsum("qi,eic->eqc", bary, mesh.vertices[tets])
-        ch = np.einsum("qi,ei->eq", bary, cdofs[tets])
+    for sl, xq, wq in mesh.quadrature(order):
+        ch = cdofs[mesh.tets[sl]] @ bary.T
         fh = fine_fem.evaluate(fine_dofs, xq.reshape(-1, 3)).reshape(ch.shape)
-        total += float(np.einsum("e,q,eq->", 6.0 * mesh.volumes[sl], w, (ch - fh) ** 2))
+        total += float(np.einsum("eq,eq->", wq, (ch - fh) ** 2))
     return math.sqrt(total)
 
 
 def cross_error_1d(coarse_dg, coarse_dofs, fine_dg, fine_dofs):
     """L2 distance between two broken fields, integrated on the coarse partition."""
-    q = coarse_dg.degree + 3
-    pts, wts = coarse_dg.gauss_points(q)
-    total = 0.0
-    for e in range(coarse_dg.partition.n_elements):
-        vals, _ = coarse_dg.basis_at(e, pts[e])
-        vh = vals.T @ np.asarray(coarse_dofs)[coarse_dg.element_dofs(e)]
-        fh = fine_dg.evaluate(fine_dofs, pts[e])
-        total += float(wts[e] @ (vh - fh) ** 2)
-    return math.sqrt(total)
+    pts, wts, vals, _ = coarse_dg.element_quadrature(coarse_dg.degree + 3)
+    vh = np.asarray(coarse_dofs, dtype=float).reshape(-1, coarse_dg.n_local) @ vals
+    fh = fine_dg.evaluate(fine_dofs, pts.ravel()).reshape(pts.shape)
+    return math.sqrt(float(np.einsum("eq,eq->", wts, (vh - fh) ** 2)))
 
 
 def self_convergence(
@@ -529,20 +504,3 @@ def self_convergence(
         report.rel1.append(e1 / norm1 if norm1 > 0 else e1)
         report.max_residual = max(report.max_residual, resid)
     return report
-
-
-def averaging_consistency(system: CoupledSystem, ms: ManufacturedSolution, t: float,
-                          n_samples: int = 21):
-    """Max gap between the discrete circle average of the interpolated exact
-    field and chat / 2 along the vessel."""
-    geom = system.problem.geometry
-    c_nodal = ms.c(system.fem.dof_points, t)
-    ss = np.linspace(0.05, geom.length - 0.05, n_samples)
-    gaps = [
-        abs(
-            lateral_average(system.fem, geom, c_nodal, s, system.n_circle)
-            - 0.5 * float(ms.c_hat(s, t))
-        )
-        for s in ss
-    ]
-    return max(gaps)

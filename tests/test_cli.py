@@ -48,6 +48,55 @@ class TestVtk1d:
         assert "LINES 4 12" in text
 
 
+class TestVtkBytes:
+    """The block writers produce the same bytes as one formatted line per item."""
+
+    @staticmethod
+    def _expected(title, dataset, points, cell_lines, values):
+        fmt = lambda x: format(float(x), ".16e")
+        lines = ["# vtk DataFile Version 3.0", title, "ASCII", f"DATASET {dataset}",
+                 f"POINTS {len(points)} double"]
+        lines += [f"{fmt(p[0])} {fmt(p[1])} {fmt(p[2])}" for p in points]
+        lines += cell_lines
+        lines += [f"POINT_DATA {len(points)}", "SCALARS concentration double 1",
+                  "LOOKUP_TABLE default"]
+        lines += [fmt(v) for v in values]
+        return ("\n".join(lines) + "\n").encode()
+
+    def test_3d_bytes(self, tmp_path):
+        mesh = build_box_mesh((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5), 4)
+        field = np.random.default_rng(0).standard_normal(mesh.n_vertices)
+        field[:4] = [-0.0, 0.0, 1e-300, -7.25]
+        path = tmp_path / "box.vtk"
+        cli.write_vtk_3d(mesh, field, path)
+        cells = [f"CELLS {mesh.n_tets} {5 * mesh.n_tets}"]
+        cells += [f"4 {t[0]} {t[1]} {t[2]} {t[3]}" for t in mesh.tets]
+        cells += [f"CELL_TYPES {mesh.n_tets}"] + ["10"] * mesh.n_tets
+        expected = self._expected("vesselfem 3d concentration", "UNSTRUCTURED_GRID",
+                                  mesh.vertices, cells, field)
+        assert path.read_bytes() == expected
+
+    def test_1d_bytes(self, tmp_path):
+        geom = VesselGeometry(
+            (-0.4, -0.4, -0.4), (0.4, 0.4, 0.4), ConstantRadius(0.05), ConstantPermeability(0.1)
+        )
+        dg = DgSpace(Partition1D.uniform(geom.length, 5), 2)
+        dofs = np.random.default_rng(1).integers(-5, 6, dg.n_dofs).astype(float)
+        path = tmp_path / "line.vtk"
+        cli.write_vtk_1d(dg, dofs, geom, path)
+        nodes = dg.partition.nodes
+        points = np.concatenate([geom.point_at(np.linspace(a, b, 3))
+                                 for a, b in zip(nodes[:-1], nodes[1:])])
+        # Legendre P0, P1, P2 at xi = -1, 0, 1: exact for integer dofs
+        values = (dofs.reshape(-1, 3) @ np.array([[1, 1, 1], [-1, 0, 1], [1, -0.5, 1]])).ravel()
+        n_seg = 2 * dg.partition.n_elements
+        cells = [f"LINES {n_seg} {3 * n_seg}"]
+        cells += [f"2 {3 * e + k} {3 * e + k + 1}" for e in range(5) for k in range(2)]
+        expected = self._expected("vesselfem 1d concentration", "POLYDATA",
+                                  points, cells, values)
+        assert path.read_bytes() == expected
+
+
 class TestCsv:
     def test_schema_and_format(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -86,6 +135,12 @@ class TestConfig:
         cfg_file.write_text("nn = 4\n")
         with pytest.raises(ConfigError, match="unknown key"):
             cli.parse_config_file(cfg_file)
+
+    def test_seed_is_unknown(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"seed = 1\nout = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        assert "unknown key 'seed'" in capsys.readouterr().err
 
     def test_bad_value_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -169,6 +224,38 @@ class TestSolverLimit:
 
     def test_diagonal_fine_outside_levels(self, tmp_path):
         assert cli.main(["diagonal", "--fine", "24", "--out", str(tmp_path)]) == 2
+
+
+class TestCircleCount:
+    """A section circle with fewer than 4 points is refused before any mesh or gate."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        from vesselfem import stepper
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started for a rejected circle count")
+
+        monkeypatch.setattr(stepper, "build_box_mesh", refuse)
+        monkeypatch.setattr(cli.verify, "source_gate", refuse)
+
+    def _rejected(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert "circle points" in capsys.readouterr().err
+
+    def test_run(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"n = 4\nn_circ = 2\nout = {tmp_path / 'out'}\n")
+        self._rejected(["run", "--config", str(cfg_file)], capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_manufactured(self, tmp_path, capsys):
+        self._rejected(["manufactured", "--levels", "4", "--n-circ", "3",
+                        "--out", str(tmp_path)], capsys)
+
+    def test_diagonal(self, tmp_path, capsys):
+        self._rejected(["diagonal", "--levels", "4", "--fine", "8", "--n-circ", "2",
+                        "--out", str(tmp_path)], capsys)
 
 
 class TestVtkIoErrors:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vesselfem import coupling
-from vesselfem.coupling import assemble_coupling, lateral_average, refinement_report
+from vesselfem.coupling import assemble_coupling, lateral_average
 from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.errors import GeometryError
 from vesselfem.geometry import (
@@ -118,6 +118,26 @@ class TestAssembly:
         )
         assert q.min() >= -1e-12
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_quadratic_form_is_exchange_integral(self, degree):
+        # u' C_oo u - 2 u' C_ol v + v' C_ll v equals the Gauss x circle sum of
+        # gamma |circumference| (ubar - v)^2, summed here point by point
+        geom = diagonal_geometry(PiecewisePermeability((0.4, 0.9), (0.0, 0.05, 0.1)))
+        fem = FemSpace(build_box_mesh(*CENTERED, 4))
+        dg = DgSpace(Partition1D.uniform(geom.length, 5), degree)
+        blocks = assemble_coupling(geom, fem, dg)
+        rng = np.random.default_rng(8)
+        u = rng.standard_normal(fem.n_dofs)
+        v = rng.standard_normal(dg.n_dofs)
+        form = u @ (blocks.c_oo @ u) - 2 * u @ (blocks.c_ol @ v) + v @ (blocks.c_ll @ v)
+        pts, wts = dg.gauss_points(blocks.gauss_order)
+        expected = 0.0
+        for s, w in zip(pts.ravel(), wts.ravel()):
+            factor = geom.gamma_at(s) * geom.section_circumference(s) * w
+            gap = lateral_average(fem, geom, u, s, blocks.n_circle) - dg.evaluate(v, s)
+            expected += factor * gap**2
+        assert form == pytest.approx(expected, rel=1e-12)
+
     def test_impermeable_stretch_has_zero_rows(self):
         length = 0.8 * math.sqrt(3)
         geom = diagonal_geometry(
@@ -135,13 +155,16 @@ class TestAssembly:
                 assert np.max(lo[dofs]) == 0.0
 
     def test_refinement_stability(self, setup):
+        # doubling the circle count moves no block entry by more than 1% of the scale
         geom, fem, dg = setup
         blocks = assemble_coupling(geom, fem, dg, n_circle=16)
-        deltas = refinement_report(geom, fem, dg, n_circle=16)
+        fine = assemble_coupling(geom, fem, dg, n_circle=32)
         scale = max(np.abs(b.data).max() for b in (blocks.c_oo, blocks.c_ll))
-        for name, delta in deltas.items():
-            assert np.isfinite(delta)
-            assert delta < 1e-2 * scale, f"{name}: {delta} vs scale {scale}"
+        for name in ("c_oo", "c_ol", "c_lo", "c_ll"):
+            delta = getattr(fine, name) - getattr(blocks, name)
+            change = float(np.abs(delta.data).max()) if delta.nnz else 0.0
+            assert np.isfinite(change)
+            assert change < 1e-2 * scale, f"{name}: {change} vs scale {scale}"
 
     def test_default_metadata(self, setup):
         geom, fem, dg = setup

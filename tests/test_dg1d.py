@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,6 +16,25 @@ ONE = lambda s: np.broadcast_to(1.0, np.shape(s))
 
 def uniform_space(n, degree, length=1.0):
     return DgSpace(Partition1D.uniform(length, n), degree)
+
+
+# graded partition with degree-2 data, so the Gauss rules stay exact
+GRADED_AREA = lambda s: 1.0 + s
+GRADED_KAPPA = lambda s: 2.0 + s**2
+
+
+def graded_space(degree):
+    return DgSpace(Partition1D(np.array([0.0, 0.25, 0.6, 1.0])), degree)
+
+
+@lru_cache(maxsize=None)
+def graded_oracle(degree, epsilon=1):
+    nodes = [sp.Integer(0), sp.Rational(1, 4), sp.Rational(3, 5), sp.Integer(1)]
+    return dense_1d_operators(nodes, degree, GRADED_KAPPA, GRADED_AREA, 1, 50, epsilon, 1)
+
+
+def assert_matches(got, want):
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 def profile_area(kind):
@@ -119,6 +139,13 @@ class TestDiffusionForm:
         _, A_ref, _, _ = dense_1d_operators(nodes, degree, one, one, 1, 50, epsilon, 1)
         assert np.abs(A - A_ref).max() < 1e-12
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("epsilon", [-1, 0, 1])
+    def test_dense_oracle_graded(self, degree, epsilon):
+        params = DgParams(epsilon, 50.0, sigma_min=1.0)
+        A = dg1d.assemble_a_lambda(graded_space(degree), GRADED_KAPPA, GRADED_AREA, params)
+        assert_matches(A.toarray(), graded_oracle(degree, epsilon)[1])
+
     def test_symmetry_iff_symmetric_variant(self):
         space = uniform_space(4, 2)
         for eps in (-1, 0, 1):
@@ -168,6 +195,11 @@ class TestAdvectionForm:
         _, _, B_ref, _ = dense_1d_operators(nodes, degree, one, one, 1, 50, 1, 1)
         assert np.abs(B - B_ref).max() < 1e-12
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_dense_oracle_graded(self, degree):
+        B = dg1d.assemble_b_lambda(graded_space(degree), 1.0, GRADED_AREA)
+        assert_matches(B.toarray(), graded_oracle(degree)[2])
+
     def test_nonpositive_velocity_rejected(self):
         space = uniform_space(2, 1)
         with pytest.raises(ConfigError):
@@ -203,6 +235,16 @@ class TestInflow:
         one = lambda s: sp.Integer(1)
         _, _, _, ref = dense_1d_operators(nodes, degree, one, one, 1, 50, 1, 1)
         assert np.abs(rhs - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_dense_oracle_graded(self, degree):
+        rhs = dg1d.assemble_inflow_rhs(graded_space(degree), GRADED_AREA, 1.0, 1.0)
+        assert_matches(rhs, graded_oracle(degree)[3])
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_mass_dense_oracle_graded(self, degree):
+        M = dg1d.assemble_mass_weighted(graded_space(degree), GRADED_AREA)
+        assert_matches(M.toarray(), graded_oracle(degree)[0])
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_mass_dense_oracle(self, degree):

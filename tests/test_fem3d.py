@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vesselfem import fem3d, linalg
+from vesselfem import fem3d, linalg, mesh3d, verify
 from vesselfem.errors import CoefficientError, ConfigError
 from vesselfem.fem3d import ScalarField3, VectorField3
 from vesselfem.mesh3d import FemSpace, build_box_mesh
@@ -148,6 +148,39 @@ class TestSeparableSource:
         assert np.abs(combined - plain).max() <= 1e-13 * np.abs(plain).max()
 
 
+class TestChunkedQuadrature:
+    """Every consumer of the chunked tet quadrature is independent of the chunk size."""
+
+    def _all(self):
+        fem = FemSpace(build_box_mesh(*CENTERED, 4))
+        fine = FemSpace(build_box_mesh(*CENTERED, 8))
+        x, xf = fem.dof_points, fine.dof_points
+        c = np.sin(3 * x[:, 0]) + x[:, 1] * x[:, 2]
+        cf = np.cos(2 * xf[:, 2]) + xf[:, 0]
+        exact = lambda p, t: np.sin(3 * p[:, 0]) + t * p[:, 1] ** 2
+        exact_grad = lambda p, t: np.stack(
+            [3 * np.cos(3 * p[:, 0]), 2 * t * p[:, 1], 0 * p[:, 2]], axis=1
+        )
+        kappa = ScalarField3(fn=lambda p, t: 1.5 + p[:, 0] * p[:, 1])
+        velocity = VectorField3(fn=lambda p, t: np.stack([p[:, 1], -p[:, 0], p[:, 2] ** 2], axis=1),
+                                time_constant=True)
+        return [
+            fem3d.assemble_load(fem, ScalarField3(fn=exact), 0.7),
+            fem3d.assemble_stiffness(fem, kappa).toarray(),
+            fem3d.assemble_convection(fem, velocity).toarray(),
+            np.array(verify.error_norms_3d(fem, c, exact, exact_grad, 0.7)),
+            np.array(verify.error_norms_3d(fem, c, None, None, 0.7)),
+            np.array(verify.cross_error_3d(fem, c, fine, cf)),
+        ]
+
+    def test_chunk_size_does_not_matter(self, monkeypatch):
+        whole = self._all()
+        monkeypatch.setattr(mesh3d, "_CHUNK", 7)  # 384 tets: 54 full chunks and one of 6
+        chunked = self._all()
+        for a, b in zip(whole, chunked):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max()
+
+
 class TestDirichlet:
     def test_row_structure(self, space):
         A = fem3d.assemble_stiffness(space, ScalarField3.constant(1.0))
@@ -162,7 +195,7 @@ class TestDirichlet:
         A = fem3d.assemble_stiffness(space, ScalarField3.constant(1.0))
         F = fem3d.assemble_load(space, ScalarField3.constant(1.0), 0.0)
         A2, F2 = fem3d.apply_dirichlet(A, F, space, None, 0.0)
-        x = linalg.factorize(A2).solve(F2)
+        x = linalg.Factorization(A2).solve(F2)
         assert np.abs(x[space.dirichlet_mask]).max() == 0.0
         assert x[~space.dirichlet_mask].max() > 0  # -lap c = 1 has positive interior
 
@@ -171,7 +204,7 @@ class TestDirichlet:
         A = fem3d.assemble_stiffness(space, ScalarField3.constant(1.0))
         F = np.zeros(space.n_dofs)
         A2, F2 = fem3d.apply_dirichlet(A, F, space, g, t=0.5)
-        x = linalg.factorize(A2).solve(F2)
+        x = linalg.Factorization(A2).solve(F2)
         pts = space.dof_points[space.dirichlet_mask]
         assert np.array_equal(x[space.dirichlet_mask], g(pts, 0.5))
 
@@ -191,7 +224,7 @@ class TestPoissonConvergence:
             A = fem3d.assemble_stiffness(sp_, ScalarField3.constant(1.0))
             F = fem3d.assemble_load(sp_, ScalarField3.constant(-12.0), 0.0)
             A2, F2 = fem3d.apply_dirichlet(A, F, sp_, g, 0.0)
-            x = linalg.factorize(A2).solve(F2)
+            x = linalg.Factorization(A2).solve(F2)
             l2, _ = error_norms_3d(sp_, x, g, grad_g, t=0.0)
             errors.append(l2)
         slopes = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))

@@ -8,13 +8,13 @@ from vesselfem.errors import SolverError
 
 class TestFactorize:
     def test_identity(self):
-        fact = linalg.factorize(sp.identity(5, format="csr"))
+        fact = linalg.Factorization(sp.identity(5, format="csr"))
         rhs = np.arange(5.0)
         assert np.allclose(fact.solve(rhs), rhs)
 
     def test_small_spd(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        x = linalg.factorize(A).solve(np.array([3.0, 3.0]))
+        x = linalg.Factorization(A).solve(np.array([3.0, 3.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_random_spd_residual(self):
@@ -22,25 +22,25 @@ class TestFactorize:
         B = rng.standard_normal((50, 50))
         A = sp.csr_matrix(B @ B.T + 50 * np.eye(50))
         b = rng.standard_normal(50)
-        fact = linalg.factorize(A)
+        fact = linalg.Factorization(A)
         x = fact.solve(b)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
         assert fact.max_residual <= 1e-12
 
     def test_zero_rhs(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.all(linalg.factorize(A).solve(np.zeros(2)) == 0.0)
+        assert np.all(linalg.Factorization(A).solve(np.zeros(2)) == 0.0)
 
     def test_singular_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(SolverError):
-            linalg.factorize(A)
+            linalg.Factorization(A)
 
     def test_reuse_bit_identical(self):
         rng = np.random.default_rng(3)
         A = sp.csr_matrix(rng.standard_normal((20, 20)) + 20 * np.eye(20))
         b = rng.standard_normal(20)
-        fact = linalg.factorize(A)
+        fact = linalg.Factorization(A)
         assert np.array_equal(fact.solve(b), fact.solve(b))
 
     def test_residual_guard(self, monkeypatch):
@@ -49,7 +49,7 @@ class TestFactorize:
                 return np.zeros_like(rhs)
 
         A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        fact = linalg.factorize(A)
+        fact = linalg.Factorization(A)
         monkeypatch.setattr(fact, "_lu", BrokenLU())
         with pytest.raises(SolverError, match="residual"):
             fact.solve(np.array([1.0, 1.0]))
@@ -57,37 +57,7 @@ class TestFactorize:
     def test_shape_checks(self):
         A = sp.identity(4, format="csr")
         with pytest.raises(ValueError):
-            linalg.factorize(A).solve(np.ones(5))
+            linalg.Factorization(A).solve(np.ones(5))
         with pytest.raises(ValueError):
-            linalg.factorize(sp.csr_matrix(np.ones((2, 3))))
+            linalg.Factorization(sp.csr_matrix(np.ones((2, 3))))
 
-
-class TestKernels:
-    def test_spmv_identity(self):
-        x = np.arange(6.0)
-        assert np.array_equal(linalg.spmv(sp.identity(6, format="csr"), x), x)
-
-    def test_spmv_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.spmv(sp.identity(3, format="csr"), np.ones(4))
-
-    def test_add_scaled_zero_alpha(self):
-        rng = np.random.default_rng(4)
-        A = sp.random(8, 8, density=0.4, random_state=5, format="csr")
-        B = sp.random(8, 8, density=0.4, random_state=6, format="csr")
-        assert abs(linalg.add_scaled(A, 0.0, B) - B).max() == 0.0
-
-    def test_add_scaled_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.add_scaled(
-                sp.identity(3, format="csr"), 1.0, sp.identity(4, format="csr")
-            )
-
-    def test_block_compose_offsets(self):
-        A = sp.csr_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        B = sp.csr_matrix(np.array([[5.0], [6.0]]))
-        C = sp.csr_matrix(np.array([[7.0, 8.0]]))
-        D = sp.csr_matrix(np.array([[9.0]]))
-        S = linalg.block_compose([[A, B], [C, D]]).toarray()
-        expected = np.array([[1, 2, 5], [3, 4, 6], [7, 8, 9]], dtype=float)
-        assert np.array_equal(S, expected)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from _oracles import simplex_moment
 from vesselfem.errors import ConfigError, DomainError
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, VesselGeometry
-from vesselfem.mesh3d import build_box_mesh, shape_gradients, shape_values, tet_quadrature
+from vesselfem.mesh3d import build_box_mesh, tet_quadrature
 
 UNIT = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
@@ -164,15 +164,18 @@ class TestQuadrature:
 
 class TestShapeFunctions:
     def test_kronecker(self):
-        vals = shape_values(0, np.eye(4)[2])
-        assert np.allclose(vals, [0, 0, 1, 0])
+        # P1 values are the barycentric coordinates: one at their own vertex
+        mesh = build_box_mesh(*UNIT, 2)
+        vals = mesh.barycentric(0, mesh.vertices[mesh.tets[0, 2]])
+        assert np.allclose(vals, [0, 0, 1, 0], atol=1e-14)
 
     @given(st.integers(0, 47), st.tuples(*[st.floats(0.01, 1.0) for _ in range(4)]))
     def test_partition_of_unity(self, tet, raw):
         mesh = build_box_mesh(*UNIT, 2)
         bary = np.asarray(raw) / sum(raw)
-        assert abs(shape_values(tet, bary).sum() - 1.0) < 1e-13
-        assert np.abs(shape_gradients(mesh, tet).sum(axis=0)).max() < 1e-12
+        point = bary @ mesh.vertices[mesh.tets[tet]]
+        assert abs(mesh.barycentric(tet, point).sum() - 1.0) < 1e-13
+        assert np.abs(mesh.gradients[tet].sum(axis=0)).max() < 1e-12
 
     def test_affine_gradient_exact(self):
         mesh = build_box_mesh(*CENTERED, 3)

@@ -195,14 +195,13 @@ class TestLinearity:
 
 class TestModuleLevelApi:
     def test_functional_wrappers(self):
-        from vesselfem import stepper
-
-        system = stepper.build_system(quiescent_problem(t_end=0.05, dt=0.025), n_cells=4)
-        state = stepper.initialize(system)
-        state = stepper.step(system, state)
+        # the system's own initialize / step / energy / run, one call each
+        system = CoupledSystem(quiescent_problem(t_end=0.05, dt=0.025), n_cells=4)
+        state = system.initialize()
+        state = system.step(state)
         assert state.n == 1
-        assert stepper.energy(system, state) == 0.0
-        final, report = stepper.run(system)
+        assert system.energy(state) == 0.0
+        final, report = system.run()
         assert report.n_steps == 2
         assert final.t == pytest.approx(0.05)
 
