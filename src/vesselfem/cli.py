@@ -235,13 +235,6 @@ def problem_from_config(cfg: RunConfig) -> TransportProblem:
 
 # -- commands --------------------------------------------------------------------
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SOLVER_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _parse_levels(text):
     try:
         levels = tuple(int(v) for v in text.split(","))
@@ -295,7 +288,7 @@ def cmd_manufactured(args) -> int:
 
     report = verify.convergence_study(
         levels, degree=args.degree, epsilon=args.epsilon, sigma=args.sigma,
-        n_circle=args.n_circ, workers=_workers(), on_level=snapshot_finest,
+        n_circle=args.n_circ, on_level=snapshot_finest,
     )
     g3r = _rate_column(report.rates("grad3"))
     l3r = _rate_column(report.rates("l2_3"))
@@ -339,7 +332,6 @@ def cmd_diagonal(args) -> int:
     report = verify.self_convergence(
         args.case, coarse_levels=levels, fine_n=args.fine, degree=args.degree,
         n_circle=args.n_circ, snapshot_times=DIAGONAL_SNAPSHOT_TIMES,
-        workers=_workers(),
     )
     r3 = _rate_column(report.rates3())
     r1 = _rate_column(report.rates1())

@@ -1,11 +1,13 @@
 """Exchange term between the box concentration and the vessel concentration.
 
 The wall flux is gamma |circumference| (cbar - chat), where cbar is the
-lateral average of the 3D field over the section circle.  A single discrete
-averaging operator (uniform circle quadrature + P1 point evaluation) is used
-everywhere, so the four assembled blocks are mutually consistent: the pair
-quadratic form u' C_OO u - 2 u' C_OL v + v' C_LL v equals the assembled
-integral of gamma |circumference| (ubar - v)^2 and is nonnegative.
+lateral average of the 3D field over the section circle.  That average is one
+sparse matrix A from box dofs to the vessel Gauss points (uniform circle
+quadrature + P1 point evaluation); with T the vessel basis at the same points
+and W the diagonal of gamma |circumference| w, the four blocks are the
+Galerkin products A'WA, A'WT, (A'WT)' and T'WT.  So the pair quadratic form
+u' C_OO u - 2 u' C_OL v + v' C_LL v equals (Au - Tv)' W (Au - Tv), the
+assembled integral of gamma |circumference| (ubar - v)^2, and is nonnegative.
 """
 from __future__ import annotations
 
@@ -34,12 +36,13 @@ class CouplingBlocks:
     n_circle: int
 
 
-def average_rows(fem: FemSpace, geometry: VesselGeometry, s, n_circle: int):
-    """Sparse rows of the discrete lateral-average operator at arclengths s.
+def average_matrix(fem: FemSpace, geometry: VesselGeometry, s, n_circle: int):
+    """Discrete lateral-average operator at arclengths s, CSR (len(s), fem.n_dofs).
 
-    Returns (dof ids, weights), each (m, 4 n_circle) for the m values of s:
-    the average of a P1 field c at s[k] is sum(weights[k] * c[dof ids[k]]).
-    Duplicated dof ids are permitted.
+    Row k holds barycentric weight / n_circle at the tet vertices of the
+    n_circle points on the section circle at s[k], a vertex shared by several
+    points summed into one entry; (A @ c)[k] is the circle mean of the P1
+    field c.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     pts, _ = geometry.circle_points(s, n_circle)
@@ -51,22 +54,9 @@ def average_rows(fem: FemSpace, geometry: VesselGeometry, s, n_circle: int):
         raise GeometryError(
             f"section circle at s = {s[np.argmax(overshoot)]} leaves the box: {err}"
         ) from err
-    dofs = fem.mesh.tets[tet_ids].reshape(s.size, 4 * n_circle)
-    weights = (bary / n_circle).reshape(s.size, 4 * n_circle)
-    return dofs, weights
-
-
-def lateral_average(fem: FemSpace, geometry: VesselGeometry, c_dofs, s: float,
-                    n_circle: int = DEFAULT_N_CIRCLE) -> float:
-    """Mean of the P1 field over the section circle at arclength s."""
-    dofs, weights = average_rows(fem, geometry, s, n_circle)
-    return float(weights[0] @ np.asarray(c_dofs)[dofs[0]])
-
-
-def _csr(rows, cols, data, shape):
-    """CSR matrix from broadcast-compatible triplet arrays."""
-    rows, cols, data = np.broadcast_arrays(rows, cols, data)
-    return sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+    rows = np.repeat(np.arange(s.size), 4 * n_circle)
+    cols = fem.mesh.tets[tet_ids].ravel()
+    return sp.csr_matrix((bary.ravel() / n_circle, (rows, cols)), shape=(s.size, fem.n_dofs))
 
 
 def assemble_coupling(
@@ -79,26 +69,30 @@ def assemble_coupling(
     """Assemble the four exchange blocks by 1D Gauss x circle quadrature.
 
     Every (element, Gauss point) with nonzero permeability is one point of
-    the rule; its circle is located with all the others in one call.
+    the rule, one row of the averaging matrix A and of the trace matrix T.
     """
     q = gauss_order if gauss_order is not None else dg.degree + 2
     pts, wts, vals, _ = dg.element_quadrature(q)
     s = pts.ravel()
     gam = np.asarray(geometry.gamma_at(s), dtype=float)
-    live = gam != 0.0
+    live = np.nonzero(gam != 0.0)[0]
     s = s[live]
-    factor = gam[live] * geometry.section_circumference(s) * wts.ravel()[live]
-    adofs, aw = average_rows(fem, geometry, s, n_circle)  # (m, a)
-    elem, k = np.divmod(np.nonzero(live)[0], q)
-    edofs = dg.n_local * elem[:, None] + np.arange(dg.n_local)  # (m, n_local)
-    brow = vals[:, k].T  # (m, n_local)
-
-    f3 = factor[:, None, None]
-    ol_rows, ol_cols = adofs[:, :, None], edofs[:, None, :]
-    ol_data = f3 * (aw[:, :, None] * brow[:, None, :])
-    n_o, n_l = fem.n_dofs, dg.n_dofs
-    c_oo = _csr(ol_rows, adofs[:, None, :], f3 * (aw[:, :, None] * aw[:, None, :]), (n_o, n_o))
-    c_ol = _csr(ol_rows, ol_cols, ol_data, (n_o, n_l))
-    c_lo = _csr(ol_cols, ol_rows, ol_data, (n_l, n_o))  # same triplets, transposed
-    c_ll = dg.block_matrix((dg.n_local * elem, f3 * (brow[:, :, None] * brow[:, None, :])))
-    return CouplingBlocks(c_oo, c_ol, c_lo, c_ll, q, n_circle)
+    weight = sp.diags(gam[live] * geometry.section_circumference(s) * wts.ravel()[live])
+    avg = average_matrix(fem, geometry, s, n_circle)
+    elem, k = np.divmod(live, q)
+    trace = sp.csr_matrix(
+        (vals[:, k].T.ravel(),
+         (np.repeat(np.arange(live.size), dg.n_local),
+          (dg.n_local * elem[:, None] + np.arange(dg.n_local)).ravel())),
+        shape=(live.size, dg.n_dofs),
+    )
+    avg_w = (avg.T @ weight).tocsr()
+    c_ol = (avg_w @ trace).tocsr()
+    return CouplingBlocks(
+        c_oo=(avg_w @ avg).tocsr(),
+        c_ol=c_ol,
+        c_lo=c_ol.T.tocsr(),
+        c_ll=(trace.T @ weight @ trace).tocsr(),
+        gauss_order=q,
+        n_circle=n_circle,
+    )

@@ -29,7 +29,6 @@ class ScalarField3:
 
     fn: Callable
     space_constant: bool = False
-    time_constant: bool = False
     is_zero: bool = False
     terms: tuple = ()
 
@@ -51,8 +50,7 @@ class ScalarField3:
     def term_fields(self):
         """The spatial factors f_k as time-independent fields."""
         return [
-            ScalarField3(fn=lambda x, t, fk=fk: fk(x), time_constant=True)
-            for _, fk in self.terms
+            ScalarField3(fn=lambda x, t, fk=fk: fk(x)) for _, fk in self.terms
         ]
 
     @classmethod
@@ -61,7 +59,6 @@ class ScalarField3:
         return cls(
             fn=lambda x, t: np.full(np.shape(x)[0], v),
             space_constant=True,
-            time_constant=True,
             is_zero=(v == 0.0),
         )
 
@@ -186,21 +183,6 @@ def dirichlet_values(space: FemSpace, g, t: float):
     if g is None:
         return np.zeros(pts.shape[0])
     return np.asarray(g(pts, t), dtype=float)
-
-
-def apply_dirichlet(matrix, rhs, space: FemSpace, g, t: float):
-    """Strongly impose c = g on the boundary rows of (matrix, rhs).
-
-    Rows of constrained dofs become identity rows and the rhs entries get the
-    boundary values; columns are left untouched.
-    """
-    rows = np.nonzero(space.dirichlet_mask)[0]
-    out_matrix = constrain_rows(matrix, rows) if matrix is not None else None
-    out_rhs = None
-    if rhs is not None:
-        out_rhs = np.array(rhs, dtype=float, copy=True)
-        out_rhs[rows] = dirichlet_values(space, g, t)
-    return out_matrix, out_rhs
 
 
 def poincare_constant(lo, hi) -> float:

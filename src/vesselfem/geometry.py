@@ -135,7 +135,6 @@ class VesselGeometry:
         circ = 2.0 * np.pi * r
         self.section_lower = float(min(area.min(), circ.min()))
         self.section_upper = float(max(area.max(), circ.max()))
-        self.max_radius = float(r.max())
         gam = np.asarray(self.permeability(s), dtype=float)
         if np.any(gam < 0.0):
             raise GeometryError("permeability must be nonnegative")

@@ -148,11 +148,6 @@ class TetMesh:
                 tet_ids[r], coords[r] = self._locate_fallback(points[r], cells[r])
         return tet_ids, coords
 
-    def locate(self, point):
-        """Single-point version of locate_many."""
-        tet_ids, coords = self.locate_many(np.asarray(point, dtype=float)[None, :])
-        return int(tet_ids[0]), coords[0]
-
     def _locate_fallback(self, point, cell):
         best_tet, best_coords, best_worst = -1, None, -np.inf
         for di in (0, -1, 1):

@@ -149,7 +149,6 @@ class CoupledSystem:
         system = fem3d.constrain_rows(system, self.dirichlet_rows)
         self.operator = system
         self.factorization = linalg.Factorization(system)
-        self._mass1_unweighted = None
         self._term_loads = None  # projected source3 terms, filled on first use
 
         self._quad1 = self.dg.element_quadrature(self.dg.degree + 2)
@@ -231,20 +230,6 @@ class CoupledSystem:
         return float(
             state.c @ (self.mass3 @ state.c)
             + state.c_hat @ (self.mass1 @ state.c_hat)
-        )
-
-    def energy_lower_bound(self, state: CoupledState) -> float:
-        """Stability-style energy with the vessel part scaled by the minimum
-        section measure instead of the local area weight; a lower bound for
-        energy() since the weight is bounded below by it."""
-        if self._mass1_unweighted is None:
-            self._mass1_unweighted = dg1d.assemble_mass_weighted(
-                self.dg, lambda s: np.broadcast_to(1.0, np.shape(s))
-            )
-        d0 = self.problem.geometry.section_lower
-        return float(
-            state.c @ (self.mass3 @ state.c)
-            + d0 * (state.c_hat @ (self._mass1_unweighted @ state.c_hat))
         )
 
     def vessel_mass(self, state: CoupledState) -> float:

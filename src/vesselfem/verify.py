@@ -304,23 +304,12 @@ class ConvergenceReport:
         return rate_table(getattr(self, column))
 
 
-def _map_levels(fn, levels, workers: int):
-    """Run one study level per worker; results come back in level order."""
-    if workers <= 1:
-        return [fn(n) for n in levels]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, levels))
-
-
 def convergence_study(
     levels,
     degree: int = 1,
     epsilon: int = 1,
     sigma: float = 50.0,
     n_circle: int = 16,
-    workers: int = 1,
     on_level=None,
 ) -> ConvergenceReport:
     """Run the vertical-vessel verification problem on refined meshes.
@@ -344,7 +333,8 @@ def convergence_study(
             on_level(n, system, state, run_report)
         return grad3, l2_3, grad1, l2_1, run_report.max_residual
 
-    for grad3, l2_3, grad1, l2_1, resid in _map_levels(run_level, levels, workers):
+    # one level at a time, each level's system freed before the next is built
+    for grad3, l2_3, grad1, l2_1, resid in map(run_level, levels):
         report.grad3.append(grad3)
         report.l2_3.append(l2_3)
         report.grad1.append(grad1)
@@ -456,7 +446,6 @@ def self_convergence(
     degree: int = 1,
     n_circle: int = 16,
     snapshot_times=(),
-    workers: int = 1,
 ) -> SelfConvergenceReport:
     """Compare coarse runs of the diagonal-line problem against a fine run.
 
@@ -497,7 +486,7 @@ def self_convergence(
         e1 = cross_error_1d(system.dg, state.c_hat, fine_system.dg, fine_state.c_hat)
         return e3, e1, run_report.max_residual
 
-    for e3, e1, resid in _map_levels(run_level, levels, workers):
+    for e3, e1, resid in map(run_level, levels):
         report.err3.append(e3)
         report.err1.append(e1)
         report.rel3.append(e3 / norm3 if norm3 > 0 else e3)

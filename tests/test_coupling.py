@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vesselfem import coupling
-from vesselfem.coupling import assemble_coupling, lateral_average
+from vesselfem.coupling import assemble_coupling, average_matrix
 from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.errors import GeometryError
 from vesselfem.geometry import (
     ConstantPermeability,
     ConstantRadius,
     PiecewisePermeability,
+    TanhRadius,
     VesselGeometry,
 )
 from vesselfem.mesh3d import FemSpace, build_box_mesh
@@ -39,16 +42,21 @@ def setup():
     return geom, fem, dg
 
 
+def circle_mean(fem, geom, c, s, n_circle):
+    """Mean of the P1 field over the section circle, point by point."""
+    return fem.evaluate(c, geom.circle_points(s, n_circle)[0]).mean()
+
+
 class TestLateralAverage:
     def test_constant_field(self, setup):
         geom, fem, _ = setup
         c = np.full(fem.n_dofs, 3.0)
-        assert lateral_average(fem, geom, c, 0.4) == pytest.approx(3.0, abs=1e-14)
+        assert (average_matrix(fem, geom, 0.4, 16) @ c)[0] == pytest.approx(3.0, abs=1e-14)
 
     def test_odd_field_vanishes(self, setup):
         geom, fem, _ = setup
         c = fem.dof_points[:, 0]
-        assert abs(lateral_average(fem, geom, c, 0.37)) < 1e-12
+        assert abs((average_matrix(fem, geom, 0.37, 16) @ c)[0]) < 1e-12
 
     def test_quadratic_gap_decays(self):
         # average of the interpolated r^2 tends to R^2 at the interpolation rate
@@ -57,7 +65,7 @@ class TestLateralAverage:
         for n in (8, 16, 32):
             fem = FemSpace(build_box_mesh(*CENTERED, n))
             c = fem.dof_points[:, 0] ** 2 + fem.dof_points[:, 1] ** 2
-            avg = lateral_average(fem, geom, c, 0.5, n_circle=16)
+            avg = (average_matrix(fem, geom, 0.5, 16) @ c)[0]
             gaps.append(abs(avg - 0.05**2))
         assert gaps[0] > gaps[1] > gaps[2]
         slope = np.log2(gaps[0] / gaps[2]) / 2
@@ -68,8 +76,20 @@ class TestLateralAverage:
             (0, 0, -0.5), (0, 0, 0.5), ConstantRadius(0.05), ConstantPermeability(1.0)
         )
         small_fem = FemSpace(build_box_mesh((-0.04, -0.04, -0.5), (0.04, 0.04, 0.5), 4))
-        with pytest.raises(GeometryError):
-            lateral_average(small_fem, geom, np.zeros(small_fem.n_dofs), 0.5)
+        with pytest.raises(GeometryError, match="s = 0.5"):
+            average_matrix(small_fem, geom, [0.5], 16)
+
+    @pytest.mark.parametrize("n_circle", [4, 16, 64])
+    def test_rows_sum_to_one(self, n_circle):
+        geom = diagonal_geometry()
+        fem = FemSpace(build_box_mesh(*CENTERED, 4))
+        s = np.linspace(0.0, geom.length, 37)
+        avg = average_matrix(fem, geom, s, n_circle)
+        assert avg.shape == (s.size, fem.n_dofs)
+        assert np.abs(np.asarray(avg.sum(axis=1)).ravel() - 1.0).max() <= 1e-14
+        u = np.random.default_rng(2).standard_normal(fem.n_dofs)
+        expected = [circle_mean(fem, geom, u, sk, n_circle) for sk in s]
+        assert np.abs(avg @ u - expected).max() < 1e-13
 
 
 class TestAssembly:
@@ -103,7 +123,7 @@ class TestAssembly:
     def test_transpose_pairing(self, setup):
         geom, fem, dg = setup
         blocks = assemble_coupling(geom, fem, dg)
-        assert np.abs((blocks.c_lo - blocks.c_ol.T)).max() < 1e-13
+        assert (blocks.c_lo != blocks.c_ol.T).nnz == 0
 
     def test_quadratic_form_nonnegative(self, setup):
         geom, fem, dg = setup
@@ -118,14 +138,18 @@ class TestAssembly:
         )
         assert q.min() >= -1e-12
 
-    @pytest.mark.parametrize("degree", [1, 2])
-    def test_quadratic_form_is_exchange_integral(self, degree):
+    @pytest.mark.parametrize("degree, n_circle", [
+        pytest.param(1, 16, id="1"),
+        pytest.param(2, 16, id="2"),
+        pytest.param(2, 64, id="2-64"),  # many circle points share a tet vertex
+    ])
+    def test_quadratic_form_is_exchange_integral(self, degree, n_circle):
         # u' C_oo u - 2 u' C_ol v + v' C_ll v equals the Gauss x circle sum of
         # gamma |circumference| (ubar - v)^2, summed here point by point
         geom = diagonal_geometry(PiecewisePermeability((0.4, 0.9), (0.0, 0.05, 0.1)))
         fem = FemSpace(build_box_mesh(*CENTERED, 4))
         dg = DgSpace(Partition1D.uniform(geom.length, 5), degree)
-        blocks = assemble_coupling(geom, fem, dg)
+        blocks = assemble_coupling(geom, fem, dg, n_circle=n_circle)
         rng = np.random.default_rng(8)
         u = rng.standard_normal(fem.n_dofs)
         v = rng.standard_normal(dg.n_dofs)
@@ -134,7 +158,7 @@ class TestAssembly:
         expected = 0.0
         for s, w in zip(pts.ravel(), wts.ravel()):
             factor = geom.gamma_at(s) * geom.section_circumference(s) * w
-            gap = lateral_average(fem, geom, u, s, blocks.n_circle) - dg.evaluate(v, s)
+            gap = circle_mean(fem, geom, u, s, n_circle) - dg.evaluate(v, s)
             expected += factor * gap**2
         assert form == pytest.approx(expected, rel=1e-12)
 
@@ -171,3 +195,54 @@ class TestAssembly:
         blocks = assemble_coupling(geom, fem, dg)
         assert blocks.n_circle == coupling.DEFAULT_N_CIRCLE
         assert blocks.gauss_order == dg.degree + 2
+
+
+class TestExchangeProperties:
+    """Mass-conservation structure of the blocks over random vessels."""
+
+    @given(
+        ends=st.tuples(*[st.floats(-0.4, 0.4) for _ in range(6)]).filter(
+            lambda p: math.dist(p[:3], p[3:]) >= 0.3
+        ),
+        radius=st.one_of(
+            st.builds(ConstantRadius, st.floats(0.02, 0.09)),
+            st.builds(TanhRadius, st.floats(0.02, 0.05), st.floats(0.05, 0.09),
+                      st.floats(1.0, 10.0)),
+        ),
+        cuts=st.tuples(st.floats(0.1, 0.45), st.floats(0.55, 0.9)),
+        zero=st.integers(0, 2),
+        degree=st.integers(1, 2),
+        n_el=st.integers(3, 8),
+        n_circle=st.sampled_from([4, 16, 64]),
+    )
+    def test_exchange_pairing(self, ends, radius, cuts, zero, degree, n_el, n_circle):
+        length = math.dist(ends[:3], ends[3:])
+        values = [0.1, 0.05, 0.2]
+        values[zero] = 0.0  # one impermeable stretch
+        breaks = (cuts[0] * length, cuts[1] * length)
+        gamma = PiecewisePermeability(breaks, tuple(values))
+        geom = VesselGeometry(ends[:3], ends[3:], radius, gamma)
+        fem = FemSpace(build_box_mesh(*CENTERED, 4))
+        dg = DgSpace(Partition1D.uniform(length, n_el), degree)
+        blocks = assemble_coupling(geom, fem, dg, n_circle=n_circle)
+
+        assert (blocks.c_lo != blocks.c_ol.T).nnz == 0
+        ones = np.ones(fem.n_dofs)
+        assert np.abs(blocks.c_oo @ ones - blocks.c_ol @ dg.constant_one()).max() <= 1e-12
+
+        stretch = (0.0, *breaks, length)[zero : zero + 2]
+        nodes = dg.partition.nodes
+        for e in range(n_el):
+            if stretch[0] <= nodes[e] and nodes[e + 1] <= stretch[1]:
+                dofs = dg.element_dofs(e)
+                assert blocks.c_ll[dofs].nnz == 0
+                assert blocks.c_lo[dofs].nnz == 0
+
+        rng = np.random.default_rng(n_el)
+        for _ in range(4):
+            u = rng.standard_normal(fem.n_dofs)
+            v = rng.standard_normal(dg.n_dofs)
+            form = u @ (blocks.c_oo @ u) - 2 * u @ (blocks.c_ol @ v) + v @ (blocks.c_ll @ v)
+            au, av = np.abs(u), np.abs(v)
+            scale = au @ (abs(blocks.c_oo) @ au) + av @ (abs(blocks.c_ll) @ av)
+            assert form >= -1e-12 * scale

@@ -75,16 +75,16 @@ class TestLocate:
     def test_vertex(self):
         mesh = build_box_mesh(*CENTERED, 4)
         vid = 37
-        tet, bary = mesh.locate(mesh.vertices[vid])
-        assert bary.max() > 1 - 1e-12
-        assert vid in mesh.tets[tet]
+        tet, bary = mesh.locate_many(mesh.vertices[vid][None])
+        assert bary[0].max() > 1 - 1e-12
+        assert vid in mesh.tets[tet[0]]
 
     def test_centroid_of_tet0(self):
         mesh = build_box_mesh(*UNIT, 2)
         centroid = mesh.vertices[mesh.tets[0]].mean(axis=0)
-        tet, bary = mesh.locate(centroid)
-        assert tet == 0
-        assert np.allclose(bary, 0.25, atol=1e-13)
+        tet, bary = mesh.locate_many(centroid[None])
+        assert tet[0] == 0
+        assert np.allclose(bary[0], 0.25, atol=1e-13)
 
     def test_affine_reproduction_bulk(self):
         mesh = build_box_mesh(*CENTERED, 8)
@@ -109,13 +109,13 @@ class TestLocate:
     def test_boundary_faces_and_corners(self):
         mesh = build_box_mesh(*UNIT, 3)
         for p in [(0, 0, 0), (1, 1, 1), (0.5, 1.0, 0.25), (1e-13, 0.3, 0.99)]:
-            tet, bary = mesh.locate(np.array(p, dtype=float))
+            _, bary = mesh.locate_many(np.array(p, dtype=float)[None])
             assert bary.min() > -1e-9
 
     def test_outside_raises(self):
         mesh = build_box_mesh(*UNIT, 2)
         with pytest.raises(DomainError):
-            mesh.locate(np.array([1.1, 0.5, 0.5]))
+            mesh.locate_many(np.array([1.1, 0.5, 0.5])[None])
 
     def test_roundtrip_with_circle_points(self):
         # circle quadrature points along the vessel land in valid tets

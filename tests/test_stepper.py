@@ -136,15 +136,6 @@ class TestEnergy:
         state.c = np.ones(system.fem.n_dofs)
         assert abs(system.energy(state) - 1.0) < 1e-12
 
-    def test_lower_bound_below_energy(self):
-        system = CoupledSystem(quiescent_problem(), n_cells=4)
-        rng = np.random.default_rng(3)
-        state = system.initialize()
-        state.c = rng.standard_normal(system.fem.n_dofs)
-        state.c_hat = rng.standard_normal(system.dg.n_dofs)
-        lower = system.energy_lower_bound(state)
-        assert 0.0 < lower <= system.energy(state) + 1e-15
-
     @pytest.mark.parametrize("velocity", [(0, 0, 1), (0, 0, 0.0 + 0)])
     def test_zero_source_decay(self, velocity):
         problem = quiescent_problem(t_end=0.25, dt=0.0125, velocity=velocity)
