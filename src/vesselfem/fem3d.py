@@ -1,9 +1,10 @@
 """Assembly of the 3D operators: mass, diffusion, convection, loads, Dirichlet.
 
 All matrices are assembled once per run (the coefficients are required to be
-time-independent) and stored in CSR form.  Bilinear forms use the order-2 tet
-rule, which is exact for P1 x P1 with constant coefficients; load vectors and
-error norms use order 4.
+time-independent) and stored in CSR form.  The box has six tet shapes and one
+tet volume, so mass and constant coefficients give one block per shape.
+Bilinear forms use the order-2 tet rule, which is exact for P1 x P1 with
+constant coefficients; load vectors and error norms use order 4.
 """
 from __future__ import annotations
 
@@ -102,31 +103,29 @@ def _scatter(space: FemSpace, local):
 def assemble_mass(space: FemSpace):
     """Mass matrix; symmetric positive definite."""
     bary, w = tet_quadrature(2)
-    phi = bary  # P1 values at the quadrature points
-    ref = np.einsum("q,qi,qj->ij", w, phi, phi)  # reference-tet block
-    local = 6.0 * space.mesh.volumes[:, None, None] * ref
-    return _scatter(space, local)
+    ref = np.einsum("q,qi,qj->ij", w, bary, bary)  # reference-tet block of P1 values
+    mesh = space.mesh
+    return _scatter(space, np.broadcast_to(6.0 * mesh.tet_volume * ref, (mesh.n_tets, 4, 4)))
 
 
 def assemble_stiffness(space: FemSpace, kappa: ScalarField3):
     """Diffusion matrix for coefficient kappa; PSD with constants in the kernel."""
     mesh = space.mesh
-    bary, w = tet_quadrature(2)
-    g = mesh.gradients
-    gg = np.einsum("eic,ejc->eij", g, g)  # (nt, 4, 4)
+    g = mesh.shape_gradients
+    gg = np.einsum("sic,sjc->sij", g, g)  # (6, 4, 4)
     if kappa.space_constant:
         kval = kappa(np.zeros((1, 3)))[0]
         if kval <= 0.0:
             raise CoefficientError("diffusivity must be positive")
-        local = (6.0 * w.sum() * kval) * mesh.volumes[:, None, None] * gg
+        kint = np.full(mesh.n_tets, mesh.tet_volume * kval)
     else:
-        local = np.zeros_like(gg)
+        kint = np.empty(mesh.n_tets)
         for sl, xq, wq in mesh.quadrature(2):
             kq = kappa(xq.reshape(-1, 3)).reshape(wq.shape)
             if np.any(kq <= 0.0):
                 raise CoefficientError("diffusivity must be positive at all quadrature points")
-            local[sl] = np.einsum("eq,eq->e", wq, kq)[:, None, None] * gg[sl]
-    return _scatter(space, local)
+            kint[sl] = np.einsum("eq,eq->e", wq, kq)
+    return _scatter(space, kint[:, None, None] * gg[mesh.shapes])
 
 
 def assemble_convection(space: FemSpace, velocity: VectorField3):
@@ -135,18 +134,17 @@ def assemble_convection(space: FemSpace, velocity: VectorField3):
         raise ConfigError("velocity must be independent of time")
     mesh = space.mesh
     bary, w = tet_quadrature(2)
-    g = mesh.gradients
-    local = np.zeros((mesh.n_tets, 4, 4))
+    g = mesh.shape_gradients
     if velocity.space_constant:
         u = velocity(np.zeros((1, 3)))[0]
-        ug = g @ u  # (nt, 4): U . grad(phi_i)
         ref = np.einsum("q,qj->j", w, bary)  # integral of phi_j on reference tet
-        local = -6.0 * mesh.volumes[:, None, None] * np.einsum("ei,j->eij", ug, ref)
-    else:
-        for sl, xq, wq in mesh.quadrature(2):
-            uq = velocity(xq.reshape(-1, 3)).reshape(xq.shape)
-            ug = np.einsum("eqc,eic->eqi", uq, g[sl])
-            local[sl] = -np.einsum("eq,eqi,qj->eij", wq, ug, bary)
+        blocks = -6.0 * mesh.tet_volume * np.einsum("si,j->sij", g @ u, ref)
+        return _scatter(space, blocks[mesh.shapes])
+    local = np.empty((mesh.n_tets, 4, 4))
+    for sl, xq, wq in mesh.quadrature(2):
+        uq = velocity(xq.reshape(-1, 3)).reshape(xq.shape)
+        ug = np.einsum("eqc,eic->eqi", uq, g[mesh.shapes[sl]])
+        local[sl] = -np.einsum("eq,eqi,qj->eij", wq, ug, bary)
     return _scatter(space, local)
 
 

@@ -1,31 +1,27 @@
 """Structured tetrahedral box mesh with P1 elements and O(1) point location.
 
 Each grid cell is split into the six tetrahedra sharing the cell's main
-diagonal, so the triangulation is conforming and every physical point can be
-located by integer cell arithmetic plus at most six barycentric tests.
+diagonal (the Kuhn split), so the triangulation is conforming and has six tet
+shapes and one tet volume.  Their barycentric gradients form one table that
+assembly, error norms and point location (a sort per point) all share.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConfigError, DomainError
 
-_BARY_TOL = 1e-12
+_BOX_TOL = 1e-12  # points this far outside the box are still located
 _CHUNK = 65536  # tets per quadrature block, caps temporary array size
 
-# axis orderings of the diagonal split; odd permutations get re-oriented
+# axis orderings of the diagonal split in lexicographic order; the odd
+# permutations swap their middle vertices to keep a positive orientation
 _PERMS = sorted(permutations((0, 1, 2)))
-
-
-def _parity(perm) -> int:
-    inversions = sum(
-        1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
+_ODD = np.array([sum(a > b for a, b in combinations(perm, 2)) % 2 == 1 for perm in _PERMS])
 
 
 class TetMesh:
@@ -62,14 +58,10 @@ class TetMesh:
 
         tets = np.empty((base.size, 6, 4), dtype=np.int64)
         for p, perm in enumerate(_PERMS):
-            v0 = base
-            v1 = v0 + step[perm[0]]
+            v1 = base + step[perm[0]]
             v2 = v1 + step[perm[1]]
             v3 = v2 + step[perm[2]]
-            if _parity(perm) > 0:
-                tets[:, p] = np.stack([v0, v1, v2, v3], axis=1)
-            else:
-                tets[:, p] = np.stack([v0, v2, v1, v3], axis=1)
+            tets[:, p] = np.stack([base, v2, v1, v3] if _ODD[p] else [base, v1, v2, v3], axis=1)
         self.tets = tets.reshape(-1, 4)
 
         vert_idx = np.stack(
@@ -78,15 +70,15 @@ class TetMesh:
         ).reshape(-1, 3)
         self.boundary_vertex = np.any((vert_idx == 0) | (vert_idx == n), axis=1)
 
-        corners = self.vertices[self.tets]  # (nt, 4, 3)
-        edges = corners[:, 1:] - corners[:, :1]  # (nt, 3, 3) rows = edge vectors
-        self.volumes = np.linalg.det(edges) / 6.0
-        ginv = np.linalg.inv(edges)  # columns give barycentric gradients 1..3
-        grads = np.empty((self.tets.shape[0], 4, 3))
+        # every cell repeats the same six Kuhn tets, so the first cell's six
+        # give the barycentric gradients of all of them: tet t has shape t % 6
+        corners = self.vertices[self.tets[:6]]  # (6, 4, 3)
+        ginv = np.linalg.inv(corners[:, 1:] - corners[:, :1])  # columns: gradients 1..3
+        grads = np.empty((6, 4, 3))
         grads[:, 1:] = np.transpose(ginv, (0, 2, 1))
         grads[:, 0] = -grads[:, 1:].sum(axis=1)
-        self.gradients = grads
-        self._x0 = corners[:, 0]
+        self.shape_gradients = grads
+        self.tet_volume = float(np.prod(self.cell_size)) / 6.0
 
     @property
     def n_vertices(self) -> int:
@@ -95,6 +87,21 @@ class TetMesh:
     @property
     def n_tets(self) -> int:
         return self.tets.shape[0]
+
+    @property
+    def shapes(self):
+        """Shape index (row of ``shape_gradients``) of every tet."""
+        return np.arange(self.n_tets) % 6
+
+    @property
+    def gradients(self):
+        """Barycentric gradients of every tet, (n_tets, 4, 3), from the shape table."""
+        return self.shape_gradients[self.shapes]
+
+    @property
+    def volumes(self):
+        """Volume of every tet; all are equal."""
+        return np.full(self.n_tets, self.tet_volume)
 
     @property
     def diameter(self) -> float:
@@ -110,64 +117,32 @@ class TetMesh:
         for start in range(0, self.n_tets, _CHUNK):
             sl = slice(start, min(start + _CHUNK, self.n_tets))
             points = np.einsum("qi,eic->eqc", bary, self.vertices[self.tets[sl]])
-            yield sl, points, 6.0 * self.volumes[sl, None] * w
-
-    def barycentric(self, tet_ids, points):
-        """Barycentric coordinates of points relative to the given tets."""
-        d = points - self._x0[tet_ids]
-        bary = np.einsum("...ic,...c->...i", self.gradients[tet_ids], d)
-        bary[..., 0] += 1.0
-        return bary
+            yield sl, points, np.broadcast_to(6.0 * self.tet_volume * w, points.shape[:2])
 
     def locate_many(self, points):
         """Locate points in the mesh; returns (tet ids, barycentric coords).
 
-        Cell indices come from floor division, then the six tets of the cell
-        are tested; a rare fallback scans the neighbouring cells for points
-        sitting exactly on cell interfaces after roundoff.
+        The cell comes from floor division.  The point lies in the cell's Kuhn
+        tet whose axis path visits the fractional coordinates f in descending
+        order, and its barycentrics are (1 - f0, f0 - f1, f1 - f2, f2) of the
+        sorted f, non-negative everywhere in the closed box.  Points within
+        _BOX_TOL of the box are clamped onto it; farther out is a DomainError.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if np.any(points < self.lo - _BARY_TOL) or np.any(points > self.hi + _BARY_TOL):
-            bad = points[
-                np.any((points < self.lo - _BARY_TOL) | (points > self.hi + _BARY_TOL), axis=1)
-            ][0]
-            raise DomainError(f"point {bad} is outside the box")
-        u = (points - self.lo) / self.cell_size
-        cells = np.clip(np.floor(u).astype(np.int64), 0, self.n - 1)
+        outside = np.any((points < self.lo - _BOX_TOL) | (points > self.hi + _BOX_TOL), axis=1)
+        if np.any(outside):
+            raise DomainError(f"point {points[outside][0]} is outside the box")
+        u = np.clip((points - self.lo) / self.cell_size, 0.0, self.n)
+        cells = np.minimum(np.floor(u).astype(np.int64), self.n - 1)
+        f = u - cells
+        order = np.argsort(-f, axis=1)
+        fs = np.take_along_axis(f, order, axis=1)
+        bary = np.stack([1.0 - fs[:, 0], fs[:, 0] - fs[:, 1], fs[:, 1] - fs[:, 2], fs[:, 2]], axis=1)
+        shape = 2 * order[:, 0] + (order[:, 1] > order[:, 2])  # lexicographic rank in _PERMS
+        odd = _ODD[shape]
+        bary[odd] = bary[odd][:, [0, 2, 1, 3]]
         flat = (cells[:, 0] * self.n + cells[:, 1]) * self.n + cells[:, 2]
-        cand = flat[:, None] * 6 + np.arange(6)  # (m, 6)
-        bary = self.barycentric(cand, points[:, None, :])  # (m, 6, 4)
-        worst = bary.min(axis=2)
-        best = worst.argmax(axis=1)
-        rows = np.arange(points.shape[0])
-        tet_ids = cand[rows, best]
-        coords = bary[rows, best]
-        missed = worst[rows, best] < -_BARY_TOL
-        if np.any(missed):
-            for r in np.nonzero(missed)[0]:
-                tet_ids[r], coords[r] = self._locate_fallback(points[r], cells[r])
-        return tet_ids, coords
-
-    def _locate_fallback(self, point, cell):
-        best_tet, best_coords, best_worst = -1, None, -np.inf
-        for di in (0, -1, 1):
-            for dj in (0, -1, 1):
-                for dk in (0, -1, 1):
-                    c = cell + np.array([di, dj, dk])
-                    if np.any(c < 0) or np.any(c >= self.n):
-                        continue
-                    flat = (c[0] * self.n + c[1]) * self.n + c[2]
-                    cand = flat * 6 + np.arange(6)
-                    bary = self.barycentric(cand, point[None, :])
-                    worst = bary.min(axis=1)
-                    k = worst.argmax()
-                    if worst[k] > best_worst:
-                        best_worst = worst[k]
-                        best_tet = int(cand[k])
-                        best_coords = bary[k]
-        if best_worst < -_BARY_TOL:
-            raise DomainError(f"point {point} not contained in any candidate tet")
-        return best_tet, best_coords
+        return flat * 6 + shape, bary
 
 
 def build_box_mesh(lo, hi, n) -> TetMesh:

@@ -228,14 +228,14 @@ class CoupledSystem:
     def energy(self, state: CoupledState) -> float:
         """Squared L2 norm of the box field plus area-weighted vessel field."""
         return float(
-            state.c @ (self.mass3 @ state.c)
-            + state.c_hat @ (self.mass1 @ state.c_hat)
+            state.c.dot(self.mass3 @ state.c)
+            + state.c_hat.dot(self.mass1 @ state.c_hat)
         )
 
     def vessel_mass(self, state: CoupledState) -> float:
         """Total solute content of the vessel, integral of area * chat."""
         ones = self.dg.constant_one()
-        return float(ones @ (self.mass1 @ state.c_hat))
+        return float(ones.dot(self.mass1 @ state.c_hat))
 
     def run(self, observers: Sequence[Observer] = ()) -> tuple[CoupledState, RunReport]:
         n_steps = self.n_steps

@@ -238,7 +238,8 @@ def source_gate(**kwargs):
 # -- error norms -------------------------------------------------------------
 
 def error_norms_3d(fem, c_dofs, exact, exact_grad, t, order: int = 4):
-    """(L2 error, gradient L2 error) of a P1 field against closed forms."""
+    """(L2 error, gradient L2 error) of a P1 field against reference fields
+    exact(points, t) and exact_grad(points, t); None stands for zero."""
     mesh = fem.mesh
     bary, _ = tet_quadrature(order)
     dofs = np.asarray(c_dofs, dtype=float)
@@ -250,12 +251,12 @@ def error_norms_3d(fem, c_dofs, exact, exact_grad, t, order: int = 4):
         ch = local @ bary.T
         ce = exact(flat, t).reshape(ch.shape) if exact is not None else 0.0
         l2 += float(np.einsum("eq,eq->", wq, (ce - ch) ** 2))
-        gh = np.einsum("eic,ei->ec", mesh.gradients[sl], local)
+        gh = np.einsum("eic,ei->ec", mesh.shape_gradients[mesh.shapes[sl]], local)
         if exact_grad is not None:
             diff = exact_grad(flat, t).reshape(xq.shape) - gh[:, None, :]
             grad += float(np.einsum("eq,eqc->", wq, diff**2))
         else:
-            grad += float(wq.sum(axis=1) @ np.sum(gh**2, axis=1))
+            grad += float(wq.sum(axis=1).dot(np.sum(gh**2, axis=1)))
     return math.sqrt(l2), math.sqrt(grad)
 
 
@@ -420,15 +421,8 @@ class SelfConvergenceReport:
 
 def cross_error_3d(coarse_fem, coarse_dofs, fine_fem, fine_dofs, order: int = 4):
     """L2 distance between two P1 fields, integrated on the coarse mesh."""
-    mesh = coarse_fem.mesh
-    bary, _ = tet_quadrature(order)
-    cdofs = np.asarray(coarse_dofs, dtype=float)
-    total = 0.0
-    for sl, xq, wq in mesh.quadrature(order):
-        ch = cdofs[mesh.tets[sl]] @ bary.T
-        fh = fine_fem.evaluate(fine_dofs, xq.reshape(-1, 3)).reshape(ch.shape)
-        total += float(np.einsum("eq,eq->", wq, (ch - fh) ** 2))
-    return math.sqrt(total)
+    fine = lambda x, t: fine_fem.evaluate(fine_dofs, x)
+    return error_norms_3d(coarse_fem, coarse_dofs, fine, None, 0.0, order)[0]
 
 
 def cross_error_1d(coarse_dg, coarse_dofs, fine_dg, fine_dofs):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import simplex_moment
@@ -112,6 +112,15 @@ class TestLocate:
             _, bary = mesh.locate_many(np.array(p, dtype=float)[None])
             assert bary.min() > -1e-9
 
+    def test_round_off_outside_is_clamped(self):
+        # within the box tolerance: located at the nearest box point
+        mesh = build_box_mesh(*UNIT, 3)
+        pts = np.array([[-5e-13, 0.5, 0.2], [1 + 5e-13, -5e-13, 0.7], [0.4, 1 + 5e-13, 1 + 5e-13]])
+        tets, bary = mesh.locate_many(pts)
+        assert bary.min() >= 0.0
+        rec = np.einsum("pi,pic->pc", bary, mesh.vertices[mesh.tets[tets]])
+        assert np.abs(rec - np.clip(pts, 0.0, 1.0)).max() < 1e-15
+
     def test_outside_raises(self):
         mesh = build_box_mesh(*UNIT, 2)
         with pytest.raises(DomainError):
@@ -166,16 +175,21 @@ class TestShapeFunctions:
     def test_kronecker(self):
         # P1 values are the barycentric coordinates: one at their own vertex
         mesh = build_box_mesh(*UNIT, 2)
-        vals = mesh.barycentric(0, mesh.vertices[mesh.tets[0, 2]])
-        assert np.allclose(vals, [0, 0, 1, 0], atol=1e-14)
+        tets, bary = mesh.locate_many(mesh.vertices)
+        own = mesh.tets[tets] == np.arange(mesh.n_vertices)[:, None]
+        assert np.all(own.sum(axis=1) == 1)
+        assert np.allclose(bary, own, atol=1e-14)
 
     @given(st.integers(0, 47), st.tuples(*[st.floats(0.01, 1.0) for _ in range(4)]))
     def test_partition_of_unity(self, tet, raw):
         mesh = build_box_mesh(*UNIT, 2)
         bary = np.asarray(raw) / sum(raw)
         point = bary @ mesh.vertices[mesh.tets[tet]]
-        assert abs(mesh.barycentric(tet, point).sum() - 1.0) < 1e-13
-        assert np.abs(mesh.gradients[tet].sum(axis=0)).max() < 1e-12
+        found, coords = mesh.locate_many(point[None])
+        assert found[0] == tet  # interior point: its own tet
+        assert abs(coords[0].sum() - 1.0) < 1e-13
+        assert np.abs(coords[0] - bary).max() < 1e-13
+        assert np.abs(mesh.shape_gradients[tet % 6].sum(axis=0)).max() < 1e-12
 
     def test_affine_gradient_exact(self):
         mesh = build_box_mesh(*CENTERED, 3)
@@ -183,3 +197,51 @@ class TestShapeFunctions:
         dofs = mesh.vertices @ coef
         grads = np.einsum("eic,ei->ec", mesh.gradients, dofs[mesh.tets])
         assert np.abs(grads - coef).max() < 1e-12
+
+
+ANISO = ((0.0, 0.0, 0.0), (1.0, 2.0, 0.5))
+
+
+def _cell_offset(shared):
+    # a coordinate inside its cell: anywhere, on a cell face, or on an inner
+    # Kuhn face (equal to the shared offset of another coordinate)
+    return st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]), st.just(shared))
+
+
+@st.composite
+def _snapped_points(draw):
+    n = draw(st.integers(2, 6))
+    points = []
+    for _ in range(draw(st.integers(1, 20))):
+        cell = np.array([draw(st.integers(0, n - 1)) for _ in range(3)])
+        shared = draw(st.floats(0.0, 1.0))
+        offset = np.array([draw(_cell_offset(shared)) for _ in range(3)])
+        points.append(cell + offset)
+    lo, hi = (np.asarray(b) for b in ANISO)
+    return n, lo + np.array(points) * (hi - lo) / n
+
+
+class TestKuhnShapes:
+    """The six shapes of the Kuhn split stand for every tet of the box."""
+
+    @settings(max_examples=200)
+    @given(_snapped_points())
+    def test_location_on_faces_edges_and_corners(self, case):
+        n, pts = case
+        mesh = build_box_mesh(*ANISO, n)
+        tets, bary = mesh.locate_many(pts)
+        assert bary.min() >= -1e-14
+        assert np.abs(bary.sum(axis=1) - 1.0).max() <= 1e-14
+        rec = np.einsum("pi,pic->pc", bary, mesh.vertices[mesh.tets[tets]])
+        assert np.abs(rec - pts).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_shape_table_matches_per_tet_inverse(self, n):
+        mesh = build_box_mesh(*ANISO, n)
+        corners = mesh.vertices[mesh.tets]
+        edges = corners[:, 1:] - corners[:, :1]
+        inv = np.transpose(np.linalg.inv(edges), (0, 2, 1))
+        grads = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
+        table = mesh.shape_gradients[np.arange(mesh.n_tets) % 6]
+        assert np.abs(table - grads).max() <= 1e-13
+        assert np.abs(np.linalg.det(edges) / 6.0 - mesh.tet_volume).max() <= 1e-13 * mesh.tet_volume
