@@ -20,7 +20,7 @@ from .geometry import (
     VesselGeometry,
 )
 from .mesh3d import FemSpace, TetMesh, build_box_mesh
-from .stepper import CoupledState, CoupledSystem, Observer, RunReport, TransportProblem
+from .stepper import CoupledState, CoupledSystem, RunReport, TransportProblem
 
 __all__ = [
     "CoefficientError",
@@ -34,7 +34,6 @@ __all__ = [
     "DomainError",
     "FemSpace",
     "GeometryError",
-    "Observer",
     "Partition1D",
     "PiecewisePermeability",
     "RunReport",

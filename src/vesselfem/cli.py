@@ -34,7 +34,7 @@ from .geometry import (
     VesselGeometry,
 )
 from .mesh3d import TetMesh
-from .stepper import CoupledSystem, Observer, TransportProblem
+from .stepper import CoupledSystem, TransportProblem
 
 # Box levels the direct (LU) solver can factor in a few GB of memory; the fill
 # of n = 64 is extrapolated to hundreds of millions of nonzeros.
@@ -269,55 +269,45 @@ def _check_levels(levels):
             raise ConfigError(f"levels must be a subset of {ALLOWED_LEVELS}")
 
 
+def _check_snapshot_times(times, t_end):
+    """Reject a snapshot time the march never reaches, before any mesh is built."""
+    for t in times:
+        if not 0.0 <= t <= t_end:
+            raise ConfigError(f"snapshot time {t:g} is outside [0, t_end = {t_end:g}]")
+
+
+def _write_snapshots(out, template, level, geometry, snapshots):
+    """Write the box/vessel VTK pair of every (t, state) of one level.
+
+    ``level`` is a system or a study report (anything with ``mesh`` and
+    ``dg``).  The files are ``<template>_3d.vtk`` and ``<template>_1d.vtk``
+    in ``out``, with ``{tag}`` in the template replaced by t ('.' as 'p').
+    """
+    for t, state in snapshots:
+        path = os.path.join(out, template.format(tag=format(t, "g").replace(".", "p")))
+        write_vtk_3d(level.mesh, state.c, path + "_3d.vtk")
+        write_vtk_1d(level.dg, state.c_hat, geometry, path + "_1d.vtk")
+
+
 def cmd_manufactured(args) -> int:
     levels = _parse_levels(args.levels)
     _check_levels(levels)
     _check_circle_count(args.n_circ)
     os.makedirs(args.out, exist_ok=True)
-
-    def snapshot_finest(n, system, state, _report):
-        if n != levels[-1]:
-            return
-        write_vtk_3d(
-            system.mesh, state.c, os.path.join(args.out, f"manufactured_n{n}_3d.vtk")
-        )
-        write_vtk_1d(
-            system.dg, state.c_hat, system.problem.geometry,
-            os.path.join(args.out, f"manufactured_n{n}_1d.vtk"),
-        )
-
     report = verify.convergence_study(
         levels, degree=args.degree, epsilon=args.epsilon, sigma=args.sigma,
-        n_circle=args.n_circ, on_level=snapshot_finest,
+        n_circle=args.n_circ,
     )
-    g3r = _rate_column(report.rates("grad3"))
-    l3r = _rate_column(report.rates("l2_3"))
-    g1r = _rate_column(report.rates("grad1"))
-    l1r = _rate_column(report.rates("l2_1"))
     header = ["h", "grad_error", "grad_rate", "l2_error", "l2_rate"]
-    write_csv(
-        os.path.join(args.out, "table1_3d.csv"),
-        header,
-        [
-            (h, report.grad3[i], g3r[i], report.l2_3[i], l3r[i])
-            for i, h in enumerate(report.h_labels)
-        ],
-    )
-    write_csv(
-        os.path.join(args.out, "table2_1d.csv"),
-        header,
-        [
-            (h, report.grad1[i], g1r[i], report.l2_1[i], l1r[i])
-            for i, h in enumerate(report.h_labels)
-        ],
-    )
+    for name, grad, l2 in (("table1_3d.csv", "grad3", "l2_3"), ("table2_1d.csv", "grad1", "l2_1")):
+        columns = (getattr(report, grad), _rate_column(report.rates(grad)),
+                   getattr(report, l2), _rate_column(report.rates(l2)))
+        write_csv(os.path.join(args.out, name), header, zip(report.h_labels, *columns))
+    _write_snapshots(args.out, f"manufactured_n{levels[-1]}", report,
+                     verify.ManufacturedSolution().geometry(), report.snapshots)
     print(f"wrote table1_3d.csv, table2_1d.csv and n={levels[-1]} snapshots to {args.out}")
     print(f"max solve residual {report.max_residual:.3e}")
     return 0
-
-
-def _time_tag(t: float) -> str:
-    return format(t, "g").replace(".", "p")
 
 
 def cmd_diagonal(args) -> int:
@@ -333,28 +323,14 @@ def cmd_diagonal(args) -> int:
         args.case, coarse_levels=levels, fine_n=args.fine, degree=args.degree,
         n_circle=args.n_circ, snapshot_times=DIAGONAL_SNAPSHOT_TIMES,
     )
-    r3 = _rate_column(report.rates3())
-    r1 = _rate_column(report.rates1())
     write_csv(
         os.path.join(args.out, f"table3_case{args.case}.csv"),
         ["h", "err3d", "rate3d", "err1d", "rate1d", "rel3d", "rel1d"],
-        [
-            (h, report.err3[i], r3[i], report.err1[i], r1[i],
-             report.rel3[i], report.rel1[i])
-            for i, h in enumerate(report.h_labels)
-        ],
+        zip(report.h_labels, report.err3, _rate_column(report.rates3()),
+            report.err1, _rate_column(report.rates1()), report.rel3, report.rel1),
     )
-    geometry = verify.diagonal_geometry(args.case)
-    for t, state in report.snapshots:
-        tag = _time_tag(t)
-        write_vtk_3d(
-            report.fine_mesh, state.c,
-            os.path.join(args.out, f"diagonal_case{args.case}_t{tag}_3d.vtk"),
-        )
-        write_vtk_1d(
-            report.fine_dg, state.c_hat, geometry,
-            os.path.join(args.out, f"diagonal_case{args.case}_t{tag}_1d.vtk"),
-        )
+    _write_snapshots(args.out, f"diagonal_case{args.case}_t{{tag}}", report,
+                     verify.diagonal_geometry(args.case), report.snapshots)
     print(f"wrote table3_case{args.case}.csv and snapshots to {args.out}")
     print(f"max solve residual {report.max_residual:.3e}")
     return 0
@@ -364,18 +340,12 @@ def cmd_run(args) -> int:
     cfg = parse_config_file(args.config)
     _check_solver_limit(cfg.n)
     _check_circle_count(cfg.n_circ)
-    os.makedirs(cfg.out, exist_ok=True)
     problem = problem_from_config(cfg)
+    _check_snapshot_times(cfg.snapshots, cfg.t_end)
+    os.makedirs(cfg.out, exist_ok=True)
     system = CoupledSystem(problem, n_cells=cfg.n, n_circle=cfg.n_circ)
-    snaps = []
-    obs = Observer(times=tuple(cfg.snapshots),
-                   fn=lambda n, t, state: snaps.append((t, state)))
-    state, report = system.run([obs])
-    for t, snap in snaps:
-        tag = _time_tag(t)
-        write_vtk_3d(system.mesh, snap.c, os.path.join(cfg.out, f"run_t{tag}_3d.vtk"))
-        write_vtk_1d(system.dg, snap.c_hat, problem.geometry,
-                     os.path.join(cfg.out, f"run_t{tag}_1d.vtk"))
+    state, report = system.run(cfg.snapshots)
+    _write_snapshots(cfg.out, "run_t{tag}", system, problem.geometry, report.snapshots)
     write_csv(
         os.path.join(cfg.out, "run_energy.csv"),
         ["step", "time", "energy"],

@@ -63,15 +63,15 @@ def assemble_coupling(
     geometry: VesselGeometry,
     fem: FemSpace,
     dg: DgSpace,
-    gauss_order: int | None = None,
     n_circle: int = DEFAULT_N_CIRCLE,
 ) -> CouplingBlocks:
-    """Assemble the four exchange blocks by 1D Gauss x circle quadrature.
+    """Assemble the four exchange blocks by 1D Gauss x circle quadrature,
+    with degree + 2 Gauss points per vessel element.
 
     Every (element, Gauss point) with nonzero permeability is one point of
     the rule, one row of the averaging matrix A and of the trace matrix T.
     """
-    q = gauss_order if gauss_order is not None else dg.degree + 2
+    q = dg.degree + 2
     pts, wts, vals, _ = dg.element_quadrature(q)
     s = pts.ravel()
     gam = np.asarray(geometry.gamma_at(s), dtype=float)

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, DomainError
+from .linalg import scatter_blocks
 
 DEFAULT_SIGMA_MIN = 50.0
 
@@ -109,9 +109,12 @@ class DgSpace:
         self.degree = degree
         self.n_local = degree + 1
         self.n_dofs = partition.n_elements * self.n_local
+        # dofs of every element, and of the two elements at every interior node
+        self.cell_dofs = np.arange(self.n_dofs).reshape(-1, self.n_local)
+        self.face_dofs = np.hstack([self.cell_dofs[:-1], self.cell_dofs[1:]])
 
     def element_dofs(self, e: int):
-        return np.arange(e * self.n_local, (e + 1) * self.n_local)
+        return self.cell_dofs[e]
 
     def element_of(self, s):
         """Element index containing arclength s (right-closed at the end)."""
@@ -164,24 +167,12 @@ class DgSpace:
         scale = 2.0 / self.partition.lengths
         return pts, wts, vals, scale[:, None, None] * ders
 
-    def block_matrix(self, *groups):
-        """Sum of dense blocks over contiguous dof ranges as one CSR matrix.
+    def unit_mass(self):
+        """Diagonal of the unweighted mass matrix, (n_elements, n_local).
 
-        Each group is (starts (m,), blocks (m, b, b)): block j covers dofs
-        starts[j] .. starts[j] + b - 1 in both rows and columns.
+        The Legendre basis is orthogonal, so entry (e, j) is h_e / (2j + 1).
         """
-        rows, cols, data = [], [], []
-        for starts, blocks in groups:
-            b = blocks.shape[-1]
-            idx = np.asarray(starts)[:, None] + np.arange(b)
-            rows.append(np.repeat(idx, b, axis=1).ravel())
-            cols.append(np.tile(idx, (1, b)).ravel())
-            data.append(np.asarray(blocks, dtype=float).ravel())
-        mat = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_dofs, self.n_dofs),
-        )
-        return mat.tocsr()
+        return self.partition.lengths[:, None] / (2.0 * np.arange(self.n_local) + 1.0)
 
     def constant_one(self):
         """Dof vector representing the constant function 1."""
@@ -235,18 +226,12 @@ def _interface_traces(space: DgSpace):
     return vl, dl, vr, dr
 
 
-def _element_starts(space: DgSpace):
-    """First dof of every element; the block of interior node i starts at
-    element i - 1."""
-    return space.n_local * np.arange(space.partition.n_elements)
-
-
 def assemble_mass_weighted(space: DgSpace, weight):
     """Weighted mass matrix (weight ch, vh); block diagonal SPD."""
     pts, wts, vals, _ = space.element_quadrature(space.degree + 2)
     wq = wts * _coef_array(weight, pts)
     blocks = np.einsum("eq,iq,jq->eij", wq, vals, vals)
-    return space.block_matrix((_element_starts(space), blocks))
+    return scatter_blocks(space.n_dofs, (space.cell_dofs, blocks))
 
 
 def assemble_a_lambda(space: DgSpace, kappa_hat, weight, params: DgParams):
@@ -274,8 +259,7 @@ def assemble_a_lambda(space: DgSpace, kappa_hat, weight, params: DgParams):
         - params.epsilon * np.einsum("mi,j->mij", avg_der, jump_row)
         + sigma_h * np.outer(jump_row, jump_row)
     )
-    starts = _element_starts(space)
-    return space.block_matrix((starts, blocks), (starts[:-1], faces))
+    return scatter_blocks(space.n_dofs, (space.cell_dofs, blocks), (space.face_dofs, faces))
 
 
 def assemble_b_lambda(space: DgSpace, u_hat: float, weight):
@@ -294,9 +278,9 @@ def assemble_b_lambda(space: DgSpace, u_hat: float, weight):
 
     # outflow boundary term at s = L
     outflow = float(np.asarray(weight(space.partition.length))) * u_hat * np.outer(vr, vr)
-    starts = _element_starts(space)
-    return space.block_matrix(
-        (starts, blocks), (starts[:-1], faces), (starts[-1:], outflow[None])
+    return scatter_blocks(
+        space.n_dofs, (space.cell_dofs, blocks), (space.face_dofs, faces),
+        (space.cell_dofs[-1:], outflow[None]),
     )
 
 
@@ -315,9 +299,8 @@ def seminorm_matrix(space: DgSpace, params: DgParams):
     vl, _, vr, _ = _interface_traces(space)
     jump_row = np.concatenate([vr, -vl])
     face = params.sigma / space.partition.h_max * np.outer(jump_row, jump_row)
-    starts = _element_starts(space)
-    faces = np.broadcast_to(face, (starts.size - 1,) + face.shape)
-    return space.block_matrix((starts, blocks), (starts[:-1], faces))
+    faces = np.broadcast_to(face, (space.face_dofs.shape[0],) + face.shape)
+    return scatter_blocks(space.n_dofs, (space.cell_dofs, blocks), (space.face_dofs, faces))
 
 
 def dg_seminorm(space: DgSpace, dofs, params: DgParams) -> float:
@@ -331,6 +314,4 @@ def l2_project(space: DgSpace, fn):
     """Element-local unweighted L2 projection onto the broken space."""
     pts, wts, vals, _ = space.element_quadrature(space.degree + 4)
     rhs = np.einsum("eq,iq->ei", wts * _coef_array(fn, pts), vals)
-    j = np.arange(space.n_local)
-    mass = space.partition.lengths[:, None] / (2.0 * j + 1.0)  # orthogonal basis
-    return (rhs / mass).ravel()
+    return (rhs / space.unit_mass()).ravel()

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CoefficientError, ConfigError
+from .linalg import scatter_blocks
 from .mesh3d import FemSpace, tet_quadrature
 
 
@@ -89,23 +90,13 @@ class VectorField3:
         )
 
 
-def _scatter(space: FemSpace, local):
-    """Accumulate per-element 4x4 blocks into a CSR matrix."""
-    tets = space.mesh.tets
-    rows = np.repeat(tets, 4, axis=1).ravel()
-    cols = np.tile(tets, (1, 4)).ravel()
-    mat = sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs)
-    )
-    return mat.tocsr()
-
-
 def assemble_mass(space: FemSpace):
     """Mass matrix; symmetric positive definite."""
     bary, w = tet_quadrature(2)
     ref = np.einsum("q,qi,qj->ij", w, bary, bary)  # reference-tet block of P1 values
     mesh = space.mesh
-    return _scatter(space, np.broadcast_to(6.0 * mesh.tet_volume * ref, (mesh.n_tets, 4, 4)))
+    blocks = np.broadcast_to(6.0 * mesh.tet_volume * ref, (mesh.n_tets, 4, 4))
+    return scatter_blocks(space.n_dofs, (mesh.tets, blocks))
 
 
 def assemble_stiffness(space: FemSpace, kappa: ScalarField3):
@@ -125,7 +116,7 @@ def assemble_stiffness(space: FemSpace, kappa: ScalarField3):
             if np.any(kq <= 0.0):
                 raise CoefficientError("diffusivity must be positive at all quadrature points")
             kint[sl] = np.einsum("eq,eq->e", wq, kq)
-    return _scatter(space, kint[:, None, None] * gg[mesh.shapes])
+    return scatter_blocks(space.n_dofs, (mesh.tets, kint[:, None, None] * gg[mesh.shapes]))
 
 
 def assemble_convection(space: FemSpace, velocity: VectorField3):
@@ -139,13 +130,13 @@ def assemble_convection(space: FemSpace, velocity: VectorField3):
         u = velocity(np.zeros((1, 3)))[0]
         ref = np.einsum("q,qj->j", w, bary)  # integral of phi_j on reference tet
         blocks = -6.0 * mesh.tet_volume * np.einsum("si,j->sij", g @ u, ref)
-        return _scatter(space, blocks[mesh.shapes])
+        return scatter_blocks(space.n_dofs, (mesh.tets, blocks[mesh.shapes]))
     local = np.empty((mesh.n_tets, 4, 4))
     for sl, xq, wq in mesh.quadrature(2):
         uq = velocity(xq.reshape(-1, 3)).reshape(xq.shape)
         ug = np.einsum("eqc,eic->eqi", uq, g[mesh.shapes[sl]])
         local[sl] = -np.einsum("eq,eqi,qj->eij", wq, ug, bary)
-    return _scatter(space, local)
+    return scatter_blocks(space.n_dofs, (mesh.tets, local))
 
 
 def assemble_load(space: FemSpace, f: ScalarField3, t: float, order: int = 4):
@@ -164,15 +155,9 @@ def assemble_load(space: FemSpace, f: ScalarField3, t: float, order: int = 4):
 
 def constrain_rows(matrix, rows):
     """Replace the given rows by identity rows (nonsymmetric elimination)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    coo = matrix.tocoo()
-    keep = ~np.isin(coo.row, rows)
-    data = np.concatenate([coo.data[keep], np.ones(rows.size)])
-    r = np.concatenate([coo.row[keep], rows])
-    c = np.concatenate([coo.col[keep], rows])
-    out = sp.coo_matrix((data, (r, c)), shape=matrix.shape).tocsr()
-    out.sum_duplicates()
-    return out
+    mask = np.zeros(matrix.shape[0])
+    mask[rows] = 1.0
+    return (sp.diags(1.0 - mask) @ matrix + sp.diags(mask)).sorted_indices()
 
 
 def dirichlet_values(space: FemSpace, g, t: float):

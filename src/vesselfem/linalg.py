@@ -1,12 +1,14 @@
-"""The direct solver contract.
+"""The direct solver contract and the block scatter behind every matrix.
 
-Storage is SciPy CSR; the monolithic coupled operator is factored once with
-SuperLU (partial pivoting, fill-reducing ordering) and reused for every time
-step.  Every solve verifies the relative residual against a hard tolerance.
+Storage is SciPy CSR, summed from dense element blocks; the monolithic
+coupled operator is factored once with SuperLU (partial pivoting,
+fill-reducing ordering) and reused for every time step.  Every solve
+verifies the relative residual against a hard tolerance.
 """
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverError
@@ -15,6 +17,18 @@ RESIDUAL_RTOL = 1e-10
 # minimum-degree on A^T + A: markedly less fill than COLAMD on these
 # near-symmetric 3D stencils
 _ORDERING = "MMD_AT_PLUS_A"
+
+
+def scatter_blocks(n, *groups):
+    """Sum of dense b x b blocks over index sets as one n x n CSR matrix.
+
+    Each group is (index (m, b), blocks (m, b, b)): block j adds into the
+    rows and columns index[j].
+    """
+    rows = np.concatenate([np.repeat(i, i.shape[1], axis=1).ravel() for i, _ in groups])
+    cols = np.concatenate([np.tile(i, (1, i.shape[1])).ravel() for i, _ in groups])
+    data = np.concatenate([np.asarray(b, dtype=float).ravel() for _, b in groups])
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 class Factorization:

@@ -103,11 +103,6 @@ class TetMesh:
         """Volume of every tet; all are equal."""
         return np.full(self.n_tets, self.tet_volume)
 
-    @property
-    def diameter(self) -> float:
-        """Longest tet edge (the cell diagonal)."""
-        return float(np.linalg.norm(self.cell_size))
-
     def quadrature(self, order):
         """Tet quadrature of the given order, in blocks of at most _CHUNK tets.
 

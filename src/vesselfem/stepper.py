@@ -73,50 +73,35 @@ class CoupledState:
 
 
 @dataclass
-class Observer:
-    """Callback fired the first time a step reaches each requested time."""
-
-    times: Sequence[float]
-    fn: Callable  # fn(step_index, time, state)
-    _fired: list = field(default_factory=list)
-
-    def notify(self, step, t, state):
-        for target in self.times:
-            if target in self._fired:
-                continue
-            if t >= target - 1e-12:
-                self._fired.append(target)
-                self.fn(step, t, state)
-
-
-@dataclass
 class RunReport:
+    """What a march produced: step count, solve residual, energy trace, wall
+    time and the ``(t, state)`` snapshots taken at the requested times."""
+
     n_steps: int
     max_residual: float
     energies: np.ndarray
     wall_time: float
+    snapshots: list = field(default_factory=list)
 
 
 class CoupledSystem:
-    """Discretization of a TransportProblem on a box mesh and vessel partition."""
+    """Discretization of a TransportProblem on DEFAULT_BOX with n_cells cells
+    per axis and a uniform vessel partition of n_cells elements."""
 
     def __init__(
         self,
         problem: TransportProblem,
         n_cells: int,
-        box=DEFAULT_BOX,
-        n_line: int | None = None,
         n_circle: int = coupling.DEFAULT_N_CIRCLE,
     ):
         self.problem = problem
         geom = problem.geometry
-        lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
+        lo, hi = np.asarray(DEFAULT_BOX, dtype=float)
         geom.check_inside_box(lo, hi)
 
         self.mesh: TetMesh = build_box_mesh(lo, hi, n_cells)
         self.fem = FemSpace(self.mesh)
-        n_line = n_line if n_line is not None else n_cells
-        self.dg = DgSpace(Partition1D.uniform(geom.length, n_line), problem.degree)
+        self.dg = DgSpace(Partition1D.uniform(geom.length, n_cells), problem.degree)
         self.n_circle = n_circle
 
         dt = problem.dt if problem.dt is not None else 0.1 * float(
@@ -237,24 +222,34 @@ class CoupledSystem:
         ones = self.dg.constant_one()
         return float(ones.dot(self.mass1 @ state.c_hat))
 
-    def run(self, observers: Sequence[Observer] = ()) -> tuple[CoupledState, RunReport]:
+    def run(self, times: Sequence[float] = ()) -> tuple[CoupledState, RunReport]:
+        """March to t_end.  For every distinct requested time, the report keeps
+        the first state at or after it (to 1e-12) as ``(t, state)``; a state
+        that reaches several times is kept once for each."""
         n_steps = self.n_steps
         state = self.initialize()
         energies = np.empty(n_steps + 1)
         energies[0] = self.energy(state)
-        for obs in observers:
-            obs.notify(0, 0.0, state)
+        pending = set(times)
+        snapshots = []
+
+        def take(state):
+            reached = {target for target in pending if state.t >= target - 1e-12}
+            pending.difference_update(reached)
+            snapshots.extend([(state.t, state)] * len(reached))
+
+        take(state)
         start = _time.perf_counter()
         for _ in range(n_steps):
             state = self.step(state)
             energies[state.n] = self.energy(state)
-            for obs in observers:
-                obs.notify(state.n, state.t, state)
+            take(state)
         wall = _time.perf_counter() - start
         report = RunReport(
             n_steps=n_steps,
             max_residual=self.factorization.max_residual,
             energies=energies,
             wall_time=wall,
+            snapshots=snapshots,
         )
         return state, report

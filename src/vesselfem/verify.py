@@ -34,7 +34,7 @@ from .geometry import (
     VesselGeometry,
 )
 from .mesh3d import tet_quadrature
-from .stepper import CoupledSystem, Observer, TransportProblem
+from .stepper import CoupledSystem, TransportProblem
 
 F_RESIDUAL_TOL = 1e-5
 FHAT_RESIDUAL_TOL = 1e-8
@@ -237,15 +237,16 @@ def source_gate(**kwargs):
 
 # -- error norms -------------------------------------------------------------
 
-def error_norms_3d(fem, c_dofs, exact, exact_grad, t, order: int = 4):
+def error_norms_3d(fem, c_dofs, exact, exact_grad, t):
     """(L2 error, gradient L2 error) of a P1 field against reference fields
-    exact(points, t) and exact_grad(points, t); None stands for zero."""
+    exact(points, t) and exact_grad(points, t), by the order-4 tet rule; None
+    stands for zero."""
     mesh = fem.mesh
-    bary, _ = tet_quadrature(order)
+    bary, _ = tet_quadrature(4)
     dofs = np.asarray(c_dofs, dtype=float)
     l2 = 0.0
     grad = 0.0
-    for sl, xq, wq in mesh.quadrature(order):
+    for sl, xq, wq in mesh.quadrature(4):
         flat = xq.reshape(-1, 3)
         local = dofs[mesh.tets[sl]]  # (ne, 4)
         ch = local @ bary.T
@@ -260,10 +261,10 @@ def error_norms_3d(fem, c_dofs, exact, exact_grad, t, order: int = 4):
     return math.sqrt(l2), math.sqrt(grad)
 
 
-def error_norms_1d(dg: DgSpace, dofs, exact, exact_ds, t, n_points: int | None = None):
-    """(L2 error, broken gradient error) of a DG field against closed forms."""
-    q = n_points if n_points is not None else dg.degree + 3
-    pts, wts, vals, ders = dg.element_quadrature(q)
+def error_norms_1d(dg: DgSpace, dofs, exact, exact_ds, t):
+    """(L2 error, broken gradient error) of a DG field against closed forms,
+    with degree + 3 Gauss points per element; None stands for zero."""
+    pts, wts, vals, ders = dg.element_quadrature(dg.degree + 3)
     local = np.asarray(dofs, dtype=float).reshape(-1, dg.n_local)
     vh = local @ vals
     dh = np.einsum("ei,eiq->eq", local, ders)
@@ -292,6 +293,10 @@ class ConvergenceReport:
     grad1: list = field(default_factory=list)
     l2_1: list = field(default_factory=list)
     max_residual: float = 0.0
+    # the output level: the finest level's spaces and its final (t, state)
+    mesh: object = None
+    dg: object = None
+    snapshots: list = field(default_factory=list)
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
@@ -311,14 +316,11 @@ def convergence_study(
     epsilon: int = 1,
     sigma: float = 50.0,
     n_circle: int = 16,
-    on_level=None,
 ) -> ConvergenceReport:
     """Run the vertical-vessel verification problem on refined meshes.
 
     The source gate runs first; the study aborts if the coded sources do not
-    match their finite-difference residual checks.  ``on_level`` is called as
-    ``on_level(n, system, state, run_report)`` before each level's system is
-    discarded.
+    match their finite-difference residual checks.
     """
     source_gate()
     ms = ManufacturedSolution()
@@ -326,12 +328,11 @@ def convergence_study(
 
     def run_level(n):
         problem = manufactured_problem(epsilon=epsilon, sigma=sigma, degree=degree)
-        system = CoupledSystem(problem, n_cells=n, n_line=n, n_circle=n_circle)
+        system = CoupledSystem(problem, n_cells=n, n_circle=n_circle)
         state, run_report = system.run()
         l2_3, grad3 = error_norms_3d(system.fem, state.c, ms.c, ms.grad_c, state.t)
         l2_1, grad1 = error_norms_1d(system.dg, state.c_hat, ms.c_hat, ms.c_hat_ds, state.t)
-        if on_level is not None:
-            on_level(n, system, state, run_report)
+        report.mesh, report.dg, report.snapshots = system.mesh, system.dg, [(state.t, state)]
         return grad3, l2_3, grad1, l2_1, run_report.max_residual
 
     # one level at a time, each level's system freed before the next is built
@@ -404,9 +405,10 @@ class SelfConvergenceReport:
     rel1: list = field(default_factory=list)
     fine_vessel_mass: float = 0.0
     max_residual: float = 0.0
+    # the output level: the fine reference's spaces and its (t, state) at the snapshot times
+    mesh: object = None
+    dg: object = None
     snapshots: list = field(default_factory=list)
-    fine_mesh: object = None  # kept for snapshot output
-    fine_dg: object = None
 
     @property
     def h_labels(self):
@@ -419,10 +421,10 @@ class SelfConvergenceReport:
         return rate_table(self.err1)
 
 
-def cross_error_3d(coarse_fem, coarse_dofs, fine_fem, fine_dofs, order: int = 4):
+def cross_error_3d(coarse_fem, coarse_dofs, fine_fem, fine_dofs):
     """L2 distance between two P1 fields, integrated on the coarse mesh."""
     fine = lambda x, t: fine_fem.evaluate(fine_dofs, x)
-    return error_norms_3d(coarse_fem, coarse_dofs, fine, None, 0.0, order)[0]
+    return error_norms_3d(coarse_fem, coarse_dofs, fine, None, 0.0)[0]
 
 
 def cross_error_1d(coarse_dg, coarse_dofs, fine_dg, fine_dofs):
@@ -452,29 +454,20 @@ def self_convergence(
         raise ValueError("fine level must exceed every coarse level")
     report = SelfConvergenceReport(case=case, levels=levels, fine_n=fine_n)
 
-    observers = []
-    if snapshot_times:
-        observers.append(
-            Observer(times=tuple(snapshot_times),
-                     fn=lambda n, t, state: report.snapshots.append((t, state)))
-        )
     fine_system = CoupledSystem(
-        diagonal_problem(case, degree=degree), n_cells=fine_n,
-        n_line=fine_n, n_circle=n_circle,
+        diagonal_problem(case, degree=degree), n_cells=fine_n, n_circle=n_circle
     )
-    fine_state, fine_report = fine_system.run(observers)
+    fine_state, fine_report = fine_system.run(snapshot_times)
     report.max_residual = fine_report.max_residual
     report.fine_vessel_mass = fine_system.vessel_mass(fine_state)
-    report.fine_mesh = fine_system.mesh
-    report.fine_dg = fine_system.dg
-    norm3, _ = error_norms_3d(fine_system.fem, fine_state.c, None, None, fine_state.t)
-    norm1, _ = error_norms_1d(fine_system.dg, fine_state.c_hat, None, None, fine_state.t)
+    report.mesh, report.dg = fine_system.mesh, fine_system.dg
+    report.snapshots = fine_report.snapshots
+    c, c_hat = fine_state.c, fine_state.c_hat
+    norm3 = math.sqrt(c.dot(fine_system.mass3 @ c))
+    norm1 = math.sqrt(c_hat.dot(fine_system.dg.unit_mass().ravel() * c_hat))
 
     def run_level(n):
-        system = CoupledSystem(
-            diagonal_problem(case, degree=degree), n_cells=n,
-            n_line=n, n_circle=n_circle,
-        )
+        system = CoupledSystem(diagonal_problem(case, degree=degree), n_cells=n, n_circle=n_circle)
         state, run_report = system.run()
         e3 = cross_error_3d(system.fem, state.c, fine_system.fem, fine_state.c)
         e1 = cross_error_1d(system.dg, state.c_hat, fine_system.dg, fine_state.c_hat)

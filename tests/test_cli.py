@@ -258,6 +258,34 @@ class TestCircleCount:
                         "--out", str(tmp_path)], capsys)
 
 
+class TestSnapshotTimes:
+    """A snapshot time outside [0, t_end] is refused before any mesh is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_mesh(self, monkeypatch):
+        from vesselfem import stepper
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mesh was built for rejected snapshot times")
+
+        monkeypatch.setattr(stepper, "build_box_mesh", refuse)
+
+    @pytest.mark.parametrize("times", ["2.0", "-0.5", "0.05,0.1000001", "2.0,-0.5"])
+    def test_outside_horizon_rejected(self, tmp_path, capsys, times):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"n = 4\nt_end = 0.1\nsnapshots = {times}\nout = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        assert "outside [0, t_end = 0.1]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_horizon_reported_first(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"t_end = -1\nout = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        assert "time horizon must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestVtkIoErrors:
     def test_unwritable_path_has_context(self):
         mesh = build_box_mesh(*UNIT, 2)

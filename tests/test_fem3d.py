@@ -191,6 +191,23 @@ class TestDirichlet:
             assert row.nnz == 1
             assert row[0, i] == 1.0
 
+    def test_matches_dense_reference(self, space):
+        A = fem3d.assemble_stiffness(space, ScalarField3.constant(1.0)) + fem3d.assemble_convection(
+            space, VectorField3.constant((1.0, -2.0, 0.5))
+        )
+        rows = np.nonzero(space.dirichlet_mask)[0]
+        free = np.nonzero(~space.dirichlet_mask)[0]
+        ref = A.toarray()
+        ref[rows] = 0.0
+        ref[rows, rows] = 1.0
+        out = fem3d.constrain_rows(A, rows)
+        assert np.array_equal(out.toarray(), ref)
+        assert out.has_sorted_indices
+        # constrained rows store the diagonal 1 and nothing else
+        assert np.all(np.diff(out.indptr)[rows] == 1)
+        assert np.array_equal(out.indices[out.indptr[rows]], rows)
+        assert np.array_equal(np.diff(out.indptr)[free], np.diff(A.indptr)[free])
+
     def test_homogeneous_solve_vanishes_on_boundary(self, space):
         A = fem3d.assemble_stiffness(space, ScalarField3.constant(1.0))
         F = fem3d.assemble_load(space, ScalarField3.constant(1.0), 0.0)

@@ -35,10 +35,6 @@ class TestBuild:
         mesh = build_box_mesh(*CENTERED, 3)
         assert np.all(mesh.volumes > 0)
 
-    def test_diameter(self):
-        mesh = build_box_mesh(*UNIT, 4)
-        assert abs(mesh.diameter - np.sqrt(3) / 4) < 1e-15
-
     def test_face_conformity(self):
         mesh = build_box_mesh(*UNIT, 2)
         faces = Counter()

@@ -8,7 +8,7 @@ from vesselfem.dg1d import DgParams
 from vesselfem.errors import GeometryError
 from vesselfem.fem3d import ScalarField3, VectorField3
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, VesselGeometry
-from vesselfem.stepper import CoupledSystem, Observer, TransportProblem
+from vesselfem.stepper import CoupledSystem, TransportProblem
 
 
 def quiescent_problem(t_end=0.1, dt=None, velocity=(0, 0, 1)):
@@ -99,13 +99,32 @@ class TestRun:
         _, report = system.run()
         assert report.n_steps == 1
 
-    def test_observer_fires_at_configured_time(self):
-        problem = quiescent_problem(t_end=0.6, dt=0.0125)
-        system = CoupledSystem(problem, n_cells=2)
-        hits = []
-        obs = Observer(times=(0.5,), fn=lambda n, t, s: hits.append((n, t)))
-        system.run([obs])
-        assert hits == [(40, pytest.approx(0.5))]
+    @pytest.mark.parametrize("target", [0.5, 0.49])
+    def test_snapshot_at_time_between_steps(self, target):
+        system = CoupledSystem(quiescent_problem(t_end=0.6, dt=0.0125), n_cells=2)
+        _, report = system.run(times=(target,))
+        assert [(t, s.n) for t, s in report.snapshots] == [(pytest.approx(0.5), 40)]
+
+    def test_snapshot_at_time_zero_is_initial_state(self):
+        system = CoupledSystem(verify.manufactured_problem(), n_cells=2)
+        _, report = system.run(times=(0.0, -0.5))  # a time before 0 is reached at once
+        start = system.initialize()
+        assert len(report.snapshots) == 2
+        for t, state in report.snapshots:
+            assert t == 0.0 and state.n == 0
+            assert np.array_equal(state.c, start.c)
+            assert np.array_equal(state.c_hat, start.c_hat)
+
+    def test_one_step_reaching_two_times_gives_two_entries(self):
+        system = CoupledSystem(quiescent_problem(t_end=0.6, dt=0.0125), n_cells=2)
+        _, report = system.run(times=(0.505, 0.501, 0.505))  # a repeated time counts once
+        assert [(t, s.n) for t, s in report.snapshots] == [(pytest.approx(0.5125), 41)] * 2
+        assert report.snapshots[0][1] is report.snapshots[1][1]
+
+    def test_time_past_horizon_is_never_reached(self):
+        system = CoupledSystem(quiescent_problem(t_end=0.1), n_cells=2)
+        _, report = system.run(times=(0.2,))
+        assert report.snapshots == []
 
     def test_energy_trace_and_residuals(self):
         system = CoupledSystem(verify.manufactured_problem(), n_cells=4)
@@ -117,12 +136,11 @@ class TestRun:
     def test_vessel_mass_decays_after_pulse(self):
         problem = verify.diagonal_problem(1)
         system = CoupledSystem(problem, n_cells=8)
-        masses = []
-        obs = Observer(times=(0.2,), fn=lambda n, t, s: masses.append(system.vessel_mass(s)))
-        final, _ = system.run([obs])
+        final, report = system.run(times=(0.2,))
+        [(_, early)] = report.snapshots
         final_mass = system.vessel_mass(final)
         assert final_mass > 0.0
-        assert final_mass < masses[0]
+        assert final_mass < system.vessel_mass(early)
 
 
 class TestEnergy:
@@ -294,7 +312,7 @@ class TestVesselLoad:
     @pytest.mark.parametrize("degree", [1, 2])
     def test_matches_element_loop(self, degree):
         ms = verify.ManufacturedSolution()
-        system = CoupledSystem(verify.manufactured_problem(degree=degree), n_cells=4, n_line=7)
+        system = CoupledSystem(verify.manufactured_problem(degree=degree), n_cells=7)
         for t in (0.0, 0.37, 1.0):
             ref = self._per_element_load(system.dg, ms.f_hat, t)
             assert np.abs(system._load1(ms.f_hat, t) - ref).max() <= 1e-14 * max(
@@ -302,7 +320,7 @@ class TestVesselLoad:
             )
 
     def test_scalar_source(self):
-        system = CoupledSystem(quiescent_problem(), n_cells=2, n_line=3)
+        system = CoupledSystem(quiescent_problem(), n_cells=3)
         fn = lambda s, t: 2.0
         ref = self._per_element_load(system.dg, fn, 0.0)
         assert np.abs(system._load1(fn, 0.0) - ref).max() < 1e-15

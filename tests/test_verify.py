@@ -192,3 +192,20 @@ class TestStudySmoke:
         assert report.max_residual <= 1e-10
         assert 0.1 < report.grad3[0] < 0.5
         assert report.l2_3[1] < report.l2_3[0]
+
+    def test_output_level_is_the_finest_final_state(self):
+        report = verify.convergence_study((2, 4))
+        state, _ = CoupledSystem(verify.manufactured_problem(), n_cells=4).run()
+        assert report.mesh.n == 4 and report.dg.partition.n_elements == 4
+        [(t, snap)] = report.snapshots
+        assert t == state.t == 1.0
+        assert np.array_equal(snap.c, state.c)
+        assert np.array_equal(snap.c_hat, state.c_hat)
+
+    def test_self_convergence_output_level_is_the_reference(self):
+        report = verify.self_convergence(1, coarse_levels=(2,), fine_n=4, snapshot_times=(0.5, 1.0))
+        _, run_report = CoupledSystem(verify.diagonal_problem(1), n_cells=4).run(times=(0.5, 1.0))
+        assert report.mesh.n == 4 and report.dg.partition.n_elements == 4
+        assert [t for t, _ in report.snapshots] == [t for t, _ in run_report.snapshots]
+        for (_, a), (_, b) in zip(report.snapshots, run_report.snapshots):
+            assert np.array_equal(a.c, b.c) and np.array_equal(a.c_hat, b.c_hat)
