@@ -1,14 +1,17 @@
 """Assembly of the 3D operators: mass, diffusion, convection, loads, Dirichlet.
 
 All matrices are assembled once per run (the coefficients are required to be
-time-independent) and stored in CSR form.  The box has six tet shapes and one
-tet volume, so mass and constant coefficients give one block per shape.
-Bilinear forms use the order-2 tet rule, which is exact for P1 x P1 with
-constant coefficients; load vectors and error norms use order 4.
+time-independent) and summed into the mesh's CSR pattern by its slot map.
+The box has six tet shapes and one tet volume, so mass and constant
+coefficients give one block per shape.  Bilinear forms use the order-2 tet
+rule, which is exact for P1 x P1 with constant coefficients; load vectors and
+error norms use order 4.  ``box_level(n)`` is shared by every system at n.
 """
 from __future__ import annotations
 
+import functools
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,8 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CoefficientError, ConfigError
-from .linalg import scatter_blocks
-from .mesh3d import FemSpace, tet_quadrature
+from .mesh3d import DEFAULT_BOX, FemSpace, build_box_mesh, tet_quadrature
 
 
 @dataclass(frozen=True)
@@ -90,17 +92,26 @@ class VectorField3:
         )
 
 
+def _assemble(space: FemSpace, blocks):
+    """CSR matrix summing 4 x 4 blocks, given per tet (n_tets, 4, 4) or per
+    shape (6, 4, 4), through the mesh's slot map into its pattern."""
+    mesh = space.mesh
+    indptr, indices, slot = mesh.csr_pattern
+    weights = np.broadcast_to(np.reshape(blocks, (-1, 6, 4, 4)), (mesh.n_tets // 6, 6, 4, 4))
+    data = np.bincount(slot, weights=weights.ravel(), minlength=indices.size)
+    return sp.csr_matrix((data, indices, indptr), shape=(space.n_dofs, space.n_dofs))
+
+
 def assemble_mass(space: FemSpace):
     """Mass matrix; symmetric positive definite."""
     bary, w = tet_quadrature(2)
     ref = np.einsum("q,qi,qj->ij", w, bary, bary)  # reference-tet block of P1 values
-    mesh = space.mesh
-    blocks = np.broadcast_to(6.0 * mesh.tet_volume * ref, (mesh.n_tets, 4, 4))
-    return scatter_blocks(space.n_dofs, (mesh.tets, blocks))
+    return _assemble(space, np.broadcast_to(6.0 * space.mesh.tet_volume * ref, (6, 4, 4)))
 
 
-def assemble_stiffness(space: FemSpace, kappa: ScalarField3):
-    """Diffusion matrix for coefficient kappa; PSD with constants in the kernel."""
+def assemble_stiffness(space: FemSpace, kappa: ScalarField3, unit=None):
+    """Diffusion matrix for coefficient kappa; PSD with constants in the kernel.
+    A constant kappa scales ``unit``, the kappa = 1 matrix, when given."""
     mesh = space.mesh
     g = mesh.shape_gradients
     gg = np.einsum("sic,sjc->sij", g, g)  # (6, 4, 4)
@@ -108,15 +119,16 @@ def assemble_stiffness(space: FemSpace, kappa: ScalarField3):
         kval = kappa(np.zeros((1, 3)))[0]
         if kval <= 0.0:
             raise CoefficientError("diffusivity must be positive")
-        kint = np.full(mesh.n_tets, mesh.tet_volume * kval)
-    else:
-        kint = np.empty(mesh.n_tets)
-        for sl, xq, wq in mesh.quadrature(2):
-            kq = kappa(xq.reshape(-1, 3)).reshape(wq.shape)
-            if np.any(kq <= 0.0):
-                raise CoefficientError("diffusivity must be positive at all quadrature points")
-            kint[sl] = np.einsum("eq,eq->e", wq, kq)
-    return scatter_blocks(space.n_dofs, (mesh.tets, kint[:, None, None] * gg[mesh.shapes]))
+        if unit is None:
+            unit = _assemble(space, mesh.tet_volume * gg)
+        return sp.csr_matrix((kval * unit.data, unit.indices, unit.indptr), shape=unit.shape)
+    kint = np.empty(mesh.n_tets)
+    for sl, xq, wq in mesh.quadrature(2):
+        kq = kappa(xq.reshape(-1, 3)).reshape(wq.shape)
+        if np.any(kq <= 0.0):
+            raise CoefficientError("diffusivity must be positive at all quadrature points")
+        kint[sl] = np.einsum("eq,eq->e", wq, kq)
+    return _assemble(space, kint[:, None, None] * gg[mesh.shapes])
 
 
 def assemble_convection(space: FemSpace, velocity: VectorField3):
@@ -129,14 +141,31 @@ def assemble_convection(space: FemSpace, velocity: VectorField3):
     if velocity.space_constant:
         u = velocity(np.zeros((1, 3)))[0]
         ref = np.einsum("q,qj->j", w, bary)  # integral of phi_j on reference tet
-        blocks = -6.0 * mesh.tet_volume * np.einsum("si,j->sij", g @ u, ref)
-        return scatter_blocks(space.n_dofs, (mesh.tets, blocks[mesh.shapes]))
+        return _assemble(space, -6.0 * mesh.tet_volume * np.einsum("si,j->sij", g @ u, ref))
     local = np.empty((mesh.n_tets, 4, 4))
     for sl, xq, wq in mesh.quadrature(2):
         uq = velocity(xq.reshape(-1, 3)).reshape(xq.shape)
         ug = np.einsum("eqc,eic->eqi", uq, g[mesh.shapes[sl]])
         local[sl] = -np.einsum("eq,eqi,qj->eij", wq, ug, bary)
-    return scatter_blocks(space.n_dofs, (mesh.tets, local))
+    return _assemble(space, local)
+
+
+BoxLevel = namedtuple("BoxLevel", "space mass stiffness dirichlet_rows")
+
+
+@functools.lru_cache(maxsize=8)
+def box_level(n) -> BoxLevel:
+    """The P1 space of DEFAULT_BOX with n cells per axis, its mass matrix,
+    kappa = 1 stiffness and Dirichlet rows: built on first use, then shared
+    read-only by every system at that n."""
+    space = FemSpace(build_box_mesh(*DEFAULT_BOX, n))
+    mesh = space.mesh
+    unit = assemble_stiffness(space, ScalarField3.constant(1.0))
+    level = BoxLevel(space, assemble_mass(space), unit, np.nonzero(space.dirichlet_mask)[0])
+    for a in (mesh.vertices, mesh.tets, mesh.grid_index, mesh.boundary_vertex, mesh.shape_gradients,
+              level.mass.data, level.stiffness.data, level.dirichlet_rows):
+        a.flags.writeable = False
+    return level
 
 
 def assemble_load(space: FemSpace, f: ScalarField3, t: float, order: int = 4):

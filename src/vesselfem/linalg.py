@@ -1,4 +1,4 @@
-"""The direct solver contract and the block scatter behind every matrix.
+"""The direct solver contract and the block scatter behind the vessel matrices.
 
 Storage is SciPy CSR, summed from dense element blocks; the monolithic
 coupled operator is factored once with SuperLU (partial pivoting,

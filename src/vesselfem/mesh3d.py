@@ -3,20 +3,23 @@
 Each grid cell is split into the six tetrahedra sharing the cell's main
 diagonal (the Kuhn split), so the triangulation is conforming and has six tet
 shapes and one tet volume.  Their barycentric gradients form one table that
-assembly, error norms and point location (a sort per point) all share.
+assembly, error norms, point location (a sort per point), the quadrature
+points and the one CSR pattern of the P1 matrices (with its slot map) share.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import combinations, permutations, product
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConfigError, DomainError
 
+DEFAULT_BOX = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))  # the box of every coupled system
 _BOX_TOL = 1e-12  # points this far outside the box are still located
-_CHUNK = 65536  # tets per quadrature block, caps temporary array size
+_CHUNK = 65536  # tets per quadrature block, rounded down to whole cells; caps temporaries
 
 # axis orderings of the diagonal split in lexicographic order; the odd
 # permutations swap their middle vertices to keep a positive orientation
@@ -40,35 +43,17 @@ class TetMesh:
         self.cell_size = (hi - lo) / n
 
         m = n + 1
-        grid = np.stack(
-            np.meshgrid(
-                np.linspace(lo[0], hi[0], m),
-                np.linspace(lo[1], hi[1], m),
-                np.linspace(lo[2], hi[2], m),
-                indexing="ij",
-            ),
-            axis=-1,
+        self.grid_index = np.stack(np.unravel_index(np.arange(m**3), (m, m, m)), axis=1)
+        self.vertices = np.stack(
+            [np.linspace(lo[c], hi[c], m)[self.grid_index[:, c]] for c in range(3)], axis=1
         )
-        self.vertices = grid.reshape(-1, 3)
+        self.boundary_vertex = np.any((self.grid_index == 0) | (self.grid_index == n), axis=1)
 
-        i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-        base = (i * m + j) * m + k  # flat id of each cell's origin vertex
-        base = base.reshape(-1)
-        step = np.array([m * m, m, 1])  # +x, +y, +z in flat vertex ids
-
-        tets = np.empty((base.size, 6, 4), dtype=np.int64)
-        for p, perm in enumerate(_PERMS):
-            v1 = base + step[perm[0]]
-            v2 = v1 + step[perm[1]]
-            v3 = v2 + step[perm[2]]
-            tets[:, p] = np.stack([base, v2, v1, v3] if _ODD[p] else [base, v1, v2, v3], axis=1)
-        self.tets = tets.reshape(-1, 4)
-
-        vert_idx = np.stack(
-            np.meshgrid(np.arange(m), np.arange(m), np.arange(m), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, 3)
-        self.boundary_vertex = np.any((vert_idx == 0) | (vert_idx == n), axis=1)
+        base = np.flatnonzero(np.all(self.grid_index < n, axis=1))  # each cell's origin vertex
+        path = np.cumsum(np.array([m * m, m, 1])[np.array(_PERMS)], axis=1)  # one step per axis
+        local = np.insert(path, 0, 0, axis=1)  # (6, 4) vertex ids relative to the cell origin
+        local[_ODD] = local[_ODD][:, [0, 2, 1, 3]]
+        self.tets = (base[:, None, None] + local).reshape(-1, 4)
 
         # every cell repeats the same six Kuhn tets, so the first cell's six
         # give the barycentric gradients of all of them: tet t has shape t % 6
@@ -103,15 +88,39 @@ class TetMesh:
         """Volume of every tet; all are equal."""
         return np.full(self.n_tets, self.tet_volume)
 
+    @cached_property
+    def csr_pattern(self):
+        """Read-only (indptr, indices, slot) of every P1 matrix: entry (i, j) of
+        tet t's block sums into data[slot[16 t + 4 i + j]].  Row v holds v + d,
+        d = 0 or +-(a 0/1 vector) along the Kuhn edges, in column order."""
+        m = self.n + 1
+        offsets = np.array([d for d in product((-1, 0, 1), repeat=3) if not (1 in d and -1 in d)])
+        nb = self.grid_index[:, None] + offsets
+        inside = np.all((nb >= 0) & (nb < m), axis=2)
+        indptr = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
+        indices = (np.arange(self.n_vertices)[:, None] + offsets @ (m * m, m, 1))[inside]
+        code = self.grid_index[self.tets[:6]] @ (9, 3, 1)  # (6, 4) shape corners, base 3
+        which = np.searchsorted(offsets @ (9, 3, 1), code[:, None] - code[:, :, None])  # i to j
+        position = indptr[:-1, None] + np.cumsum(inside, axis=1) - 1
+        slot = position[self.tets.reshape(-1, 6, 4, 1), which].ravel()
+        pattern = tuple(a.astype(np.int32) for a in (indptr, indices, slot))
+        for a in pattern:  # read-only before any matrix takes a view of it
+            a.flags.writeable = False
+        return pattern
+
     def quadrature(self, order):
-        """Tet quadrature of the given order, in blocks of at most _CHUNK tets.
+        """Tet quadrature of the given order in blocks of whole cells and at most
+        _CHUNK tets; a point is its cell origin plus a per-shape offset.
 
         Yields (tet slice, points (ne, nq, 3), weights 6|T| w_q (ne, nq)).
         """
         bary, w = tet_quadrature(order)
-        for start in range(0, self.n_tets, _CHUNK):
-            sl = slice(start, min(start + _CHUNK, self.n_tets))
-            points = np.einsum("qi,eic->eqc", bary, self.vertices[self.tets[sl]])
+        corners = self.vertices[self.tets[:6]]
+        ref = np.einsum("qi,sic->sqc", bary, corners - corners[:, :1])  # (6, nq, 3)
+        step = 6 * max(1, _CHUNK // 6)
+        for start in range(0, self.n_tets, step):
+            sl = slice(start, min(start + step, self.n_tets))
+            points = (self.vertices[self.tets[sl][::6, 0], None, None] + ref).reshape(-1, w.size, 3)
             yield sl, points, np.broadcast_to(6.0 * self.tet_volume * w, points.shape[:2])
 
     def locate_many(self, points):

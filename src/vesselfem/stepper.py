@@ -20,9 +20,7 @@ from .dg1d import DgParams, DgSpace, Partition1D
 from .errors import ConfigError
 from .fem3d import ScalarField3, VectorField3
 from .geometry import VesselGeometry
-from .mesh3d import FemSpace, TetMesh, build_box_mesh
-
-DEFAULT_BOX = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+from .mesh3d import DEFAULT_BOX, FemSpace, TetMesh
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,8 @@ class RunReport:
 
 class CoupledSystem:
     """Discretization of a TransportProblem on DEFAULT_BOX with n_cells cells
-    per axis and a uniform vessel partition of n_cells elements."""
+    per axis and a uniform vessel partition of n_cells elements; the box
+    part without coefficients is the shared ``fem3d.box_level(n_cells)``."""
 
     def __init__(
         self,
@@ -96,11 +95,11 @@ class CoupledSystem:
     ):
         self.problem = problem
         geom = problem.geometry
-        lo, hi = np.asarray(DEFAULT_BOX, dtype=float)
-        geom.check_inside_box(lo, hi)
+        geom.check_inside_box(*DEFAULT_BOX)
 
-        self.mesh: TetMesh = build_box_mesh(lo, hi, n_cells)
-        self.fem = FemSpace(self.mesh)
+        level = fem3d.box_level(n_cells)
+        self.fem: FemSpace = level.space
+        self.mesh: TetMesh = level.space.mesh
         self.dg = DgSpace(Partition1D.uniform(geom.length, n_cells), problem.degree)
         self.n_circle = n_circle
 
@@ -110,8 +109,8 @@ class CoupledSystem:
         self.n_steps = max(1, math.ceil(problem.t_end / dt - 1e-12))
         self.dt = problem.t_end / self.n_steps
 
-        self.mass3 = fem3d.assemble_mass(self.fem)
-        stiff3 = fem3d.assemble_stiffness(self.fem, problem.kappa)
+        self.mass3 = level.mass
+        stiff3 = fem3d.assemble_stiffness(self.fem, problem.kappa, unit=level.stiffness)
         conv3 = fem3d.assemble_convection(self.fem, problem.velocity)
         fem3d.check_velocity_bound(self.fem, problem.velocity, self._kappa_min())
 
@@ -130,7 +129,7 @@ class CoupledSystem:
         system = sp.bmat(
             [[top, -self.blocks.c_ol], [-self.blocks.c_lo, bottom]], format="csr"
         )
-        self.dirichlet_rows = np.nonzero(self.fem.dirichlet_mask)[0]
+        self.dirichlet_rows = level.dirichlet_rows
         system = fem3d.constrain_rows(system, self.dirichlet_rows)
         self.operator = system
         self.factorization = linalg.Factorization(system)

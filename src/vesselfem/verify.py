@@ -38,6 +38,8 @@ from .stepper import CoupledSystem, TransportProblem
 
 F_RESIDUAL_TOL = 1e-5
 FHAT_RESIDUAL_TOL = 1e-8
+# finite-difference steps of the source check (box, vessel) and its time samples
+FD_STEP_3D, FD_STEP_1D, FD_TIME_SAMPLES = 3e-4, 1e-3, 10
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,7 @@ def _fd(fn, pts, axis, h, weights):
     return acc
 
 
-def verify_sources(ms: ManufacturedSolution | None = None, n_points: int = 1000,
-                   seed: int = 0, h3: float = 3e-4, h1: float = 1e-3,
-                   n_times: int = 10):
+def verify_sources(ms: ManufacturedSolution | None = None, n_points: int = 1000, seed: int = 0):
     """Finite-difference residuals of the coded sources at random points.
 
     Returns a dict with the max residual of the bulk source (4th-order
@@ -169,6 +169,7 @@ def verify_sources(ms: ManufacturedSolution | None = None, n_points: int = 1000,
     ms = ms or ManufacturedSolution()
     rng = np.random.default_rng(seed)
     R = ms.radius
+    h3, h1, n_times = FD_STEP_3D, FD_STEP_1D, FD_TIME_SAMPLES
 
     pts = rng.uniform(-0.45, 0.45, size=(4 * n_points, 3))
     r = np.hypot(pts[:, 0], pts[:, 1])

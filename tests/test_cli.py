@@ -194,12 +194,12 @@ class TestSolverLimit:
 
     @pytest.fixture(autouse=True)
     def no_mesh(self, monkeypatch):
-        from vesselfem import stepper
+        from vesselfem import fem3d
 
         def refuse(*args, **kwargs):
             raise AssertionError("a mesh was built for a rejected level")
 
-        monkeypatch.setattr(stepper, "build_box_mesh", refuse)
+        monkeypatch.setattr(fem3d, "box_level", refuse)
 
     def _rejected(self, argv, capsys):
         assert cli.main(argv) == 2
@@ -231,12 +231,12 @@ class TestCircleCount:
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
-        from vesselfem import stepper
+        from vesselfem import fem3d
 
         def refuse(*args, **kwargs):
             raise AssertionError("work started for a rejected circle count")
 
-        monkeypatch.setattr(stepper, "build_box_mesh", refuse)
+        monkeypatch.setattr(fem3d, "box_level", refuse)
         monkeypatch.setattr(cli.verify, "source_gate", refuse)
 
     def _rejected(self, argv, capsys):
@@ -263,12 +263,12 @@ class TestSnapshotTimes:
 
     @pytest.fixture(autouse=True)
     def no_mesh(self, monkeypatch):
-        from vesselfem import stepper
+        from vesselfem import fem3d
 
         def refuse(*args, **kwargs):
             raise AssertionError("a mesh was built for rejected snapshot times")
 
-        monkeypatch.setattr(stepper, "build_box_mesh", refuse)
+        monkeypatch.setattr(fem3d, "box_level", refuse)
 
     @pytest.mark.parametrize("times", ["2.0", "-0.5", "0.05,0.1000001", "2.0,-0.5"])
     def test_outside_horizon_rejected(self, tmp_path, capsys, times):

@@ -175,10 +175,70 @@ class TestChunkedQuadrature:
 
     def test_chunk_size_does_not_matter(self, monkeypatch):
         whole = self._all()
-        monkeypatch.setattr(mesh3d, "_CHUNK", 7)  # 384 tets: 54 full chunks and one of 6
+        monkeypatch.setattr(mesh3d, "_CHUNK", 7)  # chunks of one cell: 64 chunks of 6 tets
         chunked = self._all()
         for a, b in zip(whole, chunked):
             assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max()
+
+
+KAPPA = lambda p, t: 1.5 + p[:, 0] * p[:, 1]
+VELOCITY = lambda p, t: np.stack([p[:, 1], -p[:, 0], p[:, 2] ** 2], axis=1)
+COEFFICIENTS = {
+    "mass": (lambda space: fem3d.assemble_mass(space), None),
+    "kappa_constant": (
+        lambda space: fem3d.assemble_stiffness(space, ScalarField3.constant(2.5)),
+        lambda p, t: np.full(p.shape[0], 2.5),
+    ),
+    "kappa_variable": (
+        lambda space: fem3d.assemble_stiffness(space, ScalarField3(fn=KAPPA)),
+        KAPPA,
+    ),
+    "velocity_constant": (
+        lambda space: fem3d.assemble_convection(space, VectorField3.constant((1, 0.5, -2))),
+        lambda p, t: np.broadcast_to((1.0, 0.5, -2.0), p.shape),
+    ),
+    "velocity_variable": (
+        lambda space: fem3d.assemble_convection(
+            space, VectorField3(fn=VELOCITY, time_constant=True)
+        ),
+        VELOCITY,
+    ),
+}
+
+
+def _scatter_reference(space, kind):
+    """The matrix tet by tet: per-tet gradients, order-2 points as barycentric
+    combinations of the corners, one COO scatter."""
+    mesh = space.mesh
+    g = mesh.gradients
+    bary, w = mesh3d.tet_quadrature(2)
+    wq = 6.0 * mesh.tet_volume * w
+    xq = np.einsum("qi,eic->eqc", bary, mesh.vertices[mesh.tets])
+    field = COEFFICIENTS[kind][1]
+    if kind == "mass":
+        blocks = np.broadcast_to(np.einsum("q,qi,qj->ij", wq, bary, bary), (mesh.n_tets, 4, 4))
+    elif kind.startswith("kappa"):
+        kq = field(xq.reshape(-1, 3), 0.0).reshape(xq.shape[:2])
+        blocks = np.einsum("eq,q,eic,ejc->eij", kq, wq, g, g)
+    else:
+        uq = field(xq.reshape(-1, 3), 0.0).reshape(xq.shape)
+        blocks = -np.einsum("q,eqc,eic,qj->eij", wq, uq, g, bary)
+    return linalg.scatter_blocks(space.n_dofs, (mesh.tets, blocks))
+
+
+class TestSlotMap:
+    """Every box matrix summed through the slot map equals a COO scatter of
+    per-tet blocks, on the same CSR pattern."""
+
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("kind", list(COEFFICIENTS))
+    def test_matches_scatter_reference(self, n, kind):
+        space = fem3d.box_level(n).space
+        out = COEFFICIENTS[kind][0](space)
+        ref = _scatter_reference(space, kind)
+        assert np.array_equal(out.indptr, ref.indptr)
+        assert np.array_equal(out.indices, ref.indices)
+        assert np.abs(out.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
 class TestDirichlet:

@@ -166,6 +166,24 @@ class TestQuadrature:
         with pytest.raises(ConfigError):
             tet_quadrature(3)
 
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_points_from_cell_origins_match_corners(self, order):
+        """Points taken from cell origins equal the barycentric combination
+        of the tet corners, chunk by chunk, every chunk whole cells."""
+        mesh = build_box_mesh(*CENTERED, 24)  # 82,944 tets: more than one chunk
+        bary, w = tet_quadrature(order)
+        chunks = list(mesh.quadrature(order))
+        assert len(chunks) > 1
+        stop = 0
+        for sl, xq, wq in chunks:
+            assert sl.start == stop and sl.start % 6 == 0 and sl.stop % 6 == 0
+            ref = np.einsum("qi,eic->eqc", bary, mesh.vertices[mesh.tets[sl]])
+            assert xq.shape == ref.shape and np.abs(xq - ref).max() <= 1e-15
+            assert wq.shape == ref.shape[:2]
+            assert np.abs(wq - 6.0 * mesh.tet_volume * w).max() <= 1e-15 * wq.max()
+            stop = sl.stop
+        assert stop == mesh.n_tets
+
 
 class TestShapeFunctions:
     def test_kronecker(self):

@@ -35,6 +35,48 @@ def quiescent_problem(t_end=0.1, dt=None, velocity=(0, 0, 1)):
     )
 
 
+class TestSharedBoxLevel:
+    """Systems at one n share the box level and stay independent of each other."""
+
+    def test_same_n_shares_one_level(self):
+        a = CoupledSystem(quiescent_problem(), n_cells=4)
+        b = CoupledSystem(quiescent_problem(velocity=(1, 0, 0)), n_cells=4)
+        level = fem3d.box_level(4)
+        assert a.fem is b.fem is level.space
+        assert a.mass3 is b.mass3 is level.mass
+        assert a.dirichlet_rows is b.dirichlet_rows is level.dirichlet_rows
+
+    def test_other_system_leaves_operator_and_solves(self):
+        problem = replace(quiescent_problem(t_end=0.05), c_in=lambda t: 5.0,
+                          c0=lambda x: 1.0 + x[:, 0] * x[:, 2])
+        first = CoupledSystem(problem, n_cells=4)
+        op = first.operator
+        before = [op.indptr.copy(), op.indices.copy(), op.data.copy()]
+        state, _ = first.run()
+        other = replace(
+            problem,
+            geometry=VesselGeometry((-0.3, -0.3, -0.3), (0.3, 0.2, 0.3),
+                                    ConstantRadius(0.04), ConstantPermeability(0.5)),
+            velocity=VectorField3.constant((0.3, -0.2, 0.5)),
+            kappa=ScalarField3.constant(2.5),
+        )
+        CoupledSystem(other, n_cells=4).run()
+        for a, b in zip(before, [op.indptr, op.indices, op.data]):
+            assert np.array_equal(a, b)
+        again, _ = first.run()
+        assert np.array_equal(again.c, state.c) and np.array_equal(again.c_hat, state.c_hat)
+
+    def test_level_arrays_are_read_only(self):
+        level = fem3d.box_level(4)
+        mesh = level.space.mesh
+        arrays = [mesh.vertices, mesh.tets, mesh.grid_index, mesh.boundary_vertex,
+                  mesh.shape_gradients, *mesh.csr_pattern, level.mass.data, level.mass.indices,
+                  level.mass.indptr, level.stiffness.data, level.dirichlet_rows]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.flat[0] = a.flat[0]
+
+
 class TestInitialize:
     def test_zero_data(self):
         system = CoupledSystem(quiescent_problem(), n_cells=4)
