@@ -40,13 +40,17 @@ from .stepper import CoupledSystem, TransportProblem
 # of n = 64 is extrapolated to hundreds of millions of nonzeros.
 ALLOWED_LEVELS = (4, 8, 16, 32)
 DIAGONAL_SNAPSHOT_TIMES = (0.0125, 0.5, 1.0)
+VTK_ROW_BLOCK = 8192  # rows formatted per write; bounds the tuple and string built for it
 
 
 # -- VTK writers ---------------------------------------------------------------
 
 def _write_rows(fp, fmt, rows):
-    """One line per row of the array, all formatted in a single operation."""
-    fp.write(((fmt + "\n") * len(rows)) % tuple(np.ravel(rows).tolist()))
+    """One line per row of the array, formatted VTK_ROW_BLOCK rows at a time."""
+    line = fmt + "\n"
+    for start in range(0, len(rows), VTK_ROW_BLOCK):
+        block = rows[start:start + VTK_ROW_BLOCK]
+        fp.write((line * len(block)) % tuple(np.ravel(block).tolist()))
 
 
 def _write_vtk(path, title, dataset, points, cells, values, name):

@@ -8,6 +8,7 @@ the inflow datum enters the right-hand side.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,16 @@ class Partition1D:
         return float(self.nodes[-1])
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(n_points):
+    """Read-only Gauss-Legendre points and weights on [-1, 1], computed once
+    per point count."""
+    rule = leggauss(n_points)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def legendre_basis(xi, degree):
     """Legendre values and derivatives P_0..P_degree at xi in [-1, 1].
 
@@ -148,7 +159,7 @@ class DgSpace:
 
     def gauss_points(self, n_points):
         """Per-element Gauss points and weights: arrays (n_elements, n_points)."""
-        xi, w = leggauss(n_points)
+        xi, w = _gauss_rule(n_points)
         a = self.partition.nodes[:-1, None]
         h = self.partition.lengths[:, None]
         pts = a + 0.5 * h * (xi[None, :] + 1.0)
@@ -163,7 +174,7 @@ class DgSpace:
         (n_elements, n_local, n_points).
         """
         pts, wts = self.gauss_points(n_points)
-        vals, ders = legendre_basis(leggauss(n_points)[0], self.degree)
+        vals, ders = legendre_basis(_gauss_rule(n_points)[0], self.degree)
         scale = 2.0 / self.partition.lengths
         return pts, wts, vals, scale[:, None, None] * ders
 

@@ -128,7 +128,7 @@ def assemble_stiffness(space: FemSpace, kappa: ScalarField3, unit=None):
         if np.any(kq <= 0.0):
             raise CoefficientError("diffusivity must be positive at all quadrature points")
         kint[sl] = np.einsum("eq,eq->e", wq, kq)
-    return _assemble(space, kint[:, None, None] * gg[mesh.shapes])
+    return _assemble(space, kint.reshape(-1, 6, 1, 1) * gg)
 
 
 def assemble_convection(space: FemSpace, velocity: VectorField3):
@@ -143,9 +143,9 @@ def assemble_convection(space: FemSpace, velocity: VectorField3):
         ref = np.einsum("q,qj->j", w, bary)  # integral of phi_j on reference tet
         return _assemble(space, -6.0 * mesh.tet_volume * np.einsum("si,j->sij", g @ u, ref))
     local = np.empty((mesh.n_tets, 4, 4))
-    for sl, xq, wq in mesh.quadrature(2):
-        uq = velocity(xq.reshape(-1, 3)).reshape(xq.shape)
-        ug = np.einsum("eqc,eic->eqi", uq, g[mesh.shapes[sl]])
+    for sl, xq, wq in mesh.quadrature(2):  # blocks of whole cells: tets cycle the six shapes
+        uq = velocity(xq.reshape(-1, 3)).reshape(-1, 6, w.size, 3)
+        ug = np.einsum("bsqc,sic->bsqi", uq, g).reshape(-1, w.size, 4)
         local[sl] = -np.einsum("eq,eqi,qj->eij", wq, ug, bary)
     return _assemble(space, local)
 
@@ -189,12 +189,12 @@ def constrain_rows(matrix, rows):
     return (sp.diags(1.0 - mask) @ matrix + sp.diags(mask)).sorted_indices()
 
 
-def dirichlet_values(space: FemSpace, g, t: float):
-    """Boundary values g(x_i, t) at the constrained vertices."""
-    pts = space.dof_points[space.dirichlet_mask]
+def dirichlet_values(points, g, t: float):
+    """Boundary values g(x, t) at the constrained vertices' points, gathered
+    once by the caller; 0.0 for every row when there is no datum g."""
     if g is None:
-        return np.zeros(pts.shape[0])
-    return np.asarray(g(pts, t), dtype=float)
+        return 0.0
+    return np.asarray(g(points, t), dtype=float)
 
 
 def poincare_constant(lo, hi) -> float:

@@ -5,6 +5,8 @@ diagonal (the Kuhn split), so the triangulation is conforming and has six tet
 shapes and one tet volume.  Their barycentric gradients form one table that
 assembly, error norms, point location (a sort per point), the quadrature
 points and the one CSR pattern of the P1 matrices (with its slot map) share.
+Quadrature runs in blocks of whole cells sized by their number of points, so
+every consumer's temporaries stay bounded whatever the rule's order.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .errors import ConfigError, DomainError
 
 DEFAULT_BOX = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))  # the box of every coupled system
 _BOX_TOL = 1e-12  # points this far outside the box are still located
-_CHUNK = 65536  # tets per quadrature block, rounded down to whole cells; caps temporaries
+_CHUNK = 65536  # quadrature points per block, rounded down to whole cells (at least one)
 
 # axis orderings of the diagonal split in lexicographic order; the odd
 # permutations swap their middle vertices to keep a positive orientation
@@ -74,14 +76,9 @@ class TetMesh:
         return self.tets.shape[0]
 
     @property
-    def shapes(self):
-        """Shape index (row of ``shape_gradients``) of every tet."""
-        return np.arange(self.n_tets) % 6
-
-    @property
     def gradients(self):
         """Barycentric gradients of every tet, (n_tets, 4, 3), from the shape table."""
-        return self.shape_gradients[self.shapes]
+        return np.tile(self.shape_gradients, (self.n**3, 1, 1))
 
     @property
     def volumes(self):
@@ -109,18 +106,22 @@ class TetMesh:
         return pattern
 
     def quadrature(self, order):
-        """Tet quadrature of the given order in blocks of whole cells and at most
-        _CHUNK tets; a point is its cell origin plus a per-shape offset.
+        """Tet quadrature of the given order in blocks of whole cells holding at
+        most _CHUNK points (one cell when a cell alone holds more); a point is
+        its cell origin plus a per-shape offset.  A block starts on a cell, so
+        its tets run through the six shapes in order, cell after cell.
 
         Yields (tet slice, points (ne, nq, 3), weights 6|T| w_q (ne, nq)).
         """
         bary, w = tet_quadrature(order)
         corners = self.vertices[self.tets[:6]]
         ref = np.einsum("qi,sic->sqc", bary, corners - corners[:, :1])  # (6, nq, 3)
-        step = 6 * max(1, _CHUNK // 6)
-        for start in range(0, self.n_tets, step):
-            sl = slice(start, min(start + step, self.n_tets))
-            points = (self.vertices[self.tets[sl][::6, 0], None, None] + ref).reshape(-1, w.size, 3)
+        origins = self.tets[::6, 0]
+        cells = max(1, _CHUNK // (6 * w.size))
+        for start in range(0, origins.size, cells):
+            block = origins[start:start + cells]
+            points = (self.vertices[block, None, None] + ref).reshape(-1, w.size, 3)
+            sl = slice(6 * start, 6 * start + points.shape[0])
             yield sl, points, np.broadcast_to(6.0 * self.tet_volume * w, points.shape[:2])
 
     def locate_many(self, points):

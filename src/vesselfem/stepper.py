@@ -130,6 +130,8 @@ class CoupledSystem:
             [[top, -self.blocks.c_ol], [-self.blocks.c_lo, bottom]], format="csr"
         )
         self.dirichlet_rows = level.dirichlet_rows
+        self._boundary_points = (None if problem.dirichlet is None
+                                else self.fem.dof_points[self.dirichlet_rows])
         system = fem3d.constrain_rows(system, self.dirichlet_rows)
         self.operator = system
         self.factorization = linalg.Factorization(system)
@@ -178,7 +180,7 @@ class CoupledSystem:
                 float(pr.c_in(t_new)),
             )
         rhs = np.concatenate([rhs3, rhs1])
-        rhs[self.dirichlet_rows] = fem3d.dirichlet_values(self.fem, pr.dirichlet, t_new)
+        rhs[self.dirichlet_rows] = fem3d.dirichlet_values(self._boundary_points, pr.dirichlet, t_new)
         return rhs
 
     def _load3(self, t):

@@ -253,7 +253,8 @@ def error_norms_3d(fem, c_dofs, exact, exact_grad, t):
         ch = local @ bary.T
         ce = exact(flat, t).reshape(ch.shape) if exact is not None else 0.0
         l2 += float(np.einsum("eq,eq->", wq, (ce - ch) ** 2))
-        gh = np.einsum("eic,ei->ec", mesh.shape_gradients[mesh.shapes[sl]], local)
+        # blocks are whole cells, so the tets cycle through the six shapes
+        gh = np.einsum("sic,bsi->bsc", mesh.shape_gradients, local.reshape(-1, 6, 4)).reshape(-1, 3)
         if exact_grad is not None:
             diff = exact_grad(flat, t).reshape(xq.shape) - gh[:, None, :]
             grad += float(np.einsum("eq,eqc->", wq, diff**2))

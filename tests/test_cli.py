@@ -96,6 +96,24 @@ class TestVtkBytes:
                                   points, cells, values)
         assert path.read_bytes() == expected
 
+    def test_row_blocks_do_not_change_bytes(self, tmp_path, monkeypatch):
+        mesh = build_box_mesh((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5), 4)
+        field = np.random.default_rng(2).standard_normal(mesh.n_vertices)
+        geom = VesselGeometry(
+            (-0.4, -0.4, -0.4), (0.4, 0.4, 0.4), ConstantRadius(0.05), ConstantPermeability(0.1)
+        )
+        dg = DgSpace(Partition1D.uniform(geom.length, 5), 2)
+        dofs = np.random.default_rng(3).standard_normal(dg.n_dofs)
+
+        def write(tag):
+            cli.write_vtk_3d(mesh, field, tmp_path / f"box{tag}.vtk")
+            cli.write_vtk_1d(dg, dofs, geom, tmp_path / f"line{tag}.vtk")
+            return [(tmp_path / f"{name}{tag}.vtk").read_bytes() for name in ("box", "line")]
+
+        whole = write("")
+        monkeypatch.setattr(cli, "VTK_ROW_BLOCK", 1)
+        assert write("_rows") == whole
+
 
 class TestCsv:
     def test_schema_and_format(self, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import simplex_moment
+from vesselfem import mesh3d
 from vesselfem.errors import ConfigError, DomainError
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, VesselGeometry
 from vesselfem.mesh3d import build_box_mesh, tet_quadrature
@@ -169,14 +170,19 @@ class TestQuadrature:
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_points_from_cell_origins_match_corners(self, order):
         """Points taken from cell origins equal the barycentric combination
-        of the tet corners, chunk by chunk, every chunk whole cells."""
+        of the tet corners, chunk by chunk, every chunk whole cells holding
+        at most _CHUNK points, and the chunks tile the tets in order."""
         mesh = build_box_mesh(*CENTERED, 24)  # 82,944 tets: more than one chunk
         bary, w = tet_quadrature(order)
         chunks = list(mesh.quadrature(order))
         assert len(chunks) > 1
+        cell_points = 6 * w.size
         stop = 0
-        for sl, xq, wq in chunks:
+        for k, (sl, xq, wq) in enumerate(chunks):
             assert sl.start == stop and sl.start % 6 == 0 and sl.stop % 6 == 0
+            assert xq.shape[0] * w.size <= mesh3d._CHUNK
+            if k < len(chunks) - 1:  # full: one more cell would not fit
+                assert xq.shape[0] * w.size + cell_points > mesh3d._CHUNK
             ref = np.einsum("qi,eic->eqc", bary, mesh.vertices[mesh.tets[sl]])
             assert xq.shape == ref.shape and np.abs(xq - ref).max() <= 1e-15
             assert wq.shape == ref.shape[:2]

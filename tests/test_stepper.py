@@ -1,9 +1,10 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vesselfem import fem3d, verify
+from vesselfem import dg1d, fem3d, verify
 from vesselfem.dg1d import DgParams
 from vesselfem.errors import GeometryError
 from vesselfem.fem3d import ScalarField3, VectorField3
@@ -75,6 +76,32 @@ class TestSharedBoxLevel:
         for a in arrays:
             with pytest.raises(ValueError):
                 a.flat[0] = a.flat[0]
+
+
+class TestGaussRuleCache:
+    def test_one_build_computes_each_rule_at_most_once(self, monkeypatch):
+        calls = Counter()
+        leggauss = dg1d.leggauss
+
+        def counted(n_points):
+            calls[n_points] += 1
+            return leggauss(n_points)
+
+        monkeypatch.setattr(dg1d, "leggauss", counted)
+        dg1d._gauss_rule.cache_clear()
+        try:
+            CoupledSystem(quiescent_problem(), n_cells=4)
+        finally:
+            dg1d._gauss_rule.cache_clear()
+        assert calls and max(calls.values()) == 1
+
+    def test_rule_is_read_only_and_unchanged(self):
+        xi, w = dg1d._gauss_rule(4)
+        ref_xi, ref_w = dg1d.leggauss(4)
+        assert np.array_equal(xi, ref_xi) and np.array_equal(w, ref_w)
+        for a in (xi, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestInitialize:

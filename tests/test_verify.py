@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,32 @@ class TestErrorNorms:
         fem = FemSpace(build_box_mesh(*CENTERED, 4))
         l2, _ = verify.error_norms_3d(fem, fem.dof_points[:, 2], None, None, 0.0)
         assert l2 == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-12)
+
+
+class TestErrorNormMemory:
+    """Quadrature blocks bound the temporaries of the error norms at n = 32."""
+
+    LIMIT = 32e6  # bytes; one block of points with every per-point temporary
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_cross_error_3d(self):
+        coarse, fine = (FemSpace(build_box_mesh(*CENTERED, n)) for n in (16, 32))
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal(coarse.n_dofs), rng.standard_normal(fine.n_dofs)
+        assert self._peak(lambda: verify.cross_error_3d(coarse, a, fine, b)) < self.LIMIT
+
+    def test_error_norms_3d(self, ms):
+        fem = FemSpace(build_box_mesh(*CENTERED, 32))
+        c = np.random.default_rng(1).standard_normal(fem.n_dofs)
+        assert self._peak(lambda: verify.error_norms_3d(fem, c, ms.c, ms.grad_c, 1.0)) < self.LIMIT
 
 
 class TestRates:
