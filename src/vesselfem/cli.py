@@ -249,8 +249,10 @@ def _parse_levels(text):
     return levels
 
 
-def _check_solver_limit(n):
-    """Reject a box level the direct solver cannot factor, before any mesh is built."""
+def _check_box_level(n):
+    """Reject a box level the mesh or the direct solver cannot take, before any mesh is built."""
+    if n < 2:
+        raise ConfigError("need at least 2 cells per axis")
     if n > ALLOWED_LEVELS[-1]:
         raise ConfigError(
             f"level n={n} exceeds the direct-solver memory limit: the LU "
@@ -258,17 +260,21 @@ def _check_solver_limit(n):
         )
 
 
-def _check_circle_count(n_circ):
-    """Reject a section-circle rule too coarse to average on, before any work starts."""
+def _check_discretisation(n_circ, degree, epsilon=1, sigma=50.0):
+    """Reject a section-circle rule, vessel degree or DG penalty the solver
+    would refuse, before any output, mesh or gate exists."""
     if n_circ < MIN_CIRCLE_POINTS:
         raise ConfigError(
             f"n_circ = {n_circ} is below the minimum of {MIN_CIRCLE_POINTS} circle points"
         )
+    if degree < 1:
+        raise ConfigError("polynomial degree must be >= 1")
+    DgParams(epsilon, sigma)
 
 
 def _check_levels(levels):
     for n in levels:
-        _check_solver_limit(n)
+        _check_box_level(n)
         if n not in ALLOWED_LEVELS:
             raise ConfigError(f"levels must be a subset of {ALLOWED_LEVELS}")
 
@@ -296,7 +302,7 @@ def _write_snapshots(out, template, level, geometry, snapshots):
 def cmd_manufactured(args) -> int:
     levels = _parse_levels(args.levels)
     _check_levels(levels)
-    _check_circle_count(args.n_circ)
+    _check_discretisation(args.n_circ, args.degree, args.epsilon, args.sigma)
     os.makedirs(args.out, exist_ok=True)
     report = verify.convergence_study(
         levels, degree=args.degree, epsilon=args.epsilon, sigma=args.sigma,
@@ -319,7 +325,7 @@ def cmd_diagonal(args) -> int:
         raise ConfigError("case must be 1, 2 or 3")
     levels = _parse_levels(args.levels)
     _check_levels(levels + (args.fine,))
-    _check_circle_count(args.n_circ)
+    _check_discretisation(args.n_circ, args.degree)
     if args.fine <= levels[-1]:
         raise ConfigError("--fine must exceed every coarse level")
     os.makedirs(args.out, exist_ok=True)
@@ -330,8 +336,8 @@ def cmd_diagonal(args) -> int:
     write_csv(
         os.path.join(args.out, f"table3_case{args.case}.csv"),
         ["h", "err3d", "rate3d", "err1d", "rate1d", "rel3d", "rel1d"],
-        zip(report.h_labels, report.err3, _rate_column(report.rates3()),
-            report.err1, _rate_column(report.rates1()), report.rel3, report.rel1),
+        zip(report.h_labels, report.err3, _rate_column(report.rates("err3")),
+            report.err1, _rate_column(report.rates("err1")), report.rel3, report.rel1),
     )
     _write_snapshots(args.out, f"diagonal_case{args.case}_t{{tag}}", report,
                      verify.diagonal_geometry(args.case), report.snapshots)
@@ -342,8 +348,8 @@ def cmd_diagonal(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = parse_config_file(args.config)
-    _check_solver_limit(cfg.n)
-    _check_circle_count(cfg.n_circ)
+    _check_box_level(cfg.n)
+    _check_discretisation(cfg.n_circ, cfg.degree, cfg.epsilon, cfg.sigma)
     problem = problem_from_config(cfg)
     _check_snapshot_times(cfg.snapshots, cfg.t_end)
     os.makedirs(cfg.out, exist_ok=True)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fem3d
 from .dg1d import DgParams, DgSpace
 from .errors import VerificationError
 from .fem3d import ScalarField3, VectorField3
@@ -149,13 +150,9 @@ _FD4_2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # second derivative
 _OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
-def _fd(fn, pts, axis, h, weights):
-    acc = 0.0
-    for off, wt in zip(_OFFSETS, weights):
-        shifted = pts.copy()
-        shifted[:, axis] += off * h
-        acc = acc + wt * fn(shifted)
-    return acc
+def _stencil(fn, weights, h, order):
+    """Five-point difference at d = 0: the weighted fn(d) at d = -2h..2h over h**order."""
+    return sum(wt * fn(off * h) for off, wt in zip(_OFFSETS, weights)) / h**order
 
 
 def verify_sources(ms: ManufacturedSolution | None = None, n_points: int = 1000, seed: int = 0):
@@ -178,14 +175,10 @@ def verify_sources(ms: ManufacturedSolution | None = None, n_points: int = 1000,
 
     f_res = 0.0
     for batch, t in zip(np.array_split(pts, n_times), times):
-        dt = sum(
-            wt * ms.c(batch, t + off * h3) for off, wt in zip(_OFFSETS, _FD4_1)
-        ) / h3
-        lap = sum(
-            _fd(lambda p: ms.c(p, t), batch, axis, h3, _FD4_2) / h3**2
-            for axis in range(3)
-        )
-        dz = _fd(lambda p: ms.c(p, t), batch, 2, h3, _FD4_1) / h3
+        c_at = lambda d, axis: ms.c(batch + d * np.eye(3)[axis], t)
+        dt = _stencil(lambda d: ms.c(batch, t + d), _FD4_1, h3, 1)
+        lap = sum(_stencil(lambda d: c_at(d, axis), _FD4_2, h3, 2) for axis in range(3))
+        dz = _stencil(lambda d: c_at(d, 2), _FD4_1, h3, 1)
         f_res = max(f_res, float(np.max(np.abs(dt - lap + dz - ms.f(batch, t)))))
 
     s = rng.uniform(5 * h1, 1.0 - 5 * h1, size=n_points)
@@ -195,23 +188,11 @@ def verify_sources(ms: ManufacturedSolution | None = None, n_points: int = 1000,
     ring = np.stack([R * np.cos(theta), R * np.sin(theta)], axis=1)
     fhat_res = 0.0
     for batch, t in zip(np.array_split(s, n_times), times):
-        dt = sum(
-            wt * ms.c_hat(batch, t + off * h1) for off, wt in zip(_OFFSETS, _FD4_1)
-        ) / h1
-        ds = sum(
-            wt * ms.c_hat(batch + off * h1, t) for off, wt in zip(_OFFSETS, _FD4_1)
-        ) / h1
-        dss = sum(
-            wt * ms.c_hat(batch + off * h1, t) for off, wt in zip(_OFFSETS, _FD4_2)
-        ) / h1**2
-        ring3 = np.concatenate(
-            [
-                np.broadcast_to(ring, (batch.size, 64, 2)),
-                np.broadcast_to((batch - 0.5)[:, None, None], (batch.size, 64, 1)),
-            ],
-            axis=2,
-        )
-        cbar = ms.c(ring3.reshape(-1, 3), t).reshape(batch.size, 64).mean(axis=1)
+        dt = _stencil(lambda d: ms.c_hat(batch, t + d), _FD4_1, h1, 1)
+        ds = _stencil(lambda d: ms.c_hat(batch + d, t), _FD4_1, h1, 1)
+        dss = _stencil(lambda d: ms.c_hat(batch + d, t), _FD4_2, h1, 2)
+        ring3 = np.column_stack([np.tile(ring, (batch.size, 1)), np.repeat(batch - 0.5, 64)])
+        cbar = ms.c(ring3, t).reshape(batch.size, 64).mean(axis=1)
         resid = (
             area * dt - area * dss + area * ds
             + circ * (ms.c_hat(batch, t) - cbar)
@@ -286,16 +267,13 @@ def rate_table(errors):
 # -- convergence studies ------------------------------------------------------
 
 @dataclass
-class ConvergenceReport:
-    """Errors and rates of the verification study at the final time."""
+class StudyReport:
+    """Per-level error columns of a study at the final time, the largest
+    solve residual of its runs, and its output level: that level's spaces
+    and its (t, state) snapshots."""
 
     levels: list
-    grad3: list = field(default_factory=list)
-    l2_3: list = field(default_factory=list)
-    grad1: list = field(default_factory=list)
-    l2_1: list = field(default_factory=list)
     max_residual: float = 0.0
-    # the output level: the finest level's spaces and its final (t, state)
     mesh: object = None
     dg: object = None
     snapshots: list = field(default_factory=list)
@@ -311,6 +289,31 @@ class ConvergenceReport:
     def rates(self, column):
         return rate_table(getattr(self, column))
 
+    def add(self, run_report, **errors):
+        """Append one run's errors to their columns and fold in its residual."""
+        for column, value in errors.items():
+            getattr(self, column).append(value)
+        self.max_residual = max(self.max_residual, run_report.max_residual)
+
+
+@dataclass
+class ConvergenceReport(StudyReport):
+    """Errors of the verification study; the output level is the finest."""
+
+    grad3: list = field(default_factory=list)
+    l2_3: list = field(default_factory=list)
+    grad1: list = field(default_factory=list)
+    l2_1: list = field(default_factory=list)
+
+
+def _march(problem, n, n_circle, times=()):
+    """Build ``problem`` at n cells per axis and march it to t_end.  Only the
+    level's spaces, final state, run report and vessel mass outlive the
+    call, so its operator and LU are freed before another level is built."""
+    system = CoupledSystem(problem, n_cells=n, n_circle=n_circle)
+    state, run_report = system.run(times)
+    return system.fem, system.dg, state, run_report, system.vessel_mass(state)
+
 
 def convergence_study(
     levels,
@@ -321,29 +324,19 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Run the vertical-vessel verification problem on refined meshes.
 
-    The source gate runs first; the study aborts if the coded sources do not
-    match their finite-difference residual checks.
+    The source gate runs before any level is built; the study aborts if the
+    coded sources do not match their finite-difference residual checks.
     """
+    problem = manufactured_problem(epsilon=epsilon, sigma=sigma, degree=degree)
     source_gate()
     ms = ManufacturedSolution()
     report = ConvergenceReport(levels=list(levels))
-
-    def run_level(n):
-        problem = manufactured_problem(epsilon=epsilon, sigma=sigma, degree=degree)
-        system = CoupledSystem(problem, n_cells=n, n_circle=n_circle)
-        state, run_report = system.run()
-        l2_3, grad3 = error_norms_3d(system.fem, state.c, ms.c, ms.grad_c, state.t)
-        l2_1, grad1 = error_norms_1d(system.dg, state.c_hat, ms.c_hat, ms.c_hat_ds, state.t)
-        report.mesh, report.dg, report.snapshots = system.mesh, system.dg, [(state.t, state)]
-        return grad3, l2_3, grad1, l2_1, run_report.max_residual
-
-    # one level at a time, each level's system freed before the next is built
-    for grad3, l2_3, grad1, l2_1, resid in map(run_level, levels):
-        report.grad3.append(grad3)
-        report.l2_3.append(l2_3)
-        report.grad1.append(grad1)
-        report.l2_1.append(l2_1)
-        report.max_residual = max(report.max_residual, resid)
+    for n in report.levels:
+        fem, dg, state, run_report, _ = _march(problem, n, n_circle)
+        l2_3, grad3 = error_norms_3d(fem, state.c, ms.c, ms.grad_c, state.t)
+        l2_1, grad1 = error_norms_1d(dg, state.c_hat, ms.c_hat, ms.c_hat_ds, state.t)
+        report.add(run_report, grad3=grad3, l2_3=l2_3, grad1=grad1, l2_1=l2_1)
+        report.mesh, report.dg, report.snapshots = fem.mesh, dg, [(state.t, state)]
     return report
 
 
@@ -394,33 +387,18 @@ def diagonal_problem(
     )
 
 
-@dataclass
-class SelfConvergenceReport:
-    """Errors of coarse runs against a fine reference run at the final time."""
+@dataclass(kw_only=True)
+class SelfConvergenceReport(StudyReport):
+    """Errors of coarse runs against a fine reference run, absolute and
+    relative to the reference's norms; the output level is the reference."""
 
     case: int
-    levels: list
     fine_n: int
     err3: list = field(default_factory=list)
     err1: list = field(default_factory=list)
     rel3: list = field(default_factory=list)
     rel1: list = field(default_factory=list)
     fine_vessel_mass: float = 0.0
-    max_residual: float = 0.0
-    # the output level: the fine reference's spaces and its (t, state) at the snapshot times
-    mesh: object = None
-    dg: object = None
-    snapshots: list = field(default_factory=list)
-
-    @property
-    def h_labels(self):
-        return [1.0 / n for n in self.levels]
-
-    def rates3(self):
-        return rate_table(self.err3)
-
-    def rates1(self):
-        return rate_table(self.err1)
 
 
 def cross_error_3d(coarse_fem, coarse_dofs, fine_fem, fine_dofs):
@@ -431,10 +409,8 @@ def cross_error_3d(coarse_fem, coarse_dofs, fine_fem, fine_dofs):
 
 def cross_error_1d(coarse_dg, coarse_dofs, fine_dg, fine_dofs):
     """L2 distance between two broken fields, integrated on the coarse partition."""
-    pts, wts, vals, _ = coarse_dg.element_quadrature(coarse_dg.degree + 3)
-    vh = np.asarray(coarse_dofs, dtype=float).reshape(-1, coarse_dg.n_local) @ vals
-    fh = fine_dg.evaluate(fine_dofs, pts.ravel()).reshape(pts.shape)
-    return math.sqrt(float(np.einsum("eq,eq->", wts, (vh - fh) ** 2)))
+    fine = lambda s, t: fine_dg.evaluate(fine_dofs, s.ravel()).reshape(s.shape)
+    return error_norms_1d(coarse_dg, coarse_dofs, fine, None, 0.0)[0]
 
 
 def self_convergence(
@@ -447,38 +423,27 @@ def self_convergence(
 ) -> SelfConvergenceReport:
     """Compare coarse runs of the diagonal-line problem against a fine run.
 
-    Errors are evaluated by sampling the fine solution at the coarse
-    quadrature points; both absolute and relative (to the fine-solution norm)
-    columns are reported.
+    The fine reference runs first; after its march only its spaces, states,
+    norms and vessel mass are kept.  Errors are evaluated by sampling the
+    fine solution at the coarse quadrature points; both absolute and
+    relative (to the fine-solution norm) columns are reported.
     """
     levels = sorted(coarse_levels)
     if levels[-1] >= fine_n:
         raise ValueError("fine level must exceed every coarse level")
-    report = SelfConvergenceReport(case=case, levels=levels, fine_n=fine_n)
-
-    fine_system = CoupledSystem(
-        diagonal_problem(case, degree=degree), n_cells=fine_n, n_circle=n_circle
+    problem = diagonal_problem(case, degree=degree)
+    report = SelfConvergenceReport(levels, case=case, fine_n=fine_n)
+    fine_fem, fine_dg, fine, fine_report, report.fine_vessel_mass = _march(
+        problem, fine_n, n_circle, snapshot_times
     )
-    fine_state, fine_report = fine_system.run(snapshot_times)
-    report.max_residual = fine_report.max_residual
-    report.fine_vessel_mass = fine_system.vessel_mass(fine_state)
-    report.mesh, report.dg = fine_system.mesh, fine_system.dg
-    report.snapshots = fine_report.snapshots
-    c, c_hat = fine_state.c, fine_state.c_hat
-    norm3 = math.sqrt(c.dot(fine_system.mass3 @ c))
-    norm1 = math.sqrt(c_hat.dot(fine_system.dg.unit_mass().ravel() * c_hat))
-
-    def run_level(n):
-        system = CoupledSystem(diagonal_problem(case, degree=degree), n_cells=n, n_circle=n_circle)
-        state, run_report = system.run()
-        e3 = cross_error_3d(system.fem, state.c, fine_system.fem, fine_state.c)
-        e1 = cross_error_1d(system.dg, state.c_hat, fine_system.dg, fine_state.c_hat)
-        return e3, e1, run_report.max_residual
-
-    for e3, e1, resid in map(run_level, levels):
-        report.err3.append(e3)
-        report.err1.append(e1)
-        report.rel3.append(e3 / norm3 if norm3 > 0 else e3)
-        report.rel1.append(e1 / norm1 if norm1 > 0 else e1)
-        report.max_residual = max(report.max_residual, resid)
+    report.add(fine_report)
+    report.mesh, report.dg, report.snapshots = fine_fem.mesh, fine_dg, fine_report.snapshots
+    norm3 = math.sqrt(fine.c.dot(fem3d.box_level(fine_n).mass @ fine.c))
+    norm1 = math.sqrt(fine.c_hat.dot(fine_dg.unit_mass().ravel() * fine.c_hat))
+    for n in levels:
+        fem, dg, state, run_report, _ = _march(problem, n, n_circle)
+        e3 = cross_error_3d(fem, state.c, fine_fem, fine.c)
+        e1 = cross_error_1d(dg, state.c_hat, fine_dg, fine.c_hat)
+        report.add(run_report, err3=e3, err1=e1, rel3=e3 / norm3 if norm3 > 0 else e3,
+                   rel1=e1 / norm1 if norm1 > 0 else e1)
     return report

@@ -259,7 +259,7 @@ def test_criterion_8a_diagonal_self_convergence(diagonal_reports):
         checks += [mono3, mono1]
         details.append(f"case{case} mono ({mono3},{mono1})")
         if case == 1:
-            finest = rep.rates3()[-1]
+            finest = rep.rates("err3")[-1]
             checks.append(finest >= 1.0)
             details.append(f"case1 finest 3D rate {finest:.2f}")
 

@@ -276,6 +276,53 @@ class TestCircleCount:
                         "--out", str(tmp_path)], capsys)
 
 
+class TestDiscretisationInput:
+    """A box level below 2, a degree below 1 or a penalty DgParams refuses is
+    rejected before the output directory, any mesh or the gate exists."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        from vesselfem import fem3d
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started for a rejected discretisation")
+
+        monkeypatch.setattr(fem3d, "box_level", refuse)
+        monkeypatch.setattr(cli.verify, "source_gate", refuse)
+
+    def _rejected(self, argv, out, message, capsys):
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def _run(self, tmp_path, capsys, lines, message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{lines}\nout = {tmp_path / 'out'}\n")
+        self._rejected(["run", "--config", str(cfg_file)], tmp_path / "out", message, capsys)
+
+    @pytest.mark.parametrize("n", [1, 0, -4])
+    def test_run_level(self, tmp_path, capsys, n):
+        self._run(tmp_path, capsys, f"n = {n}", "need at least 2 cells per axis")
+
+    def test_run_degree(self, tmp_path, capsys):
+        self._run(tmp_path, capsys, "degree = 0", "polynomial degree must be >= 1")
+
+    def test_manufactured_degree(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        self._rejected(["manufactured", "--levels", "4", "--degree", "0", "--out", str(out)],
+                       out, "polynomial degree must be >= 1", capsys)
+
+    def test_manufactured_sigma(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        self._rejected(["manufactured", "--levels", "4", "--sigma", "1", "--out", str(out)],
+                       out, "below required minimum", capsys)
+
+    def test_diagonal_degree(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        self._rejected(["diagonal", "--levels", "4", "--fine", "8", "--degree", "0",
+                        "--out", str(out)], out, "polynomial degree must be >= 1", capsys)
+
+
 class TestSnapshotTimes:
     """A snapshot time outside [0, t_end] is refused before any mesh is built."""
 

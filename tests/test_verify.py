@@ -1,10 +1,12 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from vesselfem import verify
+from vesselfem import stepper, verify
 from vesselfem.errors import VerificationError
 from vesselfem.mesh3d import FemSpace, build_box_mesh
 from vesselfem.dg1d import DgSpace, Partition1D
@@ -236,3 +238,31 @@ class TestStudySmoke:
         assert [t for t, _ in report.snapshots] == [t for t, _ in run_report.snapshots]
         for (_, a), (_, b) in zip(report.snapshots, run_report.snapshots):
             assert np.array_equal(a.c, b.c) and np.array_equal(a.c_hat, b.c_hat)
+
+
+class TestOneSystemAlive:
+    """A study builds a level only once every earlier system, and with it
+    that system's LU, is freed."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        init = stepper.CoupledSystem.__init__
+
+        def tracked(system, *args, **kwargs):
+            gc.collect()
+            alive = [ref for ref in built if ref() is not None]
+            assert not alive, f"{len(alive)} earlier system(s) alive at a new build"
+            init(system, *args, **kwargs)
+            built.append(weakref.ref(system))
+
+        monkeypatch.setattr(stepper.CoupledSystem, "__init__", tracked)
+        return built
+
+    def test_convergence_study(self, builds):
+        verify.convergence_study([4, 8])
+        assert len(builds) == 2
+
+    def test_self_convergence(self, builds):
+        verify.self_convergence(1, (4,), fine_n=8)
+        assert len(builds) == 2
