@@ -26,7 +26,6 @@ from .dg1d import DgParams, DgSpace, legendre_basis
 from .errors import ConfigError, SolverError, VerificationError
 from .fem3d import ScalarField3, VectorField3
 from .geometry import (
-    MIN_CIRCLE_POINTS,
     ConstantPermeability,
     ConstantRadius,
     PiecewisePermeability,
@@ -34,10 +33,9 @@ from .geometry import (
     VesselGeometry,
 )
 from .mesh3d import TetMesh
-from .stepper import CoupledSystem, TransportProblem
+from .stepper import CoupledSystem, TransportProblem, check_level
 
-# Box levels the direct (LU) solver can factor in a few GB of memory; the fill
-# of n = 64 is extrapolated to hundreds of millions of nonzeros.
+# Box levels the two studies accept; the largest is stepper.MAX_CELLS.
 ALLOWED_LEVELS = (4, 8, 16, 32)
 DIAGONAL_SNAPSHOT_TIMES = (0.0125, 0.5, 1.0)
 VTK_ROW_BLOCK = 8192  # rows formatted per write; bounds the tuple and string built for it
@@ -187,15 +185,19 @@ def _parse_value(key, value):
     try:
         if key in _STR_KEYS:
             return value
-        if key in _TUPLE_KEYS:
-            return tuple(float(v) for v in value.split(","))
         if key in _INT_KEYS:
             return int(value)
-        if value.lower() in ("none", ""):
+        if key in _TUPLE_KEYS:
+            numbers = tuple(float(v) for v in value.split(","))
+        elif value.lower() in ("none", ""):
             return None
-        return float(value)
-    except ValueError as err:
-        raise ConfigError(f"bad value for '{key}': {value!r}") from err
+        else:
+            numbers = float(value)
+        if np.isfinite(numbers).all():
+            return numbers
+    except ValueError:
+        pass
+    raise ConfigError(f"bad value for '{key}': {value!r}")
 
 
 def problem_from_config(cfg: RunConfig) -> TransportProblem:
@@ -241,40 +243,15 @@ def problem_from_config(cfg: RunConfig) -> TransportProblem:
 
 def _parse_levels(text):
     try:
-        levels = tuple(int(v) for v in text.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError as err:
         raise ConfigError(f"bad levels list: {text!r}") from err
-    if len(levels) < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError("levels must be strictly increasing")
-    return levels
 
 
-def _check_box_level(n):
-    """Reject a box level the mesh or the direct solver cannot take, before any mesh is built."""
-    if n < 2:
-        raise ConfigError("need at least 2 cells per axis")
-    if n > ALLOWED_LEVELS[-1]:
-        raise ConfigError(
-            f"level n={n} exceeds the direct-solver memory limit: the LU "
-            f"factorization supports box levels up to n={ALLOWED_LEVELS[-1]}"
-        )
-
-
-def _check_discretisation(n_circ, degree, epsilon=1, sigma=50.0):
-    """Reject a section-circle rule, vessel degree or DG penalty the solver
-    would refuse, before any output, mesh or gate exists."""
-    if n_circ < MIN_CIRCLE_POINTS:
-        raise ConfigError(
-            f"n_circ = {n_circ} is below the minimum of {MIN_CIRCLE_POINTS} circle points"
-        )
-    if degree < 1:
-        raise ConfigError("polynomial degree must be >= 1")
-    DgParams(epsilon, sigma)
-
-
-def _check_levels(levels):
+def _check_levels(levels, n_circ):
+    """The library's rules first, so that their messages win; then the studies' set."""
     for n in levels:
-        _check_box_level(n)
+        check_level(n, n_circ)
         if n not in ALLOWED_LEVELS:
             raise ConfigError(f"levels must be a subset of {ALLOWED_LEVELS}")
 
@@ -301,13 +278,12 @@ def _write_snapshots(out, template, level, geometry, snapshots):
 
 def cmd_manufactured(args) -> int:
     levels = _parse_levels(args.levels)
-    _check_levels(levels)
-    _check_discretisation(args.n_circ, args.degree, args.epsilon, args.sigma)
-    os.makedirs(args.out, exist_ok=True)
+    _check_levels(levels, args.n_circ)
     report = verify.convergence_study(
         levels, degree=args.degree, epsilon=args.epsilon, sigma=args.sigma,
         n_circle=args.n_circ,
     )
+    os.makedirs(args.out, exist_ok=True)
     header = ["h", "grad_error", "grad_rate", "l2_error", "l2_rate"]
     for name, grad, l2 in (("table1_3d.csv", "grad3", "l2_3"), ("table2_1d.csv", "grad1", "l2_1")):
         columns = (getattr(report, grad), _rate_column(report.rates(grad)),
@@ -321,18 +297,13 @@ def cmd_manufactured(args) -> int:
 
 
 def cmd_diagonal(args) -> int:
-    if args.case not in (1, 2, 3):
-        raise ConfigError("case must be 1, 2 or 3")
     levels = _parse_levels(args.levels)
-    _check_levels(levels + (args.fine,))
-    _check_discretisation(args.n_circ, args.degree)
-    if args.fine <= levels[-1]:
-        raise ConfigError("--fine must exceed every coarse level")
-    os.makedirs(args.out, exist_ok=True)
+    _check_levels(levels + (args.fine,), args.n_circ)
     report = verify.self_convergence(
         args.case, coarse_levels=levels, fine_n=args.fine, degree=args.degree,
         n_circle=args.n_circ, snapshot_times=DIAGONAL_SNAPSHOT_TIMES,
     )
+    os.makedirs(args.out, exist_ok=True)
     write_csv(
         os.path.join(args.out, f"table3_case{args.case}.csv"),
         ["h", "err3d", "rate3d", "err1d", "rate1d", "rel3d", "rel1d"],
@@ -348,13 +319,11 @@ def cmd_diagonal(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = parse_config_file(args.config)
-    _check_box_level(cfg.n)
-    _check_discretisation(cfg.n_circ, cfg.degree, cfg.epsilon, cfg.sigma)
     problem = problem_from_config(cfg)
     _check_snapshot_times(cfg.snapshots, cfg.t_end)
-    os.makedirs(cfg.out, exist_ok=True)
     system = CoupledSystem(problem, n_cells=cfg.n, n_circle=cfg.n_circ)
     state, report = system.run(cfg.snapshots)
+    os.makedirs(cfg.out, exist_ok=True)
     _write_snapshots(cfg.out, "run_t{tag}", system, problem.geometry, report.snapshots)
     write_csv(
         os.path.join(cfg.out, "run_energy.csv"),

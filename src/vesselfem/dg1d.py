@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, DomainError
+from .errors import CoefficientError, ConfigError
 from .linalg import scatter_blocks
 
 DEFAULT_SIGMA_MIN = 50.0
@@ -114,8 +114,6 @@ class DgSpace:
     """Broken polynomial space of degree k on a Partition1D."""
 
     def __init__(self, partition: Partition1D, degree: int):
-        if degree < 1:
-            raise ConfigError("polynomial degree must be >= 1")
         self.partition = partition
         self.degree = degree
         self.n_local = degree + 1
@@ -198,38 +196,6 @@ def _coef_array(coef, s):
     return np.broadcast_to(out, (s.size,)).reshape(s.shape)
 
 
-def trace_eval(space: DgSpace, dofs, i: int, side: str) -> float:
-    """One-sided value at partition node s_i; side is '-' (left) or '+' (right)."""
-    if side not in ("-", "+"):
-        raise ValueError("side must be '-' or '+'")
-    n = space.partition.n_elements
-    if side == "-":
-        if i < 1 or i > n:
-            raise DomainError(f"no left trace at node {i}")
-        e = i - 1
-        vals, _ = legendre_basis(np.float64(1.0), space.degree)
-    else:
-        if i < 0 or i > n - 1:
-            raise DomainError(f"no right trace at node {i}")
-        e = i
-        vals, _ = legendre_basis(np.float64(-1.0), space.degree)
-    return float(vals @ np.asarray(dofs)[space.element_dofs(e)])
-
-
-def jump(space: DgSpace, dofs, i: int) -> float:
-    """Jump v(s_i-) - v(s_i+) at an interior node."""
-    if i < 1 or i > space.partition.n_elements - 1:
-        raise DomainError(f"node {i} is not an interior node")
-    return trace_eval(space, dofs, i, "-") - trace_eval(space, dofs, i, "+")
-
-
-def average_flux(space: DgSpace, dofs, i: int) -> float:
-    """Average (v(s_i-) + v(s_i+)) / 2 at an interior node."""
-    if i < 1 or i > space.partition.n_elements - 1:
-        raise DomainError(f"node {i} is not an interior node")
-    return 0.5 * (trace_eval(space, dofs, i, "-") + trace_eval(space, dofs, i, "+"))
-
-
 def _interface_traces(space: DgSpace):
     """Trace values/derivatives of the local bases at element endpoints."""
     vr, dr = legendre_basis(np.float64(1.0), space.degree)
@@ -253,7 +219,10 @@ def assemble_a_lambda(space: DgSpace, kappa_hat, weight, params: DgParams):
     with the global mesh size, matching the seminorm scaling.
     """
     pts, wts, _, ders = space.element_quadrature(space.degree + 2)
-    wq = wts * _coef_array(weight, pts) * _coef_array(kappa_hat, pts)
+    kq = _coef_array(kappa_hat, pts)
+    if not np.all(kq > 0.0):
+        raise CoefficientError("vessel diffusivity must be positive")
+    wq = wts * _coef_array(weight, pts) * kq
     blocks = np.einsum("eq,eiq,ejq->eij", wq, ders, ders)
 
     vl, dl, vr, dr = _interface_traces(space)
@@ -301,24 +270,6 @@ def assemble_inflow_rhs(space: DgSpace, weight, u_hat: float, c_in: float):
     out = np.zeros(space.n_dofs)
     out[space.element_dofs(0)] = float(np.asarray(weight(0.0))) * u_hat * c_in * vl
     return out
-
-
-def seminorm_matrix(space: DgSpace, params: DgParams):
-    """Matrix of the broken-gradient-plus-penalty seminorm squared."""
-    _, wts, _, ders = space.element_quadrature(space.degree + 1)
-    blocks = np.einsum("eq,eiq,ejq->eij", wts, ders, ders)
-    vl, _, vr, _ = _interface_traces(space)
-    jump_row = np.concatenate([vr, -vl])
-    face = params.sigma / space.partition.h_max * np.outer(jump_row, jump_row)
-    faces = np.broadcast_to(face, (space.face_dofs.shape[0],) + face.shape)
-    return scatter_blocks(space.n_dofs, (space.cell_dofs, blocks), (space.face_dofs, faces))
-
-
-def dg_seminorm(space: DgSpace, dofs, params: DgParams) -> float:
-    """Broken H1 seminorm with penalty-weighted jumps; zero only on constants."""
-    m = seminorm_matrix(space, params)
-    v = np.asarray(dofs, dtype=float)
-    return float(np.sqrt(max(v @ (m @ v), 0.0)))
 
 
 def l2_project(space: DgSpace, fn):

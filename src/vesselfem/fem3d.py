@@ -85,6 +85,8 @@ class VectorField3:
     @classmethod
     def constant(cls, vec):
         v = np.asarray(vec, dtype=float)
+        if v.shape != (3,):
+            raise ConfigError(f"a constant vector field needs 3 components, got shape {v.shape}")
         return cls(
             fn=lambda x, t: np.broadcast_to(v, (np.shape(x)[0], 3)).copy(),
             space_constant=True,

@@ -52,7 +52,7 @@ class Factorization:
     def max_residual(self) -> float:
         return max(self.residuals, default=0.0)
 
-    def solve(self, rhs, rtol: float = RESIDUAL_RTOL):
+    def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.shape[0]:
             raise ValueError(f"rhs length {rhs.shape[0]} != {self.shape[0]}")
@@ -61,9 +61,9 @@ class Factorization:
         residual = np.linalg.norm(self._matrix @ x - rhs)
         rel = residual / norm_b if norm_b > 0.0 else residual
         self.residuals.append(float(rel))
-        if rel > rtol:
+        if not rel <= RESIDUAL_RTOL:  # a NaN residual fails too
             raise SolverError(
-                f"solve residual {rel:.3e} exceeds tolerance {rtol:.1e} "
+                f"solve residual {rel:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e} "
                 f"(n = {self.shape[0]}, |rhs| = {norm_b:.3e})"
             )
         return x

@@ -19,8 +19,28 @@ from . import coupling, dg1d, fem3d, linalg
 from .dg1d import DgParams, DgSpace, Partition1D
 from .errors import ConfigError
 from .fem3d import ScalarField3, VectorField3
-from .geometry import VesselGeometry
+from .geometry import MIN_CIRCLE_POINTS, VesselGeometry
 from .mesh3d import DEFAULT_BOX, FemSpace, TetMesh
+
+# Largest box level the direct (LU) solver factors in a few GB of memory; the
+# fill of n = 64 is extrapolated to hundreds of millions of nonzeros.
+MAX_CELLS = 32
+
+
+def check_level(n_cells: int, n_circle: int):
+    """Refuse a box level the mesh or the direct solver cannot take, or a
+    section circle with too few points, before any mesh is built."""
+    if n_cells < 2:
+        raise ConfigError("need at least 2 cells per axis")
+    if n_cells > MAX_CELLS:
+        raise ConfigError(
+            f"level n={n_cells} exceeds the direct-solver memory limit: the LU "
+            f"factorization supports box levels up to n={MAX_CELLS}"
+        )
+    if n_circle < MIN_CIRCLE_POINTS:
+        raise ConfigError(
+            f"n_circ = {n_circle} is below the minimum of {MIN_CIRCLE_POINTS} circle points"
+        )
 
 
 @dataclass(frozen=True)
@@ -52,12 +72,14 @@ class TransportProblem:
     dt: float | None = None
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise ConfigError("time horizon must be positive")
-        if self.dt is not None and (self.dt <= 0.0 or self.dt > self.t_end):
+        if not 0.0 < self.t_end < math.inf:
+            raise ConfigError("time horizon must be positive and finite")
+        if self.dt is not None and not 0.0 < self.dt <= self.t_end:
             raise ConfigError("need 0 < dt <= t_end")
-        if self.u_hat <= 0.0:
-            raise ConfigError("vessel velocity must be positive")
+        if not 0.0 < self.u_hat < math.inf:
+            raise ConfigError("vessel velocity must be positive and finite")
+        if self.degree < 1:
+            raise ConfigError("polynomial degree must be >= 1")
 
 
 @dataclass
@@ -93,6 +115,7 @@ class CoupledSystem:
         n_cells: int,
         n_circle: int = coupling.DEFAULT_N_CIRCLE,
     ):
+        check_level(n_cells, n_circle)
         self.problem = problem
         geom = problem.geometry
         geom.check_inside_box(*DEFAULT_BOX)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fem3d
 from .dg1d import DgParams, DgSpace
-from .errors import VerificationError
+from .errors import ConfigError, VerificationError
 from .fem3d import ScalarField3, VectorField3
 from .geometry import (
     ConstantPermeability,
@@ -35,7 +35,7 @@ from .geometry import (
     VesselGeometry,
 )
 from .mesh3d import tet_quadrature
-from .stepper import CoupledSystem, TransportProblem
+from .stepper import CoupledSystem, TransportProblem, check_level
 
 F_RESIDUAL_TOL = 1e-5
 FHAT_RESIDUAL_TOL = 1e-8
@@ -280,7 +280,7 @@ class StudyReport:
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
-            raise ValueError("levels must be strictly increasing")
+            raise ConfigError("levels must be strictly increasing")
 
     @property
     def h_labels(self):
@@ -327,10 +327,12 @@ def convergence_study(
     The source gate runs before any level is built; the study aborts if the
     coded sources do not match their finite-difference residual checks.
     """
+    for n in levels:
+        check_level(n, n_circle)
     problem = manufactured_problem(epsilon=epsilon, sigma=sigma, degree=degree)
+    report = ConvergenceReport(levels=list(levels))
     source_gate()
     ms = ManufacturedSolution()
-    report = ConvergenceReport(levels=list(levels))
     for n in report.levels:
         fem, dg, state, run_report, _ = _march(problem, n, n_circle)
         l2_3, grad3 = error_norms_3d(fem, state.c, ms.c, ms.grad_c, state.t)
@@ -349,7 +351,7 @@ def diagonal_geometry(case: int) -> VesselGeometry:
     elif case in (2, 3):
         radius = TanhRadius(r_min=0.05, r_max=0.08, beta=8.0)
     else:
-        raise ValueError(f"unknown case {case}")
+        raise ConfigError("case must be 1, 2 or 3")
     length = 0.8 * math.sqrt(3.0)
     if case in (1, 2):
         permeability = ConstantPermeability(0.1)
@@ -428,11 +430,12 @@ def self_convergence(
     fine solution at the coarse quadrature points; both absolute and
     relative (to the fine-solution norm) columns are reported.
     """
-    levels = sorted(coarse_levels)
-    if levels[-1] >= fine_n:
-        raise ValueError("fine level must exceed every coarse level")
+    for n in (*coarse_levels, fine_n):
+        check_level(n, n_circle)
     problem = diagonal_problem(case, degree=degree)
-    report = SelfConvergenceReport(levels, case=case, fine_n=fine_n)
+    report = SelfConvergenceReport(list(coarse_levels), case=case, fine_n=fine_n)
+    if report.levels[-1] >= fine_n:
+        raise ConfigError("fine level must exceed every coarse level")
     fine_fem, fine_dg, fine, fine_report, report.fine_vessel_mass = _march(
         problem, fine_n, n_circle, snapshot_times
     )
@@ -440,7 +443,7 @@ def self_convergence(
     report.mesh, report.dg, report.snapshots = fine_fem.mesh, fine_dg, fine_report.snapshots
     norm3 = math.sqrt(fine.c.dot(fem3d.box_level(fine_n).mass @ fine.c))
     norm1 = math.sqrt(fine.c_hat.dot(fine_dg.unit_mass().ravel() * fine.c_hat))
-    for n in levels:
+    for n in report.levels:
         fem, dg, state, run_report, _ = _march(problem, n, n_circle)
         e3 = cross_error_3d(fem, state.c, fine_fem, fine.c)
         e1 = cross_error_1d(dg, state.c_hat, fine_dg, fine.c_hat)

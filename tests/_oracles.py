@@ -1,13 +1,20 @@
 """Independent reference computations used to pin expected values.
 
-Nothing here shares code with the package: the 1D operators are assembled
-term by term with sympy in exact rational arithmetic, and the simplex moments
-come from the closed-form factorial formula.
+The 1D operators are assembled term by term with sympy in exact rational
+arithmetic, and the simplex moments come from the closed-form factorial
+formula; neither shares code with the package.  The DG traces, jumps and the
+broken seminorm are per-node references that the vectorised face terms are
+checked against; they take only the Legendre basis, the element quadrature
+and the block scatter from the package.
 """
 import math
 
 import numpy as np
 import sympy as sp
+
+from vesselfem.dg1d import legendre_basis
+from vesselfem.errors import DomainError
+from vesselfem.linalg import scatter_blocks
 
 
 def simplex_moment(a: int, b: int, c: int) -> float:
@@ -98,3 +105,54 @@ def dense_1d_operators(nodes, degree, kappa, area, u_hat, sigma, epsilon, c_in):
 
     to_np = lambda m: np.array(m.tolist(), dtype=float)
     return to_np(M), to_np(A), to_np(B), to_np(inflow).ravel()
+
+
+def trace_eval(space, dofs, i: int, side: str) -> float:
+    """One-sided value at partition node s_i; side is '-' (left) or '+' (right)."""
+    if side not in ("-", "+"):
+        raise ValueError("side must be '-' or '+'")
+    n = space.partition.n_elements
+    if side == "-":
+        if i < 1 or i > n:
+            raise DomainError(f"no left trace at node {i}")
+        e = i - 1
+        vals, _ = legendre_basis(np.float64(1.0), space.degree)
+    else:
+        if i < 0 or i > n - 1:
+            raise DomainError(f"no right trace at node {i}")
+        e = i
+        vals, _ = legendre_basis(np.float64(-1.0), space.degree)
+    return float(vals @ np.asarray(dofs)[space.element_dofs(e)])
+
+
+def jump(space, dofs, i: int) -> float:
+    """Jump v(s_i-) - v(s_i+) at an interior node."""
+    if i < 1 or i > space.partition.n_elements - 1:
+        raise DomainError(f"node {i} is not an interior node")
+    return trace_eval(space, dofs, i, "-") - trace_eval(space, dofs, i, "+")
+
+
+def average_flux(space, dofs, i: int) -> float:
+    """Average (v(s_i-) + v(s_i+)) / 2 at an interior node."""
+    if i < 1 or i > space.partition.n_elements - 1:
+        raise DomainError(f"node {i} is not an interior node")
+    return 0.5 * (trace_eval(space, dofs, i, "-") + trace_eval(space, dofs, i, "+"))
+
+
+def seminorm_matrix(space, params):
+    """Matrix of the broken-gradient-plus-penalty seminorm squared."""
+    _, wts, _, ders = space.element_quadrature(space.degree + 1)
+    blocks = np.einsum("eq,eiq,ejq->eij", wts, ders, ders)
+    vl, _ = legendre_basis(np.float64(-1.0), space.degree)
+    vr, _ = legendre_basis(np.float64(1.0), space.degree)
+    jump_row = np.concatenate([vr, -vl])
+    face = params.sigma / space.partition.h_max * np.outer(jump_row, jump_row)
+    faces = np.broadcast_to(face, (space.face_dofs.shape[0],) + face.shape)
+    return scatter_blocks(space.n_dofs, (space.cell_dofs, blocks), (space.face_dofs, faces))
+
+
+def dg_seminorm(space, dofs, params) -> float:
+    """Broken H1 seminorm with penalty-weighted jumps; zero only on constants."""
+    m = seminorm_matrix(space, params)
+    v = np.asarray(dofs, dtype=float)
+    return float(np.sqrt(max(v @ (m @ v), 0.0)))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from _oracles import dense_1d_operators
+from _oracles import dense_1d_operators, seminorm_matrix
 from vesselfem import coupling, dg1d, verify
 from vesselfem.dg1d import DgParams, DgSpace, Partition1D
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, TanhRadius, VesselGeometry
@@ -74,7 +74,7 @@ def test_criterion_1_coercivity():
                 for degree in (1, 2):
                     space = DgSpace(Partition1D.uniform(length, n_el), degree)
                     A = dg1d.assemble_a_lambda(space, ONE, area, params)
-                    S = dg1d.seminorm_matrix(space, params)
+                    S = seminorm_matrix(space, params)
                     V = rng.standard_normal((1000, space.n_dofs))
                     lhs = np.einsum("ki,ki->k", V, (A @ V.T).T)
                     rhs = scale * np.einsum("ki,ki->k", V, (S @ V.T).T)

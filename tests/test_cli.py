@@ -172,6 +172,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cli.parse_config_file(cfg_file)
 
+    @pytest.mark.parametrize("line", ["tau = nan", "t_end = inf", "t_end = nan", "c_in = nan",
+                                      "c_in = 1e999", "p0 = 0,nan,0"])
+    def test_non_finite_rejected(self, tmp_path, line):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=f"bad value for '{line.split()[0]}'"):
+            cli.parse_config_file(cfg_file)
+
+    def test_non_finite_run_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"n = 2\nc_in = nan\nout = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        assert "bad value for 'c_in'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_tanh_radius_needs_all_fields(self):
         cfg = cli.RunConfig(radius=None, radius_min=0.05, radius_max=None)
         with pytest.raises(ConfigError):
@@ -196,6 +211,17 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli.verify, "convergence_study", boom)
         assert cli.main(["manufactured", "--levels", "4", "--out", str(tmp_path)]) == 3
+
+    def test_solver_error_mid_study_leaves_no_output(self, monkeypatch, tmp_path):
+        from vesselfem.errors import SolverError
+
+        def boom(*args, **kwargs):
+            raise SolverError("synthetic")
+
+        monkeypatch.setattr(cli.verify, "_march", boom)
+        out = tmp_path / "out"
+        assert cli.main(["manufactured", "--levels", "4", "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_verification_gate_failure_is_4(self, monkeypatch, tmp_path):
         from vesselfem.errors import VerificationError
@@ -321,6 +347,32 @@ class TestDiscretisationInput:
         out = tmp_path / "out"
         self._rejected(["diagonal", "--levels", "4", "--fine", "8", "--degree", "0",
                         "--out", str(out)], out, "polynomial degree must be >= 1", capsys)
+
+
+class TestRunDataRefused:
+    """Data only the library checks is refused with exit code 2 and leaves no
+    output directory: a velocity that is not a 3-vector before any mesh, a
+    vessel diffusivity that is not positive when the vessel is assembled."""
+
+    def _rejected(self, tmp_path, capsys, lines, message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"n = 2\n{lines}\nout = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_velocity_not_3_vector(self, tmp_path, capsys, monkeypatch):
+        from vesselfem import fem3d
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mesh was built for a rejected velocity")
+
+        monkeypatch.setattr(fem3d, "box_level", refuse)
+        self._rejected(tmp_path, capsys, "u = 1,2", "needs 3 components")
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_vessel_diffusivity(self, tmp_path, capsys, value):
+        self._rejected(tmp_path, capsys, f"kappa_hat = {value}", "vessel diffusivity must be positive")
 
 
 class TestSnapshotTimes:

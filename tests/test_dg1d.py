@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from _oracles import dense_1d_operators
+from _oracles import average_flux, dense_1d_operators, dg_seminorm, jump, trace_eval
 from vesselfem import dg1d
 from vesselfem.dg1d import DgParams, DgSpace, Partition1D
-from vesselfem.errors import ConfigError, DomainError
+from vesselfem.errors import CoefficientError, ConfigError, DomainError
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, TanhRadius, VesselGeometry
 
 ONE = lambda s: np.broadcast_to(1.0, np.shape(s))
@@ -124,8 +124,14 @@ class TestDiffusionForm:
                 dv = ders.T @ v[space.element_dofs(e)]
                 rhs += float(wts[e] @ (np.asarray(area(pts[e])) * dv**2))
             for i in range(1, space.partition.n_elements):
-                rhs += params.sigma / space.partition.h_max * dg1d.jump(space, v, i) ** 2
+                rhs += params.sigma / space.partition.h_max * jump(space, v, i) ** 2
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("kappa_hat", [lambda s: 0.0 * s, lambda s: -np.ones_like(s),
+                                           lambda s: s - 0.5], ids=["zero", "negative", "mixed"])
+    def test_nonpositive_diffusivity_rejected(self, kappa_hat):
+        with pytest.raises(CoefficientError, match="vessel diffusivity"):
+            dg1d.assemble_a_lambda(uniform_space(4, 1), kappa_hat, ONE, DgParams(1, 50.0))
 
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("epsilon", [-1, 0, 1])
@@ -178,12 +184,12 @@ class TestAdvectionForm:
         for _ in range(1000):
             v = rng.standard_normal(space.n_dofs)
             lhs = v @ (B @ v)
-            rhs = 0.5 * float(area(nodes[0])) * u_hat * dg1d.trace_eval(space, v, 0, "+") ** 2
-            rhs += 0.5 * float(area(nodes[-1])) * u_hat * dg1d.trace_eval(
+            rhs = 0.5 * float(area(nodes[0])) * u_hat * trace_eval(space, v, 0, "+") ** 2
+            rhs += 0.5 * float(area(nodes[-1])) * u_hat * trace_eval(
                 space, v, space.partition.n_elements, "-"
             ) ** 2
             for i in range(1, space.partition.n_elements):
-                rhs += 0.5 * float(area(nodes[i])) * u_hat * dg1d.jump(space, v, i) ** 2
+                rhs += 0.5 * float(area(nodes[i])) * u_hat * jump(space, v, i) ** 2
             assert lhs >= rhs - 1e-10
 
     @pytest.mark.parametrize("degree", [1, 2])
@@ -259,19 +265,19 @@ class TestInflow:
 class TestSeminorm:
     def test_constant_is_zero(self):
         space = uniform_space(5, 2)
-        assert dg1d.dg_seminorm(space, space.constant_one(), DgParams(1, 50.0)) == 0.0
+        assert dg_seminorm(space, space.constant_one(), DgParams(1, 50.0)) == 0.0
 
     def test_linear_interpolant(self):
         for n in (1, 2, 5):
             space = uniform_space(n, 1)
             v = dg1d.l2_project(space, lambda s: s)  # continuous, slope one
-            assert abs(dg1d.dg_seminorm(space, v, DgParams(1, 50.0)) - 1.0) < 1e-12
+            assert abs(dg_seminorm(space, v, DgParams(1, 50.0)) - 1.0) < 1e-12
 
     def test_single_jump(self):
         space = uniform_space(2, 1)
         v = np.zeros(space.n_dofs)
         v[0] = 1.0  # indicator of the first element
-        norm = dg1d.dg_seminorm(space, v, DgParams(1, 50.0))
+        norm = dg_seminorm(space, v, DgParams(1, 50.0))
         assert abs(norm**2 - 50.0 / 0.5) < 1e-12
 
 
@@ -310,18 +316,18 @@ class TestTraces:
         space = uniform_space(4, 2)
         v = dg1d.l2_project(space, lambda s: 1.0 + 2.0 * s)
         for i in range(1, 4):
-            assert abs(dg1d.jump(space, v, i)) < 1e-13
+            assert abs(jump(space, v, i)) < 1e-13
 
     def test_indicator_sign_convention(self):
         space = uniform_space(2, 1)
         v = np.zeros(space.n_dofs)
         v[0] = 1.0
-        assert abs(dg1d.jump(space, v, 1) - 1.0) < 1e-15
-        assert abs(dg1d.average_flux(space, v, 1) - 0.5) < 1e-15
+        assert abs(jump(space, v, 1) - 1.0) < 1e-15
+        assert abs(average_flux(space, v, 1) - 0.5) < 1e-15
 
     def test_boundary_nodes_rejected(self):
         space = uniform_space(2, 1)
         with pytest.raises(DomainError):
-            dg1d.jump(space, np.zeros(space.n_dofs), 0)
+            jump(space, np.zeros(space.n_dofs), 0)
         with pytest.raises(DomainError):
-            dg1d.jump(space, np.zeros(space.n_dofs), 2)
+            jump(space, np.zeros(space.n_dofs), 2)

@@ -54,6 +54,12 @@ class TestFactorize:
         with pytest.raises(SolverError, match="residual"):
             fact.solve(np.array([1.0, 1.0]))
 
+    def test_nan_rhs_raises(self):
+        # a NaN residual is not below the tolerance, so it must not pass as one
+        A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        with pytest.raises(SolverError, match="residual"):
+            linalg.Factorization(A).solve(np.array([1.0, np.nan]))
+
     def test_shape_checks(self):
         A = sp.identity(4, format="csr")
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 
 from vesselfem import dg1d, fem3d, verify
 from vesselfem.dg1d import DgParams
-from vesselfem.errors import GeometryError
+from vesselfem.errors import ConfigError, GeometryError
 from vesselfem.fem3d import ScalarField3, VectorField3
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, VesselGeometry
 from vesselfem.stepper import CoupledSystem, TransportProblem
@@ -34,6 +35,26 @@ def quiescent_problem(t_end=0.1, dt=None, velocity=(0, 0, 1)):
         degree=1,
         dt=dt,
     )
+
+
+class TestInputRefused:
+    """The library refuses inadmissible data itself, and a level before any mesh."""
+
+    @pytest.mark.parametrize("name, value", [("dt", math.nan), ("t_end", math.nan),
+                                             ("t_end", math.inf), ("u_hat", math.nan),
+                                             ("degree", 0)])
+    def test_problem(self, name, value):
+        with pytest.raises(ConfigError):
+            replace(quiescent_problem(), **{name: value})
+
+    @pytest.mark.parametrize("n_cells, n_circle", [(64, 16), (1, 16), (4, 3)])
+    def test_level(self, monkeypatch, n_cells, n_circle):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mesh was built for a refused level")
+
+        monkeypatch.setattr(fem3d, "box_level", refuse)
+        with pytest.raises(ConfigError):
+            CoupledSystem(quiescent_problem(), n_cells=n_cells, n_circle=n_circle)
 
 
 class TestSharedBoxLevel:

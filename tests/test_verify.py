@@ -6,8 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from vesselfem import stepper, verify
-from vesselfem.errors import VerificationError
+from vesselfem import fem3d, stepper, verify
+from vesselfem.errors import ConfigError, VerificationError
 from vesselfem.mesh3d import FemSpace, build_box_mesh
 from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.stepper import CoupledSystem
@@ -238,6 +238,35 @@ class TestStudySmoke:
         assert [t for t, _ in report.snapshots] == [t for t, _ in run_report.snapshots]
         for (_, a), (_, b) in zip(report.snapshots, run_report.snapshots):
             assert np.array_equal(a.c, b.c) and np.array_equal(a.c_hat, b.c_hat)
+
+
+class TestStudyInputRefused:
+    """A study refuses its inputs before the source gate and before any mesh."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started for a refused study")
+
+        monkeypatch.setattr(fem3d, "box_level", refuse)
+        monkeypatch.setattr(verify, "source_gate", refuse)
+
+    def test_convergence_level_beyond_solver(self):
+        with pytest.raises(ConfigError, match="direct-solver memory limit"):
+            verify.convergence_study([4, 64])
+
+    def test_convergence_levels_out_of_order(self):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            verify.convergence_study([8, 4])
+
+    def test_self_convergence_levels_out_of_order(self):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            verify.self_convergence(1, (8, 4), fine_n=16)
+
+    @pytest.mark.parametrize("case", [0, 4])
+    def test_unknown_case(self, case):
+        with pytest.raises(ConfigError, match="case must be 1, 2 or 3"):
+            verify.self_convergence(case, (4,), fine_n=8)
 
 
 class TestOneSystemAlive:
