@@ -263,6 +263,18 @@ def _check_snapshot_times(times, t_end):
             raise ConfigError(f"snapshot time {t:g} is outside [0, t_end = {t_end:g}]")
 
 
+def _check_out_dir(path):
+    """Reject an output path that cannot become a directory, before any mesh is
+    built: it is empty, or it or the nearest of its ancestors that exists is no directory."""
+    if not path:
+        raise ConfigError("output path is empty")
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"output path {path} cannot be a directory: {probe} is not one")
+
+
 def _write_snapshots(out, template, level, geometry, snapshots):
     """Write the box/vessel VTK pair of every (t, state) of one level.
 
@@ -279,6 +291,7 @@ def _write_snapshots(out, template, level, geometry, snapshots):
 def cmd_manufactured(args) -> int:
     levels = _parse_levels(args.levels)
     _check_levels(levels, args.n_circ)
+    _check_out_dir(args.out)
     report = verify.convergence_study(
         levels, degree=args.degree, epsilon=args.epsilon, sigma=args.sigma,
         n_circle=args.n_circ,
@@ -299,6 +312,7 @@ def cmd_manufactured(args) -> int:
 def cmd_diagonal(args) -> int:
     levels = _parse_levels(args.levels)
     _check_levels(levels + (args.fine,), args.n_circ)
+    _check_out_dir(args.out)
     report = verify.self_convergence(
         args.case, coarse_levels=levels, fine_n=args.fine, degree=args.degree,
         n_circle=args.n_circ, snapshot_times=DIAGONAL_SNAPSHOT_TIMES,
@@ -321,6 +335,7 @@ def cmd_run(args) -> int:
     cfg = parse_config_file(args.config)
     problem = problem_from_config(cfg)
     _check_snapshot_times(cfg.snapshots, cfg.t_end)
+    _check_out_dir(cfg.out)
     system = CoupledSystem(problem, n_cells=cfg.n, n_circle=cfg.n_circ)
     state, report = system.run(cfg.snapshots)
     os.makedirs(cfg.out, exist_ok=True)

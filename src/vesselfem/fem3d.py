@@ -60,6 +60,8 @@ class ScalarField3:
     @classmethod
     def constant(cls, value):
         v = float(value)
+        if not np.isfinite(v):
+            raise ConfigError(f"a constant field needs a finite value, got {v}")
         return cls(
             fn=lambda x, t: np.full(np.shape(x)[0], v),
             space_constant=True,
@@ -87,6 +89,8 @@ class VectorField3:
         v = np.asarray(vec, dtype=float)
         if v.shape != (3,):
             raise ConfigError(f"a constant vector field needs 3 components, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ConfigError(f"a constant vector field needs finite components, got {tuple(v)}")
         return cls(
             fn=lambda x, t: np.broadcast_to(v, (np.shape(x)[0], 3)).copy(),
             space_constant=True,
@@ -96,11 +100,15 @@ class VectorField3:
 
 def _assemble(space: FemSpace, blocks):
     """CSR matrix summing 4 x 4 blocks, given per tet (n_tets, 4, 4) or per
-    shape (6, 4, 4), through the mesh's slot map into its pattern."""
+    shape (6, 4, 4), through the mesh's slot map into its pattern.  Blocks of
+    whole cells are added in tet order, so every entry sums its terms in one
+    fixed sequence whatever the block size."""
     mesh = space.mesh
     indptr, indices, slot = mesh.csr_pattern
-    weights = np.broadcast_to(np.reshape(blocks, (-1, 6, 4, 4)), (mesh.n_tets // 6, 6, 4, 4))
-    data = np.bincount(slot, weights=weights.ravel(), minlength=indices.size)
+    per_cell = np.broadcast_to(np.reshape(blocks, (-1, 96)), (mesh.n**3, 96))  # 6 tets x 16
+    data = np.zeros(indices.size)
+    for cells in mesh.cell_blocks(96):
+        np.add.at(data, slot[96 * cells.start:96 * cells.stop], per_cell[cells].ravel())
     return sp.csr_matrix((data, indices, indptr), shape=(space.n_dofs, space.n_dofs))
 
 
@@ -119,7 +127,7 @@ def assemble_stiffness(space: FemSpace, kappa: ScalarField3, unit=None):
     gg = np.einsum("sic,sjc->sij", g, g)  # (6, 4, 4)
     if kappa.space_constant:
         kval = kappa(np.zeros((1, 3)))[0]
-        if kval <= 0.0:
+        if not kval > 0.0:  # NaN fails too
             raise CoefficientError("diffusivity must be positive")
         if unit is None:
             unit = _assemble(space, mesh.tet_volume * gg)
@@ -127,7 +135,7 @@ def assemble_stiffness(space: FemSpace, kappa: ScalarField3, unit=None):
     kint = np.empty(mesh.n_tets)
     for sl, xq, wq in mesh.quadrature(2):
         kq = kappa(xq.reshape(-1, 3)).reshape(wq.shape)
-        if np.any(kq <= 0.0):
+        if not np.all(kq > 0.0):
             raise CoefficientError("diffusivity must be positive at all quadrature points")
         kint[sl] = np.einsum("eq,eq->e", wq, kq)
     return _assemble(space, kint.reshape(-1, 6, 1, 1) * gg)

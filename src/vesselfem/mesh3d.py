@@ -5,8 +5,9 @@ diagonal (the Kuhn split), so the triangulation is conforming and has six tet
 shapes and one tet volume.  Their barycentric gradients form one table that
 assembly, error norms, point location (a sort per point), the quadrature
 points and the one CSR pattern of the P1 matrices (with its slot map) share.
-Quadrature runs in blocks of whole cells sized by their number of points, so
-every consumer's temporaries stay bounded whatever the rule's order.
+Quadrature and the scatter of element blocks run in blocks of whole cells
+sized by their number of items, so every consumer's temporaries stay bounded
+whatever the rule's order or the level.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .errors import ConfigError, DomainError
 
 DEFAULT_BOX = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))  # the box of every coupled system
 _BOX_TOL = 1e-12  # points this far outside the box are still located
-_CHUNK = 65536  # quadrature points per block, rounded down to whole cells (at least one)
+_CHUNK = 65536  # items (quadrature points, block entries) per block of whole cells, at least one
 
 # axis orderings of the diagonal split in lexicographic order; the odd
 # permutations swap their middle vertices to keep a positive orientation
@@ -92,15 +93,18 @@ class TetMesh:
         d = 0 or +-(a 0/1 vector) along the Kuhn edges, in column order."""
         m = self.n + 1
         offsets = np.array([d for d in product((-1, 0, 1), repeat=3) if not (1 in d and -1 in d)])
-        nb = self.grid_index[:, None] + offsets
-        inside = np.all((nb >= 0) & (nb < m), axis=2)
-        indptr = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
-        indices = (np.arange(self.n_vertices)[:, None] + offsets @ (m * m, m, 1))[inside]
-        code = self.grid_index[self.tets[:6]] @ (9, 3, 1)  # (6, 4) shape corners, base 3
+        g = self.grid_index
+        allowed = np.stack([g > 0, np.full(g.shape, True), g < self.n], axis=2)  # steps -1, 0, +1
+        inside = np.all(allowed[:, np.arange(3), offsets + 1], axis=2)  # (vertex, offset)
+        indptr = np.zeros(self.n_vertices + 1, dtype=np.int32)
+        np.cumsum(inside.sum(axis=1), out=indptr[1:])
+        step = (offsets @ (m * m, m, 1)).astype(np.int32)
+        indices = (np.arange(self.n_vertices, dtype=np.int32)[:, None] + step)[inside]
+        code = g[self.tets[:6]] @ (9, 3, 1)  # (6, 4) shape corners, base 3
         which = np.searchsorted(offsets @ (9, 3, 1), code[:, None] - code[:, :, None])  # i to j
-        position = indptr[:-1, None] + np.cumsum(inside, axis=1) - 1
-        slot = position[self.tets.reshape(-1, 6, 4, 1), which].ravel()
-        pattern = tuple(a.astype(np.int32) for a in (indptr, indices, slot))
+        position = indptr[:-1, None] + np.cumsum(inside, axis=1, dtype=np.int32) - 1
+        slot = position[self.tets.reshape(-1, 6, 4, 1), which].ravel()  # int32, like position
+        pattern = (indptr, indices, slot)
         for a in pattern:  # read-only before any matrix takes a view of it
             a.flags.writeable = False
         return pattern
@@ -117,12 +121,18 @@ class TetMesh:
         corners = self.vertices[self.tets[:6]]
         ref = np.einsum("qi,sic->sqc", bary, corners - corners[:, :1])  # (6, nq, 3)
         origins = self.tets[::6, 0]
-        cells = max(1, _CHUNK // (6 * w.size))
-        for start in range(0, origins.size, cells):
-            block = origins[start:start + cells]
-            points = (self.vertices[block, None, None] + ref).reshape(-1, w.size, 3)
-            sl = slice(6 * start, 6 * start + points.shape[0])
+        for cells in self.cell_blocks(6 * w.size):
+            points = (self.vertices[origins[cells], None, None] + ref).reshape(-1, w.size, 3)
+            sl = slice(6 * cells.start, 6 * cells.stop)
             yield sl, points, np.broadcast_to(6.0 * self.tet_volume * w, points.shape[:2])
+
+    def cell_blocks(self, per_cell):
+        """Slices of consecutive cells in order, each holding at most _CHUNK
+        items at per_cell items a cell (one cell when a cell alone holds more)."""
+        n_cells = self.n**3
+        cells = max(1, _CHUNK // per_cell)
+        for start in range(0, n_cells, cells):
+            yield slice(start, min(start + cells, n_cells))
 
     def locate_many(self, points):
         """Locate points in the mesh; returns (tet ids, barycentric coords).

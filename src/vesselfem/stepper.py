@@ -155,9 +155,9 @@ class CoupledSystem:
         self.dirichlet_rows = level.dirichlet_rows
         self._boundary_points = (None if problem.dirichlet is None
                                 else self.fem.dof_points[self.dirichlet_rows])
-        system = fem3d.constrain_rows(system, self.dirichlet_rows)
-        self.operator = system
-        self.factorization = linalg.Factorization(system)
+        self.operator = fem3d.constrain_rows(system, self.dirichlet_rows)
+        del stiff3, conv3, stiff1, adv1, top, bottom, system  # freed before the LU is factored
+        self.factorization = linalg.Factorization(self.operator)
         self._term_loads = None  # projected source3 terms, filled on first use
 
         self._quad1 = self.dg.element_quadrature(self.dg.degree + 2)

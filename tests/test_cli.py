@@ -187,6 +187,11 @@ class TestConfig:
         assert "bad value for 'c_in'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field", [{"kappa": np.nan}, {"u": (np.inf, 0.0, 0.0)}])
+    def test_non_finite_constant_field_rejected(self, field):
+        with pytest.raises(ConfigError, match="finite"):
+            cli.problem_from_config(cli.RunConfig(**field))
+
     def test_tanh_radius_needs_all_fields(self):
         cfg = cli.RunConfig(radius=None, radius_min=0.05, radius_max=None)
         with pytest.raises(ConfigError):
@@ -373,6 +378,49 @@ class TestRunDataRefused:
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_vessel_diffusivity(self, tmp_path, capsys, value):
         self._rejected(tmp_path, capsys, f"kappa_hat = {value}", "vessel diffusivity must be positive")
+
+
+class TestOutputPath:
+    """An output path that is empty, or is or lies below a plain file, is
+    refused with one line and exit code 2 before any mesh or gate, and
+    nothing is created."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        from vesselfem import fem3d
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started for an unusable output path")
+
+        monkeypatch.setattr(fem3d, "box_level", refuse)
+        monkeypatch.setattr(cli.verify, "source_gate", refuse)
+
+    @staticmethod
+    def _argv(command, tmp_path, out):
+        if command == "manufactured":
+            return ["manufactured", "--levels", "4", "--out", out]
+        if command == "diagonal":
+            return ["diagonal", "--levels", "4", "--fine", "8", "--out", out]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"n = 4\nout = {out}\n")
+        return ["run", "--config", str(cfg_file)]
+
+    @pytest.mark.parametrize("command", ["manufactured", "diagonal", "run"])
+    @pytest.mark.parametrize("below", ["", "out", "out/deeper"])
+    def test_file_in_path(self, tmp_path, capsys, command, below):
+        (tmp_path / "F").write_text("")
+        argv = self._argv(command, tmp_path, os.path.join(tmp_path, "F", below))
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "cannot be a directory" in err
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["manufactured", "diagonal", "run"])
+    def test_empty_path(self, tmp_path, capsys, command):
+        assert cli.main(self._argv(command, tmp_path, "")) == 2
+        assert "output path is empty" in capsys.readouterr().err
 
 
 class TestSnapshotTimes:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,12 +56,32 @@ class TestStiffness:
         with pytest.raises(CoefficientError):
             fem3d.assemble_stiffness(space, bad)
 
+    @pytest.mark.parametrize("kappa", [
+        ScalarField3(fn=lambda x, t: np.full(x.shape[0], np.nan), space_constant=True),
+        ScalarField3(fn=lambda x, t: np.where(x[:, 0] > 0.2, np.nan, 1.0)),
+    ], ids=["constant", "variable"])
+    def test_nan_rejected(self, space, kappa):
+        with pytest.raises(CoefficientError):
+            fem3d.assemble_stiffness(space, kappa)
+
     def test_variable_coefficient_matches_constant(self, space):
         A1 = fem3d.assemble_stiffness(space, ScalarField3.constant(1.5))
         A2 = fem3d.assemble_stiffness(
             space, ScalarField3(fn=lambda x, t: np.full(x.shape[0], 1.5))
         )
         assert abs(A1 - A2).max() < 1e-13
+
+
+class TestConstantFields:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_scalar_refuses_non_finite(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            ScalarField3.constant(value)
+
+    @pytest.mark.parametrize("vec", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, -np.inf)])
+    def test_vector_refuses_non_finite(self, vec):
+        with pytest.raises(ConfigError, match="finite"):
+            VectorField3.constant(vec)
 
 
 class TestConvection:
@@ -239,6 +261,56 @@ class TestSlotMap:
         assert np.array_equal(out.indptr, ref.indptr)
         assert np.array_equal(out.indices, ref.indices)
         assert np.abs(out.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+
+
+class TestChunkedScatter:
+    """Blocks of whole cells are added in tet order, so any block size gives
+    the one-shot sum over all tets bit for bit."""
+
+    @staticmethod
+    def _one_shot(space, blocks):
+        mesh = space.mesh
+        _, indices, slot = mesh.csr_pattern
+        weights = np.broadcast_to(np.reshape(blocks, (-1, 6, 4, 4)), (mesh.n_tets // 6, 6, 4, 4))
+        return np.bincount(slot, weights=weights.ravel(), minlength=indices.size)
+
+    @pytest.mark.parametrize("per", ["shape", "tet"])
+    def test_matches_one_shot_bincount(self, monkeypatch, per):
+        space = fem3d.box_level(4).space
+        shape = (6, 4, 4) if per == "shape" else (space.mesh.n_tets, 4, 4)
+        blocks = np.random.default_rng(3).standard_normal(shape)
+        monkeypatch.setattr(mesh3d, "_CHUNK", 3 * 96 + 5)  # three cells a block, 22 blocks
+        out = fem3d._assemble(space, blocks)
+        assert np.array_equal(out.data, self._one_shot(space, blocks))
+
+    def test_pattern_is_int32_and_read_only(self):
+        for a in build_box_mesh(*CENTERED, 3).csr_pattern:
+            assert a.dtype == np.int32
+            assert not a.flags.writeable
+
+
+class TestAssemblyMemory:
+    """The box assembly's temporaries stay bounded at n = 32."""
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_constant_coefficient_matrices(self):
+        space = fem3d.box_level(32).space
+        limit = 12e6  # bytes; the matrix data (4.3 MB) and one block of entries
+        assert self._peak(lambda: fem3d.assemble_mass(space)) < limit
+        velocity = VectorField3.constant((0.3, -0.2, 0.7))
+        assert self._peak(lambda: fem3d.assemble_convection(space, velocity)) < limit
+
+    def test_csr_pattern(self):
+        mesh = build_box_mesh(*CENTERED, 32)
+        assert self._peak(lambda: mesh.csr_pattern) < 24e6  # the slot map alone is 12.6 MB
 
 
 class TestDirichlet:

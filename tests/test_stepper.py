@@ -1,11 +1,12 @@
 import math
+import weakref
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vesselfem import dg1d, fem3d, verify
+from vesselfem import dg1d, fem3d, linalg, verify
 from vesselfem.dg1d import DgParams
 from vesselfem.errors import ConfigError, GeometryError
 from vesselfem.fem3d import ScalarField3, VectorField3
@@ -97,6 +98,30 @@ class TestSharedBoxLevel:
         for a in arrays:
             with pytest.raises(ValueError):
                 a.flat[0] = a.flat[0]
+
+
+class TestOperatorParts:
+    """The box stiffness and convection die before the LU is factored, so the
+    factorization does not start on top of them."""
+
+    def test_released_before_factorization(self, monkeypatch):
+        fem3d.box_level(4)  # the cached unit stiffness stays alive by design
+        parts = []
+        for name in ("assemble_stiffness", "assemble_convection"):
+            def tracked(*args, build=getattr(fem3d, name), **kwargs):
+                matrix = build(*args, **kwargs)
+                parts.append(weakref.ref(matrix))
+                return matrix
+            monkeypatch.setattr(fem3d, name, tracked)
+        alive = []
+
+        def factor(matrix, build=linalg.Factorization):
+            alive.extend(ref for ref in parts if ref() is not None)
+            return build(matrix)
+
+        monkeypatch.setattr(linalg, "Factorization", factor)
+        CoupledSystem(quiescent_problem(), n_cells=4)
+        assert len(parts) == 2 and not alive
 
 
 class TestGaussRuleCache:
