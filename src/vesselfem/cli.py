@@ -51,7 +51,7 @@ def _write_rows(fp, fmt, rows):
         fp.write((line * len(block)) % tuple(np.ravel(block).tolist()))
 
 
-def _write_vtk(path, title, dataset, points, cells, values, name):
+def _write_vtk(path, title, dataset, points, cells, values):
     """Legacy ASCII file: header, points, the cell sections and one point scalar."""
     try:
         with open(path, "w", newline="\n") as fp:
@@ -60,14 +60,14 @@ def _write_vtk(path, title, dataset, points, cells, values, name):
             _write_rows(fp, "%.16e %.16e %.16e", points)
             cells(fp)
             fp.write(f"POINT_DATA {len(points)}\n")
-            fp.write(f"SCALARS {name} double 1\n")
+            fp.write("SCALARS concentration double 1\n")
             fp.write("LOOKUP_TABLE default\n")
             _write_rows(fp, "%.16e", values)
     except OSError as err:
         raise OSError(f"cannot write VTK file {path}: {err}") from err
 
 
-def write_vtk_3d(mesh: TetMesh, field, path, name: str = "concentration"):
+def write_vtk_3d(mesh: TetMesh, field, path):
     """Legacy ASCII unstructured-grid file with one point scalar."""
     field = np.asarray(field, dtype=float)
     if field.shape[0] != mesh.n_vertices:
@@ -80,11 +80,10 @@ def write_vtk_3d(mesh: TetMesh, field, path, name: str = "concentration"):
         fp.write("10\n" * mesh.n_tets)
 
     _write_vtk(path, "vesselfem 3d concentration", "UNSTRUCTURED_GRID",
-               mesh.vertices, cells, field, name)
+               mesh.vertices, cells, field)
 
 
-def write_vtk_1d(dg: DgSpace, dofs, geometry: VesselGeometry, path,
-                 name: str = "concentration"):
+def write_vtk_1d(dg: DgSpace, dofs, geometry: VesselGeometry, path):
     """Legacy ASCII polydata of the vessel field, degree+1 samples per element."""
     n_sample = dg.degree + 1
     nodes = dg.partition.nodes
@@ -98,7 +97,7 @@ def write_vtk_1d(dg: DgSpace, dofs, geometry: VesselGeometry, path,
         _write_rows(fp, "2 %d %d", np.column_stack([first, first + 1]))
 
     _write_vtk(path, "vesselfem 1d concentration", "POLYDATA",
-               geometry.point_at(ss.ravel()), cells, values.ravel(), name)
+               geometry.point_at(ss.ravel()), cells, values.ravel())
 
 
 # -- CSV -----------------------------------------------------------------------
@@ -154,14 +153,9 @@ class RunConfig:
     snapshots: tuple = (1.0,)
 
 
-_TUPLE_KEYS = {"p0", "p1", "u", "gamma_breaks", "gamma_values", "snapshots"}
-_INT_KEYS = {"n", "degree", "epsilon", "n_circ"}
-_STR_KEYS = {"out"}
-
-
 def parse_config_file(path) -> RunConfig:
     """Parse a flat ``key = value`` file; unknown keys are rejected."""
-    known = {f.name for f in fields(RunConfig)}
+    kinds = {f.name: f.type for f in fields(RunConfig)}
     cfg = RunConfig()
     try:
         with open(path) as fp:
@@ -175,24 +169,25 @@ def parse_config_file(path) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in kinds:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-        setattr(cfg, key, _parse_value(key, value))
+        setattr(cfg, key, _parse_value(key, kinds[key], value))
     return cfg
 
 
-def _parse_value(key, value):
+def _parse_value(key, kind, value):
+    """``value`` as the kind that RunConfig annotates ``key`` with: str, int,
+    float or a tuple of floats.  Only a ``| None`` key takes ``none`` or an
+    empty value, as None."""
+    kind, _, optional = kind.partition(" | ")
     try:
-        if key in _STR_KEYS:
-            return value
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _TUPLE_KEYS:
-            numbers = tuple(float(v) for v in value.split(","))
-        elif value.lower() in ("none", ""):
+        if optional and value.lower() in ("none", ""):
             return None
-        else:
-            numbers = float(value)
+        if kind == "str":
+            return value
+        if kind == "int":
+            return int(value)
+        numbers = tuple(float(v) for v in value.split(",")) if kind == "tuple" else float(value)
         if np.isfinite(numbers).all():
             return numbers
     except ValueError:

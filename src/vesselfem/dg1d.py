@@ -36,8 +36,8 @@ class DgParams:
     def __post_init__(self):
         if self.epsilon not in (-1, 0, 1):
             raise ConfigError("epsilon must be -1, 0 or +1")
-        if self.sigma <= 0:
-            raise ConfigError("penalty sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:  # NaN fails too
+            raise ConfigError("penalty sigma must be positive and finite")
         if self.epsilon in (0, 1) and self.sigma < self.sigma_min:
             raise ConfigError(
                 f"sigma = {self.sigma} below required minimum {self.sigma_min} "
@@ -133,17 +133,12 @@ class DgSpace:
         )
         return e
 
-    def reference_coords(self, e, s):
-        a = self.partition.nodes[e]
-        h = self.partition.lengths[e]
-        return 2.0 * (np.asarray(s, dtype=float) - a) / h - 1.0
-
     def basis_at(self, e, s):
         """Values and s-derivatives of the local basis of element(s) e at points s."""
-        xi = self.reference_coords(e, s)
+        h = self.partition.lengths[e]
+        xi = 2.0 * (np.asarray(s, dtype=float) - self.partition.nodes[e]) / h - 1.0
         vals, ders = legendre_basis(xi, self.degree)
-        scale = 2.0 / self.partition.lengths[e]
-        return vals, ders * scale
+        return vals, ders * (2.0 / h)
 
     def evaluate(self, dofs, s):
         """Evaluate the broken field at arbitrary points in [0, L]."""

@@ -5,7 +5,8 @@ time-independent) and summed into the mesh's CSR pattern by its slot map.
 The box has six tet shapes and one tet volume, so mass and constant
 coefficients give one block per shape.  Bilinear forms use the order-2 tet
 rule, which is exact for P1 x P1 with constant coefficients; load vectors and
-error norms use order 4.  ``box_level(n)`` is shared by every system at n.
+error norms use order 4.  ``box_level(n)`` is shared by every system at n;
+``box_block`` adds a system's coefficients to it.
 """
 from __future__ import annotations
 
@@ -50,12 +51,6 @@ class ScalarField3:
             return sum(float(g(t)) * np.asarray(fk(x), dtype=float) for g, fk in terms)
 
         return cls(fn=fn, terms=terms)
-
-    def term_fields(self):
-        """The spatial factors f_k as time-independent fields."""
-        return [
-            ScalarField3(fn=lambda x, t, fk=fk: fk(x)) for _, fk in self.terms
-        ]
 
     @classmethod
     def constant(cls, value):
@@ -119,9 +114,8 @@ def assemble_mass(space: FemSpace):
     return _assemble(space, np.broadcast_to(6.0 * space.mesh.tet_volume * ref, (6, 4, 4)))
 
 
-def assemble_stiffness(space: FemSpace, kappa: ScalarField3, unit=None):
-    """Diffusion matrix for coefficient kappa; PSD with constants in the kernel.
-    A constant kappa scales ``unit``, the kappa = 1 matrix, when given."""
+def assemble_stiffness(space: FemSpace, kappa: ScalarField3):
+    """Diffusion matrix for coefficient kappa; PSD with constants in the kernel."""
     mesh = space.mesh
     g = mesh.shape_gradients
     gg = np.einsum("sic,sjc->sij", g, g)  # (6, 4, 4)
@@ -129,9 +123,7 @@ def assemble_stiffness(space: FemSpace, kappa: ScalarField3, unit=None):
         kval = kappa(np.zeros((1, 3)))[0]
         if not kval > 0.0:  # NaN fails too
             raise CoefficientError("diffusivity must be positive")
-        if unit is None:
-            unit = _assemble(space, mesh.tet_volume * gg)
-        return sp.csr_matrix((kval * unit.data, unit.indices, unit.indptr), shape=unit.shape)
+        return _assemble(space, kval * mesh.tet_volume * gg)
     kint = np.empty(mesh.n_tets)
     for sl, xq, wq in mesh.quadrature(2):
         kq = kappa(xq.reshape(-1, 3)).reshape(wq.shape)
@@ -160,22 +152,36 @@ def assemble_convection(space: FemSpace, velocity: VectorField3):
     return _assemble(space, local)
 
 
-BoxLevel = namedtuple("BoxLevel", "space mass stiffness dirichlet_rows")
+BoxLevel = namedtuple("BoxLevel", "space mass dirichlet_rows")
 
 
 @functools.lru_cache(maxsize=8)
 def box_level(n) -> BoxLevel:
-    """The P1 space of DEFAULT_BOX with n cells per axis, its mass matrix,
-    kappa = 1 stiffness and Dirichlet rows: built on first use, then shared
-    read-only by every system at that n."""
+    """The P1 space of DEFAULT_BOX with n cells per axis, its mass matrix and
+    Dirichlet rows: built on first use, then shared read-only by every
+    system at that n."""
     space = FemSpace(build_box_mesh(*DEFAULT_BOX, n))
     mesh = space.mesh
-    unit = assemble_stiffness(space, ScalarField3.constant(1.0))
-    level = BoxLevel(space, assemble_mass(space), unit, np.nonzero(space.dirichlet_mask)[0])
+    level = BoxLevel(space, assemble_mass(space), np.nonzero(space.dirichlet_mask)[0])
     for a in (mesh.vertices, mesh.tets, mesh.grid_index, mesh.boundary_vertex, mesh.shape_gradients,
-              level.mass.data, level.stiffness.data, level.dirichlet_rows):
+              level.mass.data, level.dirichlet_rows):
         a.flags.writeable = False
     return level
+
+
+def box_block(level: BoxLevel, inv_dt: float, kappa: ScalarField3, velocity: VectorField3):
+    """Box block inv_dt * M + K + C of the backward Euler operator.
+
+    Mass, diffusion and convection are all assembled on the mesh's CSR
+    pattern, so the block is one sum of their data arrays on it.  Warns as
+    ``check_velocity_bound`` does.
+    """
+    space = level.space
+    stiffness = assemble_stiffness(space, kappa)
+    convection = assemble_convection(space, velocity)
+    check_velocity_bound(space, velocity, kappa)
+    data = inv_dt * level.mass.data + stiffness.data + convection.data
+    return sp.csr_matrix((data, stiffness.indices, stiffness.indptr), shape=stiffness.shape)
 
 
 def assemble_load(space: FemSpace, f: ScalarField3, t: float, order: int = 4):
@@ -213,20 +219,22 @@ def poincare_constant(lo, hi) -> float:
     return 1.0 / (np.pi * np.sqrt(np.sum(1.0 / sides**2)))
 
 
-def check_velocity_bound(space: FemSpace, velocity: VectorField3, kappa_min: float):
+def check_velocity_bound(space: FemSpace, velocity: VectorField3, kappa: ScalarField3):
     """Warn when a non-constant velocity may exceed the diffusion-dominance bound.
 
-    Spatially constant velocities are divergence-free and exempt.  The bound
+    Spatially constant velocities are divergence-free and exempt; otherwise
+    |U| and kappa are sampled at the order-2 quadrature points.  The bound
     uses the computable box Poincare constant, so a violation is advisory
     only.
     """
     if velocity.space_constant:
         return
     mesh = space.mesh
-    sup = 0.0
+    sup, kappa_min = 0.0, np.inf
     for _, xq, _ in mesh.quadrature(2):
-        uq = velocity(xq.reshape(-1, 3))
-        sup = max(sup, float(np.linalg.norm(uq, axis=1).max()))
+        points = xq.reshape(-1, 3)
+        sup = max(sup, float(np.linalg.norm(velocity(points), axis=1).max()))
+        kappa_min = min(kappa_min, float(kappa(points).min()))
     bound = kappa_min / (2.0 * poincare_constant(mesh.lo, mesh.hi))
     if sup > bound:
         warnings.warn(

@@ -194,12 +194,12 @@ class VesselGeometry:
         weights = np.full(s.shape + (n,), 2.0 * np.pi * r[..., 0] / n)
         return pts, weights
 
-    def check_inside_box(self, lo, hi, tol=_TOL):
+    def check_inside_box(self, lo, hi):
         """Require the vessel tube to stay inside the closed box [lo, hi].
 
         Sampled densely along s; the tube may touch the box faces (the
         vertical-line setup ends exactly on two faces) but must not cross
-        them by more than tol.
+        them by more than _TOL.
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
@@ -210,5 +210,5 @@ class VesselGeometry:
         reach = np.sqrt(self.e1**2 + self.e2**2)  # per-axis amplitude of the circle
         mins = centers - np.outer(r, reach)
         maxs = centers + np.outer(r, reach)
-        if np.any(mins < lo - tol) or np.any(maxs > hi + tol):
+        if np.any(mins < lo - _TOL) or np.any(maxs > hi + _TOL):
             raise GeometryError("vessel tube leaves the computational box")

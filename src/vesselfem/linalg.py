@@ -45,17 +45,14 @@ class Factorization:
         self.residuals: list[float] = []
 
     @property
-    def shape(self):
-        return self._matrix.shape
-
-    @property
     def max_residual(self) -> float:
         return max(self.residuals, default=0.0)
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.shape[0]:
-            raise ValueError(f"rhs length {rhs.shape[0]} != {self.shape[0]}")
+        n = self._matrix.shape[0]
+        if rhs.shape[0] != n:
+            raise ValueError(f"rhs length {rhs.shape[0]} != {n}")
         x = self._lu.solve(rhs)
         norm_b = np.linalg.norm(rhs)
         residual = np.linalg.norm(self._matrix @ x - rhs)
@@ -64,6 +61,6 @@ class Factorization:
         if not rel <= RESIDUAL_RTOL:  # a NaN residual fails too
             raise SolverError(
                 f"solve residual {rel:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e} "
-                f"(n = {self.shape[0]}, |rhs| = {norm_b:.3e})"
+                f"(n = {n}, |rhs| = {norm_b:.3e})"
             )
         return x

@@ -133,9 +133,8 @@ class CoupledSystem:
         self.dt = problem.t_end / self.n_steps
 
         self.mass3 = level.mass
-        stiff3 = fem3d.assemble_stiffness(self.fem, problem.kappa, unit=level.stiffness)
-        conv3 = fem3d.assemble_convection(self.fem, problem.velocity)
-        fem3d.check_velocity_bound(self.fem, problem.velocity, self._kappa_min())
+        inv_dt = 1.0 / self.dt
+        box = fem3d.box_block(level, inv_dt, problem.kappa, problem.velocity)
 
         area = lambda s: geom.section_area(s)
         self.mass1 = dg1d.assemble_mass_weighted(self.dg, area)
@@ -146,8 +145,7 @@ class CoupledSystem:
             geom, self.fem, self.dg, n_circle=n_circle
         )
 
-        inv_dt = 1.0 / self.dt
-        top = inv_dt * self.mass3 + (stiff3 + conv3 + self.blocks.c_oo)
+        top = box + self.blocks.c_oo
         bottom = inv_dt * self.mass1 + (stiff1 + adv1 + self.blocks.c_ll)
         system = sp.bmat(
             [[top, -self.blocks.c_ol], [-self.blocks.c_lo, bottom]], format="csr"
@@ -156,15 +154,11 @@ class CoupledSystem:
         self._boundary_points = (None if problem.dirichlet is None
                                 else self.fem.dof_points[self.dirichlet_rows])
         self.operator = fem3d.constrain_rows(system, self.dirichlet_rows)
-        del stiff3, conv3, stiff1, adv1, top, bottom, system  # freed before the LU is factored
+        del box, stiff1, adv1, top, bottom, system  # freed before the LU is factored
         self.factorization = linalg.Factorization(self.operator)
         self._term_loads = None  # projected source3 terms, filled on first use
 
         self._quad1 = self.dg.element_quadrature(self.dg.degree + 2)
-
-    def _kappa_min(self) -> float:
-        pts = self.mesh.vertices[:: max(1, self.mesh.n_vertices // 512)]
-        return float(np.min(self.problem.kappa(pts, 0.0)))
 
     @property
     def n_dofs(self) -> int:
@@ -214,7 +208,8 @@ class CoupledSystem:
             return fem3d.assemble_load(self.fem, source, t)
         if self._term_loads is None:
             self._term_loads = [
-                fem3d.assemble_load(self.fem, fk, 0.0) for fk in source.term_fields()
+                fem3d.assemble_load(self.fem, ScalarField3(fn=lambda x, t, fk=fk: fk(x)), 0.0)
+                for _, fk in source.terms
             ]
         out = np.zeros(self.fem.n_dofs)
         for (g, _), load in zip(source.terms, self._term_loads):

@@ -258,12 +258,6 @@ def error_norms_1d(dg: DgSpace, dofs, exact, exact_ds, t):
     return math.sqrt(l2), math.sqrt(broken)
 
 
-def rate_table(errors):
-    """log2 ratio of consecutive errors (coarse over fine)."""
-    e = np.asarray(errors, dtype=float)
-    return [float(np.log2(e[i] / e[i + 1])) for i in range(e.size - 1)]
-
-
 # -- convergence studies ------------------------------------------------------
 
 @dataclass
@@ -287,7 +281,9 @@ class StudyReport:
         return [1.0 / n for n in self.levels]
 
     def rates(self, column):
-        return rate_table(getattr(self, column))
+        """log2 ratio of consecutive errors of a column (coarse over fine)."""
+        e = np.asarray(getattr(self, column), dtype=float)
+        return [float(np.log2(e[i] / e[i + 1])) for i in range(e.size - 1)]
 
     def add(self, run_report, **errors):
         """Append one run's errors to their columns and fold in its residual."""
@@ -366,9 +362,7 @@ def diagonal_geometry(case: int) -> VesselGeometry:
     )
 
 
-def diagonal_problem(
-    case: int, epsilon: int = 1, sigma: float = 50.0, degree: int = 1
-) -> TransportProblem:
+def diagonal_problem(case: int, degree: int = 1) -> TransportProblem:
     """Pulse injection through the diagonal vessel: 5 units for 0.1 time units."""
     sqrt3 = math.sqrt(3.0)
     return TransportProblem(
@@ -384,7 +378,7 @@ def diagonal_problem(
         c0=None,
         c0_hat=None,
         t_end=1.0,
-        dg=DgParams(epsilon, sigma),
+        dg=DgParams(1, 50.0),
         degree=degree,
     )
 

@@ -180,6 +180,34 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"bad value for '{line.split()[0]}'"):
             cli.parse_config_file(cfg_file)
 
+    @pytest.mark.parametrize("key", ["sigma", "kappa", "kappa_hat", "t_end", "u_hat", "c_in",
+                                     "c_in_until"])
+    @pytest.mark.parametrize("value", ["none", ""])
+    def test_required_key_refuses_none(self, tmp_path, key, value):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            cli.parse_config_file(cfg_file)
+
+    def test_optional_key_takes_none(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("tau = none\nradius = none\nu = \n")
+        cfg = cli.parse_config_file(cfg_file)
+        assert cfg.tau is None and cfg.radius is None and cfg.u is None
+
+    def test_none_inflow_end_run_exits_2(self, tmp_path, capsys, monkeypatch):
+        from vesselfem import fem3d
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mesh was built for a rejected config")
+
+        monkeypatch.setattr(fem3d, "box_level", refuse)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"n = 2\nc_in_until = none\nout = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        assert "bad value for 'c_in_until'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_run_exits_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"n = 2\nc_in = nan\nout = {tmp_path / 'out'}\n")
@@ -347,6 +375,12 @@ class TestDiscretisationInput:
         out = tmp_path / "out"
         self._rejected(["manufactured", "--levels", "4", "--sigma", "1", "--out", str(out)],
                        out, "below required minimum", capsys)
+
+    @pytest.mark.parametrize("epsilon, sigma", [("1", "nan"), ("1", "inf"), ("-1", "nan")])
+    def test_manufactured_non_finite_sigma(self, tmp_path, capsys, epsilon, sigma):
+        out = tmp_path / "out"
+        self._rejected(["manufactured", "--levels", "4", "--epsilon", epsilon, "--sigma", sigma,
+                        "--out", str(out)], out, "penalty sigma must be positive and finite", capsys)
 
     def test_diagonal_degree(self, tmp_path, capsys):
         out = tmp_path / "out"

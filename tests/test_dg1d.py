@@ -63,6 +63,12 @@ class TestParams:
         with pytest.raises(ConfigError):
             DgParams(-1, 0.5)
 
+    @pytest.mark.parametrize("epsilon", [-1, 0, 1])
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 0.0])
+    def test_sigma_positive_and_finite(self, epsilon, sigma):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            DgParams(epsilon, sigma)
+
 
 class TestPartition:
     def test_monotone_required(self):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from vesselfem import fem3d, linalg, mesh3d, verify
 from vesselfem.errors import CoefficientError, ConfigError
 from vesselfem.fem3d import ScalarField3, VectorField3
 from vesselfem.mesh3d import FemSpace, build_box_mesh
+from vesselfem.stepper import CoupledSystem
 
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
@@ -161,12 +163,11 @@ class TestSeparableSource:
             ScalarField3.separable()
 
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
-    def test_projected_terms_match_plain_load(self, space, t):
-        terms = _sample_terms()
-        f = ScalarField3.separable(*terms)
-        loads = [fem3d.assemble_load(space, fk, 0.0) for fk in f.term_fields()]
-        combined = sum(g(t) * F for (g, _), F in zip(terms, loads))
-        plain = fem3d.assemble_load(space, ScalarField3(fn=f.fn), t)
+    def test_projected_terms_match_plain_load(self, t):
+        f = ScalarField3.separable(*_sample_terms())
+        system = CoupledSystem(replace(verify.manufactured_problem(), source3=f), n_cells=4)
+        combined = system._load3(t)
+        plain = fem3d.assemble_load(system.fem, ScalarField3(fn=f.fn), t)
         assert np.abs(combined - plain).max() <= 1e-13 * np.abs(plain).max()
 
 
@@ -393,12 +394,42 @@ class TestVelocityBound:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fem3d.check_velocity_bound(space, VectorField3.constant((50, 0, 0)), 1.0)
+            fem3d.check_velocity_bound(space, VectorField3.constant((50, 0, 0)),
+                                       ScalarField3.constant(1.0))
+
+    LARGE = VectorField3(
+        fn=lambda x, t: np.stack([40 + x[:, 0], 0 * x[:, 0], 0 * x[:, 0]], axis=1),
+        time_constant=True,
+    )
 
     def test_large_variable_velocity_warns(self, space):
-        u = VectorField3(
-            fn=lambda x, t: np.stack([40 + x[:, 0], 0 * x[:, 0], 0 * x[:, 0]], axis=1),
-            time_constant=True,
-        )
+        kappa = ScalarField3(fn=lambda x, t: 1.0 + 99.0 * (x[:, 0] > 0.0))
         with pytest.warns(UserWarning, match="diffusion-dominance"):
-            fem3d.check_velocity_bound(space, u, 1.0)
+            fem3d.check_velocity_bound(space, self.LARGE, kappa)
+
+    def test_large_diffusivity_meets_the_bound(self, space):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fem3d.check_velocity_bound(space, self.LARGE, ScalarField3.constant(100.0))
+
+
+class TestBoxBlock:
+    """The box block is inv_dt * M + K + C summed as general sparse matrices,
+    on the same nonzeros."""
+
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("kappa", [ScalarField3.constant(2.5), ScalarField3(fn=KAPPA)],
+                             ids=["kappa_constant", "kappa_variable"])
+    @pytest.mark.parametrize("velocity", [VectorField3.constant((1, 0.5, -2)),
+                                          VectorField3(fn=VELOCITY, time_constant=True)],
+                             ids=["velocity_constant", "velocity_variable"])
+    def test_matches_general_sum(self, n, kappa, velocity):
+        level = fem3d.box_level(n)
+        block = fem3d.box_block(level, 7.0, kappa, velocity)
+        general = (7.0 * level.mass + fem3d.assemble_stiffness(level.space, kappa)
+                   + fem3d.assemble_convection(level.space, velocity))
+        assert np.array_equal(block.indptr, general.indptr)
+        assert np.array_equal(block.indices, general.indices)
+        assert np.abs(block.data - general.data).max() <= 1e-15 * np.abs(general.data).max()

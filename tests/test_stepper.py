@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from vesselfem import dg1d, fem3d, linalg, verify
+from vesselfem import coupling, dg1d, fem3d, linalg, verify
 from vesselfem.dg1d import DgParams
 from vesselfem.errors import ConfigError, GeometryError
 from vesselfem.fem3d import ScalarField3, VectorField3
@@ -94,7 +95,7 @@ class TestSharedBoxLevel:
         mesh = level.space.mesh
         arrays = [mesh.vertices, mesh.tets, mesh.grid_index, mesh.boundary_vertex,
                   mesh.shape_gradients, *mesh.csr_pattern, level.mass.data, level.mass.indices,
-                  level.mass.indptr, level.stiffness.data, level.dirichlet_rows]
+                  level.mass.indptr, level.dirichlet_rows]
         for a in arrays:
             with pytest.raises(ValueError):
                 a.flat[0] = a.flat[0]
@@ -105,7 +106,6 @@ class TestOperatorParts:
     factorization does not start on top of them."""
 
     def test_released_before_factorization(self, monkeypatch):
-        fem3d.box_level(4)  # the cached unit stiffness stays alive by design
         parts = []
         for name in ("assemble_stiffness", "assemble_convection"):
             def tracked(*args, build=getattr(fem3d, name), **kwargs):
@@ -122,6 +122,40 @@ class TestOperatorParts:
         monkeypatch.setattr(linalg, "Factorization", factor)
         CoupledSystem(quiescent_problem(), n_cells=4)
         assert len(parts) == 2 and not alive
+
+
+class TestOperatorComposition:
+    """The box block summed on the mesh pattern leaves the operator's pattern
+    as general sparse sums of its seven parts give it, and its entries to
+    round-off."""
+
+    @pytest.mark.parametrize("problem", [verify.manufactured_problem(), verify.diagonal_problem(1)],
+                             ids=["manufactured", "diagonal_case1"])
+    def test_matches_general_sums(self, problem):
+        system = CoupledSystem(problem, n_cells=8)
+        fem, dg, geom, inv_dt = system.fem, system.dg, problem.geometry, 1.0 / system.dt
+        area = lambda s: geom.section_area(s)
+        blocks = coupling.assemble_coupling(geom, fem, dg)
+        top = inv_dt * system.mass3 + (fem3d.assemble_stiffness(fem, problem.kappa)
+                                       + fem3d.assemble_convection(fem, problem.velocity)
+                                       + blocks.c_oo)
+        bottom = inv_dt * dg1d.assemble_mass_weighted(dg, area) + (
+            dg1d.assemble_a_lambda(dg, problem.kappa_hat, area, problem.dg)
+            + dg1d.assemble_b_lambda(dg, problem.u_hat, area) + blocks.c_ll)
+        full = sp.bmat([[top, -blocks.c_ol], [-blocks.c_lo, bottom]], format="csr")
+        general = fem3d.constrain_rows(full, system.dirichlet_rows)
+        operator = system.operator
+        assert np.array_equal(operator.indptr, general.indptr)
+        assert np.array_equal(operator.indices, general.indices)
+        assert np.abs(operator.data - general.data).max() <= 1e-15 * np.abs(general.data).max()
+
+    def test_large_variable_velocity_warns(self):
+        velocity = VectorField3(
+            fn=lambda x, t: np.stack([40 + x[:, 0], 0 * x[:, 0], 0 * x[:, 0]], axis=1),
+            time_constant=True,
+        )
+        with pytest.warns(UserWarning, match="diffusion-dominance"):
+            CoupledSystem(replace(quiescent_problem(), velocity=velocity), n_cells=4)
 
 
 class TestGaussRuleCache:

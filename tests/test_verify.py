@@ -136,8 +136,9 @@ class TestErrorNormMemory:
 
 class TestRates:
     def test_pure_rate_function(self):
-        assert verify.rate_table([1.0, 0.25]) == [2.0]
-        assert verify.rate_table([8.0, 4.0, 1.0]) == pytest.approx([1.0, 2.0])
+        report = verify.ConvergenceReport(levels=[4, 8, 16], l2_3=[1.0, 0.25], grad3=[8.0, 4.0, 1.0])
+        assert report.rates("l2_3") == [2.0]
+        assert report.rates("grad3") == pytest.approx([1.0, 2.0])
 
     def test_report_requires_increasing_levels(self):
         with pytest.raises(ValueError):
