@@ -1,12 +1,13 @@
 """Assembly of the 3D operators: mass, diffusion, convection, loads, Dirichlet.
 
 All matrices are assembled once per run (the coefficients are required to be
-time-independent) and summed into the mesh's CSR pattern by its slot map.
-The box has six tet shapes and one tet volume, so mass and constant
-coefficients give one block per shape.  Bilinear forms use the order-2 tet
-rule, which is exact for P1 x P1 with constant coefficients; load vectors and
-error norms use order 4.  ``box_level(n)`` is shared by every system at n;
-``box_block`` adds a system's coefficients to it.
+time-independent) and summed onto the mesh's CSR pattern as a stencil on its
+cell grid (``TetMesh.sum_blocks``).  The box has six tet shapes and one tet
+volume, so mass and constant coefficients give one block per shape.
+Bilinear forms use the order-2 tet rule, which is exact for P1 x P1 with
+constant coefficients; load vectors and error norms use order 4.
+``box_level(n)`` is shared by every system at n; ``box_block`` adds a
+system's coefficients to it.
 """
 from __future__ import annotations
 
@@ -94,17 +95,11 @@ class VectorField3:
 
 
 def _assemble(space: FemSpace, blocks):
-    """CSR matrix summing 4 x 4 blocks, given per tet (n_tets, 4, 4) or per
-    shape (6, 4, 4), through the mesh's slot map into its pattern.  Blocks of
-    whole cells are added in tet order, so every entry sums its terms in one
-    fixed sequence whatever the block size."""
-    mesh = space.mesh
-    indptr, indices, slot = mesh.csr_pattern
-    per_cell = np.broadcast_to(np.reshape(blocks, (-1, 96)), (mesh.n**3, 96))  # 6 tets x 16
-    data = np.zeros(indices.size)
-    for cells in mesh.cell_blocks(96):
-        np.add.at(data, slot[96 * cells.start:96 * cells.stop], per_cell[cells].ravel())
-    return sp.csr_matrix((data, indices, indptr), shape=(space.n_dofs, space.n_dofs))
+    """CSR matrix on the mesh's pattern summing 4 x 4 blocks, given per tet
+    (n_tets, 4, 4) or per shape (6, 4, 4), each entry in ascending tet order."""
+    indptr, indices = space.mesh.csr_pattern
+    return sp.csr_matrix((space.mesh.sum_blocks(blocks), indices, indptr),
+                         shape=(space.n_dofs, space.n_dofs))
 
 
 def assemble_mass(space: FemSpace):
@@ -199,10 +194,11 @@ def assemble_load(space: FemSpace, f: ScalarField3, t: float, order: int = 4):
 
 
 def constrain_rows(matrix, rows):
-    """Replace the given rows by identity rows (nonsymmetric elimination)."""
+    """Replace the given rows by identity rows (nonsymmetric elimination); a
+    block row [A, B] with A square gets the identity rows of A."""
     mask = np.zeros(matrix.shape[0])
     mask[rows] = 1.0
-    return (sp.diags(1.0 - mask) @ matrix + sp.diags(mask)).sorted_indices()
+    return (sp.diags(1.0 - mask) @ matrix + sp.diags(mask, shape=matrix.shape)).sorted_indices()
 
 
 def dirichlet_values(points, g, t: float):

@@ -17,6 +17,7 @@ from .errors import DomainError, GeometryError
 _TOL = 1e-12
 _VALIDATION_SAMPLES = 10_000
 MIN_CIRCLE_POINTS = 4
+MAX_CIRCLE_POINTS = 1024  # 16x any study's; coupling holds 4 n_circle entries a Gauss point
 
 
 @dataclass(frozen=True)

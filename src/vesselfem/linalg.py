@@ -1,9 +1,10 @@
 """The direct solver contract and the block scatter behind the vessel matrices.
 
-Storage is SciPy CSR, summed from dense element blocks; the monolithic
-coupled operator is factored once with SuperLU (partial pivoting,
+The vessel matrices are SciPy CSR, summed from dense element blocks; the
+monolithic coupled operator is factored once with SuperLU (partial pivoting,
 fill-reducing ordering) and reused for every time step.  Every solve
-verifies the relative residual against a hard tolerance.
+verifies the relative residual against a hard tolerance, with the one CSC
+copy of the operator that SuperLU factors.
 """
 from __future__ import annotations
 
@@ -37,9 +38,9 @@ class Factorization:
     def __init__(self, matrix):
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
-        self._matrix = matrix.tocsr()
+        self._matrix = matrix.tocsc()  # no copy of a CSC matrix
         try:
-            self._lu = spla.splu(matrix.tocsc(), permc_spec=_ORDERING)
+            self._lu = spla.splu(self._matrix, permc_spec=_ORDERING)
         except RuntimeError as err:
             raise SolverError(f"LU factorization failed: {err}") from err
         self.residuals: list[float] = []

@@ -3,11 +3,11 @@
 Each grid cell is split into the six tetrahedra sharing the cell's main
 diagonal (the Kuhn split), so the triangulation is conforming and has six tet
 shapes and one tet volume.  Their barycentric gradients form one table that
-assembly, error norms, point location (a sort per point), the quadrature
-points and the one CSR pattern of the P1 matrices (with its slot map) share.
-Quadrature and the scatter of element blocks run in blocks of whole cells
-sized by their number of items, so every consumer's temporaries stay bounded
-whatever the rule's order or the level.
+assembly, error norms, point location (a sort per point) and the quadrature
+points share.  Element blocks are summed onto the one CSR pattern of the P1
+matrices as a stencil on the cell grid, one shifted slice per block entry,
+with no per-tet map to data positions.  Quadrature runs in blocks of whole
+cells, so every consumer's temporaries stay bounded whatever the level.
 """
 from __future__ import annotations
 
@@ -22,7 +22,10 @@ from .errors import ConfigError, DomainError
 
 DEFAULT_BOX = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))  # the box of every coupled system
 _BOX_TOL = 1e-12  # points this far outside the box are still located
-_CHUNK = 65536  # items (quadrature points, block entries) per block of whole cells, at least one
+_CHUNK = 65536  # quadrature points per block of whole cells, at least one
+# a vertex and its neighbours along the Kuhn edges: offsets in {-1, 0, 1}^3
+# that do not mix -1 and +1, in lexicographic (so column) order
+_OFFSETS = np.array([d for d in product((-1, 0, 1), repeat=3) if not (1 in d and -1 in d)])
 
 # axis orderings of the diagonal split in lexicographic order; the odd
 # permutations swap their middle vertices to keep a positive orientation
@@ -56,7 +59,7 @@ class TetMesh:
         path = np.cumsum(np.array([m * m, m, 1])[np.array(_PERMS)], axis=1)  # one step per axis
         local = np.insert(path, 0, 0, axis=1)  # (6, 4) vertex ids relative to the cell origin
         local[_ODD] = local[_ODD][:, [0, 2, 1, 3]]
-        self.tets = (base[:, None, None] + local).reshape(-1, 4)
+        self.tets = (base[:, None, None] + local).reshape(-1, 4).astype(np.int32)
 
         # every cell repeats the same six Kuhn tets, so the first cell's six
         # give the barycentric gradients of all of them: tet t has shape t % 6
@@ -86,28 +89,47 @@ class TetMesh:
         """Volume of every tet; all are equal."""
         return np.full(self.n_tets, self.tet_volume)
 
-    @cached_property
-    def csr_pattern(self):
-        """Read-only (indptr, indices, slot) of every P1 matrix: entry (i, j) of
-        tet t's block sums into data[slot[16 t + 4 i + j]].  Row v holds v + d,
-        d = 0 or +-(a 0/1 vector) along the Kuhn edges, in column order."""
-        m = self.n + 1
-        offsets = np.array([d for d in product((-1, 0, 1), repeat=3) if not (1 in d and -1 in d)])
+    def _neighbours(self):
+        """(vertex, offset) mask of the P1 pattern: vertex + _OFFSETS[d] is in the grid."""
         g = self.grid_index
         allowed = np.stack([g > 0, np.full(g.shape, True), g < self.n], axis=2)  # steps -1, 0, +1
-        inside = np.all(allowed[:, np.arange(3), offsets + 1], axis=2)  # (vertex, offset)
+        return np.all(allowed[:, np.arange(3), _OFFSETS + 1], axis=2)
+
+    @cached_property
+    def csr_pattern(self):
+        """Read-only int32 (indptr, indices) of every P1 matrix: row v holds
+        v + d for the offsets d of _OFFSETS that stay in the grid, in column order."""
+        m = self.n + 1
+        inside = self._neighbours()
         indptr = np.zeros(self.n_vertices + 1, dtype=np.int32)
         np.cumsum(inside.sum(axis=1), out=indptr[1:])
-        step = (offsets @ (m * m, m, 1)).astype(np.int32)
+        step = (_OFFSETS @ (m * m, m, 1)).astype(np.int32)
         indices = (np.arange(self.n_vertices, dtype=np.int32)[:, None] + step)[inside]
-        code = g[self.tets[:6]] @ (9, 3, 1)  # (6, 4) shape corners, base 3
-        which = np.searchsorted(offsets @ (9, 3, 1), code[:, None] - code[:, :, None])  # i to j
-        position = indptr[:-1, None] + np.cumsum(inside, axis=1, dtype=np.int32) - 1
-        slot = position[self.tets.reshape(-1, 6, 4, 1), which].ravel()  # int32, like position
-        pattern = (indptr, indices, slot)
-        for a in pattern:  # read-only before any matrix takes a view of it
+        for a in (indptr, indices):  # read-only before any matrix takes a view of it
             a.flags.writeable = False
-        return pattern
+        return indptr, indices
+
+    def sum_blocks(self, blocks):
+        """Data on csr_pattern of the matrix summing 4 x 4 blocks, given per
+        tet (n_tets, 4, 4) or per shape (6, 4, 4).  Entry (i, j) of shape s
+        adds into the n^3 slice of the (offset, vertex) stencil whose rows are
+        the cells' corner i; corners run from (1, 1, 1) down to (0, 0, 0), then
+        the shapes in order, so every entry sums its terms in ascending tet order."""
+        n, m = self.n, self.n + 1
+        per_cell = np.broadcast_to(np.reshape(blocks, (-1, 96)), (n**3, 96)).reshape(n, n, n, 6, 4, 4)
+        corner = self.grid_index[self.tets[:6]]  # (6, 4, 3) shape corners, 0/1 per axis
+        code = corner @ (9, 3, 1)
+        which = np.searchsorted(_OFFSETS @ (9, 3, 1), code[:, None] - code[:, :, None])  # i to j
+        stencil = np.zeros((len(_OFFSETS), m, m, m))
+        for s, i in sorted(np.ndindex(6, 4), key=lambda si: (-code[si], si[0])):
+            rows = tuple(slice(q, q + n) for q in corner[s, i])  # the cells' row vertices
+            for j in range(4):
+                target = stencil[(which[s, i, j],) + rows]
+                target += per_cell[..., s, i, j]  # in place, no write-back copy
+        # int32 positions of the pattern's entries in the stencil, row by row
+        position = np.arange(len(_OFFSETS), dtype=np.int32) * np.int32(m**3)
+        position = (position + np.arange(m**3, dtype=np.int32)[:, None])[self._neighbours()]
+        return stencil.ravel()[position]
 
     def quadrature(self, order):
         """Tet quadrature of the given order in blocks of whole cells holding at
@@ -121,18 +143,12 @@ class TetMesh:
         corners = self.vertices[self.tets[:6]]
         ref = np.einsum("qi,sic->sqc", bary, corners - corners[:, :1])  # (6, nq, 3)
         origins = self.tets[::6, 0]
-        for cells in self.cell_blocks(6 * w.size):
+        n_cells, step = self.n**3, max(1, _CHUNK // (6 * w.size))
+        for start in range(0, n_cells, step):
+            cells = slice(start, min(start + step, n_cells))
             points = (self.vertices[origins[cells], None, None] + ref).reshape(-1, w.size, 3)
             sl = slice(6 * cells.start, 6 * cells.stop)
             yield sl, points, np.broadcast_to(6.0 * self.tet_volume * w, points.shape[:2])
-
-    def cell_blocks(self, per_cell):
-        """Slices of consecutive cells in order, each holding at most _CHUNK
-        items at per_cell items a cell (one cell when a cell alone holds more)."""
-        n_cells = self.n**3
-        cells = max(1, _CHUNK // per_cell)
-        for start in range(0, n_cells, cells):
-            yield slice(start, min(start + cells, n_cells))
 
     def locate_many(self, points):
         """Locate points in the mesh; returns (tet ids, barycentric coords).

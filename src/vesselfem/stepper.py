@@ -19,7 +19,7 @@ from . import coupling, dg1d, fem3d, linalg
 from .dg1d import DgParams, DgSpace, Partition1D
 from .errors import ConfigError
 from .fem3d import ScalarField3, VectorField3
-from .geometry import MIN_CIRCLE_POINTS, VesselGeometry
+from .geometry import MAX_CIRCLE_POINTS, MIN_CIRCLE_POINTS, VesselGeometry
 from .mesh3d import DEFAULT_BOX, FemSpace, TetMesh
 
 # Largest box level the direct (LU) solver factors in a few GB of memory; the
@@ -29,7 +29,7 @@ MAX_CELLS = 32
 
 def check_level(n_cells: int, n_circle: int):
     """Refuse a box level the mesh or the direct solver cannot take, or a
-    section circle with too few points, before any mesh is built."""
+    section circle with too few or too many points, before any mesh is built."""
     if n_cells < 2:
         raise ConfigError("need at least 2 cells per axis")
     if n_cells > MAX_CELLS:
@@ -37,10 +37,9 @@ def check_level(n_cells: int, n_circle: int):
             f"level n={n_cells} exceeds the direct-solver memory limit: the LU "
             f"factorization supports box levels up to n={MAX_CELLS}"
         )
-    if n_circle < MIN_CIRCLE_POINTS:
-        raise ConfigError(
-            f"n_circ = {n_circle} is below the minimum of {MIN_CIRCLE_POINTS} circle points"
-        )
+    if not MIN_CIRCLE_POINTS <= n_circle <= MAX_CIRCLE_POINTS:
+        raise ConfigError(f"n_circ = {n_circle} is outside the range of "
+                          f"{MIN_CIRCLE_POINTS} to {MAX_CIRCLE_POINTS} circle points")
 
 
 @dataclass(frozen=True)
@@ -145,16 +144,16 @@ class CoupledSystem:
             geom, self.fem, self.dg, n_circle=n_circle
         )
 
-        top = box + self.blocks.c_oo
-        bottom = inv_dt * self.mass1 + (stiff1 + adv1 + self.blocks.c_ll)
-        system = sp.bmat(
-            [[top, -self.blocks.c_ol], [-self.blocks.c_lo, bottom]], format="csr"
-        )
         self.dirichlet_rows = level.dirichlet_rows
         self._boundary_points = (None if problem.dirichlet is None
                                 else self.fem.dof_points[self.dirichlet_rows])
-        self.operator = fem3d.constrain_rows(system, self.dirichlet_rows)
-        del box, stiff1, adv1, top, bottom, system  # freed before the LU is factored
+        # the Dirichlet rows are constrained in the box rows [box, -c_ol]
+        # before the stack, and the one CSC operator is what the LU factors
+        top = fem3d.constrain_rows(sp.hstack([box + self.blocks.c_oo, -self.blocks.c_ol]),
+                                   self.dirichlet_rows)
+        bottom = sp.hstack([-self.blocks.c_lo, inv_dt * self.mass1 + (stiff1 + adv1 + self.blocks.c_ll)])
+        self.operator = sp.vstack([top, bottom], format="csc")
+        del box, stiff1, adv1, top, bottom  # freed before the LU is factored
         self.factorization = linalg.Factorization(self.operator)
         self._term_loads = None  # projected source3 terms, filled on first use
 

@@ -5,7 +5,9 @@ arithmetic, and the simplex moments come from the closed-form factorial
 formula; neither shares code with the package.  The DG traces, jumps and the
 broken seminorm are per-node references that the vectorised face terms are
 checked against; they take only the Legendre basis, the element quadrature
-and the block scatter from the package.
+and the block scatter from the package.  The slot map finds every tet block
+entry's data position on the box pattern by searching the pattern's
+(row, column) keys, the reference the box stencil sum is checked against.
 """
 import math
 
@@ -156,3 +158,17 @@ def dg_seminorm(space, dofs, params) -> float:
     m = seminorm_matrix(space, params)
     v = np.asarray(dofs, dtype=float)
     return float(np.sqrt(max(v @ (m @ v), 0.0)))
+
+
+def slot_map(mesh):
+    """Data position on ``mesh.csr_pattern`` of entry (i, j) of tet t's block,
+    at index 16 t + 4 i + j."""
+    indptr, indices = mesh.csr_pattern
+    n = np.int64(mesh.n_vertices)
+    keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices  # ascending
+    tets = mesh.tets.astype(np.int64)
+    wanted = (tets[:, :, None] * n + tets[:, None, :]).ravel()
+    slot = np.searchsorted(keys, wanted)
+    if not np.array_equal(keys[np.minimum(slot, keys.size - 1)], wanted):
+        raise AssertionError("a tet edge is missing from the pattern")
+    return slot

@@ -304,7 +304,8 @@ class TestSolverLimit:
 
 
 class TestCircleCount:
-    """A section circle with fewer than 4 points is refused before any mesh or gate."""
+    """A section circle with fewer than 4 or more than 1024 points is refused
+    before any mesh or gate."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -332,6 +333,20 @@ class TestCircleCount:
 
     def test_diagonal(self, tmp_path, capsys):
         self._rejected(["diagonal", "--levels", "4", "--fine", "8", "--n-circ", "2",
+                        "--out", str(tmp_path)], capsys)
+
+    def test_run_above_maximum(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"n = 4\nn_circ = 1025\nout = {tmp_path / 'out'}\n")
+        self._rejected(["run", "--config", str(cfg_file)], capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_manufactured_above_maximum(self, tmp_path, capsys):
+        self._rejected(["manufactured", "--levels", "4", "--n-circ", "1025",
+                        "--out", str(tmp_path)], capsys)
+
+    def test_diagonal_above_maximum(self, tmp_path, capsys):
+        self._rejected(["diagonal", "--levels", "4", "--fine", "8", "--n-circ", "1025",
                         "--out", str(tmp_path)], capsys)
 
 

@@ -229,6 +229,7 @@ class TestExchangeProperties:
         assert (blocks.c_lo != blocks.c_ol.T).nnz == 0
         ones = np.ones(fem.n_dofs)
         assert np.abs(blocks.c_oo @ ones - blocks.c_ol @ dg.constant_one()).max() <= 1e-12
+        assert np.abs(blocks.c_ll @ dg.constant_one() - blocks.c_lo @ ones).max() <= 1e-12
 
         stretch = (0.0, *breaks, length)[zero : zero + 2]
         nodes = dg.partition.nodes

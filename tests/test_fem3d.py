@@ -10,6 +10,8 @@ from vesselfem.fem3d import ScalarField3, VectorField3
 from vesselfem.mesh3d import FemSpace, build_box_mesh
 from vesselfem.stepper import CoupledSystem
 
+from _oracles import slot_map
+
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
 
@@ -250,8 +252,8 @@ def _scatter_reference(space, kind):
 
 
 class TestSlotMap:
-    """Every box matrix summed through the slot map equals a COO scatter of
-    per-tet blocks, on the same CSR pattern."""
+    """Every box matrix summed as a stencil on the cell grid equals a COO
+    scatter of per-tet blocks, on the same CSR pattern."""
 
     @pytest.mark.parametrize("n", [4, 16])
     @pytest.mark.parametrize("kind", list(COEFFICIENTS))
@@ -265,33 +267,35 @@ class TestSlotMap:
 
 
 class TestChunkedScatter:
-    """Blocks of whole cells are added in tet order, so any block size gives
-    the one-shot sum over all tets bit for bit."""
+    """The stencil sum adds every entry's terms in ascending tet order, so it
+    equals the one-shot bincount through the slot map bit for bit."""
 
     @staticmethod
-    def _one_shot(space, blocks):
-        mesh = space.mesh
-        _, indices, slot = mesh.csr_pattern
+    def _one_shot(mesh, blocks):
         weights = np.broadcast_to(np.reshape(blocks, (-1, 6, 4, 4)), (mesh.n_tets // 6, 6, 4, 4))
-        return np.bincount(slot, weights=weights.ravel(), minlength=indices.size)
+        return np.bincount(slot_map(mesh), weights=weights.ravel(), minlength=mesh.csr_pattern[1].size)
 
     @pytest.mark.parametrize("per", ["shape", "tet"])
-    def test_matches_one_shot_bincount(self, monkeypatch, per):
-        space = fem3d.box_level(4).space
-        shape = (6, 4, 4) if per == "shape" else (space.mesh.n_tets, 4, 4)
-        blocks = np.random.default_rng(3).standard_normal(shape)
-        monkeypatch.setattr(mesh3d, "_CHUNK", 3 * 96 + 5)  # three cells a block, 22 blocks
-        out = fem3d._assemble(space, blocks)
-        assert np.array_equal(out.data, self._one_shot(space, blocks))
+    def test_matches_one_shot_bincount(self, per):
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 4):
+            space = FemSpace(build_box_mesh(*CENTERED, n))
+            blocks = rng.standard_normal((6, 4, 4) if per == "shape" else (space.mesh.n_tets, 4, 4))
+            out = fem3d._assemble(space, blocks)
+            assert np.array_equal(out.data, self._one_shot(space.mesh, blocks))
 
     def test_pattern_is_int32_and_read_only(self):
-        for a in build_box_mesh(*CENTERED, 3).csr_pattern:
+        mesh = build_box_mesh(*CENTERED, 3)
+        indptr, indices = mesh.csr_pattern
+        for a in (indptr, indices, mesh.tets):
             assert a.dtype == np.int32
+        for a in (indptr, indices):
             assert not a.flags.writeable
 
 
 class TestAssemblyMemory:
-    """The box assembly's temporaries stay bounded at n = 32."""
+    """The box assembly's temporaries stay bounded at n = 32, and the cached
+    level holds no per-tet map."""
 
     @staticmethod
     def _peak(fn):
@@ -304,14 +308,24 @@ class TestAssemblyMemory:
 
     def test_constant_coefficient_matrices(self):
         space = fem3d.box_level(32).space
-        limit = 12e6  # bytes; the matrix data (4.3 MB) and one block of entries
+        limit = 12e6  # bytes; the stencil and the matrix data (4.3 MB each), int32 positions
         assert self._peak(lambda: fem3d.assemble_mass(space)) < limit
         velocity = VectorField3.constant((0.3, -0.2, 0.7))
         assert self._peak(lambda: fem3d.assemble_convection(space, velocity)) < limit
 
     def test_csr_pattern(self):
         mesh = build_box_mesh(*CENTERED, 32)
-        assert self._peak(lambda: mesh.csr_pattern) < 24e6  # the slot map alone is 12.6 MB
+        assert self._peak(lambda: mesh.csr_pattern) < 8e6  # indptr and indices are 2.3 MB
+
+    def test_cached_level(self):
+        tracemalloc.start()
+        try:
+            level = fem3d.box_level.__wrapped__(32)  # built afresh, outside the cache
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert level.mass.shape == (33**3, 33**3)
+        assert live < 16e6  # bytes; mesh arrays, pattern and mass data
 
 
 class TestDirichlet:

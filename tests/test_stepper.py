@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -93,8 +94,9 @@ class TestSharedBoxLevel:
     def test_level_arrays_are_read_only(self):
         level = fem3d.box_level(4)
         mesh = level.space.mesh
+        indptr, indices = mesh.csr_pattern
         arrays = [mesh.vertices, mesh.tets, mesh.grid_index, mesh.boundary_vertex,
-                  mesh.shape_gradients, *mesh.csr_pattern, level.mass.data, level.mass.indices,
+                  mesh.shape_gradients, indptr, indices, level.mass.data, level.mass.indices,
                   level.mass.indptr, level.dirichlet_rows]
         for a in arrays:
             with pytest.raises(ValueError):
@@ -124,6 +126,31 @@ class TestOperatorParts:
         assert len(parts) == 2 and not alive
 
 
+class TestFactorizationStart:
+    """What is alive when the n = 32 factorization of diagonal case 1 starts:
+    the box level, the exchange and vessel blocks and one CSC operator."""
+
+    def test_live_set_at_splu(self, monkeypatch):
+        class Probe(Exception):
+            pass
+
+        live = []
+
+        def probe(matrix, **kwargs):
+            live.append(tracemalloc.get_traced_memory()[0])
+            raise Probe  # nothing is factored
+
+        monkeypatch.setattr(linalg.spla, "splu", probe)
+        monkeypatch.setattr(fem3d, "box_level", fem3d.box_level.__wrapped__)  # level built afresh
+        tracemalloc.start()
+        try:
+            with pytest.raises(Probe):
+                CoupledSystem(verify.diagonal_problem(1), n_cells=32)
+        finally:
+            tracemalloc.stop()
+        assert live[0] <= 26e6  # bytes
+
+
 class TestOperatorComposition:
     """The box block summed on the mesh pattern leaves the operator's pattern
     as general sparse sums of its seven parts give it, and its entries to
@@ -143,11 +170,30 @@ class TestOperatorComposition:
             dg1d.assemble_a_lambda(dg, problem.kappa_hat, area, problem.dg)
             + dg1d.assemble_b_lambda(dg, problem.u_hat, area) + blocks.c_ll)
         full = sp.bmat([[top, -blocks.c_ol], [-blocks.c_lo, bottom]], format="csr")
-        general = fem3d.constrain_rows(full, system.dirichlet_rows)
+        general = fem3d.constrain_rows(full, system.dirichlet_rows).tocsc()
         operator = system.operator
+        assert operator.format == "csc" and system.factorization._matrix is operator
         assert np.array_equal(operator.indptr, general.indptr)
         assert np.array_equal(operator.indices, general.indices)
         assert np.abs(operator.data - general.data).max() <= 1e-15 * np.abs(general.data).max()
+
+    @pytest.mark.parametrize("problem", [verify.manufactured_problem(), verify.diagonal_problem(1)],
+                             ids=["manufactured", "diagonal_case1"])
+    def test_rows_constrained_before_the_stack(self, problem):
+        """Constraining the Dirichlet rows of [box, -c_ol] before a CSC stack
+        gives bit for bit the operator of constraining the stacked CSR matrix."""
+        system = CoupledSystem(problem, n_cells=8)
+        dg, area, inv_dt = system.dg, system.problem.geometry.section_area, 1.0 / system.dt
+        box = fem3d.box_block(fem3d.box_level(8), inv_dt, problem.kappa, problem.velocity)
+        bottom = inv_dt * system.mass1 + (dg1d.assemble_a_lambda(dg, problem.kappa_hat, area, problem.dg)
+                                          + dg1d.assemble_b_lambda(dg, problem.u_hat, area)
+                                          + system.blocks.c_ll)
+        full = sp.bmat([[box + system.blocks.c_oo, -system.blocks.c_ol],
+                        [-system.blocks.c_lo, bottom]], format="csr")
+        stacked_then_constrained = fem3d.constrain_rows(full, system.dirichlet_rows).tocsc()
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(system.operator, name), getattr(stacked_then_constrained, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_large_variable_velocity_warns(self):
         velocity = VectorField3(

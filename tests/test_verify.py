@@ -2,6 +2,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,6 +144,28 @@ class TestRates:
     def test_report_requires_increasing_levels(self):
         with pytest.raises(ValueError):
             verify.ConvergenceReport(levels=[8, 4])
+
+
+class TestTimeRate:
+    """The time half of the error bound: backward Euler converges at first
+    order in dt, in the box mass norm and the vessel area-weighted norm."""
+
+    def test_first_order_in_dt(self):
+        problem = verify.diagonal_problem(1)
+
+        def final(dt):
+            system = CoupledSystem(replace(problem, dt=dt), n_cells=8)
+            state, _ = system.run()
+            return system, state
+
+        system, ref = final(0.1 / 128)
+        errors = []
+        for dt in (0.1, 0.05, 0.025, 0.0125):
+            _, state = final(dt)
+            e3, e1 = state.c - ref.c, state.c_hat - ref.c_hat
+            errors.append((math.sqrt(e3 @ (system.mass3 @ e3)), math.sqrt(e1 @ (system.mass1 @ e1))))
+        rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))  # (3, box and vessel)
+        assert np.all((0.9 <= rates) & (rates <= 1.2)), rates
 
 
 class TestAveragingConsistency:
