@@ -28,30 +28,27 @@ from .mesh3d import DEFAULT_BOX, FemSpace, build_box_mesh, tet_quadrature
 class ScalarField3:
     """Scalar coefficient on the box; fn maps (points (m,3), t) -> (m,).
 
-    ``terms``, when not empty, declares the field time-separable,
-    f(x, t) = sum_k g_k(t) f_k(x), as pairs (g_k, f_k) with g_k mapping t to
-    a float and f_k mapping points (m,3) to (m,).  ``fn`` is then that sum.
+    A time-separable field f = sum_k g_k(t) p_k(x) keeps its factors too:
+    ``times(t)`` gives the k floats g_k(t), ``parts(x)`` the stacked (k, m) p_k.
     """
 
     fn: Callable
     space_constant: bool = False
     is_zero: bool = False
-    terms: tuple = ()
+    times: Callable | None = None
+    parts: Callable | None = None
 
     def __call__(self, x, t=0.0):
         return np.asarray(self.fn(x, t), dtype=float)
 
     @classmethod
-    def separable(cls, *terms):
-        """Field sum_k g_k(t) f_k(x) from pairs (g_k, f_k)."""
-        terms = tuple((g, fk) for g, fk in terms)
-        if not terms:
-            raise ValueError("a separable field needs at least one term")
+    def separable(cls, times, parts):
+        """Field sum_k g_k(t) p_k(x) with (g_k(t)) = times(t) and (p_k(x)) = parts(x)."""
 
         def fn(x, t):
-            return sum(float(g(t)) * np.asarray(fk(x), dtype=float) for g, fk in terms)
+            return sum(float(g) * p for g, p in zip(times(t), np.asarray(parts(x), dtype=float)))
 
-        return cls(fn=fn, terms=terms)
+        return cls(fn=fn, times=times, parts=parts)
 
     @classmethod
     def constant(cls, value):
@@ -180,17 +177,19 @@ def box_block(level: BoxLevel, inv_dt: float, kappa: ScalarField3, velocity: Vec
 
 
 def assemble_load(space: FemSpace, f: ScalarField3, t: float, order: int = 4):
-    """Load vector F_i = (f(., t), phi_i)."""
-    out = np.zeros(space.n_dofs)
+    """Load vector F_i = (f(., t), phi_i); a field with stacked values, shape
+    (k, m), gives the k load vectors as (k, n_dofs) from one quadrature pass."""
     if f.is_zero:
-        return out
+        return np.zeros(space.n_dofs)
     mesh = space.mesh
     bary, _ = tet_quadrature(order)
+    out = None
     for sl, xq, wq in mesh.quadrature(order):
-        fq = f(xq.reshape(-1, 3), t).reshape(wq.shape)
-        loc = np.einsum("eq,qi->ei", wq * fq, bary)
-        np.add.at(out, mesh.tets[sl].ravel(), loc.ravel())
-    return out
+        fq = f(xq.reshape(-1, 3), t)
+        out = np.zeros((fq.size // wq.size, space.n_dofs)) if out is None else out
+        for row, fk in zip(out, fq.reshape(-1, *wq.shape)):
+            np.add.at(row, mesh.tets[sl].ravel(), np.einsum("eq,qi->ei", wq * fk, bary).ravel())
+    return out if fq.ndim == 2 else out[0]
 
 
 def constrain_rows(matrix, rows):

@@ -3,7 +3,8 @@
 The monolithic operator over (3D dofs, 1D dofs) is time-independent, so it is
 composed and LU-factored once; each step assembles the right-hand side from
 the previous state, the sources at the new time level and the inflow datum,
-overwrites the Dirichlet rows, and back-substitutes.
+overwrites the Dirichlet rows, and back-substitutes.  A march forms one mass
+product per state, for its energy and the next right-hand side.
 """
 from __future__ import annotations
 
@@ -25,6 +26,8 @@ from .mesh3d import DEFAULT_BOX, FemSpace, TetMesh
 # Largest box level the direct (LU) solver factors in a few GB of memory; the
 # fill of n = 64 is extrapolated to hundreds of millions of nonzeros.
 MAX_CELLS = 32
+# Longest march accepted, about 300 times the n = 32 default of 320 steps.
+MAX_STEPS = 100_000
 
 
 def check_level(n_cells: int, n_circle: int):
@@ -50,8 +53,8 @@ class TransportProblem:
     (boundary points, t) to trace values (None = homogeneous); ``c_in`` is the
     prescribed inflow concentration.  ``dt`` is the requested step, 0.1 times
     the mesh cell size when left None; the system shortens it so that a whole
-    number of steps lands on ``t_end``.  A ``source3`` with ``terms`` is
-    projected once per run instead of once per step.
+    number of steps lands on ``t_end``, of at most MAX_STEPS.  A separable
+    ``source3`` is projected once per run instead of once per step.
     """
 
     geometry: VesselGeometry
@@ -115,6 +118,12 @@ class CoupledSystem:
         n_circle: int = coupling.DEFAULT_N_CIRCLE,
     ):
         check_level(n_cells, n_circle)
+        dt = problem.dt or 0.1 * float(np.max(np.subtract(DEFAULT_BOX[1], DEFAULT_BOX[0]) / n_cells))
+        steps = problem.t_end / dt - 1e-12  # compared before ceil: it may be inf
+        if not steps <= MAX_STEPS:
+            raise ConfigError(f"t_end / dt = {steps:.3g} steps exceeds the limit of {MAX_STEPS}")
+        self.n_steps = max(1, math.ceil(steps))
+        self.dt = problem.t_end / self.n_steps
         self.problem = problem
         geom = problem.geometry
         geom.check_inside_box(*DEFAULT_BOX)
@@ -124,12 +133,6 @@ class CoupledSystem:
         self.mesh: TetMesh = level.space.mesh
         self.dg = DgSpace(Partition1D.uniform(geom.length, n_cells), problem.degree)
         self.n_circle = n_circle
-
-        dt = problem.dt if problem.dt is not None else 0.1 * float(
-            self.mesh.cell_size.max()
-        )
-        self.n_steps = max(1, math.ceil(problem.t_end / dt - 1e-12))
-        self.dt = problem.t_end / self.n_steps
 
         self.mass3 = level.mass
         inv_dt = 1.0 / self.dt
@@ -155,9 +158,11 @@ class CoupledSystem:
         self.operator = sp.vstack([top, bottom], format="csc")
         del box, stiff1, adv1, top, bottom  # freed before the LU is factored
         self.factorization = linalg.Factorization(self.operator)
-        self._term_loads = None  # projected source3 terms, filled on first use
+        self._part_loads = None  # projected source3 parts, filled on first use
 
         self._quad1 = self.dg.element_quadrature(self.dg.degree + 2)
+        self._inflow = dg1d.inflow_factors(self.dg, area, problem.u_hat)
+        self._rhs_buffer = np.empty(self.n_dofs)
 
     @property
     def n_dofs(self) -> int:
@@ -181,38 +186,35 @@ class CoupledSystem:
         )
         return CoupledState(c=c, c_hat=c_hat, t=0.0, n=0)
 
-    def _rhs(self, state: CoupledState, t_new: float):
+    def _rhs(self, t_new: float, masses):
         pr = self.problem
         inv_dt = 1.0 / self.dt
-        rhs3 = inv_dt * (self.mass3 @ state.c) + self._load3(t_new)
-        rhs1 = inv_dt * (self.mass1 @ state.c_hat)
+        rhs = self._rhs_buffer
+        rhs3, rhs1 = self.split(rhs)
+        np.multiply(inv_dt, masses[0], out=rhs3)
+        if not pr.source3.is_zero:
+            rhs3 += self._load3(t_new)
+        np.multiply(inv_dt, masses[1], out=rhs1)
         if pr.source1 is not None:
-            rhs1 = rhs1 + self._load1(pr.source1, t_new)
+            rhs1 += self._load1(pr.source1, t_new)
         if pr.c_in is not None:
-            rhs1 = rhs1 + dg1d.assemble_inflow_rhs(
-                self.dg,
-                lambda s: self.problem.geometry.section_area(s),
-                pr.u_hat,
-                float(pr.c_in(t_new)),
-            )
-        rhs = np.concatenate([rhs3, rhs1])
+            dofs, scale, vl = self._inflow
+            rhs1[dofs] += scale * float(pr.c_in(t_new)) * vl
         rhs[self.dirichlet_rows] = fem3d.dirichlet_values(self._boundary_points, pr.dirichlet, t_new)
         return rhs
 
     def _load3(self, t):
-        """Box load of source3 at time t; a separable source is projected on
-        first use and afterwards only recombined."""
+        """Box load of source3 at time t; the parts of a separable source are
+        projected in one pass on first use and afterwards only recombined."""
         source = self.problem.source3
-        if not source.terms:
+        if source.parts is None:
             return fem3d.assemble_load(self.fem, source, t)
-        if self._term_loads is None:
-            self._term_loads = [
-                fem3d.assemble_load(self.fem, ScalarField3(fn=lambda x, t, fk=fk: fk(x)), 0.0)
-                for _, fk in source.terms
-            ]
+        if self._part_loads is None:
+            parts = ScalarField3(fn=lambda x, t: source.parts(x))
+            self._part_loads = fem3d.assemble_load(self.fem, parts, 0.0)
         out = np.zeros(self.fem.n_dofs)
-        for (g, _), load in zip(source.terms, self._term_loads):
-            out += float(g(t)) * load
+        for g, load in zip(source.times(t), self._part_loads):
+            out += float(g) * load
         return out
 
     def _load1(self, fn, t):
@@ -221,19 +223,22 @@ class CoupledSystem:
         fq = np.broadcast_to(np.asarray(fn(pts.ravel(), t), dtype=float), (pts.size,))
         return np.einsum("eq,iq->ei", wts * fq.reshape(pts.shape), vals).ravel()
 
-    def step(self, state: CoupledState) -> CoupledState:
+    def mass_products(self, state: CoupledState):
+        """(M3 c, M1 c_hat): a state's energy and its share of the next step."""
+        return self.mass3 @ state.c, self.mass1 @ state.c_hat
+
+    def step(self, state: CoupledState, masses=None) -> CoupledState:
+        """The next state; ``masses`` are ``mass_products(state)`` if formed."""
         n_new = state.n + 1
         t_new = self.problem.t_end if n_new == self.n_steps else n_new * self.dt
-        x = self.factorization.solve(self._rhs(state, t_new))
-        c, c_hat = self.split(x)
+        rhs = self._rhs(t_new, masses or self.mass_products(state))
+        c, c_hat = self.split(self.factorization.solve(rhs))
         return CoupledState(c=c, c_hat=c_hat, t=t_new, n=n_new)
 
-    def energy(self, state: CoupledState) -> float:
+    def energy(self, state: CoupledState, masses=None) -> float:
         """Squared L2 norm of the box field plus area-weighted vessel field."""
-        return float(
-            state.c.dot(self.mass3 @ state.c)
-            + state.c_hat.dot(self.mass1 @ state.c_hat)
-        )
+        mc, m1c = masses or self.mass_products(state)
+        return float(state.c.dot(mc) + state.c_hat.dot(m1c))
 
     def vessel_mass(self, state: CoupledState) -> float:
         """Total solute content of the vessel, integral of area * chat."""
@@ -247,7 +252,8 @@ class CoupledSystem:
         n_steps = self.n_steps
         state = self.initialize()
         energies = np.empty(n_steps + 1)
-        energies[0] = self.energy(state)
+        masses = self.mass_products(state)
+        energies[0] = self.energy(state, masses)
         pending = set(times)
         snapshots = []
 
@@ -259,8 +265,9 @@ class CoupledSystem:
         take(state)
         start = _time.perf_counter()
         for _ in range(n_steps):
-            state = self.step(state)
-            energies[state.n] = self.energy(state)
+            state = self.step(state, masses)
+            masses = self.mass_products(state)
+            energies[state.n] = self.energy(state, masses)
             take(state)
         wall = _time.perf_counter() - start
         report = RunReport(

@@ -81,26 +81,22 @@ class ManufacturedSolution:
         out[:, 2] = 0.5 * self.w(r) * t * np.pi * np.cos(np.pi * z)
         return out
 
-    def f0(self, x):
-        """Time-independent part of the bulk source: 1/2 w(r) dchat/dt."""
+    def f_parts(self, x):
+        """The bulk source's space parts, stacked (2, m): 1/2 w(r) dchat/dt
+        and the coefficient of t, 1/2 w(r) (d_z - d_zz) chat / t."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.hypot(x[:, 0], x[:, 1])
-        return 0.5 * self.w(r) * (np.sin(np.pi * x[:, 2]) + 2.0)
-
-    def f1(self, x):
-        """Coefficient of t in the bulk source: 1/2 w(r) (d_z - d_zz) chat / t."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.hypot(x[:, 0], x[:, 1])
-        z = x[:, 2]
-        return 0.5 * self.w(r) * (np.pi**2 * np.sin(np.pi * z) + np.pi * np.cos(np.pi * z))
+        half_w = 0.5 * self.w(np.hypot(x[:, 0], x[:, 1]))
+        sz, cz = np.sin(np.pi * x[:, 2]), np.cos(np.pi * x[:, 2])
+        return np.stack([half_w * (sz + 2.0), half_w * (np.pi**2 * sz + np.pi * cz)])
 
     def f(self, x, t):
         """Bulk source: substitute c into the 3D balance with kappa = 1, U = e_z.
 
-        It is affine in t, f = f0(x) + t f1(x), and the solver is handed the
-        same two parts as a separable field (see ``manufactured_problem``).
+        It is affine in t, p0(x) + t p1(x) with (p0, p1) = ``f_parts(x)``, the
+        separable field ``manufactured_problem`` hands to the solver.
         """
-        return self.f0(x) + t * self.f1(x)
+        p0, p1 = self.f_parts(x)
+        return p0 + t * p1
 
     def f_hat(self, s, t):
         """Vessel source: substitute chat with area pi R^2 and exchange chat / 2."""
@@ -131,7 +127,7 @@ def manufactured_problem(
         kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
         velocity=VectorField3.constant((0.0, 0.0, 1.0)),
         u_hat=1.0,
-        source3=ScalarField3.separable((lambda t: 1.0, ms.f0), (lambda t: t, ms.f1)),
+        source3=ScalarField3.separable(lambda t: (1.0, t), ms.f_parts),
         source1=ms.f_hat,
         c_in=ms.c_in,
         dirichlet=ms.c,

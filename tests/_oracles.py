@@ -8,15 +8,21 @@ checked against; they take only the Legendre basis, the element quadrature
 and the block scatter from the package.  The slot map finds every tet block
 entry's data position on the box pattern by searching the pattern's
 (row, column) keys, the reference the box stencil sum is checked against.
+The reference march keeps the backward Euler step as one formula per step,
+and the two space parts of the manufactured bulk source are the closed forms
+as first written, one function each.
 """
 import math
 
 import numpy as np
 import sympy as sp
 
+from vesselfem import fem3d
 from vesselfem.dg1d import legendre_basis
 from vesselfem.errors import DomainError
+from vesselfem.fem3d import ScalarField3
 from vesselfem.linalg import scatter_blocks
+from vesselfem.stepper import CoupledState
 
 
 def simplex_moment(a: int, b: int, c: int) -> float:
@@ -172,3 +178,69 @@ def slot_map(mesh):
     if not np.array_equal(keys[np.minimum(slot, keys.size - 1)], wanted):
         raise AssertionError("a tet edge is missing from the pattern")
     return slot
+
+
+def manufactured_f0(x, radius=0.05):
+    """Time-independent part of the manufactured bulk source: 1/2 w(r) dchat/dt."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    r = np.hypot(x[:, 0], x[:, 1])
+    w = np.where(r > radius, 1.0 - radius * np.log(np.maximum(r, radius) / radius), 1.0)
+    return 0.5 * w * (np.sin(np.pi * x[:, 2]) + 2.0)
+
+
+def manufactured_f1(x, radius=0.05):
+    """Coefficient of t in the manufactured bulk source: 1/2 w(r) (d_z - d_zz) chat / t."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    r = np.hypot(x[:, 0], x[:, 1])
+    w = np.where(r > radius, 1.0 - radius * np.log(np.maximum(r, radius) / radius), 1.0)
+    z = x[:, 2]
+    return 0.5 * w * (np.pi**2 * np.sin(np.pi * z) + np.pi * np.cos(np.pi * z))
+
+
+def reference_load3(system, t):
+    """Box load at t: a separable source projected one part per quadrature
+    pass and recombined from zero, any other source assembled at t."""
+    source = system.problem.source3
+    if source.parts is None:
+        return fem3d.assemble_load(system.fem, source, t)
+    out = np.zeros(system.fem.n_dofs)
+    for k, g in enumerate(source.times(t)):
+        part = ScalarField3(fn=lambda x, t, k=k: source.parts(x)[k])
+        out += float(g) * fem3d.assemble_load(system.fem, part, 0.0)
+    return out
+
+
+def reference_march(system):
+    """March ``system`` with one formula per step: M3 c formed for the
+    energy and again for the right-hand side, the inflow vector assembled
+    every step, the box load added even when zero, the halves concatenated.
+    Returns the final state and the energies; the solves append their
+    residuals to ``system.factorization.residuals``."""
+    pr = system.problem
+    inv_dt = 1.0 / system.dt
+    vl, _ = legendre_basis(np.float64(-1.0), system.dg.degree)
+
+    def energy(state):
+        return float(state.c.dot(system.mass3 @ state.c)
+                     + state.c_hat.dot(system.mass1 @ state.c_hat))
+
+    state = system.initialize()
+    energies = [energy(state)]
+    for n_new in range(1, system.n_steps + 1):
+        t_new = pr.t_end if n_new == system.n_steps else n_new * system.dt
+        rhs3 = inv_dt * (system.mass3 @ state.c) + reference_load3(system, t_new)
+        rhs1 = inv_dt * (system.mass1 @ state.c_hat)
+        if pr.source1 is not None:
+            rhs1 = rhs1 + system._load1(pr.source1, t_new)
+        if pr.c_in is not None:
+            inflow = np.zeros(system.dg.n_dofs)
+            inflow[system.dg.element_dofs(0)] = (float(np.asarray(pr.geometry.section_area(0.0)))
+                                                 * pr.u_hat * float(pr.c_in(t_new)) * vl)
+            rhs1 = rhs1 + inflow
+        rhs = np.concatenate([rhs3, rhs1])
+        rhs[system.dirichlet_rows] = fem3d.dirichlet_values(
+            system._boundary_points, pr.dirichlet, t_new)
+        c, c_hat = system.split(system.factorization.solve(rhs))
+        state = CoupledState(c=c, c_hat=c_hat, t=t_new, n=n_new)
+        energies.append(energy(state))
+    return state, np.array(energies)

@@ -303,6 +303,27 @@ class TestSolverLimit:
         assert cli.main(["diagonal", "--fine", "24", "--out", str(tmp_path)]) == 2
 
 
+class TestStepLimit:
+    """A horizon of more than MAX_STEPS steps is refused before any mesh exists."""
+
+    @pytest.fixture(autouse=True)
+    def no_mesh(self, monkeypatch):
+        from vesselfem import fem3d
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mesh was built for a refused step count")
+
+        monkeypatch.setattr(fem3d, "box_level", refuse)
+
+    @pytest.mark.parametrize("tau", ["0.1", "1e-10"])  # t_end / tau overflows to inf at 1e-10
+    def test_huge_horizon(self, tmp_path, capsys, tau):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"n = 4\nt_end = 1e300\ntau = {tau}\nout = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        assert "exceeds the limit of 100000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestCircleCount:
     """A section circle with fewer than 4 or more than 1024 points is refused
     before any mesh or gate."""

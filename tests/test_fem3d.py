@@ -137,40 +137,47 @@ class TestLoad:
         assert np.array_equal(F1, F2)
 
 
-def _sample_terms():
-    return (
-        (lambda t: 1.0, lambda x: np.sin(3.0 * x[:, 0]) + x[:, 1]),
-        (lambda t: t, lambda x: x[:, 2] ** 2),
-        (lambda t: np.cos(t), lambda x: np.exp(x[:, 0] * x[:, 1])),
-    )
+def _sample_times(t):
+    return (1.0, t, np.cos(t))
+
+
+def _sample_parts(x):
+    return np.stack([np.sin(3.0 * x[:, 0]) + x[:, 1], x[:, 2] ** 2, np.exp(x[:, 0] * x[:, 1])])
 
 
 class TestSeparableSource:
     def test_fn_is_sum_of_terms(self):
-        terms = _sample_terms()
-        f = ScalarField3.separable(*terms)
+        f = ScalarField3.separable(_sample_times, _sample_parts)
         x = np.random.default_rng(5).uniform(-0.5, 0.5, size=(50, 3))
         for t in (0.0, 0.37, 1.0):
-            expected = sum(g(t) * fk(x) for g, fk in terms)
+            expected = sum(g * p for g, p in zip(_sample_times(t), _sample_parts(x)))
             assert np.abs(f(x, t) - expected).max() < 1e-15
-        assert len(f.terms) == 3
+        assert f.times is _sample_times and f.parts is _sample_parts
         assert not f.is_zero
 
     def test_plain_field_has_no_terms(self):
-        assert ScalarField3(fn=lambda x, t: x[:, 0]).terms == ()
-        assert ScalarField3.zero().terms == ()
-
-    def test_needs_a_term(self):
-        with pytest.raises(ValueError):
-            ScalarField3.separable()
+        for f in (ScalarField3(fn=lambda x, t: x[:, 0]), ScalarField3.zero()):
+            assert f.times is None and f.parts is None
 
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
     def test_projected_terms_match_plain_load(self, t):
-        f = ScalarField3.separable(*_sample_terms())
+        f = ScalarField3.separable(_sample_times, _sample_parts)
         system = CoupledSystem(replace(verify.manufactured_problem(), source3=f), n_cells=4)
         combined = system._load3(t)
         plain = fem3d.assemble_load(system.fem, ScalarField3(fn=f.fn), t)
         assert np.abs(combined - plain).max() <= 1e-13 * np.abs(plain).max()
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_stacked_load_equals_per_part_loads(self, n):
+        """One quadrature pass over stacked values gives each part's load
+        vector bitwise as a pass of its own does."""
+        space = fem3d.box_level(n).space
+        parts = verify.ManufacturedSolution().f_parts
+        stacked = fem3d.assemble_load(space, ScalarField3(fn=lambda x, t: parts(x)), 0.0)
+        assert stacked.shape == (2, space.n_dofs)
+        for k in range(2):
+            single = fem3d.assemble_load(space, ScalarField3(fn=lambda x, t: parts(x)[k]), 0.0)
+            assert np.array_equal(stacked[k], single)
 
 
 class TestChunkedQuadrature:

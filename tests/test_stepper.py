@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vesselfem import coupling, dg1d, fem3d, linalg, verify
+from vesselfem import coupling, dg1d, fem3d, linalg, stepper, verify
 from vesselfem.dg1d import DgParams
 from vesselfem.errors import ConfigError, GeometryError
 from vesselfem.fem3d import ScalarField3, VectorField3
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, VesselGeometry
 from vesselfem.stepper import CoupledSystem, TransportProblem
+
+from _oracles import reference_march
 
 
 def quiescent_problem(t_end=0.1, dt=None, velocity=(0, 0, 1)):
@@ -454,11 +456,12 @@ class TestGeometryGuard:
 class TestSeparableSource:
     def test_manufactured_source_is_sum_of_terms(self):
         ms = verify.ManufacturedSolution()
-        terms = verify.manufactured_problem().source3.terms
+        source = verify.manufactured_problem().source3
         x = np.random.default_rng(2).uniform(-0.5, 0.5, size=(200, 3))
         for t in (0.0, 0.37, 1.0):
-            expected = sum(g(t) * fk(x) for g, fk in terms)
+            expected = sum(g * p for g, p in zip(source.times(t), source.parts(x)))
             np.testing.assert_array_equal(ms.f(x, t), expected)
+            np.testing.assert_array_equal(source(x, t), expected)
 
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
     def test_box_load_matches_per_step_assembly(self, t):
@@ -490,7 +493,85 @@ class TestSeparableSource:
         assert calls == []  # built but not marched: nothing projected yet
         _, report = system.run()
         assert report.n_steps == 4
-        assert len(calls) == len(problem.source3.terms)
+        assert len(calls) == 1  # both parts in one pass
+
+    def test_study_projects_once_per_level(self, monkeypatch):
+        calls = []
+        real = fem3d.assemble_load
+
+        def counting(space, f, t, order=4):
+            calls.append(space.mesh.n)
+            return real(space, f, t, order)
+
+        monkeypatch.setattr(fem3d, "assemble_load", counting)
+        verify.convergence_study([2, 4])
+        assert calls == [2, 4]
+
+
+class _CountingMatrix:
+    """A matrix that counts its products with a vector."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.matrix @ x
+
+
+class TestReferenceLoop:
+    """The march forms only what changes with t, with the reference formula's
+    operands in the reference formula's order: every output is bitwise equal."""
+
+    @pytest.mark.parametrize("problem", [verify.manufactured_problem(), verify.diagonal_problem(1)],
+                             ids=["manufactured", "diagonal_case1"])
+    def test_bitwise_equal_to_reference_loop(self, problem):
+        system = CoupledSystem(problem, n_cells=8)
+        state, report = system.run()
+        ref_state, ref_energies = reference_march(system)
+        n = report.n_steps
+        residuals = system.factorization.residuals
+        assert len(residuals) == 2 * n
+        assert residuals[:n] == residuals[n:]
+        assert np.array_equal(report.energies, ref_energies)
+        assert np.array_equal(state.c, ref_state.c)
+        assert np.array_equal(state.c_hat, ref_state.c_hat)
+
+    def test_one_box_mass_product_per_state(self):
+        system = CoupledSystem(verify.manufactured_problem(), n_cells=4)
+        system.mass3 = _CountingMatrix(system.mass3)
+        _, report = system.run()
+        assert system.mass3.products == report.n_steps + 1
+
+    def test_public_step_and_energy_match_the_march(self):
+        system = CoupledSystem(verify.diagonal_problem(1), n_cells=4)
+        final, report = system.run()
+        state = system.initialize()
+        energies = [system.energy(state)]
+        for _ in range(system.n_steps):
+            state = system.step(state)
+            energies.append(system.energy(state))
+        assert np.array_equal(energies, report.energies)
+        assert np.array_equal(state.c_hat, final.c_hat)
+
+
+class TestStepLimit:
+    """A march longer than MAX_STEPS is refused before any mesh exists."""
+
+    @pytest.mark.parametrize("t_end, dt", [(1e300, 0.1), (1e300, 1e-10), (1e9, None),
+                                           (0.1 * (stepper.MAX_STEPS + 1), 0.1)])
+    def test_refused(self, t_end, dt, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mesh was built for a refused step count")
+
+        monkeypatch.setattr(fem3d, "box_level", refuse)
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            CoupledSystem(quiescent_problem(t_end=t_end, dt=dt), n_cells=2)
+
+    def test_limit_is_accepted(self):
+        # builds the n = 2 system only; nothing is marched
+        system = CoupledSystem(quiescent_problem(t_end=stepper.MAX_STEPS * 0.05, dt=0.05), n_cells=2)
+        assert system.n_steps == stepper.MAX_STEPS
 
 
 class TestVesselLoad:

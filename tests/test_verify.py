@@ -13,12 +13,33 @@ from vesselfem.mesh3d import FemSpace, build_box_mesh
 from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.stepper import CoupledSystem
 
+from _oracles import manufactured_f0, manufactured_f1
+
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
 
 @pytest.fixture(scope="module")
 def ms():
     return verify.ManufacturedSolution()
+
+
+class TestSourceParts:
+    """The fused space parts of the bulk source equal the closed forms as
+    first written, so the loads, the tables and the source gate do not move."""
+
+    def test_parts_equal_the_closed_forms(self, ms):
+        x = np.random.default_rng(4).uniform(-0.5, 0.5, size=(5000, 3))
+        x[:10, :2] = 0.0  # on the axis, inside the vessel
+        p0, p1 = ms.f_parts(x)
+        assert np.array_equal(p0, manufactured_f0(x))
+        assert np.array_equal(p1, manufactured_f1(x))
+
+    def test_source_gate_residuals_unchanged(self):
+        class ClosedForms(verify.ManufacturedSolution):
+            def f(self, x, t):
+                return manufactured_f0(x) + t * manufactured_f1(x)
+
+        assert verify.verify_sources() == verify.verify_sources(ClosedForms())
 
 
 class TestExactPair:
