@@ -7,10 +7,13 @@ assembly, error norms, point location (a sort per point) and the quadrature
 points share.  Element blocks are summed onto the one CSR pattern of the P1
 matrices as a stencil on the cell grid, one shifted slice per block entry,
 with no per-tet map to data positions.  Quadrature runs in blocks of whole
-cells, so every consumer's temporaries stay bounded whatever the level.
+cells, so every consumer's temporaries stay bounded whatever the level.  The
+interior vertices have one nested-dissection order, built on first use, that
+the coupled systems' LU factorizations share.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations, product
@@ -26,6 +29,7 @@ _CHUNK = 65536  # quadrature points per block of whole cells, at least one
 # a vertex and its neighbours along the Kuhn edges: offsets in {-1, 0, 1}^3
 # that do not mix -1 and +1, in lexicographic (so column) order
 _OFFSETS = np.array([d for d in product((-1, 0, 1), repeat=3) if not (1 in d and -1 in d)])
+_LEAF = 16  # vertices in a leaf box of the nested dissection
 
 # axis orderings of the diagonal split in lexicographic order; the odd
 # permutations swap their middle vertices to keep a positive orientation
@@ -108,6 +112,27 @@ class TetMesh:
         for a in (indptr, indices):  # read-only before any matrix takes a view of it
             a.flags.writeable = False
         return indptr, indices
+
+    @cached_property
+    def dissection_order(self):
+        """Read-only nested-dissection order of the interior vertices: a box of
+        grid indices is split at the middle vertex plane of its longest axis,
+        which separates the Kuhn stencil, and the plane follows its two halves;
+        boxes of at most _LEAF vertices are leaves, each in lexicographic order."""
+        def dissect(box):  # box: one range of grid indices per axis
+            sizes = [len(r) for r in box]
+            if math.prod(sizes) <= _LEAF:
+                return [box]
+            axis = sizes.index(max(sizes))
+            half = sizes[axis] // 2
+            part = lambda s: box[:axis] + (box[axis][s],) + box[axis + 1:]
+            return (dissect(part(slice(half))) + dissect(part(slice(half + 1, None)))
+                    + [part(slice(half, half + 1))])
+
+        order = np.concatenate([np.ravel_multi_index(np.ix_(*box), (self.n + 1,) * 3).ravel()
+                                for box in dissect((range(1, self.n),) * 3)])
+        order.flags.writeable = False
+        return order
 
     def sum_blocks(self, blocks):
         """Data on csr_pattern of the matrix summing 4 x 4 blocks, given per

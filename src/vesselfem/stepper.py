@@ -1,10 +1,16 @@
 """Backward Euler time stepping for the coupled box/vessel transport system.
 
 The monolithic operator over (3D dofs, 1D dofs) is time-independent, so it is
-composed and LU-factored once; each step assembles the right-hand side from
-the previous state, the sources at the new time level and the inflow datum,
-overwrites the Dirichlet rows, and back-substitutes.  A march forms one mass
-product per state, for its energy and the next right-hand side.
+composed and LU-factored once.  Below MAX_CELLS the LU takes one symmetric
+order: the Dirichlet rows (identity rows, no fill), the box level's cached
+nested dissection of the interior vertices without the box dofs the exchange
+couples, those coupled dofs, then the vessel dofs.  The coupled dofs reach
+across any grid plane near the vessel, so they go last with it.  At
+MAX_CELLS SuperLU orders by minimum degree instead.  Each step assembles the
+right-hand side from the previous state, the sources at the new time level
+and the inflow datum, overwrites the Dirichlet rows, and back-substitutes.
+A march forms one mass product per state, for its energy and the next
+right-hand side.
 """
 from __future__ import annotations
 
@@ -157,12 +163,24 @@ class CoupledSystem:
         bottom = sp.hstack([-self.blocks.c_lo, inv_dt * self.mass1 + (stiff1 + adv1 + self.blocks.c_ll)])
         self.operator = sp.vstack([top, bottom], format="csc")
         del box, stiff1, adv1, top, bottom  # freed before the LU is factored
-        self.factorization = linalg.Factorization(self.operator)
+        # n = MAX_CELLS keeps SuperLU's minimum-degree ordering only because
+        # bench/gates.py's DIAGONAL_RECORDED holds that LU's round-off
+        order = None if n_cells == MAX_CELLS else self._level_order()
+        self.factorization = linalg.Factorization(self.operator, order=order)
         self._part_loads = None  # projected source3 parts, filled on first use
 
         self._quad1 = self.dg.element_quadrature(self.dg.degree + 2)
         self._inflow = dg1d.inflow_factors(self.dg, area, problem.u_hat)
         self._rhs_buffer = np.empty(self.n_dofs)
+
+    def _level_order(self):
+        """Dirichlet rows, the level's dissection order less the exchange-coupled
+        box dofs, those dofs (the rows of c_ol holding entries), vessel dofs."""
+        coupled = np.diff(self.blocks.c_ol.indptr) > 0
+        coupled[self.dirichlet_rows] = False
+        interior = self.mesh.dissection_order
+        return np.concatenate([self.dirichlet_rows, interior[~coupled[interior]],
+                               np.flatnonzero(coupled), self.fem.n_dofs + np.arange(self.dg.n_dofs)])
 
     @property
     def n_dofs(self) -> int:

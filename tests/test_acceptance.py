@@ -249,6 +249,7 @@ def test_criterion_7_energy_decay(extra_residuals):
     assert ok
 
 
+@pytest.mark.slow  # the n = 32 references of diagonal_reports
 def test_criterion_8a_diagonal_self_convergence(diagonal_reports):
     checks = []
     details = []
@@ -283,6 +284,7 @@ def test_criterion_8a_diagonal_self_convergence(diagonal_reports):
     assert ok
 
 
+@pytest.mark.slow  # the n = 32 references of diagonal_reports
 def test_criterion_8b_vessel_mass_ordering(diagonal_reports):
     """Stated check: case-2 final vessel mass below case 1.
 
@@ -307,6 +309,7 @@ def test_criterion_8b_vessel_mass_ordering(diagonal_reports):
     )
 
 
+@pytest.mark.slow  # the n = 32 references of diagonal_reports
 def test_criterion_9_solver_contract(manufactured_report, diagonal_reports, extra_residuals):
     residuals = [manufactured_report.max_residual]
     residuals += [diagonal_reports[c].max_residual for c in (1, 2, 3)]

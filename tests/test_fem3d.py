@@ -313,6 +313,7 @@ class TestAssemblyMemory:
         finally:
             tracemalloc.stop()
 
+    @pytest.mark.slow  # an n = 32 box level
     def test_constant_coefficient_matrices(self):
         space = fem3d.box_level(32).space
         limit = 12e6  # bytes; the stencil and the matrix data (4.3 MB each), int32 positions
@@ -324,6 +325,7 @@ class TestAssemblyMemory:
         mesh = build_box_mesh(*CENTERED, 32)
         assert self._peak(lambda: mesh.csr_pattern) < 8e6  # indptr and indices are 2.3 MB
 
+    @pytest.mark.slow  # an n = 32 box level
     def test_cached_level(self):
         tracemalloc.start()
         try:

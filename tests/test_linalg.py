@@ -43,16 +43,28 @@ class TestFactorize:
         fact = linalg.Factorization(A)
         assert np.array_equal(fact.solve(b), fact.solve(b))
 
+    def test_given_order(self):
+        """The LU of the permuted matrix solves in the caller's numbering."""
+        rng = np.random.default_rng(4)
+        A = sp.random(60, 60, density=0.1, random_state=5, format="csr") + 10 * sp.identity(60)
+        b = rng.standard_normal(60)
+        order = rng.permutation(60)
+        fact = linalg.Factorization(A, order=order)
+        x = fact.solve(b)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= linalg.RESIDUAL_RTOL
+        assert np.allclose(x, linalg.Factorization(A).solve(b), rtol=0.0, atol=1e-12)
+
     def test_residual_guard(self, monkeypatch):
         class BrokenLU:
             def solve(self, rhs):
                 return np.zeros_like(rhs)
 
         A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        fact = linalg.Factorization(A)
-        monkeypatch.setattr(fact, "_lu", BrokenLU())
-        with pytest.raises(SolverError, match="residual"):
-            fact.solve(np.array([1.0, 1.0]))
+        for order in (None, [1, 0]):  # minimum degree, a given order
+            fact = linalg.Factorization(A, order=order)
+            monkeypatch.setattr(fact, "_lu", BrokenLU())
+            with pytest.raises(SolverError, match="residual"):
+                fact.solve(np.array([1.0, 1.0]))
 
     def test_nan_rhs_raises(self):
         # a NaN residual is not below the tolerance, so it must not pass as one

@@ -265,3 +265,17 @@ class TestKuhnShapes:
         table = mesh.shape_gradients[np.arange(mesh.n_tets) % 6]
         assert np.abs(table - grads).max() <= 1e-13
         assert np.abs(np.linalg.det(edges) / 6.0 - mesh.tet_volume).max() <= 1e-13 * mesh.tet_volume
+
+
+class TestDissectionOrder:
+    """The level's nested-dissection order is a cached, read-only permutation
+    of the interior vertices."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 16])
+    def test_read_only_permutation_of_interior(self, n):
+        mesh = build_box_mesh(*CENTERED, n)
+        order = mesh.dissection_order
+        assert np.array_equal(np.sort(order), np.flatnonzero(~mesh.boundary_vertex))
+        assert mesh.dissection_order is order
+        with pytest.raises(ValueError):
+            order[0] = order[0]

@@ -119,31 +119,38 @@ class TestOperatorParts:
             monkeypatch.setattr(fem3d, name, tracked)
         alive = []
 
-        def factor(matrix, build=linalg.Factorization):
+        def factor(matrix, order=None, build=linalg.Factorization):
             alive.extend(ref for ref in parts if ref() is not None)
-            return build(matrix)
+            return build(matrix, order=order)
 
         monkeypatch.setattr(linalg, "Factorization", factor)
         CoupledSystem(quiescent_problem(), n_cells=4)
         assert len(parts) == 2 and not alive
 
 
+@pytest.mark.slow
 class TestFactorizationStart:
     """What is alive when the n = 32 factorization of diagonal case 1 starts:
-    the box level, the exchange and vessel blocks and one CSC operator."""
+    the box level, the exchange and vessel blocks and one CSC operator,
+    which SuperLU orders by minimum degree; the level has no dissection."""
 
     def test_live_set_at_splu(self, monkeypatch):
         class Probe(Exception):
             pass
 
-        live = []
+        live, levels = [], []
 
-        def probe(matrix, **kwargs):
+        def probe(matrix, permc_spec=None, **kwargs):
             live.append(tracemalloc.get_traced_memory()[0])
+            assert permc_spec == "MMD_AT_PLUS_A"
             raise Probe  # nothing is factored
 
+        def fresh(n, build=fem3d.box_level.__wrapped__):  # built afresh, outside the cache
+            levels.append(build(n))
+            return levels[-1]
+
         monkeypatch.setattr(linalg.spla, "splu", probe)
-        monkeypatch.setattr(fem3d, "box_level", fem3d.box_level.__wrapped__)  # level built afresh
+        monkeypatch.setattr(fem3d, "box_level", fresh)
         tracemalloc.start()
         try:
             with pytest.raises(Probe):
@@ -151,6 +158,36 @@ class TestFactorizationStart:
         finally:
             tracemalloc.stop()
         assert live[0] <= 26e6  # bytes
+        assert "dissection_order" not in vars(levels[0].space.mesh)
+
+
+class TestLevelOrdering:
+    """Below n = 32 the LU is that of the level's nested-dissection order with
+    the exchange-coupled box dofs and the vessel dofs last, and fills less
+    than SuperLU's minimum-degree ordering of the same operator."""
+
+    @pytest.mark.parametrize("problem", [verify.diagonal_problem(1), verify.manufactured_problem()],
+                             ids=["diagonal_case1", "manufactured"])
+    def test_fill_below_minimum_degree(self, problem):
+        system = CoupledSystem(problem, n_cells=16)
+        lu = system.factorization._lu
+        mmd = linalg.spla.splu(system.operator, permc_spec="MMD_AT_PLUS_A")
+        assert lu.L.nnz + lu.U.nnz <= 0.9 * (mmd.L.nnz + mmd.U.nnz)
+
+    def test_order_groups(self):
+        """Dirichlet rows, dissection order, coupled box dofs, vessel dofs."""
+        system = CoupledSystem(verify.diagonal_problem(1), n_cells=8)
+        order = system._level_order()
+        n_box, n_rows = system.fem.n_dofs, system.dirichlet_rows.size
+        coupled = np.flatnonzero(np.diff(system.blocks.c_ol.indptr) > 0)
+        coupled = coupled[~system.mesh.boundary_vertex[coupled]]
+        assert coupled.size > 0
+        assert np.array_equal(np.sort(order), np.arange(system.n_dofs))
+        interior = system.mesh.dissection_order
+        assert np.array_equal(order[:n_rows], system.dirichlet_rows)
+        assert np.array_equal(order[n_rows:n_box - coupled.size], interior[~np.isin(interior, coupled)])
+        assert np.array_equal(order[n_box - coupled.size:n_box], coupled)
+        assert np.array_equal(order[n_box:], n_box + np.arange(system.dg.n_dofs))
 
 
 class TestOperatorComposition:

@@ -9,6 +9,8 @@ import pytest
 
 from vesselfem import fem3d, stepper, verify
 from vesselfem.errors import ConfigError, VerificationError
+from vesselfem.fem3d import ScalarField3
+from vesselfem.geometry import ConstantPermeability, ConstantRadius, VesselGeometry
 from vesselfem.mesh3d import FemSpace, build_box_mesh
 from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.stepper import CoupledSystem
@@ -187,6 +189,59 @@ class TestTimeRate:
             errors.append((math.sqrt(e3 @ (system.mass3 @ e3)), math.sqrt(e1 @ (system.mass1 @ e1))))
         rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))  # (3, box and vessel)
         assert np.all((0.9 <= rates) & (rates <= 1.2)), rates
+
+
+def _decoupled_box(x, t):
+    """c = t/2 cos(pi x) cos(pi y) (sin(pi z) + 2), the box half of the decoupled pair."""
+    x = np.atleast_2d(x)
+    return 0.5 * t * np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1]) * (np.sin(np.pi * x[:, 2]) + 2.0)
+
+
+def _decoupled_box_grad(x, t):
+    x = np.atleast_2d(x)
+    (cx, cy, cz), (sx, sy, sz) = np.cos(np.pi * x.T), np.sin(np.pi * x.T)
+    half = 0.5 * t * np.pi
+    return np.stack([-half * sx * cy * (sz + 2.0), -half * cx * sy * (sz + 2.0), half * cx * cy * cz], axis=1)
+
+
+def _decoupled_box_parts(x):
+    """The box source's space parts: dc/dt and the coefficient of t in (-lap + d_z) c."""
+    (cx, cy, cz), (_, _, sz) = np.cos(np.pi * x.T), np.sin(np.pi * x.T)
+    half = 0.5 * cx * cy
+    return np.stack([half * (sz + 2.0), half * (np.pi**2 * (3.0 * sz + 4.0) + np.pi * cz)])
+
+
+class TestSpatialRates:
+    """The space half of the error bound: with permeability 0 (no exchange),
+    box P1 and vessel DG of degree p reach their optimal orders from h = 1/8
+    to 1/16.  Backward Euler is exact for data affine in t, so the errors are
+    spatial; every level factors through the nested-dissection ordering."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_optimal_orders(self, ms, degree):
+        R = ms.radius
+        vessel_source = lambda s, t: np.pi * R**2 * (
+            (np.sin(np.pi * (s - 0.5)) + 2.0)
+            + t * (np.pi**2 * np.sin(np.pi * (s - 0.5)) + np.pi * np.cos(np.pi * (s - 0.5))))
+        problem = replace(
+            verify.manufactured_problem(degree=degree),
+            geometry=VesselGeometry((0, 0, -0.5), (0, 0, 0.5), ConstantRadius(R), ConstantPermeability(0.0)),
+            source3=ScalarField3.separable(lambda t: (1.0, t), _decoupled_box_parts),
+            source1=vessel_source,
+            dirichlet=_decoupled_box,
+            c0=None,
+            c0_hat=None,
+        )
+        errors = []
+        for n in (4, 8, 16):
+            system = CoupledSystem(problem, n_cells=n)
+            state, _ = system.run()
+            errors.append(verify.error_norms_3d(system.fem, state.c, _decoupled_box, _decoupled_box_grad, 1.0)
+                          + verify.error_norms_1d(system.dg, state.c_hat, ms.c_hat, ms.c_hat_ds, 1.0))
+        box_l2, box_grad, vessel_l2, vessel_grad = np.log2(np.divide(errors[1], errors[2]))
+        assert 1.85 <= box_l2 <= 2.15 and 0.9 <= box_grad <= 1.1, (box_l2, box_grad)
+        assert degree + 0.85 <= vessel_l2 <= degree + 1.15, vessel_l2
+        assert degree - 0.15 <= vessel_grad <= degree + 0.15, vessel_grad
 
 
 class TestAveragingConsistency:
