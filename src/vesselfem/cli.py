@@ -17,23 +17,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
 from . import verify
-from .dg1d import DgParams, DgSpace, legendre_basis
+from .dg1d import DgSpace, legendre_basis
 from .errors import ConfigError, SolverError, VerificationError
-from .fem3d import ScalarField3, VectorField3
-from .geometry import (
-    ConstantPermeability,
-    ConstantRadius,
-    PiecewisePermeability,
-    TanhRadius,
-    VesselGeometry,
-)
+from .geometry import VesselGeometry
 from .mesh3d import TetMesh
 from .stepper import CoupledSystem, TransportProblem, check_level
+from .verify import RunConfig
 
 # Box levels the two studies accept; the largest is stepper.MAX_CELLS.
 ALLOWED_LEVELS = (4, 8, 16, 32)
@@ -123,36 +117,6 @@ def _rate_column(rates):
 
 # -- configuration --------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    """Flat configuration of a generic single run (pulse problem defaults)."""
-
-    n: int = 8
-    degree: int = 1
-    epsilon: int = 1
-    sigma: float = 50.0
-    tau: float | None = None
-    t_end: float = 1.0
-    n_circ: int = 16
-    out: str = "."
-    p0: tuple = (-0.4, -0.4, -0.4)
-    p1: tuple = (0.4, 0.4, 0.4)
-    radius: float | None = 0.05
-    radius_min: float | None = None
-    radius_max: float | None = None
-    radius_beta: float | None = None
-    gamma: float | None = 0.1
-    gamma_breaks: tuple | None = None
-    gamma_values: tuple | None = None
-    kappa: float = 1.0
-    kappa_hat: float = 1.0
-    u: tuple | None = None
-    u_hat: float = 1.0
-    c_in: float = 5.0
-    c_in_until: float = 0.1
-    snapshots: tuple = (1.0,)
-
-
 def parse_config_file(path) -> RunConfig:
     """Parse a flat ``key = value`` file; unknown keys are rejected."""
     kinds = {f.name: f.type for f in fields(RunConfig)}
@@ -196,42 +160,8 @@ def _parse_value(key, kind, value):
 
 
 def problem_from_config(cfg: RunConfig) -> TransportProblem:
-    if cfg.radius_min is not None or cfg.radius_max is not None:
-        if None in (cfg.radius_min, cfg.radius_max, cfg.radius_beta):
-            raise ConfigError("tanh radius needs radius_min, radius_max and radius_beta")
-        radius = TanhRadius(cfg.radius_min, cfg.radius_max, cfg.radius_beta)
-    elif cfg.radius is not None:
-        radius = ConstantRadius(cfg.radius)
-    else:
-        raise ConfigError("no radius profile configured")
-    if cfg.gamma_breaks is not None or cfg.gamma_values is not None:
-        if cfg.gamma_breaks is None or cfg.gamma_values is None:
-            raise ConfigError("piecewise permeability needs gamma_breaks and gamma_values")
-        permeability = PiecewisePermeability(tuple(cfg.gamma_breaks), tuple(cfg.gamma_values))
-    elif cfg.gamma is not None:
-        permeability = ConstantPermeability(cfg.gamma)
-    else:
-        raise ConfigError("no permeability configured")
-    geometry = VesselGeometry(cfg.p0, cfg.p1, radius, permeability)
-    u = cfg.u if cfg.u is not None else tuple(geometry.tangent * cfg.u_hat)
-    c_in_value, c_in_until = cfg.c_in, cfg.c_in_until
-    return TransportProblem(
-        geometry=geometry,
-        kappa=ScalarField3.constant(cfg.kappa),
-        kappa_hat=lambda s: np.broadcast_to(float(cfg.kappa_hat), np.shape(s)),
-        velocity=VectorField3.constant(u),
-        u_hat=cfg.u_hat,
-        source3=ScalarField3.zero(),
-        source1=None,
-        c_in=lambda t: c_in_value if t <= c_in_until else 0.0,
-        dirichlet=None,
-        c0=None,
-        c0_hat=None,
-        t_end=cfg.t_end,
-        dg=DgParams(cfg.epsilon, cfg.sigma),
-        degree=cfg.degree,
-        dt=cfg.tau,
-    )
+    """The pulse problem a run config describes."""
+    return verify.pulse_problem(cfg)
 
 
 # -- commands --------------------------------------------------------------------

@@ -32,8 +32,6 @@ class CouplingBlocks:
     c_ol: sp.csr_matrix
     c_lo: sp.csr_matrix
     c_ll: sp.csr_matrix
-    gauss_order: int
-    n_circle: int
 
 
 def average_matrix(fem: FemSpace, geometry: VesselGeometry, s, n_circle: int):
@@ -93,6 +91,4 @@ def assemble_coupling(
         c_ol=c_ol,
         c_lo=c_ol.T.tocsr(),
         c_ll=(trace.T @ weight @ trace).tocsr(),
-        gauss_order=q,
-        n_circle=n_circle,
     )

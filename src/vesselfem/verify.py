@@ -1,4 +1,4 @@
-"""Closed-form verification problem, error norms and convergence studies.
+"""Verification problems, the pulse problem of ``run``, error norms and studies.
 
 The verification pair lives on the unit box with a vertical vessel through
 the z-axis:
@@ -334,49 +334,104 @@ def convergence_study(
     return report
 
 
-# -- diagonal-line study ------------------------------------------------------
+# -- the pulse problem of ``run`` and of the diagonal-line study -------------
 
-def diagonal_geometry(case: int) -> VesselGeometry:
-    """Vessel of the diagonal-line study: three radius/permeability variants."""
-    if case == 1:
-        radius = ConstantRadius(0.05)
-    elif case in (2, 3):
-        radius = TanhRadius(r_min=0.05, r_max=0.08, beta=8.0)
+@dataclass
+class RunConfig:
+    """Flat configuration of a generic single run.  The defaults are the
+    pulse problem of diagonal case 1."""
+
+    n: int = 8
+    degree: int = 1
+    epsilon: int = 1
+    sigma: float = 50.0
+    tau: float | None = None
+    t_end: float = 1.0
+    n_circ: int = 16
+    out: str = "."
+    p0: tuple = (-0.4, -0.4, -0.4)
+    p1: tuple = (0.4, 0.4, 0.4)
+    radius: float | None = 0.05
+    radius_min: float | None = None
+    radius_max: float | None = None
+    radius_beta: float | None = None
+    gamma: float | None = 0.1
+    gamma_breaks: tuple | None = None
+    gamma_values: tuple | None = None
+    kappa: float = 1.0
+    kappa_hat: float = 1.0
+    u: tuple | None = None
+    u_hat: float = 1.0
+    c_in: float = 5.0
+    c_in_until: float = 0.1
+    snapshots: tuple = (1.0,)
+
+
+_DIAGONAL_LENGTH = 0.8 * math.sqrt(3.0)
+_TANH_RADIUS = {"radius_min": 0.05, "radius_max": 0.08, "radius_beta": 8.0}
+# The three radius/permeability variants of the diagonal-line study, as
+# overrides of the RunConfig defaults; case 3's wall is impermeable on the
+# first third of the vessel.
+DIAGONAL_CASES = {
+    1: {},
+    2: _TANH_RADIUS,
+    3: {**_TANH_RADIUS, "gamma_breaks": (_DIAGONAL_LENGTH / 3.0, 2.0 * _DIAGONAL_LENGTH / 3.0),
+        "gamma_values": (0.0, 0.05, 0.1)},
+}
+
+
+def pulse_problem(cfg: RunConfig) -> TransportProblem:
+    """Pulse injection through a straight vessel: ``c_in`` until ``c_in_until``,
+    zero sources and initial data, the box velocity along the vessel unless
+    ``u`` is given."""
+    if cfg.radius_min is not None or cfg.radius_max is not None:
+        if None in (cfg.radius_min, cfg.radius_max, cfg.radius_beta):
+            raise ConfigError("tanh radius needs radius_min, radius_max and radius_beta")
+        radius = TanhRadius(cfg.radius_min, cfg.radius_max, cfg.radius_beta)
+    elif cfg.radius is not None:
+        radius = ConstantRadius(cfg.radius)
     else:
-        raise ConfigError("case must be 1, 2 or 3")
-    length = 0.8 * math.sqrt(3.0)
-    if case in (1, 2):
-        permeability = ConstantPermeability(0.1)
+        raise ConfigError("no radius profile configured")
+    if cfg.gamma_breaks is not None or cfg.gamma_values is not None:
+        if cfg.gamma_breaks is None or cfg.gamma_values is None:
+            raise ConfigError("piecewise permeability needs gamma_breaks and gamma_values")
+        permeability = PiecewisePermeability(tuple(cfg.gamma_breaks), tuple(cfg.gamma_values))
+    elif cfg.gamma is not None:
+        permeability = ConstantPermeability(cfg.gamma)
     else:
-        permeability = PiecewisePermeability(
-            breakpoints=(length / 3.0, 2.0 * length / 3.0),
-            values=(0.0, 0.05, 0.1),
-        )
-    return VesselGeometry(
-        p0=(-0.4, -0.4, -0.4), p1=(0.4, 0.4, 0.4),
-        radius=radius, permeability=permeability,
+        raise ConfigError("no permeability configured")
+    geometry = VesselGeometry(cfg.p0, cfg.p1, radius, permeability)
+    u = cfg.u if cfg.u is not None else tuple(geometry.tangent * cfg.u_hat)
+    c_in_value, c_in_until = cfg.c_in, cfg.c_in_until
+    return TransportProblem(
+        geometry=geometry,
+        kappa=ScalarField3.constant(cfg.kappa),
+        kappa_hat=lambda s: np.broadcast_to(float(cfg.kappa_hat), np.shape(s)),
+        velocity=VectorField3.constant(u),
+        u_hat=cfg.u_hat,
+        source3=ScalarField3.zero(),
+        source1=None,
+        c_in=lambda t: c_in_value if t <= c_in_until else 0.0,
+        dirichlet=None,
+        c0=None,
+        c0_hat=None,
+        t_end=cfg.t_end,
+        dg=DgParams(cfg.epsilon, cfg.sigma),
+        degree=cfg.degree,
+        dt=cfg.tau,
     )
 
 
 def diagonal_problem(case: int, degree: int = 1) -> TransportProblem:
-    """Pulse injection through the diagonal vessel: 5 units for 0.1 time units."""
-    sqrt3 = math.sqrt(3.0)
-    return TransportProblem(
-        geometry=diagonal_geometry(case),
-        kappa=ScalarField3.constant(1.0),
-        kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
-        velocity=VectorField3.constant((1.0 / sqrt3, 1.0 / sqrt3, 1.0 / sqrt3)),
-        u_hat=1.0,
-        source3=ScalarField3.zero(),
-        source1=None,
-        c_in=lambda t: 5.0 if t <= 0.1 else 0.0,
-        dirichlet=None,
-        c0=None,
-        c0_hat=None,
-        t_end=1.0,
-        dg=DgParams(1, 50.0),
-        degree=degree,
-    )
+    """The pulse problem of one diagonal-line case: 5 units for 0.1 time units."""
+    if case not in DIAGONAL_CASES:
+        raise ConfigError("case must be 1, 2 or 3")
+    return pulse_problem(RunConfig(degree=degree, **DIAGONAL_CASES[case]))
+
+
+def diagonal_geometry(case: int) -> VesselGeometry:
+    """Vessel of the diagonal-line study: three radius/permeability variants."""
+    return diagonal_problem(case).geometry
 
 
 @dataclass(kw_only=True)

@@ -10,7 +10,8 @@ entry's data position on the box pattern by searching the pattern's
 (row, column) keys, the reference the box stencil sum is checked against.
 The reference march keeps the backward Euler step as one formula per step,
 and the two space parts of the manufactured bulk source are the closed forms
-as first written, one function each.
+as first written, one function each.  The diagonal-line cases are written
+out by hand, as they were before they became run configurations.
 """
 import math
 
@@ -18,11 +19,18 @@ import numpy as np
 import sympy as sp
 
 from vesselfem import fem3d
-from vesselfem.dg1d import legendre_basis
+from vesselfem.dg1d import DgParams, legendre_basis
 from vesselfem.errors import DomainError
-from vesselfem.fem3d import ScalarField3
+from vesselfem.fem3d import ScalarField3, VectorField3
+from vesselfem.geometry import (
+    ConstantPermeability,
+    ConstantRadius,
+    PiecewisePermeability,
+    TanhRadius,
+    VesselGeometry,
+)
 from vesselfem.linalg import scatter_blocks
-from vesselfem.stepper import CoupledState
+from vesselfem.stepper import CoupledState, TransportProblem
 
 
 def simplex_moment(a: int, b: int, c: int) -> float:
@@ -244,3 +252,47 @@ def reference_march(system):
         state = CoupledState(c=c, c_hat=c_hat, t=t_new, n=n_new)
         energies.append(energy(state))
     return state, np.array(energies)
+
+
+def diagonal_geometry(case: int) -> VesselGeometry:
+    """Vessel of diagonal-line case 1, 2 or 3, each profile written out."""
+    if case == 1:
+        radius = ConstantRadius(0.05)
+    elif case in (2, 3):
+        radius = TanhRadius(r_min=0.05, r_max=0.08, beta=8.0)
+    else:
+        raise ValueError("case must be 1, 2 or 3")
+    length = 0.8 * math.sqrt(3.0)
+    if case in (1, 2):
+        permeability = ConstantPermeability(0.1)
+    else:
+        permeability = PiecewisePermeability(
+            breakpoints=(length / 3.0, 2.0 * length / 3.0),
+            values=(0.0, 0.05, 0.1),
+        )
+    return VesselGeometry(
+        p0=(-0.4, -0.4, -0.4), p1=(0.4, 0.4, 0.4),
+        radius=radius, permeability=permeability,
+    )
+
+
+def diagonal_problem(case: int, degree: int = 1) -> TransportProblem:
+    """Pulse of 5 units for 0.1 time units through the diagonal vessel, with
+    the box velocity the literal (1, 1, 1) / sqrt 3."""
+    sqrt3 = math.sqrt(3.0)
+    return TransportProblem(
+        geometry=diagonal_geometry(case),
+        kappa=ScalarField3.constant(1.0),
+        kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
+        velocity=VectorField3.constant((1.0 / sqrt3, 1.0 / sqrt3, 1.0 / sqrt3)),
+        u_hat=1.0,
+        source3=ScalarField3.zero(),
+        source1=None,
+        c_in=lambda t: 5.0 if t <= 0.1 else 0.0,
+        dirichlet=None,
+        c0=None,
+        c0_hat=None,
+        t_end=1.0,
+        dg=DgParams(1, 50.0),
+        degree=degree,
+    )

@@ -8,6 +8,7 @@ from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.errors import ConfigError
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, VesselGeometry
 from vesselfem.mesh3d import build_box_mesh
+from vesselfem.stepper import MAX_DEGREE
 
 UNIT = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
@@ -372,8 +373,9 @@ class TestCircleCount:
 
 
 class TestDiscretisationInput:
-    """A box level below 2, a degree below 1 or a penalty DgParams refuses is
-    rejected before the output directory, any mesh or the gate exists."""
+    """A box level below 2, a degree below 1 or above MAX_DEGREE or a penalty
+    DgParams refuses is rejected before the output directory, any mesh or the
+    gate exists."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -422,6 +424,16 @@ class TestDiscretisationInput:
         out = tmp_path / "out"
         self._rejected(["diagonal", "--levels", "4", "--fine", "8", "--degree", "0",
                         "--out", str(out)], out, "polynomial degree must be >= 1", capsys)
+
+    @pytest.mark.parametrize("degree", [MAX_DEGREE + 1, 1_000_000])
+    def test_degree_above_cap(self, tmp_path, capsys, degree):
+        message = f"polynomial degree must be >= 1 and <= {MAX_DEGREE}"
+        self._run(tmp_path, capsys, f"n = 4\ndegree = {degree}", message)
+        out = tmp_path / "out"
+        self._rejected(["manufactured", "--levels", "4", "--degree", str(degree),
+                        "--out", str(out)], out, message, capsys)
+        self._rejected(["diagonal", "--levels", "4", "--fine", "8", "--degree", str(degree),
+                        "--out", str(out)], out, message, capsys)
 
 
 class TestRunDataRefused:

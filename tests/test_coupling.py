@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vesselfem import coupling
 from vesselfem.coupling import assemble_coupling, average_matrix
 from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.errors import GeometryError
@@ -154,7 +153,7 @@ class TestAssembly:
         u = rng.standard_normal(fem.n_dofs)
         v = rng.standard_normal(dg.n_dofs)
         form = u @ (blocks.c_oo @ u) - 2 * u @ (blocks.c_ol @ v) + v @ (blocks.c_ll @ v)
-        pts, wts = dg.gauss_points(blocks.gauss_order)
+        pts, wts = dg.gauss_points(dg.degree + 2)
         expected = 0.0
         for s, w in zip(pts.ravel(), wts.ravel()):
             factor = geom.gamma_at(s) * geom.section_circumference(s) * w
@@ -189,12 +188,6 @@ class TestAssembly:
             change = float(np.abs(delta.data).max()) if delta.nnz else 0.0
             assert np.isfinite(change)
             assert change < 1e-2 * scale, f"{name}: {change} vs scale {scale}"
-
-    def test_default_metadata(self, setup):
-        geom, fem, dg = setup
-        blocks = assemble_coupling(geom, fem, dg)
-        assert blocks.n_circle == coupling.DEFAULT_N_CIRCLE
-        assert blocks.gauss_order == dg.degree + 2
 
 
 class TestExchangeProperties:

@@ -77,6 +77,11 @@ class TestFrame:
         with pytest.raises(GeometryError):
             VesselGeometry((0, 0, 0), (0, 0, 0), ConstantRadius(0.1), ConstantPermeability(0))
 
+    def test_overflowing_length_raises(self):
+        # finite endpoints whose distance overflows would leave a zero tangent
+        with pytest.raises(GeometryError, match="not positive and finite"):
+            VesselGeometry((1e300, 0, 0), (-1e300, 0, 0), ConstantRadius(0.1), ConstantPermeability(0))
+
 
 class TestCirclePoints:
     def test_four_points_vertical(self):

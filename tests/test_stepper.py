@@ -52,6 +52,11 @@ class TestInputRefused:
         with pytest.raises(ConfigError):
             replace(quiescent_problem(), **{name: value})
 
+    def test_degree_cap(self):
+        assert replace(quiescent_problem(), degree=stepper.MAX_DEGREE).degree == stepper.MAX_DEGREE
+        with pytest.raises(ConfigError, match=f"<= {stepper.MAX_DEGREE}"):
+            replace(quiescent_problem(), degree=stepper.MAX_DEGREE + 1)
+
     @pytest.mark.parametrize("n_cells, n_circle", [(64, 16), (1, 16), (4, 3)])
     def test_level(self, monkeypatch, n_cells, n_circle):
         def refuse(*args, **kwargs):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vesselfem import fem3d, stepper, verify
+from vesselfem import cli, coupling, fem3d, stepper, verify
 from vesselfem.errors import ConfigError, VerificationError
 from vesselfem.fem3d import ScalarField3
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, VesselGeometry
@@ -15,6 +15,7 @@ from vesselfem.mesh3d import FemSpace, build_box_mesh
 from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.stepper import CoupledSystem
 
+from _oracles import diagonal_problem as oracle_diagonal_problem
 from _oracles import manufactured_f0, manufactured_f1
 
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
@@ -255,7 +256,7 @@ class TestAveragingConsistency:
             c_nodal = ms.c(system.fem.dof_points, 1.0)
             ss = np.linspace(0.05, geom.length - 0.05, 21)
             gaps.append(max(
-                abs(system.fem.evaluate(c_nodal, geom.circle_points(s, system.n_circle)[0]).mean()
+                abs(system.fem.evaluate(c_nodal, geom.circle_points(s, coupling.DEFAULT_N_CIRCLE)[0]).mean()
                     - 0.5 * float(ms.c_hat(s, 1.0)))
                 for s in ss
             ))
@@ -288,6 +289,29 @@ class TestDiagonalSetup:
         u = problem.velocity(np.zeros((1, 3)))[0]
         assert np.allclose(u, problem.geometry.tangent, atol=1e-15)
         assert abs(np.linalg.norm(u) - 1.0) < 1e-15
+
+    def test_run_defaults_are_case_1(self):
+        # one pulse problem: the run defaults build diagonal case 1's operator bit for bit
+        run = CoupledSystem(cli.problem_from_config(cli.RunConfig()), n_cells=8).operator
+        case1 = CoupledSystem(verify.diagonal_problem(1), n_cells=8).operator
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(run, name), getattr(case1, name), err_msg=name)
+
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_cases_match_hand_written(self, case):
+        # the run-config overrides give the profiles and inflow of the cases as written out
+        ref = oracle_diagonal_problem(case)
+        problem = verify.diagonal_problem(case)
+        s = np.linspace(0.0, ref.geometry.length, 1000)
+        for geom in (problem.geometry, verify.diagonal_geometry(case)):
+            np.testing.assert_array_equal(geom.p0, ref.geometry.p0)
+            np.testing.assert_array_equal(geom.p1, ref.geometry.p1)
+            np.testing.assert_array_equal(geom.radius_at(s), ref.geometry.radius_at(s))
+            np.testing.assert_array_equal(geom.gamma_at(s), ref.geometry.gamma_at(s))
+        for t in (0.0, 0.1, 0.1 + 1e-12, 0.5):
+            assert problem.c_in(t) == ref.c_in(t)
+        assert (problem.t_end, problem.dg, problem.u_hat, problem.dt) == (
+            ref.t_end, ref.dg, ref.u_hat, ref.dt)
 
 
 class TestCrossErrors:
