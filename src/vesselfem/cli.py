@@ -201,13 +201,13 @@ def _check_out_dir(path):
 
 
 def _write_snapshots(out, template, level, geometry, snapshots):
-    """Write the box/vessel VTK pair of every (t, state) of one level.
+    """Write the box/vessel VTK pair of every distinct (t, state) of one level.
 
     ``level`` is a system or a study report (anything with ``mesh`` and
     ``dg``).  The files are ``<template>_3d.vtk`` and ``<template>_1d.vtk``
     in ``out``, with ``{tag}`` in the template replaced by t ('.' as 'p').
     """
-    for t, state in snapshots:
+    for t, state in dict(snapshots).items():
         path = os.path.join(out, template.format(tag=format(t, "g").replace(".", "p")))
         write_vtk_3d(level.mesh, state.c, path + "_3d.vtk")
         write_vtk_1d(level.dg, state.c_hat, geometry, path + "_1d.vtk")

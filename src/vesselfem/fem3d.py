@@ -30,6 +30,7 @@ class ScalarField3:
 
     A time-separable field f = sum_k g_k(t) p_k(x) keeps its factors too:
     ``times(t)`` gives the k floats g_k(t), ``parts(x)`` the stacked (k, m) p_k.
+    A vessel datum is the same kind of field over arclengths: x is an (m,) array of s.
     """
 
     fn: Callable
@@ -188,7 +189,7 @@ def assemble_load(space: FemSpace, f: ScalarField3, t: float, order: int = 4):
         fq = f(xq.reshape(-1, 3), t)
         out = np.zeros((fq.size // wq.size, space.n_dofs)) if out is None else out
         for row, fk in zip(out, fq.reshape(-1, *wq.shape)):
-            np.add.at(row, mesh.tets[sl].ravel(), np.einsum("eq,qi->ei", wq * fk, bary).ravel())
+            np.add.at(row, mesh.tets[sl].ravel(), ((wq * fk) @ bary).ravel())
     return out if fq.ndim == 2 else out[0]
 
 

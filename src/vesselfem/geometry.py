@@ -204,5 +204,5 @@ class VesselGeometry:
         reach = np.sqrt(self.e1**2 + self.e2**2)  # per-axis amplitude of the circle
         mins = centers - np.outer(r, reach)
         maxs = centers + np.outer(r, reach)
-        if np.any(mins < lo - _TOL) or np.any(maxs > hi + _TOL):
+        if not (np.all(mins >= lo - _TOL) and np.all(maxs <= hi + _TOL)):  # NaN fails too
             raise GeometryError("vessel tube leaves the computational box")

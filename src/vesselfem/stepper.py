@@ -10,7 +10,8 @@ MAX_CELLS SuperLU orders by minimum degree instead.  Each step assembles the
 right-hand side from the previous state, the sources at the new time level
 and the inflow datum, overwrites the Dirichlet rows, and back-substitutes.
 A march forms one mass product per state, for its energy and the next
-right-hand side.
+right-hand side.  A separable box source, vessel source or Dirichlet datum
+has its parts evaluated once per system; each step only recombines them.
 """
 from __future__ import annotations
 
@@ -63,8 +64,8 @@ class TransportProblem:
     (boundary points, t) to trace values (None = homogeneous); ``c_in`` is the
     prescribed inflow concentration.  ``dt`` is the requested step, 0.1 times
     the mesh cell size when left None; the system shortens it so that a whole
-    number of steps lands on ``t_end``, of at most MAX_STEPS.  A separable
-    ``source3`` is projected once per run instead of once per step.
+    number of steps lands on ``t_end``, of at most MAX_STEPS.  The parts of a
+    separable ``source3``, ``source1`` or ``dirichlet`` are evaluated once per system.
     """
 
     geometry: VesselGeometry
@@ -157,8 +158,7 @@ class CoupledSystem:
         )
 
         self.dirichlet_rows = level.dirichlet_rows
-        self._boundary_points = (None if problem.dirichlet is None
-                                else self.fem.dof_points[self.dirichlet_rows])
+        self._boundary_points = self.fem.dof_points[self.dirichlet_rows]
         # the Dirichlet rows are constrained in the box rows [box, -c_ol]
         # before the stack, and the one CSC operator is what the LU factors
         top = fem3d.constrain_rows(sp.hstack([box + self.blocks.c_oo, -self.blocks.c_ol]),
@@ -170,7 +170,7 @@ class CoupledSystem:
         # bench/gates.py's DIAGONAL_RECORDED holds that LU's round-off
         order = None if n_cells == MAX_CELLS else self._level_order()
         self.factorization = linalg.Factorization(self.operator, order=order)
-        self._part_loads = None  # projected source3 parts, filled on first use
+        self._parts = {}  # evaluated parts of the separable data, filled on first use
 
         self._quad1 = self.dg.element_quadrature(self.dg.degree + 2)
         self._inflow = dg1d.inflow_factors(self.dg, area, problem.u_hat)
@@ -217,32 +217,37 @@ class CoupledSystem:
             rhs3 += self._load3(t_new)
         np.multiply(inv_dt, masses[1], out=rhs1)
         if pr.source1 is not None:
-            rhs1 += self._load1(pr.source1, t_new)
+            rhs1 += self._datum("source1", pr.source1, t_new, self._load1)
         if pr.c_in is not None:
             dofs, scale, vl = self._inflow
             rhs1[dofs] += scale * float(pr.c_in(t_new)) * vl
-        rhs[self.dirichlet_rows] = fem3d.dirichlet_values(self._boundary_points, pr.dirichlet, t_new)
+        trace = None if pr.dirichlet is None else (
+            lambda x, t: self._datum("dirichlet", pr.dirichlet, t, lambda g, t: g(x, t)))
+        rhs[self.dirichlet_rows] = fem3d.dirichlet_values(self._boundary_points, trace, t_new)
         return rhs
 
+    def _datum(self, key, datum, t, evaluate):
+        """evaluate(datum, t), a datum's vector at t.  A separable datum's parts are evaluated
+        once, on first use, as evaluate(parts, 0.0) of shape (k, ...); each step recombines them."""
+        if getattr(datum, "parts", None) is None:
+            return evaluate(datum, t)
+        if key not in self._parts:
+            self._parts[key] = evaluate(ScalarField3(fn=lambda x, t: datum.parts(x)), 0.0)
+        return sum(float(g) * part for g, part in zip(datum.times(t), self._parts[key]))
+
     def _load3(self, t):
-        """Box load of source3 at time t; the parts of a separable source are
-        projected in one pass on first use and afterwards only recombined."""
-        source = self.problem.source3
-        if source.parts is None:
-            return fem3d.assemble_load(self.fem, source, t)
-        if self._part_loads is None:
-            parts = ScalarField3(fn=lambda x, t: source.parts(x))
-            self._part_loads = fem3d.assemble_load(self.fem, parts, 0.0)
-        out = np.zeros(self.fem.n_dofs)
-        for g, load in zip(source.times(t), self._part_loads):
-            out += float(g) * load
-        return out
+        """Box load of source3 at time t."""
+        return self._datum("source3", self.problem.source3, t,
+                           lambda f, t: fem3d.assemble_load(self.fem, f, t))
 
     def _load1(self, fn, t):
-        """Vessel load (fn(., t), phi_i) over every element and Gauss point at once."""
+        """Vessel load (fn(., t), phi_i) over every element and Gauss point at
+        once; stacked values, shape (k, m), give the k loads as (k, n_dofs)."""
         pts, wts, vals, _ = self._quad1
-        fq = np.broadcast_to(np.asarray(fn(pts.ravel(), t), dtype=float), (pts.size,))
-        return np.einsum("eq,iq->ei", wts * fq.reshape(pts.shape), vals).ravel()
+        fq = np.asarray(fn(pts.ravel(), t), dtype=float)
+        lead = fq.shape[:-1]  # (k,) for stacked values
+        fq = np.broadcast_to(fq, lead + (pts.size,)).reshape(lead + pts.shape)
+        return np.einsum("...eq,iq->...ei", wts * fq, vals).reshape(lead + (-1,))
 
     def mass_products(self, state: CoupledState):
         """(M3 c, M1 c_hat): a state's energy and its share of the next step."""

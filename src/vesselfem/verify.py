@@ -3,7 +3,7 @@
 The verification pair lives on the unit box with a vertical vessel through
 the z-axis:
 
-    chat(z, t) = t (sin(pi z) + 2)
+    chat(z, t) = phi(t) (sin(pi z) + 2),  phi(t) = t unless given
     c(x, t)    = (1/2) w(r) chat(z, t),  w(r) = 1 - R ln(r / R) for r > R,
                                           w(r) = 1 for r <= R,
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -45,68 +46,76 @@ FD_STEP_3D, FD_STEP_1D, FD_TIME_SAMPLES = 3e-4, 1e-3, 10
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Exact pair for the vertical-vessel verification problem."""
+    """Exact pair for the vertical-vessel verification problem, with time
+    factor ``phi`` (phi(t) = t by default) and its derivative ``phi_dt``."""
 
     radius: float = 0.05
+    phi: Callable = lambda t: t
+    phi_dt: Callable = lambda t: 1.0
 
     def w(self, r):
-        r = np.asarray(r, dtype=float)
-        safe = np.maximum(r, self.radius)
-        return np.where(r > self.radius, 1.0 - self.radius * np.log(safe / self.radius), 1.0)
+        # log(R / R) = 0, so w = 1 for r <= R
+        return 1.0 - self.radius * np.log(np.maximum(r, self.radius) / self.radius)
+
+    def _profile(self, x):
+        """x (m, 3), w(r) and sin(pi z); r by sqrt, as every point lies in the unit box."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return x, self.w(np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2)), np.sin(np.pi * x[:, 2])
 
     def c_hat_of_z(self, z, t):
-        return t * (np.sin(np.pi * np.asarray(z, dtype=float)) + 2.0)
+        return self.phi(t) * (np.sin(np.pi * np.asarray(z, dtype=float)) + 2.0)
 
     def c_hat(self, s, t):
         return self.c_hat_of_z(np.asarray(s, dtype=float) - 0.5, t)
 
     def c_hat_ds(self, s, t):
-        return t * np.pi * np.cos(np.pi * (np.asarray(s, dtype=float) - 0.5))
+        return self.phi(t) * np.pi * np.cos(np.pi * (np.asarray(s, dtype=float) - 0.5))
 
     def c(self, x, t):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.hypot(x[:, 0], x[:, 1])
-        return 0.5 * self.w(r) * self.c_hat_of_z(x[:, 2], t)
+        _, w, sz = self._profile(x)
+        return 0.5 * w * (self.phi(t) * (sz + 2.0))
+
+    def c_and_grad(self, x, t):
+        """c and its gradient (m, 3) from one profile, reusing its arrays in place."""
+        x, w, sz = self._profile(x)
+        phi, grad = self.phi(t), np.empty_like(x)
+        np.multiply(0.5 * w * phi * np.pi, np.cos(np.pi * x[:, 2]), out=grad[:, 2])
+        chat, rsq = np.multiply(phi, sz + 2.0, out=sz), x[:, 0] ** 2 + x[:, 1] ** 2
+        radial = -0.5 * self.radius * chat / np.maximum(rsq, self.radius**2)
+        radial[rsq <= self.radius**2] = 0.0  # grad w = -R (x, y) / r^2 outside the vessel, 0 inside
+        np.multiply(radial[:, None], x[:, :2], out=grad[:, :2])
+        return np.multiply(0.5 * w, chat, out=w), grad
 
     def grad_c(self, x, t):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.hypot(x[:, 0], x[:, 1])
-        z = x[:, 2]
-        out = np.zeros_like(x)
-        outside = r > self.radius
-        rsq = np.where(outside, r * r, 1.0)
-        radial = -0.5 * self.c_hat_of_z(z, t) * self.radius / rsq
-        out[:, 0] = np.where(outside, radial * x[:, 0], 0.0)
-        out[:, 1] = np.where(outside, radial * x[:, 1], 0.0)
-        out[:, 2] = 0.5 * self.w(r) * t * np.pi * np.cos(np.pi * z)
-        return out
+        return self.c_and_grad(x, t)[1]
 
     def f_parts(self, x):
-        """The bulk source's space parts, stacked (2, m): 1/2 w(r) dchat/dt
-        and the coefficient of t, 1/2 w(r) (d_z - d_zz) chat / t."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        half_w = 0.5 * self.w(np.hypot(x[:, 0], x[:, 1]))
-        sz, cz = np.sin(np.pi * x[:, 2]), np.cos(np.pi * x[:, 2])
-        return np.stack([half_w * (sz + 2.0), half_w * (np.pi**2 * sz + np.pi * cz)])
+        """The bulk source's space parts, stacked (2, m): 1/2 w(r) chat / phi
+        and 1/2 w(r) (d_z - d_zz) chat / phi, the factors of phi' and phi."""
+        x, half_w, sz = self._profile(x)
+        half_w *= 0.5
+        dz = np.pi**2 * sz + np.pi * np.cos(np.pi * x[:, 2])  # (d_z - d_zz)(sin(pi z) + 2)
+        return np.stack([half_w * (sz + 2.0), half_w * dz])
 
     def f(self, x, t):
-        """Bulk source: substitute c into the 3D balance with kappa = 1, U = e_z.
-
-        It is affine in t, p0(x) + t p1(x) with (p0, p1) = ``f_parts(x)``, the
-        separable field ``manufactured_problem`` hands to the solver.
-        """
+        """Bulk source: substitute c into the 3D balance with kappa = 1, U = e_z."""
         p0, p1 = self.f_parts(x)
-        return p0 + t * p1
+        return self.phi_dt(t) * p0 + self.phi(t) * p1
+
+    def f_hat_parts(self, s):
+        """The vessel source's space parts, stacked (2, m), factors of phi' and
+        phi: chat with area pi R^2 substituted, plus the exchange chat / 2."""
+        z = np.pi * (np.asarray(s, dtype=float) - 0.5)
+        sz, area = np.sin(z), np.pi * self.radius**2
+        return np.stack([area * (sz + 2.0), area * (np.pi**2 * sz + np.pi * np.cos(z))
+                         + np.pi * self.radius * (sz + 2.0)])
 
     def f_hat(self, s, t):
-        """Vessel source: substitute chat with area pi R^2 and exchange chat / 2."""
-        z = np.asarray(s, dtype=float) - 0.5
-        sz = np.sin(np.pi * z)
-        body = (sz + 2.0) + np.pi**2 * t * sz + np.pi * t * np.cos(np.pi * z)
-        return np.pi * self.radius**2 * body + np.pi * self.radius * t * (sz + 2.0)
+        p0, p1 = self.f_hat_parts(s)
+        return self.phi_dt(t) * p0 + self.phi(t) * p1
 
     def c_in(self, t):
-        return t
+        return self.phi(t)
 
     def geometry(self) -> VesselGeometry:
         return VesselGeometry(
@@ -117,20 +126,21 @@ class ManufacturedSolution:
         )
 
 
-def manufactured_problem(
-    epsilon: int = 1, sigma: float = 50.0, degree: int = 1
-) -> TransportProblem:
-    ms = ManufacturedSolution()
+def manufactured_problem(epsilon: int = 1, sigma: float = 50.0, degree: int = 1,
+                         ms: ManufacturedSolution | None = None) -> TransportProblem:
+    """The verification problem of ``ms`` (phi(t) = t when None), all its data separable."""
+    ms = ms or ManufacturedSolution()
+    times = lambda t: (ms.phi_dt(t), ms.phi(t))
     return TransportProblem(
         geometry=ms.geometry(),
         kappa=ScalarField3.constant(1.0),
         kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
         velocity=VectorField3.constant((0.0, 0.0, 1.0)),
         u_hat=1.0,
-        source3=ScalarField3.separable(lambda t: (1.0, t), ms.f_parts),
-        source1=ms.f_hat,
+        source3=ScalarField3.separable(times, ms.f_parts),
+        source1=ScalarField3.separable(times, ms.f_hat_parts),
         c_in=ms.c_in,
-        dirichlet=ms.c,
+        dirichlet=ScalarField3.separable(lambda t: (ms.phi(t),), lambda x: ms.f_parts(x)[:1]),  # c = phi p0
         c0=lambda x: ms.c(x, 0.0),
         c0_hat=lambda s: ms.c_hat(s, 0.0),
         t_end=1.0,
@@ -156,7 +166,7 @@ def verify_sources(ms: ManufacturedSolution | None = None, n_points: int = 1000,
 
     Returns a dict with the max residual of the bulk source (4th-order
     stencils, sampled away from the profile kink at r = R) and of the vessel
-    source, plus the max inflow mismatch.  Points are grouped into batches
+    source, plus the inflow's max gap to chat(0, t).  Points are grouped into batches
     sharing a time sample so the stencil evaluations stay vectorized.
     """
     ms = ms or ManufacturedSolution()
@@ -197,7 +207,7 @@ def verify_sources(ms: ManufacturedSolution | None = None, n_points: int = 1000,
         fhat_res = max(fhat_res, float(np.max(np.abs(resid))))
 
     tt = rng.uniform(0.0, 1.0, size=100)
-    cin_res = float(np.max(np.abs(np.array([ms.c_in(t) for t in tt]) - tt)))
+    cin_res = float(np.max(np.abs([ms.c_in(t) - ms.c_hat(0.0, t) for t in tt])))
     return {"f": f_res, "f_hat": fhat_res, "c_in": cin_res}
 
 
@@ -218,23 +228,26 @@ def source_gate(**kwargs):
 def error_norms_3d(fem, c_dofs, exact, exact_grad, t):
     """(L2 error, gradient L2 error) of a P1 field against reference fields
     exact(points, t) and exact_grad(points, t), by the order-4 tet rule; None
-    stands for zero."""
+    stands for zero.  One callable given as both returns (values, gradients)
+    from one evaluation per block."""
     mesh = fem.mesh
     bary, _ = tet_quadrature(4)
     dofs = np.asarray(c_dofs, dtype=float)
+    fused = exact is not None and exact == exact_grad
     l2 = 0.0
     grad = 0.0
     for sl, xq, wq in mesh.quadrature(4):
         flat = xq.reshape(-1, 3)
         local = dofs[mesh.tets[sl]]  # (ne, 4)
         ch = local @ bary.T
-        ce = exact(flat, t).reshape(ch.shape) if exact is not None else 0.0
-        l2 += float(np.einsum("eq,eq->", wq, (ce - ch) ** 2))
+        ce, ge = exact(flat, t) if fused else (0.0 * ch if exact is None else exact(flat, t), None)
+        l2 += float(np.einsum("eq,eq->", wq, (ce.reshape(ch.shape) - ch) ** 2))
         # blocks are whole cells, so the tets cycle through the six shapes
         gh = np.einsum("sic,bsi->bsc", mesh.shape_gradients, local.reshape(-1, 6, 4)).reshape(-1, 3)
         if exact_grad is not None:
-            diff = exact_grad(flat, t).reshape(xq.shape) - gh[:, None, :]
-            grad += float(np.einsum("eq,eqc->", wq, diff**2))
+            ge = np.reshape(ge if fused else exact_grad(flat, t), xq.shape)
+            diff = np.subtract(ge, gh[:, None, :], out=ge if fused else None)  # a fused ge is ours
+            grad += float(np.einsum("eq,eqc->", wq, np.square(diff, out=diff)))
         else:
             grad += float(wq.sum(axis=1).dot(np.sum(gh**2, axis=1)))
     return math.sqrt(l2), math.sqrt(grad)
@@ -327,7 +340,7 @@ def convergence_study(
     ms = ManufacturedSolution()
     for n in report.levels:
         fem, dg, state, run_report, _ = _march(problem, n, n_circle)
-        l2_3, grad3 = error_norms_3d(fem, state.c, ms.c, ms.grad_c, state.t)
+        l2_3, grad3 = error_norms_3d(fem, state.c, ms.c_and_grad, ms.c_and_grad, state.t)
         l2_1, grad1 = error_norms_1d(dg, state.c_hat, ms.c_hat, ms.c_hat_ds, state.t)
         report.add(run_report, grad3=grad3, l2_3=l2_3, grad1=grad1, l2_1=l2_1)
         report.mesh, report.dg, report.snapshots = fem.mesh, dg, [(state.t, state)]

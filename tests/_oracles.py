@@ -191,7 +191,7 @@ def slot_map(mesh):
 def manufactured_f0(x, radius=0.05):
     """Time-independent part of the manufactured bulk source: 1/2 w(r) dchat/dt."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.hypot(x[:, 0], x[:, 1])
+    r = np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2)
     w = np.where(r > radius, 1.0 - radius * np.log(np.maximum(r, radius) / radius), 1.0)
     return 0.5 * w * (np.sin(np.pi * x[:, 2]) + 2.0)
 
@@ -199,22 +199,21 @@ def manufactured_f0(x, radius=0.05):
 def manufactured_f1(x, radius=0.05):
     """Coefficient of t in the manufactured bulk source: 1/2 w(r) (d_z - d_zz) chat / t."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.hypot(x[:, 0], x[:, 1])
+    r = np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2)
     w = np.where(r > radius, 1.0 - radius * np.log(np.maximum(r, radius) / radius), 1.0)
     z = x[:, 2]
     return 0.5 * w * (np.pi**2 * np.sin(np.pi * z) + np.pi * np.cos(np.pi * z))
 
 
-def reference_load3(system, t):
-    """Box load at t: a separable source projected one part per quadrature
-    pass and recombined from zero, any other source assembled at t."""
-    source = system.problem.source3
-    if source.parts is None:
-        return fem3d.assemble_load(system.fem, source, t)
-    out = np.zeros(system.fem.n_dofs)
+def reference_load(source, t, project):
+    """project(f, t), the load of a source at t: a separable source projected
+    one part per pass and recombined from zero, any other source at t."""
+    if getattr(source, "parts", None) is None:
+        return project(source, t)
+    out = 0.0
     for k, g in enumerate(source.times(t)):
         part = ScalarField3(fn=lambda x, t, k=k: source.parts(x)[k])
-        out += float(g) * fem3d.assemble_load(system.fem, part, 0.0)
+        out = out + float(g) * project(part, 0.0)
     return out
 
 
@@ -236,10 +235,11 @@ def reference_march(system):
     energies = [energy(state)]
     for n_new in range(1, system.n_steps + 1):
         t_new = pr.t_end if n_new == system.n_steps else n_new * system.dt
-        rhs3 = inv_dt * (system.mass3 @ state.c) + reference_load3(system, t_new)
+        rhs3 = inv_dt * (system.mass3 @ state.c) + reference_load(
+            pr.source3, t_new, lambda f, t: fem3d.assemble_load(system.fem, f, t))
         rhs1 = inv_dt * (system.mass1 @ state.c_hat)
         if pr.source1 is not None:
-            rhs1 = rhs1 + system._load1(pr.source1, t_new)
+            rhs1 = rhs1 + reference_load(pr.source1, t_new, system._load1)
         if pr.c_in is not None:
             inflow = np.zeros(system.dg.n_dofs)
             inflow[system.dg.element_dofs(0)] = (float(np.asarray(pr.geometry.section_area(0.0)))

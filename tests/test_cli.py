@@ -579,6 +579,18 @@ class TestRunCommand:
         assert float(rows[-1].split(",")[1]) == 1.0
         assert (out / "run_t1_3d.vtk").exists()
 
+    def test_state_reached_by_two_times_written_once(self, tmp_path, monkeypatch):
+        written = []
+        real = cli.write_vtk_3d
+        monkeypatch.setattr(cli, "write_vtk_3d", lambda mesh, c, path: written.append(path) or real(mesh, c, path))
+        cfg_file = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg_file.write_text(f"n = 2\nt_end = 0.6\ntau = 0.0125\nout = {out}\nsnapshots = 0.505,0.501,0.6\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        # both requests reach the step at t = 0.5125, named by that state's time
+        assert [os.path.basename(p) for p in written] == ["run_t0p5125_3d.vtk", "run_t0p6_3d.vtk"]
+        assert (out / "run_t0p5125_1d.vtk").exists()
+
 
 @pytest.mark.slow
 class TestManufacturedCommand:

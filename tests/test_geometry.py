@@ -195,3 +195,10 @@ class TestBoxContainment:
         )
         with pytest.raises(GeometryError):
             g.check_inside_box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+
+    def test_nan_centres_rejected(self, monkeypatch):
+        # every comparison with NaN is false, so NaN must fail the check, not pass it
+        g = vertical()
+        monkeypatch.setattr(VesselGeometry, "point_at", lambda self, s: np.full((np.size(s), 3), np.nan))
+        with pytest.raises(GeometryError):
+            g.check_inside_box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))

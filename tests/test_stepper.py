@@ -561,6 +561,47 @@ class _CountingMatrix:
         return self.matrix @ x
 
 
+def _counted(calls, name, fn):
+    """fn, counting its calls in ``calls[name]``."""
+    def wrapped(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapped
+
+
+class TestSeparableData:
+    """The manufactured trace and vessel source are separable too: their parts
+    are evaluated once per system, and each step only recombines them."""
+
+    def test_march_equals_reference_with_plain_callables(self):
+        ms = verify.ManufacturedSolution()
+        separable = verify.manufactured_problem()
+        plain = replace(separable, source3=ScalarField3(fn=ms.f), source1=ms.f_hat, dirichlet=ms.c)
+        state, _ = CoupledSystem(separable, n_cells=8).run()
+        ref, _ = reference_march(CoupledSystem(plain, n_cells=8))
+        for a, b in ((state.c, ref.c), (state.c_hat, ref.c_hat)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_parts_evaluated_once_per_run(self):
+        calls = Counter()
+        problem = verify.manufactured_problem()
+        problem = replace(problem, **{
+            name: ScalarField3.separable(datum.times, _counted(calls, name, datum.parts))
+            for name, datum in (("source1", problem.source1), ("dirichlet", problem.dirichlet))})
+        system = CoupledSystem(problem, n_cells=4)
+        assert not calls  # built but not marched: nothing evaluated yet
+        _, report = system.run()
+        assert report.n_steps == 40
+        assert calls == {"source1": 1, "dirichlet": 1}
+
+    def test_plain_callables_evaluated_every_step(self):
+        ms, calls = verify.ManufacturedSolution(), Counter()
+        problem = replace(verify.manufactured_problem(), source1=_counted(calls, "source1", ms.f_hat),
+                          dirichlet=_counted(calls, "dirichlet", ms.c))
+        _, report = CoupledSystem(problem, n_cells=4).run()
+        assert calls == {"source1": report.n_steps, "dirichlet": report.n_steps}
+
+
 class TestReferenceLoop:
     """The march forms only what changes with t, with the reference formula's
     operands in the reference formula's order: every output is bitwise equal."""

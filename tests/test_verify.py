@@ -97,6 +97,14 @@ class TestSourceGate:
         assert res["f_hat"] <= verify.FHAT_RESIDUAL_TOL
         assert res["c_in"] == 0.0
 
+    def test_exponential_time_factor_passes(self):
+        res = verify.source_gate(ms=verify.ManufacturedSolution(phi=np.exp, phi_dt=np.exp), n_points=300)
+        assert res["f"] <= verify.F_RESIDUAL_TOL and res["f_hat"] <= verify.FHAT_RESIDUAL_TOL
+
+    def test_gate_raises_on_wrong_time_derivative(self):
+        with pytest.raises(VerificationError):
+            verify.source_gate(ms=verify.ManufacturedSolution(phi=np.exp, phi_dt=lambda t: 1.0), n_points=100)
+
     def test_gate_raises_on_corrupted_source(self, ms):
         class Corrupted(verify.ManufacturedSolution):
             def f_hat(self, s, t):
@@ -158,6 +166,16 @@ class TestErrorNormMemory:
         c = np.random.default_rng(1).standard_normal(fem.n_dofs)
         assert self._peak(lambda: verify.error_norms_3d(fem, c, ms.c, ms.grad_c, 1.0)) < self.LIMIT
 
+    def test_one_pass_error_norms_3d(self, ms):
+        """Value and gradient from one evaluation per block: the two-callable
+        norms, under the same memory bound."""
+        fem = FemSpace(build_box_mesh(*CENTERED, 32))
+        c = np.random.default_rng(1).standard_normal(fem.n_dofs)
+        both = []
+        peak = self._peak(lambda: both.append(verify.error_norms_3d(fem, c, ms.c_and_grad, ms.c_and_grad, 1.0)))
+        assert peak < self.LIMIT
+        np.testing.assert_allclose(both[0], verify.error_norms_3d(fem, c, ms.c, ms.grad_c, 1.0), rtol=1e-13)
+
 
 class TestRates:
     def test_pure_rate_function(self):
@@ -174,9 +192,10 @@ class TestTimeRate:
     """The time half of the error bound: backward Euler converges at first
     order in dt, in the box mass norm and the vessel area-weighted norm."""
 
-    def test_first_order_in_dt(self):
-        problem = verify.diagonal_problem(1)
-
+    @staticmethod
+    def _rates(problem):
+        """Rates of the final-state errors at dt = 0.1 / 2^k, k = 0..3, against
+        dt = 0.1 / 128, in the two norms: (3, box and vessel)."""
         def final(dt):
             system = CoupledSystem(replace(problem, dt=dt), n_cells=8)
             state, _ = system.run()
@@ -188,7 +207,17 @@ class TestTimeRate:
             _, state = final(dt)
             e3, e1 = state.c - ref.c, state.c_hat - ref.c_hat
             errors.append((math.sqrt(e3 @ (system.mass3 @ e3)), math.sqrt(e1 @ (system.mass1 @ e1))))
-        rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))  # (3, box and vessel)
+        return np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+
+    def test_first_order_in_dt(self):
+        rates = self._rates(verify.diagonal_problem(1))
+        assert np.all((0.9 <= rates) & (rates <= 1.2)), rates
+
+    def test_first_order_in_dt_on_the_manufactured_pair(self):
+        """With phi(t) = e^t the manufactured data are not affine in t, so
+        backward Euler has a time error to converge."""
+        ms = verify.ManufacturedSolution(phi=np.exp, phi_dt=np.exp)
+        rates = self._rates(verify.manufactured_problem(ms=ms))
         assert np.all((0.9 <= rates) & (rates <= 1.2)), rates
 
 
