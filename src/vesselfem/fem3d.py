@@ -31,6 +31,9 @@ class ScalarField3:
     A time-separable field f = sum_k g_k(t) p_k(x) keeps its factors too:
     ``times(t)`` gives the k floats g_k(t), ``parts(x)`` the stacked (k, m) p_k.
     A vessel datum is the same kind of field over arclengths: x is an (m,) array of s.
+    With ``lattice`` set, fn (and parts) also take a quadrature block's
+    coordinate axes (X, Y, Z) of ``TetMesh.quadrature`` in place of its
+    points, and return values of their broadcast shape (stacked in front).
     """
 
     fn: Callable
@@ -38,18 +41,19 @@ class ScalarField3:
     is_zero: bool = False
     times: Callable | None = None
     parts: Callable | None = None
+    lattice: bool = False
 
     def __call__(self, x, t=0.0):
         return np.asarray(self.fn(x, t), dtype=float)
 
     @classmethod
-    def separable(cls, times, parts):
+    def separable(cls, times, parts, lattice=False):
         """Field sum_k g_k(t) p_k(x) with (g_k(t)) = times(t) and (p_k(x)) = parts(x)."""
 
         def fn(x, t):
             return sum(float(g) * p for g, p in zip(times(t), np.asarray(parts(x), dtype=float)))
 
-        return cls(fn=fn, times=times, parts=parts)
+        return cls(fn=fn, times=times, parts=parts, lattice=lattice)
 
     @classmethod
     def constant(cls, value):
@@ -92,11 +96,11 @@ class VectorField3:
         )
 
 
-def _assemble(space: FemSpace, blocks):
-    """CSR matrix on the mesh's pattern summing 4 x 4 blocks, given per tet
-    (n_tets, 4, 4) or per shape (6, 4, 4), each entry in ascending tet order."""
+def _assemble(space: FemSpace, blocks, scale=None):
+    """CSR matrix on the mesh's pattern summing 4 x 4 blocks, per tet (n_tets, 4, 4)
+    or per shape (6, 4, 4) times ``scale`` (n_tets,), each entry in ascending tet order."""
     indptr, indices = space.mesh.csr_pattern
-    return sp.csr_matrix((space.mesh.sum_blocks(blocks), indices, indptr),
+    return sp.csr_matrix((space.mesh.sum_blocks(blocks, scale), indices, indptr),
                          shape=(space.n_dofs, space.n_dofs))
 
 
@@ -117,13 +121,12 @@ def assemble_stiffness(space: FemSpace, kappa: ScalarField3):
         if not kval > 0.0:  # NaN fails too
             raise CoefficientError("diffusivity must be positive")
         return _assemble(space, kval * mesh.tet_volume * gg)
-    kint = np.empty(mesh.n_tets)
-    for sl, xq, wq in mesh.quadrature(2):
-        kq = kappa(xq.reshape(-1, 3)).reshape(wq.shape)
+    def integral(xq, wq):  # per tet; a block's temporaries go with its call
+        kq = kappa(xq).reshape(wq.shape)
         if not np.all(kq > 0.0):
             raise CoefficientError("diffusivity must be positive at all quadrature points")
-        kint[sl] = np.einsum("eq,eq->e", wq, kq)
-    return _assemble(space, kint.reshape(-1, 6, 1, 1) * gg)
+        return np.einsum("eq,eq->e", wq, kq)
+    return _assemble(space, gg, scale=np.concatenate([integral(xq, wq) for _, xq, wq in mesh.quadrature(2)]))
 
 
 def assemble_convection(space: FemSpace, velocity: VectorField3):
@@ -139,7 +142,7 @@ def assemble_convection(space: FemSpace, velocity: VectorField3):
         return _assemble(space, -6.0 * mesh.tet_volume * np.einsum("si,j->sij", g @ u, ref))
     local = np.empty((mesh.n_tets, 4, 4))
     for sl, xq, wq in mesh.quadrature(2):  # blocks of whole cells: tets cycle the six shapes
-        uq = velocity(xq.reshape(-1, 3)).reshape(-1, 6, w.size, 3)
+        uq = velocity(xq).reshape(-1, 6, w.size, 3)
         ug = np.einsum("bsqc,sic->bsqi", uq, g).reshape(-1, w.size, 4)
         local[sl] = -np.einsum("eq,eqi,qj->eij", wq, ug, bary)
     return _assemble(space, local)
@@ -185,12 +188,12 @@ def assemble_load(space: FemSpace, f: ScalarField3, t: float, order: int = 4):
     mesh = space.mesh
     bary, _ = tet_quadrature(order)
     out = None
-    for sl, xq, wq in mesh.quadrature(order):
-        fq = f(xq.reshape(-1, 3), t)
-        out = np.zeros((fq.size // wq.size, space.n_dofs)) if out is None else out
-        for row, fk in zip(out, fq.reshape(-1, *wq.shape)):
+    for sl, xq, wq in mesh.quadrature(order, axes=f.lattice):
+        fq = f(xq, t)  # stacked values have one more axis than a point (3,) or than X
+        out = np.zeros(fq.shape[:fq.ndim - np.ndim(xq[0])] + (space.n_dofs,)) if out is None else out
+        for row, fk in zip(out.reshape(-1, space.n_dofs), fq.reshape(-1, *wq.shape)):
             np.add.at(row, mesh.tets[sl].ravel(), ((wq * fk) @ bary).ravel())
-    return out if fq.ndim == 2 else out[0]
+    return out
 
 
 def constrain_rows(matrix, rows):
@@ -228,9 +231,8 @@ def check_velocity_bound(space: FemSpace, velocity: VectorField3, kappa: ScalarF
     mesh = space.mesh
     sup, kappa_min = 0.0, np.inf
     for _, xq, _ in mesh.quadrature(2):
-        points = xq.reshape(-1, 3)
-        sup = max(sup, float(np.linalg.norm(velocity(points), axis=1).max()))
-        kappa_min = min(kappa_min, float(kappa(points).min()))
+        sup = max(sup, float(np.linalg.norm(velocity(xq), axis=1).max()))
+        kappa_min = min(kappa_min, float(kappa(xq).min()))
     bound = kappa_min / (2.0 * poincare_constant(mesh.lo, mesh.hi))
     if sup > bound:
         warnings.warn(

@@ -6,8 +6,10 @@ shapes and one tet volume.  Their barycentric gradients form one table that
 assembly, error norms, point location (a sort per point) and the quadrature
 points share.  Element blocks are summed onto the one CSR pattern of the P1
 matrices as a stencil on the cell grid, one shifted slice per block entry,
-with no per-tet map to data positions.  Quadrature runs in blocks of whole
-cells, so every consumer's temporaries stay bounded whatever the level.  The
+with no per-tet map to data positions.  Quadrature runs in boxes of whole
+cells, so every consumer's temporaries stay bounded whatever the level; a
+block gives its points or their coordinate axes, over which a closed form is
+evaluated once per (x, y) column and once per z layer.  The
 interior vertices have one nested-dissection order, built on first use, that
 the coupled systems' LU factorizations share.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -134,14 +136,16 @@ class TetMesh:
         order.flags.writeable = False
         return order
 
-    def sum_blocks(self, blocks):
+    def sum_blocks(self, blocks, scale=None):
         """Data on csr_pattern of the matrix summing 4 x 4 blocks, given per
-        tet (n_tets, 4, 4) or per shape (6, 4, 4).  Entry (i, j) of shape s
-        adds into the n^3 slice of the (offset, vertex) stencil whose rows are
-        the cells' corner i; corners run from (1, 1, 1) down to (0, 0, 0), then
-        the shapes in order, so every entry sums its terms in ascending tet order."""
+        tet (n_tets, 4, 4) or per shape (6, 4, 4), times ``scale`` (n_tets,)
+        if given.  Entry (i, j) of shape s adds into the n^3 slice of the
+        (offset, vertex) stencil whose rows are the cells' corner i, scaled as
+        it is added; corners run from (1, 1, 1) down to (0, 0, 0), then the
+        shapes in order, so every entry sums its terms in ascending tet order."""
         n, m = self.n, self.n + 1
         per_cell = np.broadcast_to(np.reshape(blocks, (-1, 96)), (n**3, 96)).reshape(n, n, n, 6, 4, 4)
+        scale = None if scale is None else np.reshape(scale, (n, n, n, 6))
         corner = self.grid_index[self.tets[:6]]  # (6, 4, 3) shape corners, 0/1 per axis
         code = corner @ (9, 3, 1)
         which = np.searchsorted(_OFFSETS @ (9, 3, 1), code[:, None] - code[:, :, None])  # i to j
@@ -150,30 +154,35 @@ class TetMesh:
             rows = tuple(slice(q, q + n) for q in corner[s, i])  # the cells' row vertices
             for j in range(4):
                 target = stencil[(which[s, i, j],) + rows]
-                target += per_cell[..., s, i, j]  # in place, no write-back copy
-        # int32 positions of the pattern's entries in the stencil, row by row
-        position = np.arange(len(_OFFSETS), dtype=np.int32) * np.int32(m**3)
-        position = (position + np.arange(m**3, dtype=np.int32)[:, None])[self._neighbours()]
-        return stencil.ravel()[position]
+                term = per_cell[..., s, i, j]
+                target += term if scale is None else scale[..., s] * term  # in place, no write-back
+        return stencil.reshape(len(_OFFSETS), -1).T[self._neighbours()]  # the pattern's entries, row by row
 
-    def quadrature(self, order):
-        """Tet quadrature of the given order in blocks of whole cells holding at
-        most _CHUNK points (one cell when a cell alone holds more); a point is
-        its cell origin plus a per-shape offset.  A block starts on a cell, so
-        its tets run through the six shapes in order, cell after cell.
+    def quadrature(self, order, axes=False):
+        """Tet quadrature of the given order in blocks that are boxes of whole
+        cells, an i-range x j-range x k-range of at most _CHUNK points (one
+        cell when a cell alone holds more): whole i-planes, else whole k-rows
+        of one plane, else part of one row, so the blocks tile the tets in
+        order, cell after cell, each cell's six shapes in order.  A point is
+        its cell origin plus one of P = 6 nq per-cell offsets.
 
-        Yields (tet slice, points (ne, nq, 3), weights 6|T| w_q (ne, nq)).
+        Yields (tet slice, points (m, 3), weights 6|T| w_q (ne, nq)); with
+        ``axes`` the points' coordinate axes X (bi, 1, 1, P), Y (1, bj, 1, P)
+        and Z (1, 1, bk, P) instead, which broadcast to them in that order.
         """
         bary, w = tet_quadrature(order)
         corners = self.vertices[self.tets[:6]]
-        ref = np.einsum("qi,sic->sqc", bary, corners - corners[:, :1])  # (6, nq, 3)
-        origins = self.tets[::6, 0]
-        n_cells, step = self.n**3, max(1, _CHUNK // (6 * w.size))
-        for start in range(0, n_cells, step):
-            cells = slice(start, min(start + step, n_cells))
-            points = (self.vertices[origins[cells], None, None] + ref).reshape(-1, w.size, 3)
-            sl = slice(6 * cells.start, 6 * cells.stop)
-            yield sl, points, np.broadcast_to(6.0 * self.tet_volume * w, points.shape[:2])
+        ref = np.einsum("qi,sic->sqc", bary, corners - corners[:, :1]).reshape(-1, 3)  # (P, 3)
+        n, cells = self.n, max(1, _CHUNK // ref.shape[0])
+        box = [min(n, max(1, cells // n**d)) for d in (2, 1, 0)]
+        origins = [np.linspace(self.lo[c], self.hi[c], n + 1)[:n] for c in range(3)]
+        for start in product(*(range(0, n, b) for b in box)):
+            ranges = [range(a, min(a + b, n)) for a, b in zip(start, box)]
+            xyz = tuple(origins[c][r].reshape([-1 if d == c else 1 for d in range(4)]) + ref[:, c]
+                        for c, r in enumerate(ranges))
+            first, ne = 6 * ((start[0] * n + start[1]) * n + start[2]), 6 * math.prod(map(len, ranges))
+            points = xyz if axes else np.stack(np.broadcast_arrays(*xyz), axis=-1).reshape(-1, 3)
+            yield slice(first, first + ne), points, np.broadcast_to(6.0 * self.tet_volume * w, (ne, w.size))
 
     def locate_many(self, points):
         """Locate points in the mesh; returns (tet ids, barycentric coords).
@@ -229,25 +238,28 @@ class FemSpace:
         return np.einsum("pi,pi->p", bary, np.asarray(dofs)[self.mesh.tets[tet_ids]])
 
 
+@lru_cache(maxsize=None)
 def tet_quadrature(order):
     """Quadrature on the reference tet, exact to the given total degree.
 
-    Returns (barycentric points (nq, 4), weights (nq,)); the weights sum to
-    the reference volume 1/6.  Order 1 is the centroid rule, order 2 the
-    symmetric 4-point rule, order 4 a conical-product Gauss-Jacobi rule
-    (27 points, exact through degree 5).
+    Returns read-only (barycentric points (nq, 4), weights (nq,)), computed
+    once per order; the weights sum to the reference volume 1/6.  Order 1 is
+    the centroid rule, order 2 the symmetric 4-point rule, order 4 a
+    conical-product Gauss-Jacobi rule (27 points, exact through degree 5).
     """
     if order == 1:
-        return np.full((1, 4), 0.25), np.array([1.0 / 6.0])
-    if order == 2:
+        rule = np.full((1, 4), 0.25), np.array([1.0 / 6.0])
+    elif order == 2:
         a = (5.0 + 3.0 * np.sqrt(5.0)) / 20.0
         b = (5.0 - np.sqrt(5.0)) / 20.0
-        pts = np.full((4, 4), b)
-        np.fill_diagonal(pts, a)
-        return pts, np.full(4, 1.0 / 24.0)
-    if order == 4:
-        return _conical_rule(3)
-    raise ConfigError(f"unsupported tet quadrature order {order}")
+        rule = np.where(np.eye(4, dtype=bool), a, b), np.full(4, 1.0 / 24.0)
+    elif order == 4:
+        rule = _conical_rule(3)
+    else:
+        raise ConfigError(f"unsupported tet quadrature order {order}")
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _conical_rule(q):

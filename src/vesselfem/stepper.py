@@ -232,7 +232,7 @@ class CoupledSystem:
         if getattr(datum, "parts", None) is None:
             return evaluate(datum, t)
         if key not in self._parts:
-            self._parts[key] = evaluate(ScalarField3(fn=lambda x, t: datum.parts(x)), 0.0)
+            self._parts[key] = evaluate(ScalarField3(fn=lambda x, t: datum.parts(x), lattice=datum.lattice), 0.0)
         return sum(float(g) * part for g, part in zip(datum.times(t), self._parts[key]))
 
     def _load3(self, t):

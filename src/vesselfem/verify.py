@@ -58,9 +58,10 @@ class ManufacturedSolution:
         return 1.0 - self.radius * np.log(np.maximum(r, self.radius) / self.radius)
 
     def _profile(self, x):
-        """x (m, 3), w(r) and sin(pi z); r by sqrt, as every point lies in the unit box."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return x, self.w(np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2)), np.sin(np.pi * x[:, 2])
+        """x, y, z, w(r) and sin(pi z) at points (m, 3) or on a block's axes (X, Y, Z), with
+        the same arithmetic per point; r by sqrt, as every point lies in the unit box."""
+        x, y, z = x if isinstance(x, tuple) else np.atleast_2d(np.asarray(x, dtype=float)).T
+        return x, y, z, self.w(np.sqrt(x**2 + y**2)), np.sin(np.pi * z)
 
     def c_hat_of_z(self, z, t):
         return self.phi(t) * (np.sin(np.pi * np.asarray(z, dtype=float)) + 2.0)
@@ -72,19 +73,20 @@ class ManufacturedSolution:
         return self.phi(t) * np.pi * np.cos(np.pi * (np.asarray(s, dtype=float) - 0.5))
 
     def c(self, x, t):
-        _, w, sz = self._profile(x)
+        *_, w, sz = self._profile(x)
         return 0.5 * w * (self.phi(t) * (sz + 2.0))
 
     def c_and_grad(self, x, t):
-        """c and its gradient (m, 3) from one profile, reusing its arrays in place."""
-        x, w, sz = self._profile(x)
-        phi, grad = self.phi(t), np.empty_like(x)
-        np.multiply(0.5 * w * phi * np.pi, np.cos(np.pi * x[:, 2]), out=grad[:, 2])
-        chat, rsq = np.multiply(phi, sz + 2.0, out=sz), x[:, 0] ** 2 + x[:, 1] ** 2
+        """c and its gradient (..., 3) from one profile, at points or on axes."""
+        x, y, z, w, sz = self._profile(x)
+        phi, grad = self.phi(t), np.empty(np.broadcast_shapes(w.shape, sz.shape) + (3,))
+        chat, rsq = phi * (sz + 2.0), x**2 + y**2
+        np.multiply(0.5 * w * phi * np.pi, np.cos(np.pi * z), out=grad[..., 2])
         radial = -0.5 * self.radius * chat / np.maximum(rsq, self.radius**2)
-        radial[rsq <= self.radius**2] = 0.0  # grad w = -R (x, y) / r^2 outside the vessel, 0 inside
-        np.multiply(radial[:, None], x[:, :2], out=grad[:, :2])
-        return np.multiply(0.5 * w, chat, out=w), grad
+        radial = np.where(rsq <= self.radius**2, 0.0, radial)  # grad w = -R (x, y) / r^2 outside, 0 inside
+        np.multiply(radial, x, out=grad[..., 0])
+        np.multiply(radial, y, out=grad[..., 1])
+        return 0.5 * w * chat, grad
 
     def grad_c(self, x, t):
         return self.c_and_grad(x, t)[1]
@@ -92,9 +94,9 @@ class ManufacturedSolution:
     def f_parts(self, x):
         """The bulk source's space parts, stacked (2, m): 1/2 w(r) chat / phi
         and 1/2 w(r) (d_z - d_zz) chat / phi, the factors of phi' and phi."""
-        x, half_w, sz = self._profile(x)
+        _, _, z, half_w, sz = self._profile(x)
         half_w *= 0.5
-        dz = np.pi**2 * sz + np.pi * np.cos(np.pi * x[:, 2])  # (d_z - d_zz)(sin(pi z) + 2)
+        dz = np.pi**2 * sz + np.pi * np.cos(np.pi * z)  # (d_z - d_zz)(sin(pi z) + 2)
         return np.stack([half_w * (sz + 2.0), half_w * dz])
 
     def f(self, x, t):
@@ -137,7 +139,7 @@ def manufactured_problem(epsilon: int = 1, sigma: float = 50.0, degree: int = 1,
         kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
         velocity=VectorField3.constant((0.0, 0.0, 1.0)),
         u_hat=1.0,
-        source3=ScalarField3.separable(times, ms.f_parts),
+        source3=ScalarField3.separable(times, ms.f_parts, lattice=True),
         source1=ScalarField3.separable(times, ms.f_hat_parts),
         c_in=ms.c_in,
         dirichlet=ScalarField3.separable(lambda t: (ms.phi(t),), lambda x: ms.f_parts(x)[:1]),  # c = phi p0
@@ -229,23 +231,22 @@ def error_norms_3d(fem, c_dofs, exact, exact_grad, t):
     """(L2 error, gradient L2 error) of a P1 field against reference fields
     exact(points, t) and exact_grad(points, t), by the order-4 tet rule; None
     stands for zero.  One callable given as both returns (values, gradients)
-    from one evaluation per block."""
+    from one evaluation per block, on the block's axes (``TetMesh.quadrature``)."""
     mesh = fem.mesh
     bary, _ = tet_quadrature(4)
     dofs = np.asarray(c_dofs, dtype=float)
     fused = exact is not None and exact == exact_grad
     l2 = 0.0
     grad = 0.0
-    for sl, xq, wq in mesh.quadrature(4):
-        flat = xq.reshape(-1, 3)
+    for sl, xq, wq in mesh.quadrature(4, axes=fused):
         local = dofs[mesh.tets[sl]]  # (ne, 4)
         ch = local @ bary.T
-        ce, ge = exact(flat, t) if fused else (0.0 * ch if exact is None else exact(flat, t), None)
+        ce, ge = exact(xq, t) if fused else (0.0 * ch if exact is None else exact(xq, t), None)
         l2 += float(np.einsum("eq,eq->", wq, (ce.reshape(ch.shape) - ch) ** 2))
         # blocks are whole cells, so the tets cycle through the six shapes
         gh = np.einsum("sic,bsi->bsc", mesh.shape_gradients, local.reshape(-1, 6, 4)).reshape(-1, 3)
         if exact_grad is not None:
-            ge = np.reshape(ge if fused else exact_grad(flat, t), xq.shape)
+            ge = np.reshape(ge if fused else exact_grad(xq, t), (*wq.shape, 3))
             diff = np.subtract(ge, gh[:, None, :], out=ge if fused else None)  # a fused ge is ours
             grad += float(np.einsum("eq,eqc->", wq, np.square(diff, out=diff)))
         else:

@@ -10,7 +10,7 @@ from vesselfem.fem3d import ScalarField3, VectorField3
 from vesselfem.mesh3d import FemSpace, build_box_mesh
 from vesselfem.stepper import CoupledSystem
 
-from _oracles import slot_map
+from _oracles import manufactured_f0, manufactured_f1, slot_map
 
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
@@ -180,6 +180,21 @@ class TestSeparableSource:
             assert np.array_equal(stacked[k], single)
 
 
+class TestLatticeLoad:
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_manufactured_parts_equal_per_point_closed_form(self, n):
+        """The manufactured load parts evaluated on the blocks' coordinate
+        axes equal, bit for bit, the same closed form called per point."""
+        space = fem3d.box_level(n).space
+        source = verify.manufactured_problem().source3
+        assert source.lattice
+        parts = lambda lattice: fem3d.assemble_load(
+            space, ScalarField3(fn=lambda x, t: source.parts(x), lattice=lattice), 0.0)
+        points = lambda x, t: np.stack([manufactured_f0(x), manufactured_f1(x)])
+        assert np.array_equal(parts(True), parts(False))
+        assert np.array_equal(parts(True), fem3d.assemble_load(space, ScalarField3(fn=points), 0.0))
+
+
 class TestChunkedQuadrature:
     """Every consumer of the chunked tet quadrature is independent of the chunk size."""
 
@@ -196,8 +211,11 @@ class TestChunkedQuadrature:
         kappa = ScalarField3(fn=lambda p, t: 1.5 + p[:, 0] * p[:, 1])
         velocity = VectorField3(fn=lambda p, t: np.stack([p[:, 1], -p[:, 0], p[:, 2] ** 2], axis=1),
                                 time_constant=True)
+        ms = verify.ManufacturedSolution()
         return [
             fem3d.assemble_load(fem, ScalarField3(fn=exact), 0.7),
+            fem3d.assemble_load(fem, ScalarField3(fn=lambda p, t: ms.f_parts(p), lattice=True), 0.7),
+            np.array(verify.error_norms_3d(fem, c, ms.c_and_grad, ms.c_and_grad, 0.7)),
             fem3d.assemble_stiffness(fem, kappa).toarray(),
             fem3d.assemble_convection(fem, velocity).toarray(),
             np.array(verify.error_norms_3d(fem, c, exact, exact_grad, 0.7)),
@@ -291,6 +309,15 @@ class TestChunkedScatter:
             out = fem3d._assemble(space, blocks)
             assert np.array_equal(out.data, self._one_shot(space.mesh, blocks))
 
+    def test_scaled_shape_blocks_equal_per_tet_blocks(self):
+        """Per-shape blocks scaled per tet as they are added equal the per-tet
+        blocks formed first, bit for bit."""
+        rng = np.random.default_rng(4)
+        mesh = build_box_mesh(*CENTERED, 4)
+        blocks, scale = rng.standard_normal((6, 4, 4)), rng.uniform(0.5, 2.0, mesh.n_tets)
+        per_tet = mesh.sum_blocks(scale.reshape(-1, 6, 1, 1) * blocks)
+        assert np.array_equal(mesh.sum_blocks(blocks, scale), per_tet)
+
     def test_pattern_is_int32_and_read_only(self):
         mesh = build_box_mesh(*CENTERED, 3)
         indptr, indices = mesh.csr_pattern
@@ -320,6 +347,14 @@ class TestAssemblyMemory:
         assert self._peak(lambda: fem3d.assemble_mass(space)) < limit
         velocity = VectorField3.constant((0.3, -0.2, 0.7))
         assert self._peak(lambda: fem3d.assemble_convection(space, velocity)) < limit
+
+    @pytest.mark.slow  # an n = 32 box level
+    def test_variable_diffusivity(self):
+        """Per-tet integrals scale the shape blocks as they are added: no
+        per-tet blocks (25 MB at n = 32) are formed."""
+        space = fem3d.box_level(32).space
+        kappa = ScalarField3(fn=KAPPA)
+        assert self._peak(lambda: fem3d.assemble_stiffness(space, kappa)) < 12e6  # 1.6 MB of integrals
 
     def test_csr_pattern(self):
         mesh = build_box_mesh(*CENTERED, 32)

@@ -167,25 +167,49 @@ class TestQuadrature:
         with pytest.raises(ConfigError):
             tet_quadrature(3)
 
-    @pytest.mark.parametrize("order", [1, 2, 4])
-    def test_points_from_cell_origins_match_corners(self, order):
-        """Points taken from cell origins equal the barycentric combination
-        of the tet corners, chunk by chunk, every chunk whole cells holding
-        at most _CHUNK points, and the chunks tile the tets in order."""
-        mesh = build_box_mesh(*CENTERED, 24)  # 82,944 tets: more than one chunk
+    def test_rule_computed_once_and_read_only(self):
+        bary, w = tet_quadrature(4)
+        assert tet_quadrature(4)[0] is bary
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    @pytest.mark.parametrize("n, order, chunk, full", [
+        (24, 1, 65536, (18, 24, 24)),  # whole i-planes
+        (24, 2, 65536, (4, 24, 24)),
+        (24, 4, 65536, (1, 16, 24)),  # whole k-rows of one plane
+        (6, 4, 5 * 162, (1, 1, 5)),  # part of one row
+        (4, 4, 7, (1, 1, 1)),  # one cell holds more than a block
+    ], ids=["1", "2", "4", "4-part-row", "4-one-cell"])
+    def test_points_from_cell_origins_match_corners(self, n, order, chunk, full, monkeypatch):
+        """Blocks are boxes of whole cells that tile the tets in order, each
+        as large as ``full`` unless the grid ends first, of at most _CHUNK
+        points unless one cell; a point is its cell origin plus a per-shape
+        offset, bitwise, as its broadcast axes give it, and the barycentric
+        combination of the tet corners."""
+        monkeypatch.setattr(mesh3d, "_CHUNK", chunk)
+        mesh = build_box_mesh(*CENTERED, n)
         bary, w = tet_quadrature(order)
-        chunks = list(mesh.quadrature(order))
-        assert len(chunks) > 1
-        cell_points = 6 * w.size
+        corners = mesh.vertices[mesh.tets[:6]]
+        offsets = np.einsum("qi,sic->sqc", bary, corners - corners[:, :1]).reshape(-1, 3)
+        blocks = list(zip(mesh.quadrature(order), mesh.quadrature(order, axes=True)))
+        assert len(blocks) > 1
         stop = 0
-        for k, (sl, xq, wq) in enumerate(chunks):
-            assert sl.start == stop and sl.start % 6 == 0 and sl.stop % 6 == 0
-            assert xq.shape[0] * w.size <= mesh3d._CHUNK
-            if k < len(chunks) - 1:  # full: one more cell would not fit
-                assert xq.shape[0] * w.size + cell_points > mesh3d._CHUNK
-            ref = np.einsum("qi,eic->eqc", bary, mesh.vertices[mesh.tets[sl]])
-            assert xq.shape == ref.shape and np.abs(xq - ref).max() <= 1e-15
-            assert wq.shape == ref.shape[:2]
+        for (sl, xq, wq), (sl_axes, axes, wq_axes) in blocks:
+            assert sl == sl_axes and sl.start == stop and np.array_equal(wq, wq_axes)
+            extent = tuple(a.shape[d] for d, a in enumerate(axes))
+            assert [a.shape for a in axes] == [tuple(e if d == c else 1 for d in range(3)) + (6 * w.size,)
+                                               for c, e in enumerate(extent)]  # X, Y, Z
+            first = np.unravel_index(sl.start // 6, (n,) * 3)
+            assert extent == tuple(min(f, n - a) for f, a in zip(full, first))
+            box = np.ravel_multi_index(np.ix_(*(range(a, a + e) for a, e in zip(first, extent))), (n,) * 3)
+            assert np.array_equal(box.ravel(), np.arange(sl.start // 6, sl.stop // 6))
+            assert xq.shape[0] <= mesh3d._CHUNK or sl.stop - sl.start == 6
+            origins = mesh.vertices[mesh.tets[sl][::6, 0]]
+            assert np.array_equal(xq, (origins[:, None] + offsets).reshape(-1, 3))
+            assert np.array_equal(xq, np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, 3))
+            ref = np.einsum("qi,eic->eqc", bary, mesh.vertices[mesh.tets[sl]]).reshape(-1, 3)
+            assert np.abs(xq - ref).max() <= 1e-15
+            assert wq.shape == (sl.stop - sl.start, w.size)
             assert np.abs(wq - 6.0 * mesh.tet_volume * w).max() <= 1e-15 * wq.max()
             stop = sl.stop
         assert stop == mesh.n_tets

@@ -140,6 +140,14 @@ class TestErrorNorms:
         l2, _ = verify.error_norms_3d(fem, fem.dof_points[:, 2], None, None, 0.0)
         assert l2 == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-12)
 
+    def test_lattice_norms_equal_two_callable_norms(self, ms):
+        """The fused norms, evaluated on the blocks' coordinate axes, equal the
+        norms from the value and gradient called per point."""
+        fem = FemSpace(build_box_mesh(*CENTERED, 8))
+        c = ms.c(fem.dof_points, 1.0) + 1e-3 * np.random.default_rng(2).standard_normal(fem.n_dofs)
+        np.testing.assert_allclose(verify.error_norms_3d(fem, c, ms.c_and_grad, ms.c_and_grad, 1.0),
+                                   verify.error_norms_3d(fem, c, ms.c, ms.grad_c, 1.0), rtol=1e-13)
+
 
 class TestErrorNormMemory:
     """Quadrature blocks bound the temporaries of the error norms at n = 32."""
