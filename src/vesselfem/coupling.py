@@ -75,20 +75,20 @@ def assemble_coupling(
     gam = np.asarray(geometry.gamma_at(s), dtype=float)
     live = np.nonzero(gam != 0.0)[0]
     s = s[live]
-    weight = sp.diags(gam[live] * geometry.section_circumference(s) * wts.ravel()[live])
+    weight = gam[live] * geometry.section_circumference(s) * wts.ravel()[live]
     avg = average_matrix(fem, geometry, s, n_circle)
     elem, k = np.divmod(live, q)
-    trace = sp.csr_matrix(
-        (vals[:, k].T.ravel(),
-         (np.repeat(np.arange(live.size), dg.n_local),
-          (dg.n_local * elem[:, None] + np.arange(dg.n_local)).ravel())),
-        shape=(live.size, dg.n_dofs),
-    )
-    avg_w = (avg.T @ weight).tocsr()
-    c_ol = (avg_w @ trace).tocsr()
-    return CouplingBlocks(
-        c_oo=(avg_w @ avg).tocsr(),
-        c_ol=c_ol,
-        c_lo=c_ol.T.tocsr(),
-        c_ll=(trace.T @ weight @ trace).tocsr(),
-    )
+    cols = (dg.n_local * elem[:, None] + np.arange(dg.n_local)).ravel()  # n_local entries per row
+    trace = sp.csr_matrix((vals[:, k].T.ravel(), cols, dg.n_local * np.arange(live.size + 1)),
+                          shape=(live.size, dg.n_dofs))
+
+    def weighted_transpose(m):  # M' W, exact zeros dropped, as SciPy's product gives it
+        w = np.repeat(weight, np.diff(m.indptr))
+        out = sp.csc_matrix((m.data * w, m.indices, m.indptr), shape=m.shape[::-1]).tocsr()
+        out.eliminate_zeros()
+        return out
+
+    avg_w, trace_w = weighted_transpose(avg), weighted_transpose(trace)
+    c_ol, c_ll = avg_w @ trace, trace_w @ trace
+    c_ll.sort_indices()
+    return CouplingBlocks(c_oo=avg_w @ avg, c_ol=c_ol, c_lo=c_ol.T.tocsr(), c_ll=c_ll)

@@ -1,4 +1,4 @@
-"""Assembly of the 3D operators: mass, diffusion, convection, loads, Dirichlet.
+"""Assembly of the 3D operators: mass, diffusion, convection, loads, Dirichlet data.
 
 All matrices are assembled once per run (the coefficients are required to be
 time-independent) and summed onto the mesh's CSR pattern as a stencil on its
@@ -194,14 +194,6 @@ def assemble_load(space: FemSpace, f: ScalarField3, t: float, order: int = 4):
         for row, fk in zip(out.reshape(-1, space.n_dofs), fq.reshape(-1, *wq.shape)):
             np.add.at(row, mesh.tets[sl].ravel(), ((wq * fk) @ bary).ravel())
     return out
-
-
-def constrain_rows(matrix, rows):
-    """Replace the given rows by identity rows (nonsymmetric elimination); a
-    block row [A, B] with A square gets the identity rows of A."""
-    mask = np.zeros(matrix.shape[0])
-    mask[rows] = 1.0
-    return (sp.diags(1.0 - mask) @ matrix + sp.diags(mask, shape=matrix.shape)).sorted_indices()
 
 
 def dirichlet_values(points, g, t: float):

@@ -5,13 +5,13 @@ diagonal (the Kuhn split), so the triangulation is conforming and has six tet
 shapes and one tet volume.  Their barycentric gradients form one table that
 assembly, error norms, point location (a sort per point) and the quadrature
 points share.  Element blocks are summed onto the one CSR pattern of the P1
-matrices as a stencil on the cell grid, one shifted slice per block entry,
-with no per-tet map to data positions.  Quadrature runs in boxes of whole
-cells, so every consumer's temporaries stay bounded whatever the level; a
-block gives its points or their coordinate axes, over which a closed form is
-evaluated once per (x, y) column and once per z layer.  The
-interior vertices have one nested-dissection order, built on first use, that
-the coupled systems' LU factorizations share.
+matrices as a stencil on the cell grid, one shifted slice per block entry (a
+scalar for a per-shape block), with no per-tet map to data positions.
+Quadrature runs in boxes of whole cells, so every consumer's temporaries
+stay bounded whatever the level; a block gives its points or their
+coordinate axes, over which a closed form is evaluated once per (x, y)
+column and once per z layer.  The interior vertices have one
+nested-dissection order, built on first use, that the LU factorizations share.
 """
 from __future__ import annotations
 
@@ -144,7 +144,7 @@ class TetMesh:
         it is added; corners run from (1, 1, 1) down to (0, 0, 0), then the
         shapes in order, so every entry sums its terms in ascending tet order."""
         n, m = self.n, self.n + 1
-        per_cell = np.broadcast_to(np.reshape(blocks, (-1, 96)), (n**3, 96)).reshape(n, n, n, 6, 4, 4)
+        blocks = blocks if np.shape(blocks)[0] == 6 else np.reshape(blocks, (n, n, n, 6, 4, 4))
         scale = None if scale is None else np.reshape(scale, (n, n, n, 6))
         corner = self.grid_index[self.tets[:6]]  # (6, 4, 3) shape corners, 0/1 per axis
         code = corner @ (9, 3, 1)
@@ -154,7 +154,7 @@ class TetMesh:
             rows = tuple(slice(q, q + n) for q in corner[s, i])  # the cells' row vertices
             for j in range(4):
                 target = stencil[(which[s, i, j],) + rows]
-                term = per_cell[..., s, i, j]
+                term = blocks[..., s, i, j]  # per tet (n, n, n), per shape a scalar
                 target += term if scale is None else scale[..., s] * term  # in place, no write-back
         return stencil.reshape(len(_OFFSETS), -1).T[self._neighbours()]  # the pattern's entries, row by row
 

@@ -1,12 +1,13 @@
 """Backward Euler time stepping for the coupled box/vessel transport system.
 
 The monolithic operator over (3D dofs, 1D dofs) is time-independent, so it is
-composed and LU-factored once.  Below MAX_CELLS the LU takes one symmetric
-order: the Dirichlet rows (identity rows, no fill), the box level's cached
-nested dissection of the interior vertices without the box dofs the exchange
-couples, those coupled dofs, then the vessel dofs.  The coupled dofs reach
-across any grid plane near the vessel, so they go last with it.  At
-MAX_CELLS SuperLU orders by minimum degree instead.  Each step assembles the
+built in one pass, as one CSC matrix in its LU's order (``linalg.compose``),
+and factored once.  Below MAX_CELLS that order is the Dirichlet rows
+(identity rows, no fill), the box level's cached nested dissection of the
+interior vertices without the box dofs the exchange couples, those coupled
+dofs, then the vessel dofs; the coupled dofs reach across any grid plane
+near the vessel, so they go last with it.  At MAX_CELLS the matrix stays in
+natural order, which SuperLU orders by minimum degree.  Each step assembles the
 right-hand side from the previous state, the sources at the new time level
 and the inflow datum, overwrites the Dirichlet rows, and back-substitutes.
 A march forms one mass product per state, for its energy and the next
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import coupling, dg1d, fem3d, linalg
 from .dg1d import DgParams, DgSpace, Partition1D
@@ -159,17 +159,16 @@ class CoupledSystem:
 
         self.dirichlet_rows = level.dirichlet_rows
         self._boundary_points = self.fem.dof_points[self.dirichlet_rows]
-        # the Dirichlet rows are constrained in the box rows [box, -c_ol]
-        # before the stack, and the one CSC operator is what the LU factors
-        top = fem3d.constrain_rows(sp.hstack([box + self.blocks.c_oo, -self.blocks.c_ol]),
-                                   self.dirichlet_rows)
-        bottom = sp.hstack([-self.blocks.c_lo, inv_dt * self.mass1 + (stiff1 + adv1 + self.blocks.c_ll)])
-        self.operator = sp.vstack([top, bottom], format="csc")
-        del box, stiff1, adv1, top, bottom  # freed before the LU is factored
         # n = MAX_CELLS keeps SuperLU's minimum-degree ordering only because
         # bench/gates.py's DIAGONAL_RECORDED holds that LU's round-off
         order = None if n_cells == MAX_CELLS else self._level_order()
-        self.factorization = linalg.Factorization(self.operator, order=order)
+        b, nb = self.blocks, self.fem.n_dofs
+        # [box + c_oo, -c_ol; -c_lo, inv_dt M1 + (A + B + c_ll)] in the LU's order
+        parts = [(box, 0, 0, 1.0), (b.c_oo, 0, 0, 1.0), (b.c_ol, 0, nb, -1.0), (b.c_lo, nb, 0, -1.0),
+                 (stiff1, nb, nb, 1.0), (adv1, nb, nb, 1.0), (b.c_ll, nb, nb, 1.0), (self.mass1, nb, nb, inv_dt)]
+        matrix = linalg.compose(self.n_dofs, parts, order, self.dirichlet_rows)
+        del box, stiff1, adv1, parts  # freed before the LU is factored
+        self.factorization = linalg.Factorization(matrix, order=order)
         self._parts = {}  # evaluated parts of the separable data, filled on first use
 
         self._quad1 = self.dg.element_quadrature(self.dg.degree + 2)

@@ -88,9 +88,6 @@ class ManufacturedSolution:
         np.multiply(radial, y, out=grad[..., 1])
         return 0.5 * w * chat, grad
 
-    def grad_c(self, x, t):
-        return self.c_and_grad(x, t)[1]
-
     def f_parts(self, x):
         """The bulk source's space parts, stacked (2, m): 1/2 w(r) chat / phi
         and 1/2 w(r) (d_z - d_zz) chat / phi, the factors of phi' and phi."""
@@ -168,8 +165,9 @@ def verify_sources(ms: ManufacturedSolution | None = None, n_points: int = 1000,
 
     Returns a dict with the max residual of the bulk source (4th-order
     stencils, sampled away from the profile kink at r = R) and of the vessel
-    source, plus the inflow's max gap to chat(0, t).  Points are grouped into batches
-    sharing a time sample so the stencil evaluations stay vectorized.
+    source, plus the inflow's max gap to chat(0, t).  All points are evaluated
+    in one pass, each at its own time sample: the samples split the points
+    into FD_TIME_SAMPLES consecutive runs of near-equal length.
     """
     ms = ms or ManufacturedSolution()
     rng = np.random.default_rng(seed)
@@ -181,32 +179,25 @@ def verify_sources(ms: ManufacturedSolution | None = None, n_points: int = 1000,
     pts = pts[(r < 0.9 * R) | (r > 1.1 * R)][:n_points]
     times = rng.uniform(0.05, 0.95, size=n_times)
 
-    f_res = 0.0
-    for batch, t in zip(np.array_split(pts, n_times), times):
-        c_at = lambda d, axis: ms.c(batch + d * np.eye(3)[axis], t)
-        dt = _stencil(lambda d: ms.c(batch, t + d), _FD4_1, h3, 1)
-        lap = sum(_stencil(lambda d: c_at(d, axis), _FD4_2, h3, 2) for axis in range(3))
-        dz = _stencil(lambda d: c_at(d, 2), _FD4_1, h3, 1)
-        f_res = max(f_res, float(np.max(np.abs(dt - lap + dz - ms.f(batch, t)))))
+    t = np.repeat(times, [len(run) for run in np.array_split(pts, n_times)])  # a sample per array_split run
+    c_at = lambda d, axis: ms.c(pts + d * np.eye(3)[axis], t)
+    dt = _stencil(lambda d: ms.c(pts, t + d), _FD4_1, h3, 1)
+    lap = sum(_stencil(lambda d: c_at(d, axis), _FD4_2, h3, 2) for axis in range(3))
+    dz = _stencil(lambda d: c_at(d, 2), _FD4_1, h3, 1)
+    f_res = float(np.max(np.abs(dt - lap + dz - ms.f(pts, t))))
 
     s = rng.uniform(5 * h1, 1.0 - 5 * h1, size=n_points)
+    t = np.repeat(times, [len(run) for run in np.array_split(s, n_times)])
     area = np.pi * R**2
     circ = 2.0 * np.pi * R
     theta = 2.0 * np.pi * np.arange(64) / 64
-    ring = np.stack([R * np.cos(theta), R * np.sin(theta)], axis=1)
-    fhat_res = 0.0
-    for batch, t in zip(np.array_split(s, n_times), times):
-        dt = _stencil(lambda d: ms.c_hat(batch, t + d), _FD4_1, h1, 1)
-        ds = _stencil(lambda d: ms.c_hat(batch + d, t), _FD4_1, h1, 1)
-        dss = _stencil(lambda d: ms.c_hat(batch + d, t), _FD4_2, h1, 2)
-        ring3 = np.column_stack([np.tile(ring, (batch.size, 1)), np.repeat(batch - 0.5, 64)])
-        cbar = ms.c(ring3, t).reshape(batch.size, 64).mean(axis=1)
-        resid = (
-            area * dt - area * dss + area * ds
-            + circ * (ms.c_hat(batch, t) - cbar)
-            - ms.f_hat(batch, t)
-        )
-        fhat_res = max(fhat_res, float(np.max(np.abs(resid))))
+    ring = (R * np.cos(theta)[None], R * np.sin(theta)[None], (s - 0.5)[:, None])  # axes: (1, 64), (m, 1)
+    dt = _stencil(lambda d: ms.c_hat(s, t + d), _FD4_1, h1, 1)
+    ds = _stencil(lambda d: ms.c_hat(s + d, t), _FD4_1, h1, 1)
+    dss = _stencil(lambda d: ms.c_hat(s + d, t), _FD4_2, h1, 2)
+    cbar = ms.c(ring, t[:, None]).mean(axis=1)
+    resid = area * dt - area * dss + area * ds + circ * (ms.c_hat(s, t) - cbar) - ms.f_hat(s, t)
+    fhat_res = float(np.max(np.abs(resid)))
 
     tt = rng.uniform(0.0, 1.0, size=100)
     cin_res = float(np.max(np.abs([ms.c_in(t) - ms.c_hat(0.0, t) for t in tt])))

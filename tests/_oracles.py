@@ -11,14 +11,19 @@ entry's data position on the box pattern by searching the pattern's
 The reference march keeps the backward Euler step as one formula per step,
 and the two space parts of the manufactured bulk source are the closed forms
 as first written, one function each.  The diagonal-line cases are written
-out by hand, as they were before they became run configurations.
+out by hand, as they were before they became run configurations.  The
+exchange blocks are also formed as SciPy's products of the weight
+diagonal, and the coupled operator is composed the general way, as sparse sums of its
+parts stacked, Dirichlet rows constrained and permuted into the LU's order,
+and the source gate runs its points in batches, one per time sample.
 """
 import math
 
 import numpy as np
+import scipy.sparse as sparse
 import sympy as sp
 
-from vesselfem import fem3d
+from vesselfem import coupling, dg1d, fem3d, verify
 from vesselfem.dg1d import DgParams, legendre_basis
 from vesselfem.errors import DomainError
 from vesselfem.fem3d import ScalarField3, VectorField3
@@ -296,3 +301,96 @@ def diagonal_problem(case: int, degree: int = 1) -> TransportProblem:
         dg=DgParams(1, 50.0),
         degree=degree,
     )
+
+
+def product_coupling(geometry, fem, dg, n_circle=coupling.DEFAULT_N_CIRCLE):
+    """The four exchange blocks as SciPy's sparse products with W a DIA
+    matrix, each converted to CSR: A'W, (A'W) T, (A'W) A, its transpose and
+    T'W T."""
+    q = dg.degree + 2
+    pts, wts, vals, _ = dg.element_quadrature(q)
+    s = pts.ravel()
+    gam = np.asarray(geometry.gamma_at(s), dtype=float)
+    live = np.nonzero(gam != 0.0)[0]
+    s = s[live]
+    weight = sparse.diags(gam[live] * geometry.section_circumference(s) * wts.ravel()[live])
+    avg = coupling.average_matrix(fem, geometry, s, n_circle)
+    elem, k = np.divmod(live, q)
+    trace = sparse.csr_matrix(
+        (vals[:, k].T.ravel(), (np.repeat(np.arange(live.size), dg.n_local),
+                                (dg.n_local * elem[:, None] + np.arange(dg.n_local)).ravel())),
+        shape=(live.size, dg.n_dofs))
+    avg_w = (avg.T @ weight).tocsr()
+    c_ol = (avg_w @ trace).tocsr()
+    return coupling.CouplingBlocks(c_oo=(avg_w @ avg).tocsr(), c_ol=c_ol, c_lo=c_ol.T.tocsr(),
+                                   c_ll=(trace.T @ weight @ trace).tocsr())
+
+
+def constrain_rows(matrix, rows):
+    """Replace the given rows by identity rows (nonsymmetric elimination); a
+    block row [A, B] with A square gets the identity rows of A."""
+    mask = np.zeros(matrix.shape[0])
+    mask[rows] = 1.0
+    return (sparse.diags(1.0 - mask) @ matrix + sparse.diags(mask, shape=matrix.shape)).sorted_indices()
+
+
+def stacked_operator(system, order=None):
+    """The system's operator as SciPy composes it: the box block plus c_oo
+    and the vessel block inv_dt M1 + (A + B + c_ll) as sparse sums, the four
+    blocks stacked, the Dirichlet rows constrained, then ``op[order][:, order]``
+    with its indices sorted, as SuperLU is handed it; CSC."""
+    pr, dg, b, inv_dt = system.problem, system.dg, system.blocks, 1.0 / system.dt
+    area = lambda s: pr.geometry.section_area(s)
+    box = fem3d.box_block(fem3d.box_level(system.mesh.n), inv_dt, pr.kappa, pr.velocity)
+    vessel = inv_dt * system.mass1 + (dg1d.assemble_a_lambda(dg, pr.kappa_hat, area, pr.dg)
+                                      + dg1d.assemble_b_lambda(dg, pr.u_hat, area) + b.c_ll)
+    full = sparse.bmat([[box + b.c_oo, -b.c_ol], [-b.c_lo, vessel]], format="csr")
+    op = constrain_rows(full, system.dirichlet_rows).tocsc()
+    if order is None:
+        return op
+    op = op[order][:, order]
+    op.sum_duplicates()  # sorts the indices, as SuperLU's entry does
+    return op
+
+
+def batched_verify_sources(ms=None, n_points=1000, seed=0):
+    """``verify.verify_sources`` with its points in FD_TIME_SAMPLES batches,
+    each batch at its own time sample."""
+    ms = ms or verify.ManufacturedSolution()
+    rng = np.random.default_rng(seed)
+    R = ms.radius
+    h3, h1, n_times = verify.FD_STEP_3D, verify.FD_STEP_1D, verify.FD_TIME_SAMPLES
+    stencil, d1, d2 = verify._stencil, verify._FD4_1, verify._FD4_2
+
+    pts = rng.uniform(-0.45, 0.45, size=(4 * n_points, 3))
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    pts = pts[(r < 0.9 * R) | (r > 1.1 * R)][:n_points]
+    times = rng.uniform(0.05, 0.95, size=n_times)
+
+    f_res = 0.0
+    for batch, t in zip(np.array_split(pts, n_times), times):
+        c_at = lambda d, axis: ms.c(batch + d * np.eye(3)[axis], t)
+        dt = stencil(lambda d: ms.c(batch, t + d), d1, h3, 1)
+        lap = sum(stencil(lambda d: c_at(d, axis), d2, h3, 2) for axis in range(3))
+        dz = stencil(lambda d: c_at(d, 2), d1, h3, 1)
+        f_res = max(f_res, float(np.max(np.abs(dt - lap + dz - ms.f(batch, t)))))
+
+    s = rng.uniform(5 * h1, 1.0 - 5 * h1, size=n_points)
+    area = np.pi * R**2
+    circ = 2.0 * np.pi * R
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    ring = np.stack([R * np.cos(theta), R * np.sin(theta)], axis=1)
+    fhat_res = 0.0
+    for batch, t in zip(np.array_split(s, n_times), times):
+        dt = stencil(lambda d: ms.c_hat(batch, t + d), d1, h1, 1)
+        ds = stencil(lambda d: ms.c_hat(batch + d, t), d1, h1, 1)
+        dss = stencil(lambda d: ms.c_hat(batch + d, t), d2, h1, 2)
+        ring3 = np.column_stack([np.tile(ring, (batch.size, 1)), np.repeat(batch - 0.5, 64)])
+        cbar = ms.c(ring3, t).reshape(batch.size, 64).mean(axis=1)
+        resid = (area * dt - area * dss + area * ds
+                 + circ * (ms.c_hat(batch, t) - cbar) - ms.f_hat(batch, t))
+        fhat_res = max(fhat_res, float(np.max(np.abs(resid))))
+
+    tt = rng.uniform(0.0, 1.0, size=100)
+    cin_res = float(np.max(np.abs([ms.c_in(t) - ms.c_hat(0.0, t) for t in tt])))
+    return {"f": f_res, "f_hat": fhat_res, "c_in": cin_res}

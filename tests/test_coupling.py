@@ -17,6 +17,8 @@ from vesselfem.geometry import (
 )
 from vesselfem.mesh3d import FemSpace, build_box_mesh
 
+from _oracles import product_coupling
+
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
 
@@ -92,6 +94,27 @@ class TestLateralAverage:
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("geom", [vertical_geometry(), diagonal_geometry(),
+                                      VesselGeometry((-0.4, -0.4, -0.4), (0.4, 0.4, 0.4),
+                                                     TanhRadius(0.05, 0.08, 8.0),
+                                                     PiecewisePermeability((0.4, 0.9), (0.0, 0.05, 0.1))),
+                                      VesselGeometry((0.375, 0.375, -0.5), (0.375, 0.375, 0.5),
+                                                     ConstantRadius(0.125), ConstantPermeability(1.0))],
+                             ids=["vertical", "diagonal", "tanh_piecewise", "circles_on_grid_planes"])
+    def test_blocks_equal_sparse_products(self, geom, degree):
+        """The weighted transposes give the blocks of SciPy's products with
+        the weight diagonal byte for byte, index order included.  Circles
+        through grid planes have zero barycentric weights, which the products
+        drop; kept, they would reorder c_oo's indices."""
+        fem = FemSpace(build_box_mesh(*CENTERED, 8))
+        dg = DgSpace(Partition1D.uniform(geom.length, 8), degree)
+        blocks, expected = assemble_coupling(geom, fem, dg), product_coupling(geom, fem, dg)
+        for name in ("c_oo", "c_ol", "c_lo", "c_ll"):
+            for part in ("indptr", "indices", "data"):
+                a, b = getattr(getattr(blocks, name), part), getattr(getattr(expected, name), part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
+
     def test_zero_permeability_zero_blocks(self):
         geom = vertical_geometry(gamma=0.0)
         fem = FemSpace(build_box_mesh(*CENTERED, 4))

@@ -15,7 +15,7 @@ from vesselfem.fem3d import ScalarField3, VectorField3
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, VesselGeometry
 from vesselfem.stepper import CoupledSystem, TransportProblem
 
-from _oracles import reference_march
+from _oracles import constrain_rows, reference_march, stacked_operator
 
 
 def quiescent_problem(t_end=0.1, dt=None, velocity=(0, 0, 1)):
@@ -82,7 +82,7 @@ class TestSharedBoxLevel:
         problem = replace(quiescent_problem(t_end=0.05), c_in=lambda t: 5.0,
                           c0=lambda x: 1.0 + x[:, 0] * x[:, 2])
         first = CoupledSystem(problem, n_cells=4)
-        op = first.operator
+        op = first.factorization._matrix
         before = [op.indptr.copy(), op.indices.copy(), op.data.copy()]
         state, _ = first.run()
         other = replace(
@@ -176,7 +176,7 @@ class TestLevelOrdering:
     def test_fill_below_minimum_degree(self, problem):
         system = CoupledSystem(problem, n_cells=16)
         lu = system.factorization._lu
-        mmd = linalg.spla.splu(system.operator, permc_spec="MMD_AT_PLUS_A")
+        mmd = linalg.spla.splu(stacked_operator(system), permc_spec="MMD_AT_PLUS_A")
         assert lu.L.nnz + lu.U.nnz <= 0.9 * (mmd.L.nnz + mmd.U.nnz)
 
     def test_order_groups(self):
@@ -195,10 +195,17 @@ class TestLevelOrdering:
         assert np.array_equal(order[n_box:], n_box + np.arange(system.dg.n_dofs))
 
 
+def _run_config_problem():
+    """A run configuration with a tanh radius, piecewise permeability, DG
+    degree 2 and a box velocity off the vessel axis."""
+    return verify.pulse_problem(verify.RunConfig(degree=2, epsilon=0, u=(0.3, -0.2, 0.5),
+                                                 **verify.DIAGONAL_CASES[3]))
+
+
 class TestOperatorComposition:
-    """The box block summed on the mesh pattern leaves the operator's pattern
-    as general sparse sums of its seven parts give it, and its entries to
-    round-off."""
+    """The one-pass build gives, byte for byte, the operator that sparse sums
+    of its parts, a stack, the Dirichlet rows' constraint and a permutation
+    into the LU's order give; general sums agree to round-off."""
 
     @pytest.mark.parametrize("problem", [verify.manufactured_problem(), verify.diagonal_problem(1)],
                              ids=["manufactured", "diagonal_case1"])
@@ -214,30 +221,70 @@ class TestOperatorComposition:
             dg1d.assemble_a_lambda(dg, problem.kappa_hat, area, problem.dg)
             + dg1d.assemble_b_lambda(dg, problem.u_hat, area) + blocks.c_ll)
         full = sp.bmat([[top, -blocks.c_ol], [-blocks.c_lo, bottom]], format="csr")
-        general = fem3d.constrain_rows(full, system.dirichlet_rows).tocsc()
-        operator = system.operator
-        assert operator.format == "csc" and system.factorization._matrix is operator
+        order = system._level_order()
+        general = constrain_rows(full, system.dirichlet_rows).tocsc()[order][:, order]
+        general.sum_duplicates()
+        operator = system.factorization._matrix
+        assert operator.format == "csc" and system.factorization._order is not None
         assert np.array_equal(operator.indptr, general.indptr)
         assert np.array_equal(operator.indices, general.indices)
         assert np.abs(operator.data - general.data).max() <= 1e-15 * np.abs(general.data).max()
 
-    @pytest.mark.parametrize("problem", [verify.manufactured_problem(), verify.diagonal_problem(1)],
-                             ids=["manufactured", "diagonal_case1"])
-    def test_rows_constrained_before_the_stack(self, problem):
-        """Constraining the Dirichlet rows of [box, -c_ol] before a CSC stack
-        gives bit for bit the operator of constraining the stacked CSR matrix."""
-        system = CoupledSystem(problem, n_cells=8)
-        dg, area, inv_dt = system.dg, system.problem.geometry.section_area, 1.0 / system.dt
-        box = fem3d.box_block(fem3d.box_level(8), inv_dt, problem.kappa, problem.velocity)
-        bottom = inv_dt * system.mass1 + (dg1d.assemble_a_lambda(dg, problem.kappa_hat, area, problem.dg)
-                                          + dg1d.assemble_b_lambda(dg, problem.u_hat, area)
-                                          + system.blocks.c_ll)
-        full = sp.bmat([[box + system.blocks.c_oo, -system.blocks.c_ol],
-                        [-system.blocks.c_lo, bottom]], format="csr")
-        stacked_then_constrained = fem3d.constrain_rows(full, system.dirichlet_rows).tocsc()
+    @pytest.mark.parametrize("n_cells", [8, 16])
+    @pytest.mark.parametrize("problem", [verify.manufactured_problem(), verify.diagonal_problem(1),
+                                         _run_config_problem()],
+                             ids=["manufactured", "diagonal_case1", "run_tanh_piecewise"])
+    def test_equals_stacked_operator(self, problem, n_cells):
+        system = CoupledSystem(problem, n_cells=n_cells)
+        expected = stacked_operator(system, system._level_order())
         for name in ("indptr", "indices", "data"):
-            a, b = getattr(system.operator, name), getattr(stacked_then_constrained, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            a, b = getattr(system.factorization._matrix, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.slow
+    def test_equals_stacked_operator_at_max_cells(self, monkeypatch):
+        """At n = 32 the matrix is in natural order, as SuperLU's minimum
+        degree takes it; nothing is factored here."""
+        monkeypatch.setattr(linalg.spla, "splu", lambda matrix, **kwargs: None)
+        system = CoupledSystem(verify.diagonal_problem(1), n_cells=stepper.MAX_CELLS)
+        assert system.factorization._order is None
+        expected = stacked_operator(system)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(system.factorization._matrix, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("n_cells", [8, 16])
+    def test_one_operator_copy(self, monkeypatch, n_cells):
+        """SuperLU is handed the stored matrix itself, not a permuted copy."""
+        handed = []
+
+        def splu(matrix, build=linalg.spla.splu, **kwargs):
+            handed.append(matrix)
+            return build(matrix, **kwargs)
+
+        monkeypatch.setattr(linalg.spla, "splu", splu)
+        system = CoupledSystem(verify.manufactured_problem(), n_cells=n_cells)
+        assert len(handed) == 1 and handed[0] is system.factorization._matrix
+
+    def test_sparse_objects_per_build(self, monkeypatch):
+        """Regression guard on the SciPy sparse objects one build makes
+        (manufactured, n = 8; 70 when the blocks were summed, stacked,
+        constrained and permuted by SciPy)."""
+        spbase = getattr(pytest.importorskip("scipy.sparse._base"), "_spbase", None)
+        if spbase is None:
+            pytest.skip("scipy.sparse._base._spbase is missing")
+        problem = verify.manufactured_problem()
+        CoupledSystem(problem, n_cells=8)  # the level and its caches
+        made = []
+
+        def counted(self, *args, init=spbase.__init__, **kwargs):
+            made.append(type(self).__name__)
+            return init(self, *args, **kwargs)
+
+        monkeypatch.setattr(spbase, "__init__", counted)
+        CoupledSystem(problem, n_cells=8)
+        monkeypatch.undo()
+        assert len(made) <= 22, made
 
     def test_large_variable_velocity_warns(self):
         velocity = VectorField3(

@@ -15,8 +15,8 @@ from vesselfem.mesh3d import FemSpace, build_box_mesh
 from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.stepper import CoupledSystem
 
+from _oracles import batched_verify_sources, manufactured_f0, manufactured_f1
 from _oracles import diagonal_problem as oracle_diagonal_problem
-from _oracles import manufactured_f0, manufactured_f1
 
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
@@ -97,6 +97,14 @@ class TestSourceGate:
         assert res["f_hat"] <= verify.FHAT_RESIDUAL_TOL
         assert res["c_in"] == 0.0
 
+    @pytest.mark.parametrize("kwargs", [{}, {"n_points": 300, "seed": 1},
+                                        {"ms": verify.ManufacturedSolution(phi=np.exp, phi_dt=np.exp)}],
+                             ids=["default", "300-points-seed-1", "exp-time-factor"])
+    def test_one_pass_equals_batched(self, kwargs):
+        """All points in one pass, each at its own time sample, give the
+        residuals of one batch per time sample exactly."""
+        assert verify.verify_sources(**kwargs) == batched_verify_sources(**kwargs)
+
     def test_exponential_time_factor_passes(self):
         res = verify.source_gate(ms=verify.ManufacturedSolution(phi=np.exp, phi_dt=np.exp), n_points=300)
         assert res["f"] <= verify.F_RESIDUAL_TOL and res["f_hat"] <= verify.FHAT_RESIDUAL_TOL
@@ -128,7 +136,7 @@ class TestErrorNorms:
         for n in (4, 8):
             fem = FemSpace(build_box_mesh(*CENTERED, n))
             interp = ms.c(fem.dof_points, 1.0)
-            l2, grad = verify.error_norms_3d(fem, interp, ms.c, ms.grad_c, 1.0)
+            l2, grad = verify.error_norms_3d(fem, interp, ms.c, lambda x, t: ms.c_and_grad(x, t)[1], 1.0)
             assert l2 > 0 and grad > 0
             if prev is not None:
                 assert l2 < prev[0] and grad < prev[1]
@@ -146,7 +154,7 @@ class TestErrorNorms:
         fem = FemSpace(build_box_mesh(*CENTERED, 8))
         c = ms.c(fem.dof_points, 1.0) + 1e-3 * np.random.default_rng(2).standard_normal(fem.n_dofs)
         np.testing.assert_allclose(verify.error_norms_3d(fem, c, ms.c_and_grad, ms.c_and_grad, 1.0),
-                                   verify.error_norms_3d(fem, c, ms.c, ms.grad_c, 1.0), rtol=1e-13)
+                                   verify.error_norms_3d(fem, c, ms.c, lambda x, t: ms.c_and_grad(x, t)[1], 1.0), rtol=1e-13)
 
 
 class TestErrorNormMemory:
@@ -172,7 +180,7 @@ class TestErrorNormMemory:
     def test_error_norms_3d(self, ms):
         fem = FemSpace(build_box_mesh(*CENTERED, 32))
         c = np.random.default_rng(1).standard_normal(fem.n_dofs)
-        assert self._peak(lambda: verify.error_norms_3d(fem, c, ms.c, ms.grad_c, 1.0)) < self.LIMIT
+        assert self._peak(lambda: verify.error_norms_3d(fem, c, ms.c, lambda x, t: ms.c_and_grad(x, t)[1], 1.0)) < self.LIMIT
 
     def test_one_pass_error_norms_3d(self, ms):
         """Value and gradient from one evaluation per block: the two-callable
@@ -182,7 +190,7 @@ class TestErrorNormMemory:
         both = []
         peak = self._peak(lambda: both.append(verify.error_norms_3d(fem, c, ms.c_and_grad, ms.c_and_grad, 1.0)))
         assert peak < self.LIMIT
-        np.testing.assert_allclose(both[0], verify.error_norms_3d(fem, c, ms.c, ms.grad_c, 1.0), rtol=1e-13)
+        np.testing.assert_allclose(both[0], verify.error_norms_3d(fem, c, ms.c, lambda x, t: ms.c_and_grad(x, t)[1], 1.0), rtol=1e-13)
 
 
 class TestRates:
@@ -329,8 +337,8 @@ class TestDiagonalSetup:
 
     def test_run_defaults_are_case_1(self):
         # one pulse problem: the run defaults build diagonal case 1's operator bit for bit
-        run = CoupledSystem(cli.problem_from_config(cli.RunConfig()), n_cells=8).operator
-        case1 = CoupledSystem(verify.diagonal_problem(1), n_cells=8).operator
+        run = CoupledSystem(cli.problem_from_config(cli.RunConfig()), n_cells=8).factorization._matrix
+        case1 = CoupledSystem(verify.diagonal_problem(1), n_cells=8).factorization._matrix
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(run, name), getattr(case1, name), err_msg=name)
 
