@@ -4,7 +4,7 @@ Elements carry shifted Legendre bases (L2-orthogonal per element, so the
 unweighted mass matrix is diagonal).  The diffusion form is the interior
 penalty method with symmetry switch epsilon in {-1, 0, +1}; the advection
 form upwinds on the left trace and includes the outflow boundary term, while
-the inflow datum enters the right-hand side.
+the inflow datum enters the right-hand side.  One load serves vessel sources and projection.
 """
 from __future__ import annotations
 
@@ -273,8 +273,16 @@ def assemble_inflow_rhs(space: DgSpace, weight, u_hat: float, c_in: float):
     return out
 
 
+def assemble_load(space: DgSpace, fn, t: float, n_points: int):
+    """Load vector (fn(., t), vh_i) by an n_points Gauss rule on every element
+    at once; stacked values, shape (k, m), give the k loads as (k, n_dofs)."""
+    pts, wts, vals, _ = space.element_quadrature(n_points)
+    fq = np.asarray(fn(pts.ravel(), t), dtype=float)
+    lead = fq.shape[:-1]  # (k,) for stacked values
+    fq = np.broadcast_to(fq, lead + (pts.size,)).reshape(lead + pts.shape)
+    return np.einsum("...eq,iq->...ei", wts * fq, vals).reshape(lead + (-1,))
+
+
 def l2_project(space: DgSpace, fn):
-    """Element-local unweighted L2 projection onto the broken space."""
-    pts, wts, vals, _ = space.element_quadrature(space.degree + 4)
-    rhs = np.einsum("eq,iq->ei", wts * _coef_array(fn, pts), vals)
-    return (rhs / space.unit_mass()).ravel()
+    """Element-local unweighted L2 projection of fn(s) onto the broken space."""
+    return assemble_load(space, lambda s, t: fn(s), 0.0, space.degree + 4) / space.unit_mass().ravel()

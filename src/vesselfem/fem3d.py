@@ -197,10 +197,7 @@ def assemble_load(space: FemSpace, f: ScalarField3, t: float, order: int = 4):
 
 
 def dirichlet_values(points, g, t: float):
-    """Boundary values g(x, t) at the constrained vertices' points, gathered
-    once by the caller; 0.0 for every row when there is no datum g."""
-    if g is None:
-        return 0.0
+    """Boundary values g(x, t) at the constrained vertices' points, gathered once by the caller."""
     return np.asarray(g(points, t), dtype=float)
 
 

@@ -4,7 +4,7 @@ A vessel is a straight segment with an arclength-dependent radius and wall
 permeability.  The cross-section at arclength ``s`` is the disk of radius
 ``R(s)`` in the plane spanned by the frame vectors ``(e1, e2)``; coupling
 integrals are evaluated on its boundary circle through a uniform angular
-quadrature.
+quadrature.  The profiles are sampled once, for their bounds and the tube's extent.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ class ConstantPermeability:
 class PiecewisePermeability:
     """Piecewise-constant wall permeability.
 
-    ``breakpoints`` are the interior jump locations (increasing); ``values``
+    ``breakpoints`` are the interior jump locations (increasing and finite); ``values``
     has one more entry than ``breakpoints``.  The value on ``[b_i, b_{i+1})``
     is ``values[i + 1]``; segments may be exactly zero (impermeable wall).
     """
@@ -69,8 +69,8 @@ class PiecewisePermeability:
     def __post_init__(self):
         if len(self.values) != len(self.breakpoints) + 1:
             raise GeometryError("need one more permeability value than breakpoints")
-        if any(b >= a for a, b in zip(self.breakpoints[1:], self.breakpoints[:-1])):
-            raise GeometryError("permeability breakpoints must be increasing")
+        if not np.all(np.diff([-np.inf, *self.breakpoints, np.inf]) > 0.0):  # NaN and +-inf fail too
+            raise GeometryError("permeability breakpoints must be increasing and finite")
 
     def __call__(self, s):
         idx = np.searchsorted(np.asarray(self.breakpoints), s, side="right")
@@ -85,7 +85,7 @@ class VesselGeometry:
     seeding with the coordinate axis least aligned with the tangent.  The
     section area ``pi R(s)^2`` must be nondecreasing in s; this is required
     by the upwind advection form and is validated on a dense sample grid at
-    construction time.
+    construction time, which also gives the tube's extent along each axis.
     """
 
     def __init__(self, p0, p1, radius, permeability):
@@ -121,8 +121,8 @@ class VesselGeometry:
     def _validate_profiles(self):
         s = np.linspace(0.0, self.length, _VALIDATION_SAMPLES)
         r = np.asarray(self.radius(s, self.length), dtype=float)
-        if np.any(r <= 0.0):
-            raise GeometryError("radius profile is not strictly positive")
+        if not np.all((0.0 < r) & (r < np.inf)):  # NaN fails too
+            raise GeometryError("radius profile is not strictly positive and finite")
         area = np.pi * r * r
         if np.any(np.diff(area) < -_TOL):
             raise GeometryError("section area must be nondecreasing along the vessel")
@@ -130,9 +130,12 @@ class VesselGeometry:
         self.section_lower = float(min(area.min(), circ.min()))
         self.section_upper = float(max(area.max(), circ.max()))
         gam = np.asarray(self.permeability(s), dtype=float)
-        if np.any(gam < 0.0):
-            raise GeometryError("permeability must be nonnegative")
+        if not np.all((0.0 <= gam) & (gam < np.inf)):  # NaN fails too
+            raise GeometryError("permeability must be nonnegative and finite")
         self.permeability_upper = float(gam.max())
+        reach = np.outer(r, np.sqrt(self.e1**2 + self.e2**2))  # the circle at s spans r |(e1_k, e2_k)| on axis k
+        centers = self.point_at(s)
+        self.tube_lo, self.tube_hi = (centers - reach).min(axis=0), (centers + reach).max(axis=0)
 
     def _check_arclength(self, s):
         s = np.asarray(s, dtype=float)
@@ -191,18 +194,10 @@ class VesselGeometry:
     def check_inside_box(self, lo, hi):
         """Require the vessel tube to stay inside the closed box [lo, hi].
 
-        Sampled densely along s; the tube may touch the box faces (the
-        vertical-line setup ends exactly on two faces) but must not cross
-        them by more than _TOL.
+        Compares the tube's extent, sampled densely along s at construction;
+        the tube may touch the box faces (the vertical-line setup ends exactly
+        on two faces) but must not cross them by more than _TOL.
         """
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        s = np.linspace(0.0, self.length, _VALIDATION_SAMPLES)
-        centers = self.point_at(s)
-        r = np.asarray(self.radius(s, self.length), dtype=float)
-        # extent of the circle at s along coordinate axis k: r * |e1_k, e2_k| envelope
-        reach = np.sqrt(self.e1**2 + self.e2**2)  # per-axis amplitude of the circle
-        mins = centers - np.outer(r, reach)
-        maxs = centers + np.outer(r, reach)
-        if not (np.all(mins >= lo - _TOL) and np.all(maxs <= hi + _TOL)):  # NaN fails too
+        if not (np.all(self.tube_lo >= np.subtract(lo, _TOL))
+                and np.all(self.tube_hi <= np.add(hi, _TOL))):  # NaN fails too
             raise GeometryError("vessel tube leaves the computational box")

@@ -7,15 +7,16 @@ and factored once.  Below MAX_CELLS that order is the Dirichlet rows
 interior vertices without the box dofs the exchange couples, those coupled
 dofs, then the vessel dofs; the coupled dofs reach across any grid plane
 near the vessel, so they go last with it.  At MAX_CELLS the matrix stays in
-natural order, which SuperLU orders by minimum degree.  Each step assembles the
-right-hand side from the previous state, the sources at the new time level
-and the inflow datum, overwrites the Dirichlet rows, and back-substitutes.
-A march forms one mass product per state, for its energy and the next
-right-hand side.  A separable box source, vessel source or Dirichlet datum
-has its parts evaluated once per system; each step only recombines them.
+natural order, which SuperLU orders by minimum degree.  Each step adds to
+the previous state's mass products each datum's vector at the new time (box
+source, vessel source, inflow) in its rows, writes the Dirichlet trace and
+back-substitutes; one rule (``_in_time``) evaluates a separable datum's parts
+once per system and any other datum every step.  A march forms one mass
+product per state, for its energy and the next right-hand side.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time as _time
 from dataclasses import dataclass, field
@@ -117,6 +118,17 @@ class RunReport:
     snapshots: list = field(default_factory=list)
 
 
+def _in_time(datum, vector):
+    """t -> vector(datum, t), a datum's vector at t.  A separable datum's parts
+    are evaluated once, on first use, as vector(parts, 0.0) of shape (k, ...),
+    and recombined at each t; any other datum is evaluated at each t."""
+    if getattr(datum, "parts", None) is None:
+        return lambda t: vector(datum, t)
+    parts = ScalarField3(fn=lambda x, t: datum.parts(x), lattice=datum.lattice)
+    evaluated = functools.cache(lambda: vector(parts, 0.0))  # on first use
+    return lambda t: sum(float(g) * part for g, part in zip(datum.times(t), evaluated()))
+
+
 class CoupledSystem:
     """Discretization of a TransportProblem on DEFAULT_BOX with n_cells cells
     per axis and a uniform vessel partition of n_cells elements; the box
@@ -158,7 +170,6 @@ class CoupledSystem:
         )
 
         self.dirichlet_rows = level.dirichlet_rows
-        self._boundary_points = self.fem.dof_points[self.dirichlet_rows]
         # n = MAX_CELLS keeps SuperLU's minimum-degree ordering only because
         # bench/gates.py's DIAGONAL_RECORDED holds that LU's round-off
         order = None if n_cells == MAX_CELLS else self._level_order()
@@ -169,10 +180,18 @@ class CoupledSystem:
         matrix = linalg.compose(self.n_dofs, parts, order, self.dirichlet_rows)
         del box, stiff1, adv1, parts  # freed before the LU is factored
         self.factorization = linalg.Factorization(matrix, order=order)
-        self._parts = {}  # evaluated parts of the separable data, filled on first use
 
-        self._quad1 = self.dg.element_quadrature(self.dg.degree + 2)
-        self._inflow = dg1d.inflow_factors(self.dg, area, problem.u_hat)
+        # each datum's rows and its vector at t; the closures hold fem, dg and
+        # arrays, never self, so a system dies with its last reference
+        fem, dg, points = self.fem, self.dg, self.fem.dof_points[self.dirichlet_rows]
+        dofs, scale, vl = dg1d.inflow_factors(dg, area, problem.u_hat)
+        data = [(slice(0, nb), None if problem.source3.is_zero else problem.source3,
+                 lambda f, t: fem3d.assemble_load(fem, f, t)),
+                (slice(nb, None), problem.source1, lambda f, t: dg1d.assemble_load(dg, f, t, dg.degree + 2)),
+                (nb + dofs, problem.c_in, lambda c, t: scale * float(c(t)) * vl)]
+        self._data = [(rows, _in_time(datum, vector)) for rows, datum, vector in data if datum is not None]
+        self._trace = (lambda t: 0.0) if problem.dirichlet is None else _in_time(
+            problem.dirichlet, lambda g, t: fem3d.dirichlet_values(points, g, t))
         self._rhs_buffer = np.empty(self.n_dofs)
 
     def _level_order(self):
@@ -207,46 +226,15 @@ class CoupledSystem:
         return CoupledState(c=c, c_hat=c_hat, t=0.0, n=0)
 
     def _rhs(self, t_new: float, masses):
-        pr = self.problem
         inv_dt = 1.0 / self.dt
         rhs = self._rhs_buffer
         rhs3, rhs1 = self.split(rhs)
         np.multiply(inv_dt, masses[0], out=rhs3)
-        if not pr.source3.is_zero:
-            rhs3 += self._load3(t_new)
         np.multiply(inv_dt, masses[1], out=rhs1)
-        if pr.source1 is not None:
-            rhs1 += self._datum("source1", pr.source1, t_new, self._load1)
-        if pr.c_in is not None:
-            dofs, scale, vl = self._inflow
-            rhs1[dofs] += scale * float(pr.c_in(t_new)) * vl
-        trace = None if pr.dirichlet is None else (
-            lambda x, t: self._datum("dirichlet", pr.dirichlet, t, lambda g, t: g(x, t)))
-        rhs[self.dirichlet_rows] = fem3d.dirichlet_values(self._boundary_points, trace, t_new)
+        for rows, at in self._data:
+            rhs[rows] += at(t_new)
+        rhs[self.dirichlet_rows] = self._trace(t_new)
         return rhs
-
-    def _datum(self, key, datum, t, evaluate):
-        """evaluate(datum, t), a datum's vector at t.  A separable datum's parts are evaluated
-        once, on first use, as evaluate(parts, 0.0) of shape (k, ...); each step recombines them."""
-        if getattr(datum, "parts", None) is None:
-            return evaluate(datum, t)
-        if key not in self._parts:
-            self._parts[key] = evaluate(ScalarField3(fn=lambda x, t: datum.parts(x), lattice=datum.lattice), 0.0)
-        return sum(float(g) * part for g, part in zip(datum.times(t), self._parts[key]))
-
-    def _load3(self, t):
-        """Box load of source3 at time t."""
-        return self._datum("source3", self.problem.source3, t,
-                           lambda f, t: fem3d.assemble_load(self.fem, f, t))
-
-    def _load1(self, fn, t):
-        """Vessel load (fn(., t), phi_i) over every element and Gauss point at
-        once; stacked values, shape (k, m), give the k loads as (k, n_dofs)."""
-        pts, wts, vals, _ = self._quad1
-        fq = np.asarray(fn(pts.ravel(), t), dtype=float)
-        lead = fq.shape[:-1]  # (k,) for stacked values
-        fq = np.broadcast_to(fq, lead + (pts.size,)).reshape(lead + pts.shape)
-        return np.einsum("...eq,iq->...ei", wts * fq, vals).reshape(lead + (-1,))
 
     def mass_products(self, state: CoupledState):
         """(M3 c, M1 c_hat): a state's energy and its share of the next step."""

@@ -9,7 +9,7 @@ and the block scatter from the package.  The slot map finds every tet block
 entry's data position on the box pattern by searching the pattern's
 (row, column) keys, the reference the box stencil sum is checked against.
 The reference march keeps the backward Euler step as one formula per step,
-and the two space parts of the manufactured bulk source are the closed forms
+the L2 projection keeps its own quadrature formula, and the two space parts of the manufactured bulk source are the closed forms
 as first written, one function each.  The diagonal-line cases are written
 out by hand, as they were before they became run configurations.  The
 exchange blocks are also formed as SciPy's products of the weight
@@ -231,6 +231,8 @@ def reference_march(system):
     pr = system.problem
     inv_dt = 1.0 / system.dt
     vl, _ = legendre_basis(np.float64(-1.0), system.dg.degree)
+    load1 = lambda f, t: dg1d.assemble_load(system.dg, f, t, system.dg.degree + 2)
+    boundary_points = system.fem.dof_points[system.dirichlet_rows]
 
     def energy(state):
         return float(state.c.dot(system.mass3 @ state.c)
@@ -244,19 +246,28 @@ def reference_march(system):
             pr.source3, t_new, lambda f, t: fem3d.assemble_load(system.fem, f, t))
         rhs1 = inv_dt * (system.mass1 @ state.c_hat)
         if pr.source1 is not None:
-            rhs1 = rhs1 + reference_load(pr.source1, t_new, system._load1)
+            rhs1 = rhs1 + reference_load(pr.source1, t_new, load1)
         if pr.c_in is not None:
             inflow = np.zeros(system.dg.n_dofs)
             inflow[system.dg.element_dofs(0)] = (float(np.asarray(pr.geometry.section_area(0.0)))
                                                  * pr.u_hat * float(pr.c_in(t_new)) * vl)
             rhs1 = rhs1 + inflow
         rhs = np.concatenate([rhs3, rhs1])
-        rhs[system.dirichlet_rows] = fem3d.dirichlet_values(
-            system._boundary_points, pr.dirichlet, t_new)
+        rhs[system.dirichlet_rows] = 0.0 if pr.dirichlet is None else fem3d.dirichlet_values(
+            boundary_points, pr.dirichlet, t_new)
         c, c_hat = system.split(system.factorization.solve(rhs))
         state = CoupledState(c=c, c_hat=c_hat, t=t_new, n=n_new)
         energies.append(energy(state))
     return state, np.array(energies)
+
+
+def l2_project(space, fn):
+    """Element-local unweighted L2 projection: the degree + 4 point Gauss load
+    of fn, divided by the diagonal unit mass."""
+    pts, wts, vals, _ = space.element_quadrature(space.degree + 4)
+    fq = np.broadcast_to(np.asarray(fn(pts.ravel()), dtype=float), (pts.size,)).reshape(pts.shape)
+    rhs = np.einsum("eq,iq->ei", wts * fq, vals)
+    return (rhs / space.unit_mass()).ravel()
 
 
 def diagonal_geometry(case: int) -> VesselGeometry:

@@ -289,7 +289,7 @@ def test_criterion_8b_vessel_mass_ordering(diagonal_reports):
     """Stated check: case-2 final vessel mass below case 1.
 
     The model cannot produce this ordering for the area-weighted mass
-    integral (see notes/decisions.md): the per-concentration drain rate
+    integral (see README "Install and test"): the per-concentration drain rate
     2 gamma / R falls with radius while the vessel volume grows as R^2, so
     the widening case-2 vessel retains more weighted mass.  An independent
     finite-volume discretization confirms the inversion.  The unweighted
@@ -301,11 +301,11 @@ def test_criterion_8b_vessel_mass_ordering(diagonal_reports):
     ok = mass2 < mass1
     _report("8b", ok, f"(area-weighted mass: case1 {mass1:.4e}, case2 {mass2:.4e}; "
                       f"the concentration integral does satisfy case2 < case1 -- "
-                      f"see notes/decisions.md)")
+                      f"see README \"Install and test\")")
     assert ok, (
         f"case-2 vessel mass {mass2:.4e} is not below case-1 {mass1:.4e}; "
         "verified model behavior contradicts the stated check "
-        "(analysis in notes/decisions.md)"
+        "(analysis in README \"Install and test\")"
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 import sympy as sp
 
 from _oracles import average_flux, dense_1d_operators, dg_seminorm, jump, trace_eval
+from _oracles import l2_project as oracle_l2_project
 from vesselfem import dg1d
 from vesselfem.dg1d import DgParams, DgSpace, Partition1D
 from vesselfem.errors import CoefficientError, ConfigError, DomainError
@@ -315,6 +316,16 @@ class TestProjection:
     def test_zero(self):
         space = uniform_space(4, 1)
         assert np.all(dg1d.l2_project(space, lambda s: np.zeros_like(s)) == 0.0)
+
+    @pytest.mark.parametrize("space", [uniform_space(10, k) for k in (1, 2, 3, 7)]
+                             + [graded_space(k) for k in (1, 2, 3, 7)],
+                             ids=[f"{p}-{k}" for p in ("uniform", "graded") for k in (1, 2, 3, 7)])
+    @pytest.mark.parametrize("fn", [lambda s: np.exp(s) * np.sin(5.0 * s), lambda s: 2.0],
+                             ids=["array", "scalar"])
+    def test_bitwise_equal_to_its_own_quadrature(self, space, fn):
+        """The projection is the vessel load at degree + 4 points over the unit
+        mass, with every bit of the projection's own formula."""
+        assert dg1d.l2_project(space, fn).tobytes() == oracle_l2_project(space, fn).tobytes()
 
 
 class TestTraces:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vesselfem import fem3d, verify
 from vesselfem.errors import DomainError, GeometryError
 from vesselfem.geometry import (
     ConstantPermeability,
@@ -197,8 +198,49 @@ class TestBoxContainment:
             g.check_inside_box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
     def test_nan_centres_rejected(self, monkeypatch):
-        # every comparison with NaN is false, so NaN must fail the check, not pass it
-        g = vertical()
+        # every comparison with NaN is false, so NaN must fail the check, not pass it;
+        # the tube is sampled at construction, so the centres are patched before it
         monkeypatch.setattr(VesselGeometry, "point_at", lambda self, s: np.full((np.size(s), 3), np.nan))
+        g = vertical()
         with pytest.raises(GeometryError):
             g.check_inside_box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+
+    def test_tube_sampled_once(self, monkeypatch):
+        g = diagonal(radius=TanhRadius(0.05, 0.08, 8.0))
+        def refuse(*args):
+            raise AssertionError("the tube was sampled again")
+        monkeypatch.setattr(VesselGeometry, "point_at", refuse)
+        monkeypatch.setattr(TanhRadius, "__call__", refuse)
+        for _ in range(2):
+            g.check_inside_box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+
+
+class TestNonFiniteProfiles:
+    """A radius, permeability or breakpoint that is NaN or infinite is refused
+    as a GeometryError when the profile or geometry is made, before any mesh."""
+
+    @pytest.fixture(autouse=True)
+    def no_mesh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mesh was built for a refused profile")
+
+        monkeypatch.setattr(fem3d, "box_level", refuse)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_run_config_permeability(self, gamma):
+        with pytest.raises(GeometryError, match="permeability must be nonnegative and finite"):
+            verify.pulse_problem(verify.RunConfig(gamma=gamma))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_radius(self, value):
+        with pytest.raises(GeometryError, match="radius profile is not strictly positive and finite"):
+            diagonal(radius=ConstantRadius(value))
+
+    @pytest.mark.parametrize("breakpoints", [(math.nan,), (0.3, math.inf), (-math.inf, 0.3)])
+    def test_breakpoints(self, breakpoints):
+        with pytest.raises(GeometryError, match="increasing and finite"):
+            PiecewisePermeability(breakpoints, (0.1,) * (len(breakpoints) + 1))
+
+    def test_piecewise_value(self):
+        with pytest.raises(GeometryError, match="nonnegative and finite"):
+            diagonal(permeability=PiecewisePermeability((0.5,), (0.1, math.nan)))

@@ -555,9 +555,12 @@ class TestSeparableSource:
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
     def test_box_load_matches_per_step_assembly(self, t):
         ms = verify.ManufacturedSolution()
-        system = CoupledSystem(verify.manufactured_problem(), n_cells=4)
-        plain = fem3d.assemble_load(system.fem, ScalarField3(fn=ms.f), t)
-        assert np.abs(system._load3(t) - plain).max() <= 1e-13 * np.abs(plain).max()
+        source = verify.manufactured_problem().source3
+        fem = fem3d.box_level(4).space
+        parts = fem3d.assemble_load(fem, ScalarField3(fn=lambda x, t: source.parts(x), lattice=True), 0.0)
+        combined = sum(float(g) * part for g, part in zip(source.times(t), parts))
+        plain = fem3d.assemble_load(fem, ScalarField3(fn=ms.f), t)
+        assert np.abs(combined - plain).max() <= 1e-13 * np.abs(plain).max()
 
     def test_run_matches_plain_source(self):
         ms = verify.ManufacturedSolution()
@@ -616,16 +619,19 @@ def _counted(calls, name, fn):
     return wrapped
 
 
+def _plain_data_problem():
+    """The manufactured problem with its three separable data as plain callables."""
+    ms = verify.ManufacturedSolution()
+    return replace(verify.manufactured_problem(), source3=ScalarField3(fn=ms.f), source1=ms.f_hat, dirichlet=ms.c)
+
+
 class TestSeparableData:
     """The manufactured trace and vessel source are separable too: their parts
     are evaluated once per system, and each step only recombines them."""
 
     def test_march_equals_reference_with_plain_callables(self):
-        ms = verify.ManufacturedSolution()
-        separable = verify.manufactured_problem()
-        plain = replace(separable, source3=ScalarField3(fn=ms.f), source1=ms.f_hat, dirichlet=ms.c)
-        state, _ = CoupledSystem(separable, n_cells=8).run()
-        ref, _ = reference_march(CoupledSystem(plain, n_cells=8))
+        state, _ = CoupledSystem(verify.manufactured_problem(), n_cells=8).run()
+        ref, _ = reference_march(CoupledSystem(_plain_data_problem(), n_cells=8))
         for a, b in ((state.c, ref.c), (state.c_hat, ref.c_hat)):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -653,8 +659,10 @@ class TestReferenceLoop:
     """The march forms only what changes with t, with the reference formula's
     operands in the reference formula's order: every output is bitwise equal."""
 
-    @pytest.mark.parametrize("problem", [verify.manufactured_problem(), verify.diagonal_problem(1)],
-                             ids=["manufactured", "diagonal_case1"])
+    @pytest.mark.parametrize("problem", [
+        verify.manufactured_problem(), verify.diagonal_problem(1), _run_config_problem(),
+        _plain_data_problem(),
+    ], ids=["manufactured", "diagonal_case1", "run_tanh_piecewise", "manufactured_plain_callables"])
     def test_bitwise_equal_to_reference_loop(self, problem):
         system = CoupledSystem(problem, n_cells=8)
         state, report = system.run()
@@ -719,17 +727,18 @@ class TestVesselLoad:
     def test_matches_element_loop(self, degree):
         ms = verify.ManufacturedSolution()
         system = CoupledSystem(verify.manufactured_problem(degree=degree), n_cells=7)
+        dg = system.dg
         for t in (0.0, 0.37, 1.0):
-            ref = self._per_element_load(system.dg, ms.f_hat, t)
-            assert np.abs(system._load1(ms.f_hat, t) - ref).max() <= 1e-14 * max(
+            ref = self._per_element_load(dg, ms.f_hat, t)
+            assert np.abs(dg1d.assemble_load(dg, ms.f_hat, t, dg.degree + 2) - ref).max() <= 1e-14 * max(
                 1.0, np.abs(ref).max()
             )
 
     def test_scalar_source(self):
-        system = CoupledSystem(quiescent_problem(), n_cells=3)
+        dg = CoupledSystem(quiescent_problem(), n_cells=3).dg
         fn = lambda s, t: 2.0
-        ref = self._per_element_load(system.dg, fn, 0.0)
-        assert np.abs(system._load1(fn, 0.0) - ref).max() < 1e-15
+        ref = self._per_element_load(dg, fn, 0.0)
+        assert np.abs(dg1d.assemble_load(dg, fn, 0.0, dg.degree + 2) - ref).max() < 1e-15
 
 
 class TestTimeGrid:

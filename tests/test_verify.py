@@ -438,24 +438,31 @@ class TestStudyInputRefused:
             verify.self_convergence(case, (4,), fine_n=8)
 
 
+def _track_builds(monkeypatch, collect):
+    """Weak references to every system built; each build first asserts that
+    every earlier system is dead, after a cyclic collection if ``collect``."""
+    built = []
+    init = stepper.CoupledSystem.__init__
+
+    def tracked(system, *args, **kwargs):
+        if collect:
+            gc.collect()
+        alive = [ref for ref in built if ref() is not None]
+        assert not alive, f"{len(alive)} earlier system(s) alive at a new build"
+        init(system, *args, **kwargs)
+        built.append(weakref.ref(system))
+
+    monkeypatch.setattr(stepper.CoupledSystem, "__init__", tracked)
+    return built
+
+
 class TestOneSystemAlive:
     """A study builds a level only once every earlier system, and with it
     that system's LU, is freed."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        built = []
-        init = stepper.CoupledSystem.__init__
-
-        def tracked(system, *args, **kwargs):
-            gc.collect()
-            alive = [ref for ref in built if ref() is not None]
-            assert not alive, f"{len(alive)} earlier system(s) alive at a new build"
-            init(system, *args, **kwargs)
-            built.append(weakref.ref(system))
-
-        monkeypatch.setattr(stepper.CoupledSystem, "__init__", tracked)
-        return built
+        return _track_builds(monkeypatch, collect=True)
 
     def test_convergence_study(self, builds):
         verify.convergence_study([4, 8])
@@ -463,4 +470,31 @@ class TestOneSystemAlive:
 
     def test_self_convergence(self, builds):
         verify.self_convergence(1, (4,), fine_n=8)
+        assert len(builds) == 2
+
+
+class TestOneSystemFreedByRefcount(TestOneSystemAlive):
+    """The same with the cyclic collector off and never run: an earlier system
+    dies by reference counting alone, so nothing it holds refers back to it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield _track_builds(monkeypatch, collect=False)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_run_config_marched_twice(self, builds, tmp_path):
+        """A degree-2 run with a tanh radius and a piecewise permeability, twice."""
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "n = 4\ndegree = 2\nepsilon = 0\nt_end = 0.2\nu = 0.3, -0.2, 0.5\n"
+            "radius_min = 0.05\nradius_max = 0.08\nradius_beta = 8.0\n"
+            "gamma_breaks = 0.4, 0.9\ngamma_values = 0.0, 0.05, 0.1\n"
+            f"snapshots = 0.2\nout = {tmp_path / 'out'}\n")
+        for _ in range(2):
+            assert cli.main(["run", "--config", str(config)]) == 0
         assert len(builds) == 2
