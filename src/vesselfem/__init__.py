@@ -11,7 +11,7 @@ from .errors import (
     SolverError,
     VerificationError,
 )
-from .fem3d import ScalarField3, VectorField3
+from .fem3d import ScalarField3
 from .geometry import (
     ConstantPermeability,
     ConstantRadius,
@@ -42,7 +42,6 @@ __all__ = [
     "TanhRadius",
     "TetMesh",
     "TransportProblem",
-    "VectorField3",
     "VerificationError",
     "VesselGeometry",
     "build_box_mesh",

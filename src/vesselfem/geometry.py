@@ -121,9 +121,11 @@ class VesselGeometry:
     def _validate_profiles(self):
         s = np.linspace(0.0, self.length, _VALIDATION_SAMPLES)
         r = np.asarray(self.radius(s, self.length), dtype=float)
-        if not np.all((0.0 < r) & (r < np.inf)):  # NaN fails too
-            raise GeometryError("radius profile is not strictly positive and finite")
-        area = np.pi * r * r
+        with np.errstate(over="ignore"):  # a radius above ~1e154 overflows its area
+            area = np.pi * r * r
+        if not np.all((0.0 < r) & (area < np.inf)):  # NaN fails too; a finite area bounds r and 2 pi r
+            raise GeometryError("radius profile is not strictly positive and finite, "
+                                "with a finite section area")
         if np.any(np.diff(area) < -_TOL):
             raise GeometryError("section area must be nondecreasing along the vessel")
         circ = 2.0 * np.pi * r

@@ -12,6 +12,7 @@ the relative residual against a hard tolerance on that one matrix.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -88,8 +89,10 @@ class Factorization:
             raise ValueError(f"rhs length {rhs.shape[0]} != {n}")
         b = rhs if self._order is None else rhs[self._order]
         y = self._lu.solve(b)
-        norm_b = np.linalg.norm(b)
-        residual = np.linalg.norm(self._matrix @ y - b)
+        # BLAS nrm2 scales as it sums, so a norm overflows only if it is
+        # itself above the float range; unchecked, so a NaN stays a NaN
+        norm_b = scipy.linalg.norm(b, check_finite=False)
+        residual = scipy.linalg.norm(self._matrix @ y - b, check_finite=False)
         rel = residual / norm_b if norm_b > 0.0 else residual
         self.residuals.append(float(rel))
         if not rel <= RESIDUAL_RTOL:  # a NaN residual fails too

@@ -4,9 +4,9 @@ Each grid cell is split into the six tetrahedra sharing the cell's main
 diagonal (the Kuhn split), so the triangulation is conforming and has six tet
 shapes and one tet volume.  Their barycentric gradients form one table that
 assembly, error norms, point location (a sort per point) and the quadrature
-points share.  Element blocks are summed onto the one CSR pattern of the P1
-matrices as a stencil on the cell grid, one shifted slice per block entry (a
-scalar for a per-shape block), with no per-tet map to data positions.
+points share.  Per-shape element blocks are summed onto the one CSR pattern
+of the P1 matrices as a stencil on the cell grid, one shifted slice per
+block entry, with no per-tet map to data positions.
 Quadrature runs in boxes of whole cells, so every consumer's temporaries
 stay bounded whatever the level; a block gives its points or their
 coordinate axes, over which a closed form is evaluated once per (x, y)
@@ -136,16 +136,13 @@ class TetMesh:
         order.flags.writeable = False
         return order
 
-    def sum_blocks(self, blocks, scale=None):
-        """Data on csr_pattern of the matrix summing 4 x 4 blocks, given per
-        tet (n_tets, 4, 4) or per shape (6, 4, 4), times ``scale`` (n_tets,)
-        if given.  Entry (i, j) of shape s adds into the n^3 slice of the
-        (offset, vertex) stencil whose rows are the cells' corner i, scaled as
-        it is added; corners run from (1, 1, 1) down to (0, 0, 0), then the
-        shapes in order, so every entry sums its terms in ascending tet order."""
+    def sum_blocks(self, blocks):
+        """Data on csr_pattern of the matrix summing the per-shape 4 x 4
+        blocks (6, 4, 4) over every cell.  Entry (i, j) of shape s adds into
+        the n^3 slice of the (offset, vertex) stencil whose rows are the
+        cells' corner i; corners run from (1, 1, 1) down to (0, 0, 0), then
+        the shapes in order, so every entry sums its terms in ascending tet order."""
         n, m = self.n, self.n + 1
-        blocks = blocks if np.shape(blocks)[0] == 6 else np.reshape(blocks, (n, n, n, 6, 4, 4))
-        scale = None if scale is None else np.reshape(scale, (n, n, n, 6))
         corner = self.grid_index[self.tets[:6]]  # (6, 4, 3) shape corners, 0/1 per axis
         code = corner @ (9, 3, 1)
         which = np.searchsorted(_OFFSETS @ (9, 3, 1), code[:, None] - code[:, :, None])  # i to j
@@ -154,8 +151,7 @@ class TetMesh:
             rows = tuple(slice(q, q + n) for q in corner[s, i])  # the cells' row vertices
             for j in range(4):
                 target = stencil[(which[s, i, j],) + rows]
-                term = blocks[..., s, i, j]  # per tet (n, n, n), per shape a scalar
-                target += term if scale is None else scale[..., s] * term  # in place, no write-back
+                target += blocks[s, i, j]  # in place, no write-back
         return stencil.reshape(len(_OFFSETS), -1).T[self._neighbours()]  # the pattern's entries, row by row
 
     def quadrature(self, order, axes=False):

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import coupling, dg1d, fem3d, linalg
 from .dg1d import DgParams, DgSpace, Partition1D
-from .errors import ConfigError
-from .fem3d import ScalarField3, VectorField3
+from .errors import CoefficientError, ConfigError
+from .fem3d import ScalarField3
 from .geometry import MAX_CIRCLE_POINTS, MIN_CIRCLE_POINTS, VesselGeometry
 from .mesh3d import DEFAULT_BOX, FemSpace, TetMesh
 
@@ -61,18 +61,20 @@ def check_level(n_cells: int, n_circle: int):
 class TransportProblem:
     """Continuous problem data: geometry, coefficients, sources and horizon.
 
-    ``kappa_hat`` and ``source1`` act on vessel arclength; ``dirichlet`` maps
-    (boundary points, t) to trace values (None = homogeneous); ``c_in`` is the
-    prescribed inflow concentration.  ``dt`` is the requested step, 0.1 times
-    the mesh cell size when left None; the system shortens it so that a whole
-    number of steps lands on ``t_end``, of at most MAX_STEPS.  The parts of a
-    separable ``source3``, ``source1`` or ``dirichlet`` are evaluated once per system.
+    The box coefficients are constants: ``kappa`` a positive float and
+    ``velocity`` three floats.  ``kappa_hat`` and ``source1`` act on vessel
+    arclength; ``dirichlet`` maps (boundary points, t) to trace values
+    (None = homogeneous); ``c_in`` is the prescribed inflow concentration.
+    ``dt`` is the requested step, 0.1 times the mesh cell size when left
+    None; the system shortens it so that a whole number of steps lands on
+    ``t_end``, of at most MAX_STEPS.  The parts of a separable ``source3``,
+    ``source1`` or ``dirichlet`` are evaluated once per system.
     """
 
     geometry: VesselGeometry
-    kappa: ScalarField3
+    kappa: float
     kappa_hat: Callable
-    velocity: VectorField3
+    velocity: tuple
     u_hat: float
     source3: ScalarField3
     source1: Callable | None
@@ -92,6 +94,13 @@ class TransportProblem:
             raise ConfigError("need 0 < dt <= t_end")
         if not 0.0 < self.u_hat < math.inf:
             raise ConfigError("vessel velocity must be positive and finite")
+        if not 0.0 < self.kappa < math.inf:  # NaN fails too
+            raise CoefficientError(f"box diffusivity must be positive and finite, got {self.kappa}")
+        u = np.asarray(self.velocity, dtype=float)
+        if u.shape != (3,):
+            raise ConfigError(f"box velocity needs 3 components, got shape {u.shape}")
+        if not np.all(np.isfinite(u)):
+            raise ConfigError(f"box velocity needs finite components, got {tuple(u)}")
         if not 1 <= self.degree <= MAX_DEGREE:
             raise ConfigError(f"polynomial degree must be >= 1 and <= {MAX_DEGREE}")
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import fem3d
 from .dg1d import DgParams, DgSpace
 from .errors import ConfigError, VerificationError
-from .fem3d import ScalarField3, VectorField3
+from .fem3d import ScalarField3
 from .geometry import (
     ConstantPermeability,
     ConstantRadius,
@@ -132,9 +132,9 @@ def manufactured_problem(epsilon: int = 1, sigma: float = 50.0, degree: int = 1,
     times = lambda t: (ms.phi_dt(t), ms.phi(t))
     return TransportProblem(
         geometry=ms.geometry(),
-        kappa=ScalarField3.constant(1.0),
+        kappa=1.0,
         kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
-        velocity=VectorField3.constant((0.0, 0.0, 1.0)),
+        velocity=(0.0, 0.0, 1.0),
         u_hat=1.0,
         source3=ScalarField3.separable(times, ms.f_parts, lattice=True),
         source1=ScalarField3.separable(times, ms.f_hat_parts),
@@ -410,9 +410,9 @@ def pulse_problem(cfg: RunConfig) -> TransportProblem:
     c_in_value, c_in_until = cfg.c_in, cfg.c_in_until
     return TransportProblem(
         geometry=geometry,
-        kappa=ScalarField3.constant(cfg.kappa),
+        kappa=cfg.kappa,
         kappa_hat=lambda s: np.broadcast_to(float(cfg.kappa_hat), np.shape(s)),
-        velocity=VectorField3.constant(u),
+        velocity=u,
         u_hat=cfg.u_hat,
         source3=ScalarField3.zero(),
         source1=None,

@@ -26,7 +26,7 @@ import sympy as sp
 from vesselfem import coupling, dg1d, fem3d, verify
 from vesselfem.dg1d import DgParams, legendre_basis
 from vesselfem.errors import DomainError
-from vesselfem.fem3d import ScalarField3, VectorField3
+from vesselfem.fem3d import ScalarField3
 from vesselfem.geometry import (
     ConstantPermeability,
     ConstantRadius,
@@ -298,9 +298,9 @@ def diagonal_problem(case: int, degree: int = 1) -> TransportProblem:
     sqrt3 = math.sqrt(3.0)
     return TransportProblem(
         geometry=diagonal_geometry(case),
-        kappa=ScalarField3.constant(1.0),
+        kappa=1.0,
         kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
-        velocity=VectorField3.constant((1.0 / sqrt3, 1.0 / sqrt3, 1.0 / sqrt3)),
+        velocity=(1.0 / sqrt3, 1.0 / sqrt3, 1.0 / sqrt3),
         u_hat=1.0,
         source3=ScalarField3.zero(),
         source1=None,

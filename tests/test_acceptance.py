@@ -207,7 +207,7 @@ def test_criterion_6_convergence_tables(manufactured_report):
 
 
 def test_criterion_7_energy_decay(extra_residuals):
-    from vesselfem.fem3d import ScalarField3, VectorField3
+    from vesselfem.fem3d import ScalarField3
     from vesselfem.stepper import TransportProblem
 
     geom = VesselGeometry(
@@ -217,9 +217,9 @@ def test_criterion_7_energy_decay(extra_residuals):
     for velocity in ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0)):
         problem = TransportProblem(
             geometry=geom,
-            kappa=ScalarField3.constant(1.0),
+            kappa=1.0,
             kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
-            velocity=VectorField3.constant(velocity),
+            velocity=velocity,
             u_hat=1.0,
             source3=ScalarField3.zero(),
             source1=None,

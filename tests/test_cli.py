@@ -438,8 +438,9 @@ class TestDiscretisationInput:
 
 class TestRunDataRefused:
     """Data only the library checks is refused with exit code 2 and leaves no
-    output directory: a velocity that is not a 3-vector before any mesh, a
-    vessel diffusivity that is not positive when the vessel is assembled."""
+    output directory: a velocity that is not a 3-vector or a box diffusivity
+    that is not positive before any mesh, a vessel diffusivity that is not
+    positive when the vessel is assembled."""
 
     def _rejected(self, tmp_path, capsys, lines, message):
         cfg_file = tmp_path / "run.cfg"
@@ -448,14 +449,21 @@ class TestRunDataRefused:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_velocity_not_3_vector(self, tmp_path, capsys, monkeypatch):
+    @pytest.fixture
+    def no_mesh(self, monkeypatch):
         from vesselfem import fem3d
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a mesh was built for a rejected velocity")
+            raise AssertionError("a mesh was built for rejected box data")
 
         monkeypatch.setattr(fem3d, "box_level", refuse)
+
+    def test_velocity_not_3_vector(self, tmp_path, capsys, no_mesh):
         self._rejected(tmp_path, capsys, "u = 1,2", "needs 3 components")
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_box_diffusivity(self, tmp_path, capsys, no_mesh, value):
+        self._rejected(tmp_path, capsys, f"kappa = {value}", "diffusivity must be positive")
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_vessel_diffusivity(self, tmp_path, capsys, value):
@@ -559,6 +567,17 @@ class TestRunCommand:
         summary = (out / "run_summary.txt").read_text()
         assert "steps = 2" in summary
         assert "max_residual" in summary
+
+    def test_huge_inflow_runs(self, tmp_path):
+        """An inflow near the float range marches with the residual check
+        intact; only the energy, a squared norm, overflows to inf."""
+        cfg_file = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg_file.write_text(f"n = 4\nc_in = 1e300\nout = {out}\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        summary = dict(line.split(" = ") for line in (out / "run_summary.txt").read_text().splitlines())
+        assert float(summary["max_residual"]) <= 1e-10  # NaN fails too
+        assert float(summary["final_energy"]) == np.inf
 
     def test_step_lands_on_horizon(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

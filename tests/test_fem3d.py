@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from vesselfem import fem3d, linalg, mesh3d, verify
-from vesselfem.errors import CoefficientError, ConfigError
-from vesselfem.fem3d import ScalarField3, VectorField3
+from vesselfem.errors import ConfigError
+from vesselfem.fem3d import ScalarField3
 from vesselfem.mesh3d import FemSpace, build_box_mesh
 
 from _oracles import constrain_rows, manufactured_f0, manufactured_f1, slot_map
@@ -37,41 +37,19 @@ class TestMass:
 
 class TestStiffness:
     def test_constants_in_kernel(self, space):
-        A = fem3d.assemble_stiffness(space, ScalarField3.constant(1.0))
+        A = fem3d.assemble_stiffness(space, 1.0)
         ones = np.ones(space.n_dofs)
         assert np.abs(A @ ones).max() < 1e-12
 
     def test_affine_energy(self, space):
-        A = fem3d.assemble_stiffness(space, ScalarField3.constant(1.0))
+        A = fem3d.assemble_stiffness(space, 1.0)
         g = space.dof_points[:, 0]
         assert abs(g @ (A @ g) - 1.0) < 1e-12
 
     def test_coefficient_scaling(self, space):
-        A1 = fem3d.assemble_stiffness(space, ScalarField3.constant(1.0))
-        A2 = fem3d.assemble_stiffness(space, ScalarField3.constant(2.0))
+        A1 = fem3d.assemble_stiffness(space, 1.0)
+        A2 = fem3d.assemble_stiffness(space, 2.0)
         assert abs(A2 - 2 * A1).max() < 1e-13
-
-    def test_nonpositive_rejected(self, space):
-        with pytest.raises(CoefficientError):
-            fem3d.assemble_stiffness(space, ScalarField3.constant(0.0))
-        bad = ScalarField3(fn=lambda x, t: x[:, 0])  # negative for x < 0
-        with pytest.raises(CoefficientError):
-            fem3d.assemble_stiffness(space, bad)
-
-    @pytest.mark.parametrize("kappa", [
-        ScalarField3(fn=lambda x, t: np.full(x.shape[0], np.nan), space_constant=True),
-        ScalarField3(fn=lambda x, t: np.where(x[:, 0] > 0.2, np.nan, 1.0)),
-    ], ids=["constant", "variable"])
-    def test_nan_rejected(self, space, kappa):
-        with pytest.raises(CoefficientError):
-            fem3d.assemble_stiffness(space, kappa)
-
-    def test_variable_coefficient_matches_constant(self, space):
-        A1 = fem3d.assemble_stiffness(space, ScalarField3.constant(1.5))
-        A2 = fem3d.assemble_stiffness(
-            space, ScalarField3(fn=lambda x, t: np.full(x.shape[0], 1.5))
-        )
-        assert abs(A1 - A2).max() < 1e-13
 
 
 class TestConstantFields:
@@ -80,43 +58,22 @@ class TestConstantFields:
         with pytest.raises(ConfigError, match="finite"):
             ScalarField3.constant(value)
 
-    @pytest.mark.parametrize("vec", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, -np.inf)])
-    def test_vector_refuses_non_finite(self, vec):
-        with pytest.raises(ConfigError, match="finite"):
-            VectorField3.constant(vec)
-
 
 class TestConvection:
     def test_zero_velocity(self, space):
-        B = fem3d.assemble_convection(space, VectorField3.constant((0, 0, 0)))
+        B = fem3d.assemble_convection(space, (0.0, 0.0, 0.0))
         assert abs(B).max() == 0.0
 
     def test_odd_integrand_vanishes(self, space):
-        B = fem3d.assemble_convection(space, VectorField3.constant((0, 0, 1)))
+        B = fem3d.assemble_convection(space, (0.0, 0.0, 1.0))
         z = space.dof_points[:, 2]
         assert abs(z @ (B @ z)) < 1e-13  # -\int z dz/dz over the symmetric cube
 
     def test_affine_pairing(self, space):
-        B = fem3d.assemble_convection(space, VectorField3.constant((0, 0, 1)))
+        B = fem3d.assemble_convection(space, (0.0, 0.0, 1.0))
         z = space.dof_points[:, 2]
         ones = np.ones(space.n_dofs)
         assert abs(z @ (B @ ones) - (-1.0)) < 1e-12
-
-    def test_time_dependent_rejected(self, space):
-        u = VectorField3(fn=lambda x, t: np.broadcast_to((0.0, 0.0, t), (x.shape[0], 3)))
-        with pytest.raises(ConfigError):
-            fem3d.assemble_convection(space, u)
-
-    def test_variable_velocity_matches_constant(self, space):
-        B1 = fem3d.assemble_convection(space, VectorField3.constant((1.0, 0.5, -2.0)))
-        B2 = fem3d.assemble_convection(
-            space,
-            VectorField3(
-                fn=lambda x, t: np.broadcast_to((1.0, 0.5, -2.0), (x.shape[0], 3)),
-                time_constant=True,
-            ),
-        )
-        assert abs(B1 - B2).max() < 1e-13
 
 
 class TestLoad:
@@ -207,16 +164,11 @@ class TestChunkedQuadrature:
         exact_grad = lambda p, t: np.stack(
             [3 * np.cos(3 * p[:, 0]), 2 * t * p[:, 1], 0 * p[:, 2]], axis=1
         )
-        kappa = ScalarField3(fn=lambda p, t: 1.5 + p[:, 0] * p[:, 1])
-        velocity = VectorField3(fn=lambda p, t: np.stack([p[:, 1], -p[:, 0], p[:, 2] ** 2], axis=1),
-                                time_constant=True)
         ms = verify.ManufacturedSolution()
         return [
             fem3d.assemble_load(fem, ScalarField3(fn=exact), 0.7),
             fem3d.assemble_load(fem, ScalarField3(fn=lambda p, t: ms.f_parts(p), lattice=True), 0.7),
             np.array(verify.error_norms_3d(fem, c, ms.c_and_grad, ms.c_and_grad, 0.7)),
-            fem3d.assemble_stiffness(fem, kappa).toarray(),
-            fem3d.assemble_convection(fem, velocity).toarray(),
             np.array(verify.error_norms_3d(fem, c, exact, exact_grad, 0.7)),
             np.array(verify.error_norms_3d(fem, c, None, None, 0.7)),
             np.array(verify.cross_error_3d(fem, c, fine, cf)),
@@ -230,27 +182,15 @@ class TestChunkedQuadrature:
             assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max()
 
 
-KAPPA = lambda p, t: 1.5 + p[:, 0] * p[:, 1]
-VELOCITY = lambda p, t: np.stack([p[:, 1], -p[:, 0], p[:, 2] ** 2], axis=1)
 COEFFICIENTS = {
     "mass": (lambda space: fem3d.assemble_mass(space), None),
     "kappa_constant": (
-        lambda space: fem3d.assemble_stiffness(space, ScalarField3.constant(2.5)),
+        lambda space: fem3d.assemble_stiffness(space, 2.5),
         lambda p, t: np.full(p.shape[0], 2.5),
     ),
-    "kappa_variable": (
-        lambda space: fem3d.assemble_stiffness(space, ScalarField3(fn=KAPPA)),
-        KAPPA,
-    ),
     "velocity_constant": (
-        lambda space: fem3d.assemble_convection(space, VectorField3.constant((1, 0.5, -2))),
+        lambda space: fem3d.assemble_convection(space, (1.0, 0.5, -2.0)),
         lambda p, t: np.broadcast_to((1.0, 0.5, -2.0), p.shape),
-    ),
-    "velocity_variable": (
-        lambda space: fem3d.assemble_convection(
-            space, VectorField3(fn=VELOCITY, time_constant=True)
-        ),
-        VELOCITY,
     ),
 }
 
@@ -294,28 +234,16 @@ class TestChunkedScatter:
     """The stencil sum adds every entry's terms in ascending tet order, so it
     equals the one-shot bincount through the slot map bit for bit."""
 
-    @staticmethod
-    def _one_shot(mesh, blocks):
-        weights = np.broadcast_to(np.reshape(blocks, (-1, 6, 4, 4)), (mesh.n_tets // 6, 6, 4, 4))
-        return np.bincount(slot_map(mesh), weights=weights.ravel(), minlength=mesh.csr_pattern[1].size)
-
-    @pytest.mark.parametrize("per", ["shape", "tet"])
-    def test_matches_one_shot_bincount(self, per):
+    def test_matches_one_shot_bincount(self):
         rng = np.random.default_rng(3)
         for n in (2, 3, 4):
             space = FemSpace(build_box_mesh(*CENTERED, n))
-            blocks = rng.standard_normal((6, 4, 4) if per == "shape" else (space.mesh.n_tets, 4, 4))
+            blocks = rng.standard_normal((6, 4, 4))
             out = fem3d._assemble(space, blocks)
-            assert np.array_equal(out.data, self._one_shot(space.mesh, blocks))
-
-    def test_scaled_shape_blocks_equal_per_tet_blocks(self):
-        """Per-shape blocks scaled per tet as they are added equal the per-tet
-        blocks formed first, bit for bit."""
-        rng = np.random.default_rng(4)
-        mesh = build_box_mesh(*CENTERED, 4)
-        blocks, scale = rng.standard_normal((6, 4, 4)), rng.uniform(0.5, 2.0, mesh.n_tets)
-        per_tet = mesh.sum_blocks(scale.reshape(-1, 6, 1, 1) * blocks)
-        assert np.array_equal(mesh.sum_blocks(blocks, scale), per_tet)
+            weights = np.broadcast_to(blocks, (n**3, 6, 4, 4))
+            one_shot = np.bincount(slot_map(space.mesh), weights=weights.ravel(),
+                                   minlength=space.mesh.csr_pattern[1].size)
+            assert np.array_equal(out.data, one_shot)
 
     def test_pattern_is_int32_and_read_only(self):
         mesh = build_box_mesh(*CENTERED, 3)
@@ -344,16 +272,7 @@ class TestAssemblyMemory:
         space = fem3d.box_level(32).space
         limit = 12e6  # bytes; the stencil and the matrix data (4.3 MB each), int32 positions
         assert self._peak(lambda: fem3d.assemble_mass(space)) < limit
-        velocity = VectorField3.constant((0.3, -0.2, 0.7))
-        assert self._peak(lambda: fem3d.assemble_convection(space, velocity)) < limit
-
-    @pytest.mark.slow  # an n = 32 box level
-    def test_variable_diffusivity(self):
-        """Per-tet integrals scale the shape blocks as they are added: no
-        per-tet blocks (25 MB at n = 32) are formed."""
-        space = fem3d.box_level(32).space
-        kappa = ScalarField3(fn=KAPPA)
-        assert self._peak(lambda: fem3d.assemble_stiffness(space, kappa)) < 12e6  # 1.6 MB of integrals
+        assert self._peak(lambda: fem3d.assemble_convection(space, (0.3, -0.2, 0.7))) < limit
 
     def test_csr_pattern(self):
         mesh = build_box_mesh(*CENTERED, 32)
@@ -373,7 +292,7 @@ class TestAssemblyMemory:
 
 class TestDirichlet:
     def test_row_structure(self, space):
-        A = fem3d.assemble_stiffness(space, ScalarField3.constant(1.0))
+        A = fem3d.assemble_stiffness(space, 1.0)
         rows = np.nonzero(space.dirichlet_mask)[0]
         A2 = constrain_rows(A, rows)
         for i in rows[:10]:
@@ -382,9 +301,7 @@ class TestDirichlet:
             assert row[0, i] == 1.0
 
     def test_matches_dense_reference(self, space):
-        A = fem3d.assemble_stiffness(space, ScalarField3.constant(1.0)) + fem3d.assemble_convection(
-            space, VectorField3.constant((1.0, -2.0, 0.5))
-        )
+        A = fem3d.assemble_stiffness(space, 1.0) + fem3d.assemble_convection(space, (1.0, -2.0, 0.5))
         rows = np.nonzero(space.dirichlet_mask)[0]
         free = np.nonzero(~space.dirichlet_mask)[0]
         ref = A.toarray()
@@ -399,7 +316,7 @@ class TestDirichlet:
         assert np.array_equal(np.diff(out.indptr)[free], np.diff(A.indptr)[free])
 
     def test_homogeneous_solve_vanishes_on_boundary(self, space):
-        A = fem3d.assemble_stiffness(space, ScalarField3.constant(1.0))
+        A = fem3d.assemble_stiffness(space, 1.0)
         F = fem3d.assemble_load(space, ScalarField3.constant(1.0), 0.0)
         rows = np.nonzero(space.dirichlet_mask)[0]
         F[rows] = 0.0
@@ -409,7 +326,7 @@ class TestDirichlet:
 
     def test_exact_trace(self, space):
         g = lambda x, t: x[:, 0] + 2 * x[:, 1] - x[:, 2] + t
-        A = fem3d.assemble_stiffness(space, ScalarField3.constant(1.0))
+        A = fem3d.assemble_stiffness(space, 1.0)
         F = np.zeros(space.n_dofs)
         rows = np.nonzero(space.dirichlet_mask)[0]
         F[rows] = fem3d.dirichlet_values(space.dof_points[rows], g, 0.5)
@@ -430,7 +347,7 @@ class TestPoissonConvergence:
         errors = []
         for n in (4, 8, 16):
             sp_ = FemSpace(build_box_mesh(*CENTERED, n))
-            A = fem3d.assemble_stiffness(sp_, ScalarField3.constant(1.0))
+            A = fem3d.assemble_stiffness(sp_, 1.0)
             F = fem3d.assemble_load(sp_, ScalarField3.constant(-12.0), 0.0)
             rows = np.nonzero(sp_.dirichlet_mask)[0]
             F[rows] = fem3d.dirichlet_values(sp_.dof_points[rows], g, 0.0)
@@ -441,49 +358,14 @@ class TestPoissonConvergence:
         assert np.all(slopes >= 1.8)
 
 
-class TestVelocityBound:
-    def test_poincare_constant_unit_cube(self):
-        c0 = fem3d.poincare_constant((0, 0, 0), (1, 1, 1))
-        assert abs(c0 - 1.0 / (np.pi * np.sqrt(3))) < 1e-15
-
-    def test_constant_velocity_exempt(self, space):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fem3d.check_velocity_bound(space, VectorField3.constant((50, 0, 0)),
-                                       ScalarField3.constant(1.0))
-
-    LARGE = VectorField3(
-        fn=lambda x, t: np.stack([40 + x[:, 0], 0 * x[:, 0], 0 * x[:, 0]], axis=1),
-        time_constant=True,
-    )
-
-    def test_large_variable_velocity_warns(self, space):
-        kappa = ScalarField3(fn=lambda x, t: 1.0 + 99.0 * (x[:, 0] > 0.0))
-        with pytest.warns(UserWarning, match="diffusion-dominance"):
-            fem3d.check_velocity_bound(space, self.LARGE, kappa)
-
-    def test_large_diffusivity_meets_the_bound(self, space):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fem3d.check_velocity_bound(space, self.LARGE, ScalarField3.constant(100.0))
-
-
 class TestBoxBlock:
     """The box block is inv_dt * M + K + C summed as general sparse matrices,
     on the same nonzeros."""
 
     @pytest.mark.parametrize("n", [4, 16])
-    @pytest.mark.parametrize("kappa", [ScalarField3.constant(2.5), ScalarField3(fn=KAPPA)],
-                             ids=["kappa_constant", "kappa_variable"])
-    @pytest.mark.parametrize("velocity", [VectorField3.constant((1, 0.5, -2)),
-                                          VectorField3(fn=VELOCITY, time_constant=True)],
-                             ids=["velocity_constant", "velocity_variable"])
-    def test_matches_general_sum(self, n, kappa, velocity):
+    def test_matches_general_sum(self, n):
         level = fem3d.box_level(n)
+        kappa, velocity = 2.5, (1.0, 0.5, -2.0)
         block = fem3d.box_block(level, 7.0, kappa, velocity)
         general = (7.0 * level.mass + fem3d.assemble_stiffness(level.space, kappa)
                    + fem3d.assemble_convection(level.space, velocity))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -216,8 +217,9 @@ class TestBoxContainment:
 
 
 class TestNonFiniteProfiles:
-    """A radius, permeability or breakpoint that is NaN or infinite is refused
-    as a GeometryError when the profile or geometry is made, before any mesh."""
+    """A radius, permeability or breakpoint that is NaN or infinite, or a
+    radius whose section area is not finite, is refused as a GeometryError
+    when the profile or geometry is made, before any mesh."""
 
     @pytest.fixture(autouse=True)
     def no_mesh(self, monkeypatch):
@@ -235,6 +237,16 @@ class TestNonFiniteProfiles:
     def test_radius(self, value):
         with pytest.raises(GeometryError, match="radius profile is not strictly positive and finite"):
             diagonal(radius=ConstantRadius(value))
+
+    @pytest.mark.parametrize("radius", [ConstantRadius(1e160), TanhRadius(0.05, 1e160, 8.0)],
+                             ids=["constant", "tanh"])
+    def test_radius_whose_area_overflows(self, radius):
+        """A finite radius above about 1e154 has no finite section area: it is
+        refused by the radius rule, with no overflow warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="radius profile is not strictly positive and finite"):
+                diagonal(radius=radius)
 
     @pytest.mark.parametrize("breakpoints", [(math.nan,), (0.3, math.inf), (-math.inf, 0.3)])
     def test_breakpoints(self, breakpoints):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -81,6 +83,20 @@ class TestFactorize:
         np.testing.assert_allclose(A @ x, b, rtol=0.0, atol=1e-14)
         assert fact.residuals == [np.linalg.norm(permuted @ x[order] - b[order]) / np.linalg.norm(b[order])]
 
+
+    def test_huge_rhs_does_not_overflow(self):
+        """The norms scale as they sum, so a right-hand side near the float
+        range gives the unscaled one's relative residual to round-off."""
+        rng = np.random.default_rng(6)
+        A = sp.csr_matrix(rng.standard_normal((20, 20)) + 20 * np.eye(20))
+        b = rng.standard_normal(20)
+        fact = linalg.Factorization(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fact.solve(b)
+            fact.solve(1e300 * b)
+        unscaled, scaled = fact.residuals
+        assert abs(scaled - unscaled) <= 1e-15  # NaN fails too
 
     def test_nan_rhs_raises(self):
         # a NaN residual is not below the tolerance, so it must not pass as one

@@ -66,6 +66,8 @@ def config_lines(draw):
 @given(config_lines())
 @example({"t_end": "1e300", "tau": "0.1"})
 @example({"degree": "1000000"})
+@example({"c_in": "1e300"})
+@example({"radius": "1e160"})
 def test_run_exits_cleanly(tmp_path_factory, lines):
     base = tmp_path_factory.mktemp("run")
     out = base / "out"

@@ -10,8 +10,8 @@ import scipy.sparse as sp
 
 from vesselfem import coupling, dg1d, fem3d, linalg, stepper, verify
 from vesselfem.dg1d import DgParams
-from vesselfem.errors import ConfigError, GeometryError
-from vesselfem.fem3d import ScalarField3, VectorField3
+from vesselfem.errors import CoefficientError, ConfigError, GeometryError
+from vesselfem.fem3d import ScalarField3
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, VesselGeometry
 from vesselfem.stepper import CoupledSystem, TransportProblem
 
@@ -25,9 +25,9 @@ def quiescent_problem(t_end=0.1, dt=None, velocity=(0, 0, 1)):
     )
     return TransportProblem(
         geometry=geom,
-        kappa=ScalarField3.constant(1.0),
+        kappa=1.0,
         kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
-        velocity=VectorField3.constant(velocity),
+        velocity=velocity,
         u_hat=1.0,
         source3=ScalarField3.zero(),
         source1=None,
@@ -56,6 +56,23 @@ class TestInputRefused:
         assert replace(quiescent_problem(), degree=stepper.MAX_DEGREE).degree == stepper.MAX_DEGREE
         with pytest.raises(ConfigError, match=f"<= {stepper.MAX_DEGREE}"):
             replace(quiescent_problem(), degree=stepper.MAX_DEGREE + 1)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0])
+    def test_box_diffusivity(self, kappa):
+        with pytest.raises(CoefficientError, match="diffusivity must be positive and finite"):
+            replace(quiescent_problem(), kappa=kappa)
+
+    @pytest.mark.parametrize("velocity, message", [
+        ((1.0, 2.0), "needs 3 components"),
+        ((1.0, 2.0, 3.0, 4.0), "needs 3 components"),
+        ((math.nan, 0.0, 0.0), "finite components"),
+        ((math.inf, 0.0, 0.0), "finite components"),
+        ((0.0, math.inf, 0.0), "finite components"),
+        ((0.0, 0.0, -math.inf), "finite components"),
+    ], ids=["two", "four", "nan", "inf", "y_inf", "minus_inf"])
+    def test_box_velocity(self, velocity, message):
+        with pytest.raises(ConfigError, match=message):
+            replace(quiescent_problem(), velocity=velocity)
 
     @pytest.mark.parametrize("n_cells, n_circle", [(64, 16), (1, 16), (4, 3)])
     def test_level(self, monkeypatch, n_cells, n_circle):
@@ -89,8 +106,8 @@ class TestSharedBoxLevel:
             problem,
             geometry=VesselGeometry((-0.3, -0.3, -0.3), (0.3, 0.2, 0.3),
                                     ConstantRadius(0.04), ConstantPermeability(0.5)),
-            velocity=VectorField3.constant((0.3, -0.2, 0.5)),
-            kappa=ScalarField3.constant(2.5),
+            velocity=(0.3, -0.2, 0.5),
+            kappa=2.5,
         )
         CoupledSystem(other, n_cells=4).run()
         for a, b in zip(before, [op.indptr, op.indices, op.data]):
@@ -285,14 +302,6 @@ class TestOperatorComposition:
         CoupledSystem(problem, n_cells=8)
         monkeypatch.undo()
         assert len(made) <= 22, made
-
-    def test_large_variable_velocity_warns(self):
-        velocity = VectorField3(
-            fn=lambda x, t: np.stack([40 + x[:, 0], 0 * x[:, 0], 0 * x[:, 0]], axis=1),
-            time_constant=True,
-        )
-        with pytest.warns(UserWarning, match="diffusion-dominance"):
-            CoupledSystem(replace(quiescent_problem(), velocity=velocity), n_cells=4)
 
 
 class TestGaussRuleCache:
@@ -525,9 +534,9 @@ class TestGeometryGuard:
         )
         problem = TransportProblem(
             geometry=geom,
-            kappa=ScalarField3.constant(1.0),
+            kappa=1.0,
             kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
-            velocity=VectorField3.constant((0, 0, 1)),
+            velocity=(0.0, 0.0, 1.0),
             u_hat=1.0,
             source3=ScalarField3.zero(),
             source1=None,

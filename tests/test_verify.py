@@ -331,7 +331,7 @@ class TestDiagonalSetup:
 
     def test_velocity_along_tangent(self):
         problem = verify.diagonal_problem(2)
-        u = problem.velocity(np.zeros((1, 3)))[0]
+        u = np.asarray(problem.velocity)
         assert np.allclose(u, problem.geometry.tangent, atol=1e-15)
         assert abs(np.linalg.norm(u) - 1.0) < 1e-15
 
