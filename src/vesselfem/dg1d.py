@@ -14,33 +14,31 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import CoefficientError, ConfigError
+from .errors import ConfigError
 from .linalg import scatter_blocks
 
-DEFAULT_SIGMA_MIN = 50.0
+SIGMA_MIN = 50.0  # least penalty for epsilon in {0, +1}, as in the convergence experiments
 
 
 @dataclass(frozen=True)
 class DgParams:
     """Interior penalty parameters: symmetry switch epsilon and penalty sigma.
 
-    For epsilon in {0, +1} the penalty must clear sigma_min (default 50, the
-    value used in the convergence experiments); the antisymmetric variant
-    epsilon = -1 is stable for any sigma >= 1.
+    For epsilon in {0, +1} the penalty must clear SIGMA_MIN = 50; the
+    antisymmetric variant epsilon = -1 is stable for any sigma >= 1.
     """
 
     epsilon: int
     sigma: float
-    sigma_min: float = DEFAULT_SIGMA_MIN
 
     def __post_init__(self):
         if self.epsilon not in (-1, 0, 1):
             raise ConfigError("epsilon must be -1, 0 or +1")
         if not 0.0 < self.sigma < np.inf:  # NaN fails too
             raise ConfigError("penalty sigma must be positive and finite")
-        if self.epsilon in (0, 1) and self.sigma < self.sigma_min:
+        if self.epsilon in (0, 1) and self.sigma < SIGMA_MIN:
             raise ConfigError(
-                f"sigma = {self.sigma} below required minimum {self.sigma_min} "
+                f"sigma = {self.sigma} below required minimum {SIGMA_MIN} "
                 f"for epsilon = {self.epsilon}"
             )
         if self.epsilon == -1 and self.sigma < 1.0:
@@ -185,12 +183,6 @@ class DgSpace:
         return out
 
 
-def _coef_array(coef, s):
-    """coef at the points s (any shape); a scalar result is broadcast."""
-    out = np.asarray(coef(s.ravel()), dtype=float)
-    return np.broadcast_to(out, (s.size,)).reshape(s.shape)
-
-
 def _interface_traces(space: DgSpace):
     """Trace values/derivatives of the local bases at element endpoints."""
     vr, dr = legendre_basis(np.float64(1.0), space.degree)
@@ -199,32 +191,30 @@ def _interface_traces(space: DgSpace):
 
 
 def assemble_mass_weighted(space: DgSpace, weight):
-    """Weighted mass matrix (weight ch, vh); block diagonal SPD."""
+    """Weighted mass matrix (weight ch, vh); block diagonal SPD.  Here and in
+    the two forms, weight(s) returns an array of the shape of s."""
     pts, wts, vals, _ = space.element_quadrature(space.degree + 2)
-    wq = wts * _coef_array(weight, pts)
+    wq = wts * weight(pts)
     blocks = np.einsum("eq,iq,jq->eij", wq, vals, vals)
     return scatter_blocks(space.n_dofs, (space.cell_dofs, blocks))
 
 
-def assemble_a_lambda(space: DgSpace, kappa_hat, weight, params: DgParams):
-    """Interior penalty diffusion form with area weight and diffusivity kappa_hat.
+def assemble_a_lambda(space: DgSpace, kappa_hat: float, weight, params: DgParams):
+    """Interior penalty diffusion form with area weight and constant diffusivity kappa_hat.
 
     Volume term (weight kappa ch' vh'), consistency and (epsilon-weighted)
     symmetry terms at interior nodes, and the penalty (sigma / h_max) [ch][vh]
     with the global mesh size, matching the seminorm scaling.
     """
     pts, wts, _, ders = space.element_quadrature(space.degree + 2)
-    kq = _coef_array(kappa_hat, pts)
-    if not np.all(kq > 0.0):
-        raise CoefficientError("vessel diffusivity must be positive")
-    wq = wts * _coef_array(weight, pts) * kq
+    wq = wts * weight(pts) * kappa_hat
     blocks = np.einsum("eq,eiq,ejq->eij", wq, ders, ders)
 
     vl, dl, vr, dr = _interface_traces(space)
     sigma_h = params.sigma / space.partition.h_max
     h = space.partition.lengths
     s_int = space.partition.nodes[1:-1]
-    coef = _coef_array(weight, s_int) * _coef_array(kappa_hat, s_int)
+    coef = weight(s_int) * kappa_hat
     jump_row = np.concatenate([vr, -vl])
     avg_der = 0.5 * coef[:, None] * np.concatenate(
         [np.outer(2.0 / h[:-1], dr), np.outer(2.0 / h[1:], dl)], axis=1
@@ -239,14 +229,12 @@ def assemble_a_lambda(space: DgSpace, kappa_hat, weight, params: DgParams):
 
 def assemble_b_lambda(space: DgSpace, u_hat: float, weight):
     """Upwinded advection form for constant vessel velocity u_hat > 0."""
-    if u_hat <= 0.0:
-        raise ConfigError("vessel velocity must be positive (upwinding is fixed)")
     pts, wts, vals, ders = space.element_quadrature(space.degree + 2)
-    wq = wts * _coef_array(weight, pts) * u_hat
+    wq = wts * weight(pts) * u_hat
     blocks = -np.einsum("eq,eiq,jq->eij", wq, ders, vals)  # row = test derivative
 
     vl, _, vr, _ = _interface_traces(space)
-    coef = _coef_array(weight, space.partition.nodes[1:-1]) * u_hat
+    coef = weight(space.partition.nodes[1:-1]) * u_hat
     jump_row = np.concatenate([vr, -vl])
     upwind_col = np.concatenate([vr, np.zeros_like(vl)])
     faces = coef[:, None, None] * np.outer(jump_row, upwind_col)

@@ -4,7 +4,7 @@ A vessel is a straight segment with an arclength-dependent radius and wall
 permeability.  The cross-section at arclength ``s`` is the disk of radius
 ``R(s)`` in the plane spanned by the frame vectors ``(e1, e2)``; coupling
 integrals are evaluated on its boundary circle through a uniform angular
-quadrature.  The profiles are sampled once, for their bounds and the tube's extent.
+quadrature.  The profiles are sampled once, for their rules and the tube's extent.
 """
 from __future__ import annotations
 
@@ -93,10 +93,14 @@ class VesselGeometry:
         p1 = np.asarray(p1, dtype=float)
         if p0.shape != (3,) or p1.shape != (3,):
             raise GeometryError("endpoints must be 3D points")
-        length = float(np.linalg.norm(p1 - p0))
+        with np.errstate(over="ignore"):
+            d = p1 - p0
+            length, m = float(np.linalg.norm(d)), np.abs(d).max()
+            if length == np.inf and m < np.inf:  # its squares overflow beyond about 1e154
+                length = float(m * np.linalg.norm(d / m))
         if not 0.0 < length < np.inf:  # coincident, or so far apart the length overflows
             raise GeometryError(f"centerline length {length} is not positive and finite")
-        tangent = (p1 - p0) / length
+        tangent = d / length
 
         # frame seed: coordinate axis with smallest |component along tangent|
         axis = np.zeros(3)
@@ -119,6 +123,7 @@ class VesselGeometry:
         self._validate_profiles()
 
     def _validate_profiles(self):
+        """Refuse the profiles on the sample grid; keep section_lower and the tube's extent."""
         s = np.linspace(0.0, self.length, _VALIDATION_SAMPLES)
         r = np.asarray(self.radius(s, self.length), dtype=float)
         with np.errstate(over="ignore"):  # a radius above ~1e154 overflows its area
@@ -128,13 +133,10 @@ class VesselGeometry:
                                 "with a finite section area")
         if np.any(np.diff(area) < -_TOL):
             raise GeometryError("section area must be nondecreasing along the vessel")
-        circ = 2.0 * np.pi * r
-        self.section_lower = float(min(area.min(), circ.min()))
-        self.section_upper = float(max(area.max(), circ.max()))
+        self.section_lower = float(min(area.min(), (2.0 * np.pi * r).min()))
         gam = np.asarray(self.permeability(s), dtype=float)
         if not np.all((0.0 <= gam) & (gam < np.inf)):  # NaN fails too
             raise GeometryError("permeability must be nonnegative and finite")
-        self.permeability_upper = float(gam.max())
         reach = np.outer(r, np.sqrt(self.e1**2 + self.e2**2))  # the circle at s spans r |(e1_k, e2_k)| on axis k
         centers = self.point_at(s)
         self.tube_lo, self.tube_hi = (centers - reach).min(axis=0), (centers + reach).max(axis=0)

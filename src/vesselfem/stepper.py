@@ -61,8 +61,8 @@ def check_level(n_cells: int, n_circle: int):
 class TransportProblem:
     """Continuous problem data: geometry, coefficients, sources and horizon.
 
-    The box coefficients are constants: ``kappa`` a positive float and
-    ``velocity`` three floats.  ``kappa_hat`` and ``source1`` act on vessel
+    The coefficients are constants: ``kappa``, ``kappa_hat`` and ``u_hat``
+    positive floats, ``velocity`` three floats.  ``source1`` acts on vessel
     arclength; ``dirichlet`` maps (boundary points, t) to trace values
     (None = homogeneous); ``c_in`` is the prescribed inflow concentration.
     ``dt`` is the requested step, 0.1 times the mesh cell size when left
@@ -73,7 +73,7 @@ class TransportProblem:
 
     geometry: VesselGeometry
     kappa: float
-    kappa_hat: Callable
+    kappa_hat: float
     velocity: tuple
     u_hat: float
     source3: ScalarField3
@@ -94,8 +94,9 @@ class TransportProblem:
             raise ConfigError("need 0 < dt <= t_end")
         if not 0.0 < self.u_hat < math.inf:
             raise ConfigError("vessel velocity must be positive and finite")
-        if not 0.0 < self.kappa < math.inf:  # NaN fails too
-            raise CoefficientError(f"box diffusivity must be positive and finite, got {self.kappa}")
+        for medium, value in (("vessel", self.kappa_hat), ("box", self.kappa)):
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise CoefficientError(f"{medium} diffusivity must be positive and finite, got {value}")
         u = np.asarray(self.velocity, dtype=float)
         if u.shape != (3,):
             raise ConfigError(f"box velocity needs 3 components, got shape {u.shape}")

@@ -133,7 +133,7 @@ def manufactured_problem(epsilon: int = 1, sigma: float = 50.0, degree: int = 1,
     return TransportProblem(
         geometry=ms.geometry(),
         kappa=1.0,
-        kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
+        kappa_hat=1.0,
         velocity=(0.0, 0.0, 1.0),
         u_hat=1.0,
         source3=ScalarField3.separable(times, ms.f_parts, lattice=True),
@@ -411,7 +411,7 @@ def pulse_problem(cfg: RunConfig) -> TransportProblem:
     return TransportProblem(
         geometry=geometry,
         kappa=cfg.kappa,
-        kappa_hat=lambda s: np.broadcast_to(float(cfg.kappa_hat), np.shape(s)),
+        kappa_hat=cfg.kappa_hat,
         velocity=u,
         u_hat=cfg.u_hat,
         source3=ScalarField3.zero(),

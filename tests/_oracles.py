@@ -15,7 +15,8 @@ out by hand, as they were before they became run configurations.  The
 exchange blocks are also formed as SciPy's products of the weight
 diagonal, and the coupled operator is composed the general way, as sparse sums of its
 parts stacked, Dirichlet rows constrained and permuted into the LU's order,
-and the source gate runs its points in batches, one per time sample.
+and the source gate runs its points in batches, one per time sample.  The
+box error norms also come restricted to the tets away from an axis.
 """
 import math
 
@@ -35,6 +36,7 @@ from vesselfem.geometry import (
     VesselGeometry,
 )
 from vesselfem.linalg import scatter_blocks
+from vesselfem.mesh3d import tet_quadrature
 from vesselfem.stepper import CoupledState, TransportProblem
 
 
@@ -60,11 +62,12 @@ def _basis(nodes, degree, s):
 def dense_1d_operators(nodes, degree, kappa, area, u_hat, sigma, epsilon, c_in):
     """Weighted mass, penalty diffusion, upwind advection and inflow vector.
 
-    ``nodes`` should be sympy Rationals; ``kappa`` and ``area`` map a sympy
-    symbol to an expression.  Returns float arrays evaluated from the exact
-    rational entries.
+    ``nodes`` should be sympy Rationals; ``kappa`` is a float, taken at its
+    exact binary value, and ``area`` maps a sympy symbol to an expression.
+    Returns float arrays evaluated from the exact rational entries.
     """
     s = sp.Symbol("s")
+    kappa = sp.Rational(kappa)
     n_el = len(nodes) - 1
     basis = _basis(nodes, degree, s)
     ndof = len(basis)
@@ -80,7 +83,7 @@ def dense_1d_operators(nodes, degree, kappa, area, u_hat, sigma, epsilon, c_in):
             lo, hi = nodes[er], nodes[er + 1]
             M[r, c] = sp.integrate(area(s) * fr * fc, (s, lo, hi))
             A[r, c] = sp.integrate(
-                area(s) * kappa(s) * sp.diff(fr, s) * sp.diff(fc, s), (s, lo, hi)
+                area(s) * kappa * sp.diff(fr, s) * sp.diff(fc, s), (s, lo, hi)
             )
             B[r, c] = -sp.integrate(area(s) * u_hat * fc * sp.diff(fr, s), (s, lo, hi))
 
@@ -89,7 +92,7 @@ def dense_1d_operators(nodes, degree, kappa, area, u_hat, sigma, epsilon, c_in):
 
     for i in range(1, n_el):
         si = nodes[i]
-        coef = area(si) * kappa(si)
+        coef = area(si) * kappa
         jump = [sp.Integer(0)] * ndof
         avg_d = [sp.Integer(0)] * ndof
         upwind = [sp.Integer(0)] * ndof
@@ -299,7 +302,7 @@ def diagonal_problem(case: int, degree: int = 1) -> TransportProblem:
     return TransportProblem(
         geometry=diagonal_geometry(case),
         kappa=1.0,
-        kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
+        kappa_hat=1.0,
         velocity=(1.0 / sqrt3, 1.0 / sqrt3, 1.0 / sqrt3),
         u_hat=1.0,
         source3=ScalarField3.zero(),
@@ -405,3 +408,22 @@ def batched_verify_sources(ms=None, n_points=1000, seed=0):
     tt = rng.uniform(0.0, 1.0, size=100)
     cin_res = float(np.max(np.abs([ms.c_in(t) - ms.c_hat(0.0, t) for t in tt])))
     return {"f": f_res, "f_hat": fhat_res, "c_in": cin_res}
+
+
+def error_norms_3d_off_axis(fem, c_dofs, exact_and_grad, t, r_min):
+    """``verify.error_norms_3d`` over the tets whose centroid lies at distance
+    r >= r_min from the axis x = y = 0: (L2 error, gradient L2 error) of a P1
+    field by the order-4 rule, exact_and_grad(points, t) giving the exact
+    values and gradients at points (m, 3)."""
+    mesh = fem.mesh
+    bary, w = tet_quadrature(4)
+    centroids = mesh.vertices[mesh.tets].mean(axis=1)
+    kept = np.flatnonzero(np.hypot(centroids[:, 0], centroids[:, 1]) >= r_min)
+    local = np.asarray(c_dofs, dtype=float)[mesh.tets[kept]]  # (ne, 4)
+    points = np.einsum("qi,eic->eqc", bary, mesh.vertices[mesh.tets[kept]])
+    ce, ge = exact_and_grad(points.reshape(-1, 3), t)
+    gh = np.einsum("eic,ei->ec", mesh.shape_gradients[kept % 6], local)  # tet k has shape k % 6
+    wq = 6.0 * mesh.tet_volume * w
+    l2 = np.einsum("q,eq->", wq, (ce.reshape(len(kept), -1) - local @ bary.T) ** 2)
+    grad = np.einsum("q,eqc->", wq, (ge.reshape(len(kept), -1, 3) - gh[:, None, :]) ** 2)
+    return math.sqrt(l2), math.sqrt(grad)

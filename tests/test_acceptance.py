@@ -73,7 +73,7 @@ def test_criterion_1_coercivity():
             for n_el in (2, 4, 8, 16):
                 for degree in (1, 2):
                     space = DgSpace(Partition1D.uniform(length, n_el), degree)
-                    A = dg1d.assemble_a_lambda(space, ONE, area, params)
+                    A = dg1d.assemble_a_lambda(space, 1.0, area, params)
                     S = seminorm_matrix(space, params)
                     V = rng.standard_normal((1000, space.n_dofs))
                     lhs = np.einsum("ki,ki->k", V, (A @ V.T).T)
@@ -117,11 +117,11 @@ def test_criterion_3_dense_oracle_equivalence():
     for degree in (1, 2):
         space = DgSpace(Partition1D.uniform(1.0, 2), degree)
         M = dg1d.assemble_mass_weighted(space, ONE).toarray()
-        A = dg1d.assemble_a_lambda(space, ONE, ONE, DgParams(1, 50.0)).toarray()
+        A = dg1d.assemble_a_lambda(space, 1.0, ONE, DgParams(1, 50.0)).toarray()
         B = dg1d.assemble_b_lambda(space, 1.0, ONE).toarray()
         inflow = dg1d.assemble_inflow_rhs(space, ONE, 1.0, 1.0)
         M_ref, A_ref, B_ref, in_ref = dense_1d_operators(
-            nodes, degree, one, one, 1, 50, 1, 1
+            nodes, degree, 1.0, one, 1, 50, 1, 1
         )
         for mine, ref in ((M, M_ref), (A, A_ref), (B, B_ref), (inflow, in_ref)):
             worst = max(worst, float(np.abs(mine - ref).max()))
@@ -218,7 +218,7 @@ def test_criterion_7_energy_decay(extra_residuals):
         problem = TransportProblem(
             geometry=geom,
             kappa=1.0,
-            kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
+            kappa_hat=1.0,
             velocity=velocity,
             u_hat=1.0,
             source3=ScalarField3.zero(),

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -436,38 +437,64 @@ class TestDiscretisationInput:
                         "--out", str(out)], out, message, capsys)
 
 
-class TestRunDataRefused:
-    """Data only the library checks is refused with exit code 2 and leaves no
-    output directory: a velocity that is not a 3-vector or a box diffusivity
-    that is not positive before any mesh, a vessel diffusivity that is not
-    positive when the vessel is assembled."""
+# A bad value for every RunConfig key: (value, lines that set the valid
+# companions it needs, the refusal's message).
+REFUSED = {
+    "n": [("1", "", "need at least 2 cells per axis")],
+    "degree": [("0", "", "polynomial degree must be >= 1")],
+    "epsilon": [("2", "", "epsilon must be -1, 0 or +1")],
+    "sigma": [("10", "", "below required minimum")],
+    "tau": [("2", "", "need 0 < dt <= t_end")],
+    "t_end": [("0", "", "time horizon must be positive and finite")],
+    "n_circ": [("3", "", "outside the range of 4 to 1024 circle points")],
+    "out": [("", "", "output path is empty")],
+    "p0": [("0,0", "", "endpoints must be 3D points")],
+    "p1": [("-0.4,-0.4,-0.4", "", "centerline length 0.0 is not positive and finite")],
+    "radius": [("0", "", "radius profile is not strictly positive and finite")],
+    "radius_min": [("0.05", "", "tanh radius needs radius_min, radius_max and radius_beta")],
+    "radius_max": [("0.08", "", "tanh radius needs radius_min, radius_max and radius_beta")],
+    "radius_beta": [("-8", "radius_min = 0.05\nradius_max = 0.08", "section area must be nondecreasing")],
+    "gamma": [("-0.1", "", "permeability must be nonnegative and finite")],
+    "gamma_breaks": [("0.5", "", "piecewise permeability needs gamma_breaks and gamma_values")],
+    "gamma_values": [("0.1,0.2,0.3", "gamma_breaks = 0.5", "need one more permeability value than breakpoints")],
+    "kappa": [("0", "", "box diffusivity must be positive"), ("-1", "", "box diffusivity must be positive")],
+    "kappa_hat": [("0", "", "vessel diffusivity must be positive"),
+                  ("-1", "", "vessel diffusivity must be positive")],
+    "u": [("1,2", "", "needs 3 components")],
+    "u_hat": [("0", "", "vessel velocity must be positive and finite")],
+    "c_in": [("nan", "", "bad value for 'c_in'")],
+    "c_in_until": [("none", "", "bad value for 'c_in_until'")],
+    "snapshots": [("2", "", "snapshot time 2 is outside [0, t_end = 1]")],
+}
 
-    def _rejected(self, tmp_path, capsys, lines, message):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(f"n = 2\n{lines}\nout = {tmp_path / 'out'}\n")
-        assert cli.main(["run", "--config", str(cfg_file)]) == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+
+class TestRunDataRefused:
+    """Every run-config rule fires before any mesh: a bad value for each key
+    is refused with exit code 2 and one line on stderr, and leaves no output
+    directory."""
 
     @pytest.fixture
     def no_mesh(self, monkeypatch):
         from vesselfem import fem3d
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a mesh was built for rejected box data")
+            raise AssertionError("a mesh was built for rejected run data")
 
         monkeypatch.setattr(fem3d, "box_level", refuse)
 
-    def test_velocity_not_3_vector(self, tmp_path, capsys, no_mesh):
-        self._rejected(tmp_path, capsys, "u = 1,2", "needs 3 components")
+    def test_table_covers_every_key(self):
+        assert set(REFUSED) == {f.name for f in dataclasses.fields(cli.RunConfig)}
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_box_diffusivity(self, tmp_path, capsys, no_mesh, value):
-        self._rejected(tmp_path, capsys, f"kappa = {value}", "diffusivity must be positive")
-
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_vessel_diffusivity(self, tmp_path, capsys, value):
-        self._rejected(tmp_path, capsys, f"kappa_hat = {value}", "vessel diffusivity must be positive")
+    @pytest.mark.parametrize("key, value, companions, message",
+                             [(key, *case) for key, cases in REFUSED.items() for case in cases],
+                             ids=[f"{key}={case[0]}" for key, cases in REFUSED.items() for case in cases])
+    def test_refused_before_any_mesh(self, tmp_path, capsys, no_mesh, key, value, companions, message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"out = {tmp_path / 'out'}\n{companions}\n{key} = {value}\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestOutputPath:

@@ -68,6 +68,7 @@ def config_lines(draw):
 @example({"degree": "1000000"})
 @example({"c_in": "1e300"})
 @example({"radius": "1e160"})
+@example({"p0": "1e300,0,0", "p1": "-1e300,0,0"})
 def test_run_exits_cleanly(tmp_path_factory, lines):
     base = tmp_path_factory.mktemp("run")
     out = base / "out"

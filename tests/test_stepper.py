@@ -26,7 +26,7 @@ def quiescent_problem(t_end=0.1, dt=None, velocity=(0, 0, 1)):
     return TransportProblem(
         geometry=geom,
         kappa=1.0,
-        kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
+        kappa_hat=1.0,
         velocity=velocity,
         u_hat=1.0,
         source3=ScalarField3.zero(),
@@ -47,7 +47,7 @@ class TestInputRefused:
 
     @pytest.mark.parametrize("name, value", [("dt", math.nan), ("t_end", math.nan),
                                              ("t_end", math.inf), ("u_hat", math.nan),
-                                             ("degree", 0)])
+                                             ("u_hat", 0.0), ("u_hat", -1.0), ("degree", 0)])
     def test_problem(self, name, value):
         with pytest.raises(ConfigError):
             replace(quiescent_problem(), **{name: value})
@@ -61,6 +61,11 @@ class TestInputRefused:
     def test_box_diffusivity(self, kappa):
         with pytest.raises(CoefficientError, match="diffusivity must be positive and finite"):
             replace(quiescent_problem(), kappa=kappa)
+
+    @pytest.mark.parametrize("kappa_hat", [0.0, -1.0, math.nan, math.inf])
+    def test_vessel_diffusivity(self, kappa_hat):
+        with pytest.raises(CoefficientError, match="vessel diffusivity must be positive and finite"):
+            replace(quiescent_problem(), kappa_hat=kappa_hat)
 
     @pytest.mark.parametrize("velocity, message", [
         ((1.0, 2.0), "needs 3 components"),
@@ -535,7 +540,7 @@ class TestGeometryGuard:
         problem = TransportProblem(
             geometry=geom,
             kappa=1.0,
-            kappa_hat=lambda s: np.broadcast_to(1.0, np.shape(s)),
+            kappa_hat=1.0,
             velocity=(0.0, 0.0, 1.0),
             u_hat=1.0,
             source3=ScalarField3.zero(),

@@ -15,7 +15,7 @@ from vesselfem.mesh3d import FemSpace, build_box_mesh
 from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.stepper import CoupledSystem
 
-from _oracles import batched_verify_sources, manufactured_f0, manufactured_f1
+from _oracles import batched_verify_sources, error_norms_3d_off_axis, manufactured_f0, manufactured_f1
 from _oracles import diagonal_problem as oracle_diagonal_problem
 
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
@@ -288,6 +288,48 @@ class TestSpatialRates:
         assert 1.85 <= box_l2 <= 2.15 and 0.9 <= box_grad <= 1.1, (box_l2, box_grad)
         assert degree + 0.85 <= vessel_l2 <= degree + 1.15, vessel_l2
         assert degree - 0.15 <= vessel_grad <= degree + 0.15, vessel_grad
+
+
+@pytest.fixture(scope="module")
+def coupled_pair():
+    """The manufactured pair marched to t = 1 with DG degree 1: the box space,
+    vessel space and final state at each of the levels 4, 8 and 16."""
+    problem = verify.manufactured_problem()
+    marched = {}
+    for n in (4, 8, 16):
+        system = CoupledSystem(problem, n_cells=n)
+        marched[n] = (system.fem, system.dg, system.run()[0])
+    return marched
+
+
+class TestCoupledRates:
+    """Where the paper's regularity holds, the coupled scheme keeps its orders:
+    away from the vessel the box field converges at the optimal order, and
+    the vessel field is as accurate as the box field's average on the wall,
+    which carries a kink in the exact solution."""
+
+    def test_off_axis_norms_cover_the_whole_box(self, coupled_pair, ms):
+        fem, _, state = coupled_pair[4]
+        np.testing.assert_allclose(error_norms_3d_off_axis(fem, state.c, ms.c_and_grad, 1.0, 0.0),
+                                   verify.error_norms_3d(fem, state.c, ms.c_and_grad, ms.c_and_grad, 1.0),
+                                   rtol=1e-12)
+
+    def test_box_optimal_away_from_the_vessel(self, coupled_pair, ms):
+        errors = [error_norms_3d_off_axis(fem, state.c, ms.c_and_grad, state.t, 0.2)
+                  for fem, _, state in coupled_pair.values()]
+        l2, grad = np.log2(np.divide(errors[:-1], errors[1:])).T
+        assert np.all((1.85 <= l2) & (l2 <= 2.15)), l2
+        assert np.all((0.9 <= grad) & (grad <= 1.1)), grad
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_vessel_follows_the_wall(self, coupled_pair, ms, n):
+        fem, dg, state = coupled_pair[n]
+        s = np.linspace(0.02, 0.98, 200)
+        ring, _ = ms.geometry().circle_points(s, 64)  # (200, 64, 3) at r = R
+        wall = fem.evaluate(state.c, ring.reshape(-1, 3)).reshape(s.size, -1).mean(axis=1)
+        wall_error = math.sqrt(np.mean((wall - 0.5 * ms.c_hat(s, state.t)) ** 2))
+        vessel_error = verify.error_norms_1d(dg, state.c_hat, ms.c_hat, None, state.t)[0]
+        assert 1.0 / 1.25 <= vessel_error / wall_error <= 1.25, (vessel_error, wall_error)
 
 
 class TestAveragingConsistency:
