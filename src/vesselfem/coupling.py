@@ -43,7 +43,7 @@ def average_matrix(fem: FemSpace, geometry: VesselGeometry, s, n_circle: int):
     field c.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    pts, _ = geometry.circle_points(s, n_circle)
+    pts = geometry.circle_points(s, n_circle)
     try:
         tet_ids, bary = fem.mesh.locate_many(pts.reshape(-1, 3))
     except DomainError as err:

@@ -247,17 +247,11 @@ def assemble_b_lambda(space: DgSpace, u_hat: float, weight):
     )
 
 
-def inflow_factors(space: DgSpace, weight, u_hat: float):
-    """t-free factors of the inflow vector: first element dofs, |D(0)| u_hat, vh(0+)."""
-    vl, _ = legendre_basis(np.float64(-1.0), space.degree)
-    return space.element_dofs(0), float(np.asarray(weight(0.0))) * u_hat, vl
-
-
 def assemble_inflow_rhs(space: DgSpace, weight, u_hat: float, c_in: float):
     """Inflow vector |D(0)| u_hat c_in vh(0+); supported on the first element."""
-    dofs, scale, vl = inflow_factors(space, weight, u_hat)
+    vl, _ = legendre_basis(np.float64(-1.0), space.degree)
     out = np.zeros(space.n_dofs)
-    out[dofs] = scale * c_in * vl
+    out[space.element_dofs(0)] = float(np.asarray(weight(0.0))) * u_hat * c_in * vl
     return out
 
 

@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError
 from .mesh3d import DEFAULT_BOX, FemSpace, build_box_mesh, tet_quadrature
 
 
@@ -30,6 +29,7 @@ class ScalarField3:
     A time-separable field f = sum_k g_k(t) p_k(x) keeps its factors too:
     ``times(t)`` gives the k floats g_k(t), ``parts(x)`` the stacked (k, m) p_k.
     A vessel datum is the same kind of field over arclengths: x is an (m,) array of s.
+    ``zero()`` is marked ``is_zero``, so that a march skips it.
     With ``lattice`` set, fn (and parts) also take a quadrature block's
     coordinate axes (X, Y, Z) of ``TetMesh.quadrature`` in place of its
     points, and return values of their broadcast shape (stacked in front).
@@ -54,15 +54,8 @@ class ScalarField3:
         return cls(fn=fn, times=times, parts=parts, lattice=lattice)
 
     @classmethod
-    def constant(cls, value):
-        v = float(value)
-        if not np.isfinite(v):
-            raise ConfigError(f"a constant field needs a finite value, got {v}")
-        return cls(fn=lambda x, t: np.full(np.shape(x)[0], v), is_zero=(v == 0.0))
-
-    @classmethod
     def zero(cls):
-        return cls.constant(0.0)
+        return cls(fn=lambda x, t: np.zeros(np.shape(x)[0]), is_zero=True)
 
 
 def _assemble(space: FemSpace, blocks):
@@ -128,8 +121,6 @@ def box_block(level: BoxLevel, inv_dt: float, kappa: float, velocity):
 def assemble_load(space: FemSpace, f: ScalarField3, t: float, order: int = 4):
     """Load vector F_i = (f(., t), phi_i); a field with stacked values, shape
     (k, m), gives the k load vectors as (k, n_dofs) from one quadrature pass."""
-    if f.is_zero:
-        return np.zeros(space.n_dofs)
     mesh = space.mesh
     bary, _ = tet_quadrature(order)
     out = None

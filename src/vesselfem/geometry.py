@@ -69,7 +69,8 @@ class PiecewisePermeability:
     def __post_init__(self):
         if len(self.values) != len(self.breakpoints) + 1:
             raise GeometryError("need one more permeability value than breakpoints")
-        if not np.all(np.diff([-np.inf, *self.breakpoints, np.inf]) > 0.0):  # NaN and +-inf fail too
+        # finite first: np.diff warns on an infinite breakpoint; NaN fails both
+        if not (np.isfinite(self.breakpoints).all() and (np.diff(self.breakpoints) > 0.0).all()):
             raise GeometryError("permeability breakpoints must be increasing and finite")
 
     def __call__(self, s):
@@ -171,29 +172,23 @@ class VesselGeometry:
         return self.permeability(s)
 
     def circle_points(self, s, n):
-        """Uniform quadrature on the section circle at arclength s.
+        """The n points of the uniform rule on the section circle at arclength s.
 
-        Returns ``(points, weights)`` with n points on the circle of radius
-        R(s) around the centerline; each weight is ``|circumference| / n`` so
-        the weights sum to the circumference exactly.  The uniform rule is the
-        periodic trapezoid rule, spectrally accurate for smooth integrands.
-        For an array s the results gain its shape in front: points
-        ``s.shape + (n, 3)`` and weights ``s.shape + (n,)``.
+        The points lie at equal angles on the circle of radius R(s) around
+        the centerline, so every point has the weight |circumference| / n:
+        the periodic trapezoid rule, spectrally accurate for smooth
+        integrands.  For an array s the points have shape ``s.shape + (n, 3)``.
         """
         if n < MIN_CIRCLE_POINTS:
             raise ValueError(f"need at least {MIN_CIRCLE_POINTS} circle points")
-        self._check_arclength(s)
-        s = np.asarray(s, dtype=float)
-        center = (self.p0 + np.multiply.outer(s, self.tangent))[..., None, :]
+        center = self.point_at(s)[..., None, :]
         r = np.asarray(self.radius(s, self.length), dtype=float)[..., None, None]
         theta = 2.0 * np.pi * np.arange(n) / n
-        pts = (
+        return (
             center
             + r * np.outer(np.cos(theta), self.e1)
             + r * np.outer(np.sin(theta), self.e2)
         )
-        weights = np.full(s.shape + (n,), 2.0 * np.pi * r[..., 0] / n)
-        return pts, weights
 
     def check_inside_box(self, lo, hi):
         """Require the vessel tube to stay inside the closed box [lo, hi].

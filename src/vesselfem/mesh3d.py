@@ -239,13 +239,11 @@ def tet_quadrature(order):
     """Quadrature on the reference tet, exact to the given total degree.
 
     Returns read-only (barycentric points (nq, 4), weights (nq,)), computed
-    once per order; the weights sum to the reference volume 1/6.  Order 1 is
-    the centroid rule, order 2 the symmetric 4-point rule, order 4 a
-    conical-product Gauss-Jacobi rule (27 points, exact through degree 5).
+    once per order; the weights sum to the reference volume 1/6.  Order 2 is
+    the symmetric 4-point rule, order 4 a conical-product Gauss-Jacobi rule
+    (27 points, exact through degree 5).
     """
-    if order == 1:
-        rule = np.full((1, 4), 0.25), np.array([1.0 / 6.0])
-    elif order == 2:
+    if order == 2:
         a = (5.0 + 3.0 * np.sqrt(5.0)) / 20.0
         b = (5.0 - np.sqrt(5.0)) / 20.0
         rule = np.where(np.eye(4, dtype=bool), a, b), np.full(4, 1.0 / 24.0)

@@ -9,7 +9,8 @@ dofs, then the vessel dofs; the coupled dofs reach across any grid plane
 near the vessel, so they go last with it.  At MAX_CELLS the matrix stays in
 natural order, which SuperLU orders by minimum degree.  Each step adds to
 the previous state's mass products each datum's vector at the new time (box
-source, vessel source, inflow) in its rows, writes the Dirichlet trace and
+source, vessel source, and the inflow: ``dg1d.assemble_inflow_rhs`` built once
+and scaled by c_in(t)) in its rows, writes the Dirichlet trace and
 back-substitutes; one rule (``_in_time``) evaluates a separable datum's parts
 once per system and any other datum every step.  A march forms one mass
 product per state, for its energy and the next right-hand side.
@@ -194,11 +195,11 @@ class CoupledSystem:
         # each datum's rows and its vector at t; the closures hold fem, dg and
         # arrays, never self, so a system dies with its last reference
         fem, dg, points = self.fem, self.dg, self.fem.dof_points[self.dirichlet_rows]
-        dofs, scale, vl = dg1d.inflow_factors(dg, area, problem.u_hat)
+        inflow = dg1d.assemble_inflow_rhs(dg, area, problem.u_hat, 1.0)
         data = [(slice(0, nb), None if problem.source3.is_zero else problem.source3,
                  lambda f, t: fem3d.assemble_load(fem, f, t)),
                 (slice(nb, None), problem.source1, lambda f, t: dg1d.assemble_load(dg, f, t, dg.degree + 2)),
-                (nb + dofs, problem.c_in, lambda c, t: scale * float(c(t)) * vl)]
+                (slice(nb, None), problem.c_in, lambda c, t: float(c(t)) * inflow)]
         self._data = [(rows, _in_time(datum, vector)) for rows, datum, vector in data if datum is not None]
         self._trace = (lambda t: 0.0) if problem.dirichlet is None else _in_time(
             problem.dirichlet, lambda g, t: fem3d.dirichlet_values(points, g, t))

@@ -344,7 +344,8 @@ def convergence_study(
 @dataclass
 class RunConfig:
     """Flat configuration of a generic single run.  The defaults are the
-    pulse problem of diagonal case 1."""
+    pulse problem of diagonal case 1; ``radius`` and ``gamma`` left None are
+    its 0.05 and 0.1 unless a tanh radius or piecewise permeability is set."""
 
     n: int = 8
     degree: int = 1
@@ -356,11 +357,11 @@ class RunConfig:
     out: str = "."
     p0: tuple = (-0.4, -0.4, -0.4)
     p1: tuple = (0.4, 0.4, 0.4)
-    radius: float | None = 0.05
+    radius: float | None = None
     radius_min: float | None = None
     radius_max: float | None = None
     radius_beta: float | None = None
-    gamma: float | None = 0.1
+    gamma: float | None = None
     gamma_breaks: tuple | None = None
     gamma_values: tuple | None = None
     kappa: float = 1.0
@@ -373,6 +374,7 @@ class RunConfig:
 
 
 _DIAGONAL_LENGTH = 0.8 * math.sqrt(3.0)
+_CASE1_RADIUS, _CASE1_GAMMA = 0.05, 0.1
 _TANH_RADIUS = {"radius_min": 0.05, "radius_max": 0.08, "radius_beta": 8.0}
 # The three radius/permeability variants of the diagonal-line study, as
 # overrides of the RunConfig defaults; case 3's wall is impermeable on the
@@ -389,22 +391,19 @@ def pulse_problem(cfg: RunConfig) -> TransportProblem:
     """Pulse injection through a straight vessel: ``c_in`` until ``c_in_until``,
     zero sources and initial data, the box velocity along the vessel unless
     ``u`` is given."""
-    if cfg.radius_min is not None or cfg.radius_max is not None:
-        if None in (cfg.radius_min, cfg.radius_max, cfg.radius_beta):
-            raise ConfigError("tanh radius needs radius_min, radius_max and radius_beta")
-        radius = TanhRadius(cfg.radius_min, cfg.radius_max, cfg.radius_beta)
-    elif cfg.radius is not None:
-        radius = ConstantRadius(cfg.radius)
+    tanh = (cfg.radius_min, cfg.radius_max, cfg.radius_beta)
+    if any(v is not None for v in tanh):
+        if None in tanh or cfg.radius is not None:
+            raise ConfigError("tanh radius needs radius_min, radius_max and radius_beta, and radius = none")
+        radius = TanhRadius(*tanh)
     else:
-        raise ConfigError("no radius profile configured")
+        radius = ConstantRadius(_CASE1_RADIUS if cfg.radius is None else cfg.radius)
     if cfg.gamma_breaks is not None or cfg.gamma_values is not None:
-        if cfg.gamma_breaks is None or cfg.gamma_values is None:
-            raise ConfigError("piecewise permeability needs gamma_breaks and gamma_values")
+        if cfg.gamma_breaks is None or cfg.gamma_values is None or cfg.gamma is not None:
+            raise ConfigError("piecewise permeability needs gamma_breaks and gamma_values, and gamma = none")
         permeability = PiecewisePermeability(tuple(cfg.gamma_breaks), tuple(cfg.gamma_values))
-    elif cfg.gamma is not None:
-        permeability = ConstantPermeability(cfg.gamma)
     else:
-        raise ConfigError("no permeability configured")
+        permeability = ConstantPermeability(_CASE1_GAMMA if cfg.gamma is None else cfg.gamma)
     geometry = VesselGeometry(cfg.p0, cfg.p1, radius, permeability)
     u = cfg.u if cfg.u is not None else tuple(geometry.tangent * cfg.u_hat)
     c_in_value, c_in_until = cfg.c_in, cfg.c_in_until

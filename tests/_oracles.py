@@ -10,7 +10,9 @@ entry's data position on the box pattern by searching the pattern's
 (row, column) keys, the reference the box stencil sum is checked against.
 The reference march keeps the backward Euler step as one formula per step,
 the L2 projection keeps its own quadrature formula, and the two space parts of the manufactured bulk source are the closed forms
-as first written, one function each.  The diagonal-line cases are written
+as first written, one function each.  The smooth coupled pair
+takes its vessel field from the closed-form circle average (a Bessel
+function) of its box field.  The diagonal-line cases are written
 out by hand, as they were before they became run configurations.  The
 exchange blocks are also formed as SciPy's products of the weight
 diagonal, and the coupled operator is composed the general way, as sparse sums of its
@@ -19,10 +21,12 @@ and the source gate runs its points in batches, one per time sample.  The
 box error norms also come restricted to the tets away from an axis.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sparse
 import sympy as sp
+from scipy.special import j0
 
 from vesselfem import coupling, dg1d, fem3d, verify
 from vesselfem.dg1d import DgParams, legendre_basis
@@ -427,3 +431,53 @@ def error_norms_3d_off_axis(fem, c_dofs, exact_and_grad, t, r_min):
     l2 = np.einsum("q,eq->", wq, (ce.reshape(len(kept), -1) - local @ bary.T) ** 2)
     grad = np.einsum("q,eqc->", wq, (ge.reshape(len(kept), -1, 3) - gh[:, None, :]) ** 2)
     return math.sqrt(l2), math.sqrt(grad)
+
+
+# -- the smooth coupled pair -------------------------------------------------
+
+def smooth_box(x, t):
+    """c = t/2 cos(pi x) cos(pi y) (sin(pi z) + 2), smooth across the vessel wall."""
+    x = np.atleast_2d(x)
+    return 0.5 * t * np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1]) * (np.sin(np.pi * x[:, 2]) + 2.0)
+
+
+def smooth_box_grad(x, t):
+    x = np.atleast_2d(x)
+    (cx, cy, cz), (sx, sy, sz) = np.cos(np.pi * x.T), np.sin(np.pi * x.T)
+    half = 0.5 * t * np.pi
+    return np.stack([-half * sx * cy * (sz + 2.0), -half * cx * sy * (sz + 2.0), half * cx * cy * cz], axis=1)
+
+
+def smooth_box_parts(x):
+    """The box source's space parts: dc/dt and the coefficient of t in (-lap + d_z) c."""
+    (cx, cy, cz), (_, _, sz) = np.cos(np.pi * x.T), np.sin(np.pi * x.T)
+    half = 0.5 * cx * cy
+    return np.stack([half * (sz + 2.0), half * (np.pi**2 * (3.0 * sz + 4.0) + np.pi * cz)])
+
+
+def smooth_coupled_problem(degree: int = 1):
+    """The manufactured geometry (vertical vessel, R = 0.05, permeability 1)
+    with the smooth box field c of ``smooth_box`` and the vessel field
+    chat = J0(sqrt(2) pi R) t/2 (sin(pi (s - 1/2)) + 2).  The mean of
+    cos(pi x) cos(pi y) over the circle of radius R about the axis is
+    J0(sqrt(2) pi R), so chat is the exact circle average of c at r = R: the
+    exact exchange term vanishes while the discrete exchange blocks stay on.
+    Returns the problem and the exact vessel field and its s-derivative."""
+    ms = verify.ManufacturedSolution()
+    scale = 0.5 * j0(math.sqrt(2.0) * math.pi * ms.radius)  # chat = scale * ms.c_hat
+    area = math.pi * ms.radius**2
+
+    def vessel_parts(s):  # area (dchat/dt, coefficient of t in (-d_ss + d_s) chat)
+        z = np.pi * (np.asarray(s, dtype=float) - 0.5)
+        return scale * area * np.stack([np.sin(z) + 2.0, np.pi**2 * np.sin(z) + np.pi * np.cos(z)])
+
+    problem = replace(
+        verify.manufactured_problem(degree=degree),
+        source3=ScalarField3.separable(lambda t: (1.0, t), smooth_box_parts),
+        source1=ScalarField3.separable(lambda t: (1.0, t), vessel_parts),
+        c_in=lambda t: scale * ms.c_in(t),
+        dirichlet=smooth_box,
+        c0=None,
+        c0_hat=None,
+    )
+    return problem, lambda s, t: scale * ms.c_hat(s, t), lambda s, t: scale * ms.c_hat_ds(s, t)

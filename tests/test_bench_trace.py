@@ -1,6 +1,7 @@
 """The benchmark's traced mode binds the program's parameters and attributes by
 name (``assemble_load``'s ``order``, ``Factorization._lu``, the VTK writers'
-``path``), so a rename shows only when that mode runs."""
+``path``), so a rename shows only when that mode runs.  Its spans time
+functions by name too: the march's inflow vector is ``assemble_inflow_rhs``."""
 import json
 import subprocess
 import sys
@@ -19,5 +20,5 @@ def test_traced_manufactured_run():
     record = json.loads(result.stdout.strip().splitlines()[-1])
     assert record["correct"] is True
     for name in ("fem3d.load_calls", "linalg.factor_nnz", "coupling.nnz",
-                 "mesh3d.locate_points", "cli.vtk_bytes"):
+                 "mesh3d.locate_points", "cli.vtk_bytes", "dg1d.inflow_s"):
         assert record["metrics"][name]["value"] > 0, name

@@ -450,11 +450,14 @@ REFUSED = {
     "out": [("", "", "output path is empty")],
     "p0": [("0,0", "", "endpoints must be 3D points")],
     "p1": [("-0.4,-0.4,-0.4", "", "centerline length 0.0 is not positive and finite")],
-    "radius": [("0", "", "radius profile is not strictly positive and finite")],
+    "radius": [("0", "", "radius profile is not strictly positive and finite"),
+               ("0.07", "radius_min = 0.05\nradius_max = 0.08\nradius_beta = 8", "and radius = none")],
     "radius_min": [("0.05", "", "tanh radius needs radius_min, radius_max and radius_beta")],
     "radius_max": [("0.08", "", "tanh radius needs radius_min, radius_max and radius_beta")],
-    "radius_beta": [("-8", "radius_min = 0.05\nradius_max = 0.08", "section area must be nondecreasing")],
-    "gamma": [("-0.1", "", "permeability must be nonnegative and finite")],
+    "radius_beta": [("-8", "radius_min = 0.05\nradius_max = 0.08", "section area must be nondecreasing"),
+                    ("8", "", "tanh radius needs radius_min, radius_max and radius_beta")],
+    "gamma": [("-0.1", "", "permeability must be nonnegative and finite"),
+              ("0.2", "gamma_breaks = 0.5\ngamma_values = 0.1,0.2", "and gamma = none")],
     "gamma_breaks": [("0.5", "", "piecewise permeability needs gamma_breaks and gamma_values")],
     "gamma_values": [("0.1,0.2,0.3", "gamma_breaks = 0.5", "need one more permeability value than breakpoints")],
     "kappa": [("0", "", "box diffusivity must be positive"), ("-1", "", "box diffusivity must be positive")],

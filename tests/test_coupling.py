@@ -45,7 +45,7 @@ def setup():
 
 def circle_mean(fem, geom, c, s, n_circle):
     """Mean of the P1 field over the section circle, point by point."""
-    return fem.evaluate(c, geom.circle_points(s, n_circle)[0]).mean()
+    return fem.evaluate(c, geom.circle_points(s, n_circle)).mean()
 
 
 class TestLateralAverage:

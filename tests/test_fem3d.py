@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vesselfem import fem3d, linalg, mesh3d, verify
-from vesselfem.errors import ConfigError
 from vesselfem.fem3d import ScalarField3
 from vesselfem.mesh3d import FemSpace, build_box_mesh
 
@@ -52,13 +51,6 @@ class TestStiffness:
         assert abs(A2 - 2 * A1).max() < 1e-13
 
 
-class TestConstantFields:
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_scalar_refuses_non_finite(self, value):
-        with pytest.raises(ConfigError, match="finite"):
-            ScalarField3.constant(value)
-
-
 class TestConvection:
     def test_zero_velocity(self, space):
         B = fem3d.assemble_convection(space, (0.0, 0.0, 0.0))
@@ -78,7 +70,7 @@ class TestConvection:
 
 class TestLoad:
     def test_constant_source_total(self, space):
-        F = fem3d.assemble_load(space, ScalarField3.constant(1.0), t=0.0)
+        F = fem3d.assemble_load(space, ScalarField3(fn=lambda x, t: np.full(len(x), 1.0)), t=0.0)
         assert abs(F.sum() - 1.0) < 1e-12
 
     def test_zero_source(self, space):
@@ -317,7 +309,7 @@ class TestDirichlet:
 
     def test_homogeneous_solve_vanishes_on_boundary(self, space):
         A = fem3d.assemble_stiffness(space, 1.0)
-        F = fem3d.assemble_load(space, ScalarField3.constant(1.0), 0.0)
+        F = fem3d.assemble_load(space, ScalarField3(fn=lambda x, t: np.full(len(x), 1.0)), 0.0)
         rows = np.nonzero(space.dirichlet_mask)[0]
         F[rows] = 0.0
         x = linalg.Factorization(constrain_rows(A, rows)).solve(F)
@@ -348,7 +340,7 @@ class TestPoissonConvergence:
         for n in (4, 8, 16):
             sp_ = FemSpace(build_box_mesh(*CENTERED, n))
             A = fem3d.assemble_stiffness(sp_, 1.0)
-            F = fem3d.assemble_load(sp_, ScalarField3.constant(-12.0), 0.0)
+            F = fem3d.assemble_load(sp_, ScalarField3(fn=lambda x, t: np.full(len(x), -12.0)), 0.0)
             rows = np.nonzero(sp_.dirichlet_mask)[0]
             F[rows] = fem3d.dirichlet_values(sp_.dof_points[rows], g, 0.0)
             x = linalg.Factorization(constrain_rows(A, rows)).solve(F)

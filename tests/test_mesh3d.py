@@ -130,19 +130,14 @@ class TestLocate:
             (0, 0, -0.5), (0, 0, 0.5), ConstantRadius(0.05), ConstantPermeability(1.0)
         )
         for s in np.linspace(0, geom.length, 1000):
-            pts, _ = geom.circle_points(s, 8)
+            pts = geom.circle_points(s, 8)
             tets, bary = mesh.locate_many(pts)
             rec = np.einsum("pi,pic->pc", bary, mesh.vertices[mesh.tets[tets]])
             assert np.abs(rec - pts).max() < 1e-10
 
 
 class TestQuadrature:
-    def test_order1_centroid(self):
-        bary, w = tet_quadrature(1)
-        assert np.allclose(bary, 0.25)
-        assert np.allclose(w, [1 / 6])
-
-    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("order", [2, 4])
     def test_weight_sum(self, order):
         _, w = tet_quadrature(order)
         assert abs(w.sum() - 1 / 6) < 1e-15
@@ -174,12 +169,11 @@ class TestQuadrature:
             w[0] = 0.0
 
     @pytest.mark.parametrize("n, order, chunk, full", [
-        (24, 1, 65536, (18, 24, 24)),  # whole i-planes
-        (24, 2, 65536, (4, 24, 24)),
+        (24, 2, 65536, (4, 24, 24)),  # whole i-planes
         (24, 4, 65536, (1, 16, 24)),  # whole k-rows of one plane
         (6, 4, 5 * 162, (1, 1, 5)),  # part of one row
         (4, 4, 7, (1, 1, 1)),  # one cell holds more than a block
-    ], ids=["1", "2", "4", "4-part-row", "4-one-cell"])
+    ], ids=["2", "4", "4-part-row", "4-one-cell"])
     def test_points_from_cell_origins_match_corners(self, n, order, chunk, full, monkeypatch):
         """Blocks are boxes of whole cells that tile the tets in order, each
         as large as ``full`` unless the grid ends first, of at most _CHUNK

@@ -16,6 +16,7 @@ from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.stepper import CoupledSystem
 
 from _oracles import batched_verify_sources, error_norms_3d_off_axis, manufactured_f0, manufactured_f1
+from _oracles import smooth_box, smooth_box_grad, smooth_box_parts, smooth_coupled_problem
 from _oracles import diagonal_problem as oracle_diagonal_problem
 
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
@@ -237,26 +238,6 @@ class TestTimeRate:
         assert np.all((0.9 <= rates) & (rates <= 1.2)), rates
 
 
-def _decoupled_box(x, t):
-    """c = t/2 cos(pi x) cos(pi y) (sin(pi z) + 2), the box half of the decoupled pair."""
-    x = np.atleast_2d(x)
-    return 0.5 * t * np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1]) * (np.sin(np.pi * x[:, 2]) + 2.0)
-
-
-def _decoupled_box_grad(x, t):
-    x = np.atleast_2d(x)
-    (cx, cy, cz), (sx, sy, sz) = np.cos(np.pi * x.T), np.sin(np.pi * x.T)
-    half = 0.5 * t * np.pi
-    return np.stack([-half * sx * cy * (sz + 2.0), -half * cx * sy * (sz + 2.0), half * cx * cy * cz], axis=1)
-
-
-def _decoupled_box_parts(x):
-    """The box source's space parts: dc/dt and the coefficient of t in (-lap + d_z) c."""
-    (cx, cy, cz), (_, _, sz) = np.cos(np.pi * x.T), np.sin(np.pi * x.T)
-    half = 0.5 * cx * cy
-    return np.stack([half * (sz + 2.0), half * (np.pi**2 * (3.0 * sz + 4.0) + np.pi * cz)])
-
-
 class TestSpatialRates:
     """The space half of the error bound: with permeability 0 (no exchange),
     box P1 and vessel DG of degree p reach their optimal orders from h = 1/8
@@ -272,9 +253,9 @@ class TestSpatialRates:
         problem = replace(
             verify.manufactured_problem(degree=degree),
             geometry=VesselGeometry((0, 0, -0.5), (0, 0, 0.5), ConstantRadius(R), ConstantPermeability(0.0)),
-            source3=ScalarField3.separable(lambda t: (1.0, t), _decoupled_box_parts),
+            source3=ScalarField3.separable(lambda t: (1.0, t), smooth_box_parts),
             source1=vessel_source,
-            dirichlet=_decoupled_box,
+            dirichlet=smooth_box,
             c0=None,
             c0_hat=None,
         )
@@ -282,7 +263,7 @@ class TestSpatialRates:
         for n in (4, 8, 16):
             system = CoupledSystem(problem, n_cells=n)
             state, _ = system.run()
-            errors.append(verify.error_norms_3d(system.fem, state.c, _decoupled_box, _decoupled_box_grad, 1.0)
+            errors.append(verify.error_norms_3d(system.fem, state.c, smooth_box, smooth_box_grad, 1.0)
                           + verify.error_norms_1d(system.dg, state.c_hat, ms.c_hat, ms.c_hat_ds, 1.0))
         box_l2, box_grad, vessel_l2, vessel_grad = np.log2(np.divide(errors[1], errors[2]))
         assert 1.85 <= box_l2 <= 2.15 and 0.9 <= box_grad <= 1.1, (box_l2, box_grad)
@@ -325,11 +306,57 @@ class TestCoupledRates:
     def test_vessel_follows_the_wall(self, coupled_pair, ms, n):
         fem, dg, state = coupled_pair[n]
         s = np.linspace(0.02, 0.98, 200)
-        ring, _ = ms.geometry().circle_points(s, 64)  # (200, 64, 3) at r = R
+        ring = ms.geometry().circle_points(s, 64)  # (200, 64, 3) at r = R
         wall = fem.evaluate(state.c, ring.reshape(-1, 3)).reshape(s.size, -1).mean(axis=1)
         wall_error = math.sqrt(np.mean((wall - 0.5 * ms.c_hat(s, state.t)) ** 2))
         vessel_error = verify.error_norms_1d(dg, state.c_hat, ms.c_hat, None, state.t)[0]
         assert 1.0 / 1.25 <= vessel_error / wall_error <= 1.25, (vessel_error, wall_error)
+
+
+@pytest.fixture(scope="module")
+def smooth_errors():
+    """Box L2, box gradient, vessel L2 and vessel broken gradient errors at
+    t = 1 of the smooth coupled pair, per DG degree, at levels 4, 8 and 16."""
+    errors = {}
+    for degree in (1, 2):
+        problem, c_hat, c_hat_ds = smooth_coupled_problem(degree)
+        errors[degree] = []
+        for n in (4, 8, 16):
+            system = CoupledSystem(problem, n_cells=n)
+            state, _ = system.run()
+            errors[degree].append(verify.error_norms_3d(system.fem, state.c, smooth_box, smooth_box_grad, 1.0)
+                                  + verify.error_norms_1d(system.dg, state.c_hat, c_hat, c_hat_ds, 1.0))
+    return {degree: np.array(e) for degree, e in errors.items()}
+
+
+class TestSmoothCoupledRates:
+    """The paper's orders with the exchange on: for the smooth pair, whose
+    exact exchange term vanishes while the discrete blocks stay on, every
+    norm converges at its optimal order from h = 1/8 to 1/16, except that
+    the vessel L2 order is capped at 2 by the P1 box trace on the wall."""
+
+    @staticmethod
+    def rates(errors):
+        return np.log2(errors[1] / errors[2])
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_box_orders(self, smooth_errors, degree):
+        box_l2, box_grad, _, _ = self.rates(smooth_errors[degree])
+        assert 1.85 <= box_l2 <= 2.15 and 0.9 <= box_grad <= 1.1, (box_l2, box_grad)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_vessel_l2_order(self, smooth_errors, degree):
+        vessel_l2 = self.rates(smooth_errors[degree])[2]
+        assert 1.75 <= vessel_l2 <= 2.15, vessel_l2
+
+    @pytest.mark.parametrize("degree, band", [(1, (0.9, 1.15)), (2, (1.75, 2.15))])
+    def test_vessel_gradient_order(self, smooth_errors, degree, band):
+        vessel_grad = self.rates(smooth_errors[degree])[3]
+        assert band[0] <= vessel_grad <= band[1], vessel_grad
+
+    def test_wall_trace_caps_the_vessel_l2_error(self, smooth_errors):
+        ratio = smooth_errors[2][2, 2] / smooth_errors[1][2, 2]  # n = 16, degree 2 over degree 1
+        assert 0.9 <= ratio <= 1.1, ratio
 
 
 class TestAveragingConsistency:
@@ -343,7 +370,7 @@ class TestAveragingConsistency:
             c_nodal = ms.c(system.fem.dof_points, 1.0)
             ss = np.linspace(0.05, geom.length - 0.05, 21)
             gaps.append(max(
-                abs(system.fem.evaluate(c_nodal, geom.circle_points(s, coupling.DEFAULT_N_CIRCLE)[0]).mean()
+                abs(system.fem.evaluate(c_nodal, geom.circle_points(s, coupling.DEFAULT_N_CIRCLE)).mean()
                     - 0.5 * float(ms.c_hat(s, 1.0)))
                 for s in ss
             ))
