@@ -227,8 +227,7 @@ def cmd_manufactured(args) -> int:
         columns = (getattr(report, grad), _rate_column(report.rates(grad)),
                    getattr(report, l2), _rate_column(report.rates(l2)))
         write_csv(os.path.join(args.out, name), header, zip(report.h_labels, *columns))
-    _write_snapshots(args.out, f"manufactured_n{levels[-1]}", report,
-                     verify.ManufacturedSolution().geometry(), report.snapshots)
+    _write_snapshots(args.out, f"manufactured_n{levels[-1]}", report, report.geometry, report.snapshots)
     print(f"wrote table1_3d.csv, table2_1d.csv and n={levels[-1]} snapshots to {args.out}")
     print(f"max solve residual {report.max_residual:.3e}")
     return 0
@@ -249,8 +248,7 @@ def cmd_diagonal(args) -> int:
         zip(report.h_labels, report.err3, _rate_column(report.rates("err3")),
             report.err1, _rate_column(report.rates("err1")), report.rel3, report.rel1),
     )
-    _write_snapshots(args.out, f"diagonal_case{args.case}_t{{tag}}", report,
-                     verify.diagonal_geometry(args.case), report.snapshots)
+    _write_snapshots(args.out, f"diagonal_case{args.case}_t{{tag}}", report, report.geometry, report.snapshots)
     print(f"wrote table3_case{args.case}.csv and snapshots to {args.out}")
     print(f"max solve residual {report.max_residual:.3e}")
     return 0
@@ -259,10 +257,11 @@ def cmd_diagonal(args) -> int:
 def cmd_run(args) -> int:
     cfg = parse_config_file(args.config)
     problem = problem_from_config(cfg)
-    _check_snapshot_times(cfg.snapshots, cfg.t_end)
+    times = (cfg.t_end,) if cfg.snapshots is None else cfg.snapshots
+    _check_snapshot_times(times, cfg.t_end)
     _check_out_dir(cfg.out)
     system = CoupledSystem(problem, n_cells=cfg.n, n_circle=cfg.n_circ)
-    state, report = system.run(cfg.snapshots)
+    state, report = system.run(times)
     os.makedirs(cfg.out, exist_ok=True)
     _write_snapshots(cfg.out, "run_t{tag}", system, problem.geometry, report.snapshots)
     write_csv(

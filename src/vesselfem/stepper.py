@@ -60,7 +60,8 @@ def check_level(n_cells: int, n_circle: int):
 
 @dataclass(frozen=True)
 class TransportProblem:
-    """Continuous problem data: geometry, coefficients, sources and horizon.
+    """Continuous problem data: geometry, coefficients, sources and horizon;
+    the march starts from rest.
 
     The coefficients are constants: ``kappa``, ``kappa_hat`` and ``u_hat``
     positive floats, ``velocity`` three floats.  ``source1`` acts on vessel
@@ -81,8 +82,6 @@ class TransportProblem:
     source1: Callable | None
     c_in: Callable | None
     dirichlet: Callable | None
-    c0: Callable | None
-    c0_hat: Callable | None
     t_end: float
     dg: DgParams
     degree: int = 1
@@ -222,19 +221,8 @@ class CoupledSystem:
         return x[: self.fem.n_dofs], x[self.fem.n_dofs :]
 
     def initialize(self) -> CoupledState:
-        """Nodal interpolation of the 3D initial datum, L2 projection of the 1D one."""
-        pr = self.problem
-        c = (
-            np.asarray(pr.c0(self.fem.dof_points), dtype=float)
-            if pr.c0 is not None
-            else np.zeros(self.fem.n_dofs)
-        )
-        c_hat = (
-            dg1d.l2_project(self.dg, pr.c0_hat)
-            if pr.c0_hat is not None
-            else np.zeros(self.dg.n_dofs)
-        )
-        return CoupledState(c=c, c_hat=c_hat, t=0.0, n=0)
+        """The state at rest: every march starts from zero concentrations."""
+        return CoupledState(np.zeros(self.fem.n_dofs), np.zeros(self.dg.n_dofs), 0.0, 0)
 
     def _rhs(self, t_new: float, masses):
         inv_dt = 1.0 / self.dt
@@ -260,9 +248,14 @@ class CoupledSystem:
         return CoupledState(c=c, c_hat=c_hat, t=t_new, n=n_new)
 
     def energy(self, state: CoupledState, masses=None) -> float:
-        """Squared L2 norm of the box field plus area-weighted vessel field."""
+        """Squared L2 norm of the box field plus area-weighted vessel field; a
+        finite state whose sum overflows reads inf, never nan."""
         mc, m1c = masses or self.mass_products(state)
-        return float(state.c.dot(mc) + state.c_hat.dot(m1c))
+        energy = float(state.c.dot(mc) + state.c_hat.dot(m1c))
+        if not math.isfinite(energy) and np.isfinite(state.c).all() and np.isfinite(state.c_hat).all():
+            scale = float(max(np.abs(state.c).max(), np.abs(state.c_hat).max()))  # summed again on state / scale
+            energy = self.energy(CoupledState(state.c / scale, state.c_hat / scale, 0.0, 0)) * scale * scale
+        return energy
 
     def vessel_mass(self, state: CoupledState) -> float:
         """Total solute content of the vessel, integral of area * chat."""

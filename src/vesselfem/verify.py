@@ -63,11 +63,8 @@ class ManufacturedSolution:
         x, y, z = x if isinstance(x, tuple) else np.atleast_2d(np.asarray(x, dtype=float)).T
         return x, y, z, self.w(np.sqrt(x**2 + y**2)), np.sin(np.pi * z)
 
-    def c_hat_of_z(self, z, t):
-        return self.phi(t) * (np.sin(np.pi * np.asarray(z, dtype=float)) + 2.0)
-
     def c_hat(self, s, t):
-        return self.c_hat_of_z(np.asarray(s, dtype=float) - 0.5, t)
+        return self.phi(t) * (np.sin(np.pi * (np.asarray(s, dtype=float) - 0.5)) + 2.0)
 
     def c_hat_ds(self, s, t):
         return self.phi(t) * np.pi * np.cos(np.pi * (np.asarray(s, dtype=float) - 0.5))
@@ -127,7 +124,8 @@ class ManufacturedSolution:
 
 def manufactured_problem(epsilon: int = 1, sigma: float = 50.0, degree: int = 1,
                          ms: ManufacturedSolution | None = None) -> TransportProblem:
-    """The verification problem of ``ms`` (phi(t) = t when None), all its data separable."""
+    """The verification problem of ``ms`` (phi(t) = t when None), all its data
+    separable.  It starts from rest, so ``ms`` solves it when phi(0) = 0."""
     ms = ms or ManufacturedSolution()
     times = lambda t: (ms.phi_dt(t), ms.phi(t))
     return TransportProblem(
@@ -140,8 +138,6 @@ def manufactured_problem(epsilon: int = 1, sigma: float = 50.0, degree: int = 1,
         source1=ScalarField3.separable(times, ms.f_hat_parts),
         c_in=ms.c_in,
         dirichlet=ScalarField3.separable(lambda t: (ms.phi(t),), lambda x: ms.f_parts(x)[:1]),  # c = phi p0
-        c0=lambda x: ms.c(x, 0.0),
-        c0_hat=lambda s: ms.c_hat(s, 0.0),
         t_end=1.0,
         dg=DgParams(epsilon, sigma),
         degree=degree,
@@ -264,11 +260,12 @@ def error_norms_1d(dg: DgSpace, dofs, exact, exact_ds, t):
 @dataclass
 class StudyReport:
     """Per-level error columns of a study at the final time, the largest
-    solve residual of its runs, and its output level: that level's spaces
-    and its (t, state) snapshots."""
+    solve residual of its runs, the vessel it marched, and its output level:
+    that level's spaces and its (t, state) snapshots."""
 
     levels: list
     max_residual: float = 0.0
+    geometry: VesselGeometry | None = None
     mesh: object = None
     dg: object = None
     snapshots: list = field(default_factory=list)
@@ -327,7 +324,7 @@ def convergence_study(
     for n in levels:
         check_level(n, n_circle)
     problem = manufactured_problem(epsilon=epsilon, sigma=sigma, degree=degree)
-    report = ConvergenceReport(levels=list(levels))
+    report = ConvergenceReport(levels=list(levels), geometry=problem.geometry)
     source_gate()
     ms = ManufacturedSolution()
     for n in report.levels:
@@ -345,7 +342,8 @@ def convergence_study(
 class RunConfig:
     """Flat configuration of a generic single run.  The defaults are the
     pulse problem of diagonal case 1; ``radius`` and ``gamma`` left None are
-    its 0.05 and 0.1 unless a tanh radius or piecewise permeability is set."""
+    its 0.05 and 0.1 unless a tanh radius or piecewise permeability is set,
+    and ``snapshots`` left None is the final time alone."""
 
     n: int = 8
     degree: int = 1
@@ -370,7 +368,7 @@ class RunConfig:
     u_hat: float = 1.0
     c_in: float = 5.0
     c_in_until: float = 0.1
-    snapshots: tuple = (1.0,)
+    snapshots: tuple | None = None
 
 
 _DIAGONAL_LENGTH = 0.8 * math.sqrt(3.0)
@@ -417,8 +415,6 @@ def pulse_problem(cfg: RunConfig) -> TransportProblem:
         source1=None,
         c_in=lambda t: c_in_value if t <= c_in_until else 0.0,
         dirichlet=None,
-        c0=None,
-        c0_hat=None,
         t_end=cfg.t_end,
         dg=DgParams(cfg.epsilon, cfg.sigma),
         degree=cfg.degree,
@@ -431,11 +427,6 @@ def diagonal_problem(case: int, degree: int = 1) -> TransportProblem:
     if case not in DIAGONAL_CASES:
         raise ConfigError("case must be 1, 2 or 3")
     return pulse_problem(RunConfig(degree=degree, **DIAGONAL_CASES[case]))
-
-
-def diagonal_geometry(case: int) -> VesselGeometry:
-    """Vessel of the diagonal-line study: three radius/permeability variants."""
-    return diagonal_problem(case).geometry
 
 
 @dataclass(kw_only=True)
@@ -482,7 +473,7 @@ def self_convergence(
     for n in (*coarse_levels, fine_n):
         check_level(n, n_circle)
     problem = diagonal_problem(case, degree=degree)
-    report = SelfConvergenceReport(list(coarse_levels), case=case, fine_n=fine_n)
+    report = SelfConvergenceReport(list(coarse_levels), geometry=problem.geometry, case=case, fine_n=fine_n)
     if report.levels[-1] >= fine_n:
         raise ConfigError("fine level must exceed every coarse level")
     fine_fem, fine_dg, fine, fine_report, report.fine_vessel_mass = _march(

@@ -313,8 +313,6 @@ def diagonal_problem(case: int, degree: int = 1) -> TransportProblem:
         source1=None,
         c_in=lambda t: 5.0 if t <= 0.1 else 0.0,
         dirichlet=None,
-        c0=None,
-        c0_hat=None,
         t_end=1.0,
         dg=DgParams(1, 50.0),
         degree=degree,
@@ -477,7 +475,5 @@ def smooth_coupled_problem(degree: int = 1):
         source1=ScalarField3.separable(lambda t: (1.0, t), vessel_parts),
         c_in=lambda t: scale * ms.c_in(t),
         dirichlet=smooth_box,
-        c0=None,
-        c0_hat=None,
     )
     return problem, lambda s, t: scale * ms.c_hat(s, t), lambda s, t: scale * ms.c_hat_ds(s, t)

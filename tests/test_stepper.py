@@ -33,8 +33,6 @@ def quiescent_problem(t_end=0.1, dt=None, velocity=(0, 0, 1)):
         source1=None,
         c_in=None,
         dirichlet=None,
-        c0=None,
-        c0_hat=None,
         t_end=t_end,
         dg=DgParams(1, 50.0),
         degree=1,
@@ -101,8 +99,7 @@ class TestSharedBoxLevel:
         assert a.dirichlet_rows is b.dirichlet_rows is level.dirichlet_rows
 
     def test_other_system_leaves_operator_and_solves(self):
-        problem = replace(quiescent_problem(t_end=0.05), c_in=lambda t: 5.0,
-                          c0=lambda x: 1.0 + x[:, 0] * x[:, 2])
+        problem = replace(quiescent_problem(t_end=0.05), c_in=lambda t: 5.0)
         first = CoupledSystem(problem, n_cells=4)
         op = first.factorization._matrix
         before = [op.indptr.copy(), op.indices.copy(), op.data.copy()]
@@ -342,16 +339,6 @@ class TestInitialize:
         assert np.all(state.c == 0.0) and np.all(state.c_hat == 0.0)
         assert state.t == 0.0 and state.n == 0
 
-    def test_affine_exact(self):
-        problem = replace(
-            quiescent_problem(), c0=lambda x: 1.0 + x[:, 2], c0_hat=lambda s: 2.0 * s
-        )
-        system = CoupledSystem(problem, n_cells=4)
-        state = system.initialize()
-        assert np.abs(state.c - (1.0 + system.fem.dof_points[:, 2])).max() < 1e-14
-        ss = np.linspace(0, 1, 33)
-        assert np.abs(system.dg.evaluate(state.c_hat, ss) - 2.0 * ss).max() < 1e-12
-
     def test_verification_data_is_zero_at_start(self):
         system = CoupledSystem(verify.manufactured_problem(), n_cells=4)
         state = system.initialize()
@@ -486,8 +473,6 @@ class TestLinearity:
             source1=lambda s, t: alpha * ms.f_hat(s, t),
             c_in=lambda t: alpha * ms.c_in(t),
             dirichlet=lambda x, t: alpha * ms.c(x, t),
-            c0=lambda x: alpha * ms.c(x, 0.0),
-            c0_hat=lambda s: alpha * ms.c_hat(s, 0.0),
             t_end=0.1,
             dg=base.dg,
             degree=base.degree,
@@ -547,8 +532,6 @@ class TestGeometryGuard:
             source1=None,
             c_in=None,
             dirichlet=None,
-            c0=None,
-            c0_hat=None,
             t_end=1.0,
             dg=DgParams(1, 50.0),
         )

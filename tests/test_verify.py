@@ -70,7 +70,7 @@ class TestExactPair:
         # both sides are -chat/2, which is what removes the line source
         R = ms.radius
         t, z = 0.6, 0.15
-        chat = float(ms.c_hat_of_z(z, t))
+        chat = float(ms.c_hat(z + 0.5, t))
         d = 1e-7
         outer_slope = float(
             (ms.c(np.array([[R + 2 * d, 0, z]]), t) - ms.c(np.array([[R + d, 0, z]]), t))[0]
@@ -231,9 +231,9 @@ class TestTimeRate:
         assert np.all((0.9 <= rates) & (rates <= 1.2)), rates
 
     def test_first_order_in_dt_on_the_manufactured_pair(self):
-        """With phi(t) = e^t the manufactured data are not affine in t, so
-        backward Euler has a time error to converge."""
-        ms = verify.ManufacturedSolution(phi=np.exp, phi_dt=np.exp)
+        """With phi(t) = e^t - 1 the manufactured data start at rest and are
+        not affine in t, so backward Euler has a time error to converge."""
+        ms = verify.ManufacturedSolution(phi=np.expm1, phi_dt=np.exp)
         rates = self._rates(verify.manufactured_problem(ms=ms))
         assert np.all((0.9 <= rates) & (rates <= 1.2)), rates
 
@@ -256,8 +256,6 @@ class TestSpatialRates:
             source3=ScalarField3.separable(lambda t: (1.0, t), smooth_box_parts),
             source1=vessel_source,
             dirichlet=smooth_box,
-            c0=None,
-            c0_hat=None,
         )
         errors = []
         for n in (4, 8, 16):
@@ -379,18 +377,18 @@ class TestAveragingConsistency:
 
 class TestDiagonalSetup:
     def test_case_parameters(self):
-        g1 = verify.diagonal_geometry(1)
+        g1 = verify.diagonal_problem(1).geometry
         assert g1.radius_at(0.3) == 0.05
         assert g1.gamma_at(0.3) == 0.1
-        g2 = verify.diagonal_geometry(2)
+        g2 = verify.diagonal_problem(2).geometry
         assert abs(g2.radius_at(g2.length / 2) - 0.065) < 1e-15
-        g3 = verify.diagonal_geometry(3)
+        g3 = verify.diagonal_problem(3).geometry
         L = g3.length
         assert g3.gamma_at(0.1 * L) == 0.0
         assert g3.gamma_at(0.5 * L) == 0.05
         assert g3.gamma_at(0.9 * L) == 0.1
         with pytest.raises(ValueError):
-            verify.diagonal_geometry(4)
+            verify.diagonal_problem(4)
 
     def test_pulse_inflow(self):
         problem = verify.diagonal_problem(1)
@@ -417,11 +415,11 @@ class TestDiagonalSetup:
         ref = oracle_diagonal_problem(case)
         problem = verify.diagonal_problem(case)
         s = np.linspace(0.0, ref.geometry.length, 1000)
-        for geom in (problem.geometry, verify.diagonal_geometry(case)):
-            np.testing.assert_array_equal(geom.p0, ref.geometry.p0)
-            np.testing.assert_array_equal(geom.p1, ref.geometry.p1)
-            np.testing.assert_array_equal(geom.radius_at(s), ref.geometry.radius_at(s))
-            np.testing.assert_array_equal(geom.gamma_at(s), ref.geometry.gamma_at(s))
+        geom = problem.geometry
+        np.testing.assert_array_equal(geom.p0, ref.geometry.p0)
+        np.testing.assert_array_equal(geom.p1, ref.geometry.p1)
+        np.testing.assert_array_equal(geom.radius_at(s), ref.geometry.radius_at(s))
+        np.testing.assert_array_equal(geom.gamma_at(s), ref.geometry.gamma_at(s))
         for t in (0.0, 0.1, 0.1 + 1e-12, 0.5):
             assert problem.c_in(t) == ref.c_in(t)
         assert (problem.t_end, problem.dg, problem.u_hat, problem.dt) == (
@@ -464,6 +462,7 @@ class TestStudySmoke:
         report = verify.convergence_study((2, 4))
         state, _ = CoupledSystem(verify.manufactured_problem(), n_cells=4).run()
         assert report.mesh.n == 4 and report.dg.partition.n_elements == 4
+        assert np.array_equal(report.geometry.p1, (0.0, 0.0, 0.5)) and report.geometry.radius_at(0.3) == 0.05
         [(t, snap)] = report.snapshots
         assert t == state.t == 1.0
         assert np.array_equal(snap.c, state.c)
@@ -473,6 +472,7 @@ class TestStudySmoke:
         report = verify.self_convergence(1, coarse_levels=(2,), fine_n=4, snapshot_times=(0.5, 1.0))
         _, run_report = CoupledSystem(verify.diagonal_problem(1), n_cells=4).run(times=(0.5, 1.0))
         assert report.mesh.n == 4 and report.dg.partition.n_elements == 4
+        assert np.array_equal(report.geometry.p1, (0.4, 0.4, 0.4)) and report.geometry.gamma_at(0.3) == 0.1
         assert [t for t, _ in report.snapshots] == [t for t, _ in run_report.snapshots]
         for (_, a), (_, b) in zip(report.snapshots, run_report.snapshots):
             assert np.array_equal(a.c, b.c) and np.array_equal(a.c_hat, b.c_hat)
