@@ -21,7 +21,6 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConfigError, DomainError
 
@@ -37,6 +36,19 @@ _LEAF = 16  # vertices in a leaf box of the nested dissection
 # permutations swap their middle vertices to keep a positive orientation
 _PERMS = sorted(permutations((0, 1, 2)))
 _ODD = np.array([sum(a > b for a, b in combinations(perm, 2)) % 2 == 1 for perm in _PERMS])
+
+# the 3-point Gauss factors (points on [-1, 1], weights) of the order-4 conical
+# product rule (Stroud 1971): Gauss-Jacobi for the weights (1-x)^2 and (1-x),
+# then Gauss-Legendre, as the float64 values scipy.special.roots_jacobi(3, 2, 0),
+# roots_jacobi(3, 1, 0) and roots_legendre(3) return
+_GAUSS_FACTORS = (
+    ((-0.8540119518537006, -0.30599246792329643, 0.41000441977699675),
+     (1.2570908885190917, 1.169970154078929, 0.23960562406864572)),
+    ((-0.8228240809745921, -0.1810662711185305, 0.5753189235216941),
+     (0.8037276549558384, 0.9169644254383448, 0.2793079196058167)),
+    ((-0.7745966692414834, 0.0, 0.7745966692414834),
+     (0.5555555555555558, 0.8888888888888883, 0.5555555555555558)),
+)
 
 
 class TetMesh:
@@ -241,14 +253,16 @@ def tet_quadrature(order):
     Returns read-only (barycentric points (nq, 4), weights (nq,)), computed
     once per order; the weights sum to the reference volume 1/6.  Order 2 is
     the symmetric 4-point rule, order 4 a conical-product Gauss-Jacobi rule
-    (27 points, exact through degree 5).
+    (27 points, exact through degree 5) collapsed from three stored 3-point
+    Gauss factors, the values SciPy's roots_jacobi and roots_legendre return
+    (the tests check them against SciPy).
     """
     if order == 2:
         a = (5.0 + 3.0 * np.sqrt(5.0)) / 20.0
         b = (5.0 - np.sqrt(5.0)) / 20.0
         rule = np.where(np.eye(4, dtype=bool), a, b), np.full(4, 1.0 / 24.0)
     elif order == 4:
-        rule = _conical_rule(3)
+        rule = _conical_rule()
     else:
         raise ConfigError(f"unsupported tet quadrature order {order}")
     for a in rule:
@@ -256,11 +270,9 @@ def tet_quadrature(order):
     return rule
 
 
-def _conical_rule(q):
+def _conical_rule():
     # collapsed-coordinate product rule: x = a, y = b(1-a), z = c(1-a)(1-b)
-    xa, wa = roots_jacobi(q, 2.0, 0.0)
-    xb, wb = roots_jacobi(q, 1.0, 0.0)
-    xc, wc = roots_legendre(q)
+    (xa, wa), (xb, wb), (xc, wc) = np.array(_GAUSS_FACTORS)
     xa, wa = 0.5 * (xa + 1.0), wa / 8.0
     xb, wb = 0.5 * (xb + 1.0), wb / 4.0
     xc, wc = 0.5 * (xc + 1.0), wc / 2.0

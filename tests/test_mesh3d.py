@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi, roots_legendre
 
 from _oracles import simplex_moment
 from vesselfem import mesh3d
@@ -14,6 +15,8 @@ from vesselfem.mesh3d import build_box_mesh, tet_quadrature
 
 UNIT = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+# the order-4 tet rule's 3-point Gauss factors as SciPy computes them
+SCIPY_GAUSS_FACTORS = (roots_jacobi(3, 2.0, 0.0), roots_jacobi(3, 1.0, 0.0), roots_legendre(3))
 
 
 class TestBuild:
@@ -161,6 +164,24 @@ class TestQuadrature:
     def test_unsupported_order(self):
         with pytest.raises(ConfigError):
             tet_quadrature(3)
+
+    def test_stored_gauss_factors_are_scipys(self):
+        for stored, (x, w) in zip(mesh3d._GAUSS_FACTORS, SCIPY_GAUSS_FACTORS, strict=True):
+            assert np.array_equal(stored[0], x) and np.array_equal(stored[1], w)
+
+    def test_order4_rule_is_the_collapse_of_scipys_roots(self):
+        """Stroud's conical product: x = a, y = b(1-a), z = c(1-a)(1-b) with
+        Gauss-Jacobi a, b and Gauss-Legendre c mapped to [0, 1]; bitwise."""
+        (xa, wa), (xb, wb), (xc, wc) = SCIPY_GAUSS_FACTORS
+        xa, wa = 0.5 * (xa + 1.0), wa / 8.0
+        xb, wb = 0.5 * (xb + 1.0), wb / 4.0
+        xc, wc = 0.5 * (xc + 1.0), wc / 2.0
+        A, B, C = np.meshgrid(xa, xb, xc, indexing="ij")
+        WA, WB, WC = np.meshgrid(wa, wb, wc, indexing="ij")
+        x, y, z = A.ravel(), (B * (1.0 - A)).ravel(), (C * (1.0 - A) * (1.0 - B)).ravel()
+        bary, w = tet_quadrature(4)
+        assert bary.tobytes() == np.stack([1.0 - x - y - z, x, y, z], axis=1).tobytes()
+        assert w.tobytes() == (WA * WB * WC).ravel().tobytes()
 
     def test_rule_computed_once_and_read_only(self):
         bary, w = tet_quadrature(4)
