@@ -1,4 +1,5 @@
-"""Command-line front end: experiment drivers, CSV tables, VTK output.
+"""Command-line front end: the run configuration and the pulse problem it
+builds, the three diagonal-line cases, experiment drivers, CSV tables, VTK output.
 
 Subcommands:
 
@@ -15,19 +16,20 @@ verification gate.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import verify
-from .dg1d import DgSpace, legendre_basis
+from .dg1d import DgParams, DgSpace, legendre_basis
 from .errors import ConfigError, SolverError, VerificationError
-from .geometry import VesselGeometry
+from .fem3d import ScalarField3
+from .geometry import ConstantPermeability, ConstantRadius, PiecewisePermeability, TanhRadius, VesselGeometry
 from .mesh3d import TetMesh
 from .stepper import CoupledSystem, TransportProblem, check_level
-from .verify import RunConfig
 
 # Box levels the two studies accept; the largest is stepper.MAX_CELLS.
 ALLOWED_LEVELS = (4, 8, 16, 32)
@@ -115,6 +117,99 @@ def _rate_column(rates):
     return [None] + list(rates)
 
 
+# -- the pulse problem of ``run`` and of the diagonal-line study -------------
+
+@dataclass
+class RunConfig:
+    """Flat configuration of a generic single run.  The defaults are the
+    pulse problem of diagonal case 1; ``radius`` and ``gamma`` left None are
+    its 0.05 and 0.1 unless a tanh radius or piecewise permeability is set,
+    and ``snapshots`` left None is the final time alone."""
+
+    n: int = 8
+    degree: int = 1
+    epsilon: int = 1
+    sigma: float = 50.0
+    tau: float | None = None
+    t_end: float = 1.0
+    n_circ: int = 16
+    out: str = "."
+    p0: tuple = (-0.4, -0.4, -0.4)
+    p1: tuple = (0.4, 0.4, 0.4)
+    radius: float | None = None
+    radius_min: float | None = None
+    radius_max: float | None = None
+    radius_beta: float | None = None
+    gamma: float | None = None
+    gamma_breaks: tuple | None = None
+    gamma_values: tuple | None = None
+    kappa: float = 1.0
+    kappa_hat: float = 1.0
+    u: tuple | None = None
+    u_hat: float = 1.0
+    c_in: float = 5.0
+    c_in_until: float = 0.1
+    snapshots: tuple | None = None
+
+
+_DIAGONAL_LENGTH = 0.8 * math.sqrt(3.0)
+_CASE1_RADIUS, _CASE1_GAMMA = 0.05, 0.1
+_TANH_RADIUS = {"radius_min": 0.05, "radius_max": 0.08, "radius_beta": 8.0}
+# The three radius/permeability variants of the diagonal-line study, as
+# overrides of the RunConfig defaults; case 3's wall is impermeable on the
+# first third of the vessel.
+DIAGONAL_CASES = {
+    1: {},
+    2: _TANH_RADIUS,
+    3: {**_TANH_RADIUS, "gamma_breaks": (_DIAGONAL_LENGTH / 3.0, 2.0 * _DIAGONAL_LENGTH / 3.0),
+        "gamma_values": (0.0, 0.05, 0.1)},
+}
+
+
+def problem_from_config(cfg: RunConfig) -> TransportProblem:
+    """The pulse problem a run config describes: injection through a straight
+    vessel, ``c_in`` until ``c_in_until``, zero sources, the box velocity along
+    the vessel unless ``u`` is given."""
+    tanh = (cfg.radius_min, cfg.radius_max, cfg.radius_beta)
+    if any(v is not None for v in tanh):
+        if None in tanh or cfg.radius is not None:
+            raise ConfigError("tanh radius needs radius_min, radius_max and radius_beta, and radius = none")
+        radius = TanhRadius(*tanh)
+    else:
+        radius = ConstantRadius(_CASE1_RADIUS if cfg.radius is None else cfg.radius)
+    if cfg.gamma_breaks is not None or cfg.gamma_values is not None:
+        if cfg.gamma_breaks is None or cfg.gamma_values is None or cfg.gamma is not None:
+            raise ConfigError("piecewise permeability needs gamma_breaks and gamma_values, and gamma = none")
+        permeability = PiecewisePermeability(tuple(cfg.gamma_breaks), tuple(cfg.gamma_values))
+    else:
+        permeability = ConstantPermeability(_CASE1_GAMMA if cfg.gamma is None else cfg.gamma)
+    geometry = VesselGeometry(cfg.p0, cfg.p1, radius, permeability)
+    u = cfg.u if cfg.u is not None else tuple(geometry.tangent * cfg.u_hat)
+    c_in_value, c_in_until = cfg.c_in, cfg.c_in_until
+    return TransportProblem(
+        geometry=geometry,
+        kappa=cfg.kappa,
+        kappa_hat=cfg.kappa_hat,
+        velocity=u,
+        u_hat=cfg.u_hat,
+        source3=ScalarField3.zero(),
+        source1=None,
+        c_in=lambda t: c_in_value if t <= c_in_until else 0.0,
+        dirichlet=None,
+        t_end=cfg.t_end,
+        dg=DgParams(cfg.epsilon, cfg.sigma),
+        degree=cfg.degree,
+        dt=cfg.tau,
+    )
+
+
+def diagonal_problem(case: int, degree: int = 1) -> TransportProblem:
+    """The pulse problem of one diagonal-line case: 5 units for 0.1 time units."""
+    if case not in DIAGONAL_CASES:
+        raise ConfigError("case must be 1, 2 or 3")
+    return problem_from_config(RunConfig(degree=degree, **DIAGONAL_CASES[case]))
+
+
 # -- configuration --------------------------------------------------------------
 
 def parse_config_file(path) -> RunConfig:
@@ -157,11 +252,6 @@ def _parse_value(key, kind, value):
     except ValueError:
         pass
     raise ConfigError(f"bad value for '{key}': {value!r}")
-
-
-def problem_from_config(cfg: RunConfig) -> TransportProblem:
-    """The pulse problem a run config describes."""
-    return verify.pulse_problem(cfg)
 
 
 # -- commands --------------------------------------------------------------------
@@ -238,7 +328,7 @@ def cmd_diagonal(args) -> int:
     _check_levels(levels + (args.fine,), args.n_circ)
     _check_out_dir(args.out)
     report = verify.self_convergence(
-        args.case, coarse_levels=levels, fine_n=args.fine, degree=args.degree,
+        diagonal_problem(args.case, degree=args.degree), coarse_levels=levels, fine_n=args.fine,
         n_circle=args.n_circ, snapshot_times=DIAGONAL_SNAPSHOT_TIMES,
     )
     os.makedirs(args.out, exist_ok=True)

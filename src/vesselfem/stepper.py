@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -43,9 +44,19 @@ MAX_STEPS = 100_000
 MAX_DEGREE = 64
 
 
+def _check_integer(name, value):
+    """Refuse a count that is not an integer (numpy integers are; 8.0 is not)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_level(n_cells: int, n_circle: int):
     """Refuse a box level the mesh or the direct solver cannot take, or a
     section circle with too few or too many points, before any mesh is built."""
+    _check_integer("box level", n_cells)
+    _check_integer("n_circ", n_circle)
     if n_cells < 2:
         raise ConfigError("need at least 2 cells per axis")
     if n_cells > MAX_CELLS:
@@ -102,6 +113,7 @@ class TransportProblem:
             raise ConfigError(f"box velocity needs 3 components, got shape {u.shape}")
         if not np.all(np.isfinite(u)):
             raise ConfigError(f"box velocity needs finite components, got {tuple(u)}")
+        _check_integer("polynomial degree", self.degree)
         if not 1 <= self.degree <= MAX_DEGREE:
             raise ConfigError(f"polynomial degree must be >= 1 and <= {MAX_DEGREE}")
 

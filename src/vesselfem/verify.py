@@ -1,4 +1,4 @@
-"""Verification problems, the pulse problem of ``run``, error norms and studies.
+"""Verification: the manufactured problem, its source gate, error norms and studies.
 
 The verification pair lives on the unit box with a vertical vessel through
 the z-axis:
@@ -28,13 +28,7 @@ from . import fem3d
 from .dg1d import DgParams, DgSpace
 from .errors import ConfigError, VerificationError
 from .fem3d import ScalarField3
-from .geometry import (
-    ConstantPermeability,
-    ConstantRadius,
-    PiecewisePermeability,
-    TanhRadius,
-    VesselGeometry,
-)
+from .geometry import ConstantPermeability, ConstantRadius, VesselGeometry
 from .mesh3d import tet_quadrature
 from .stepper import CoupledSystem, TransportProblem, check_level
 
@@ -271,6 +265,8 @@ class StudyReport:
     snapshots: list = field(default_factory=list)
 
     def __post_init__(self):
+        if not self.levels:
+            raise ConfigError("a study needs at least one level")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ConfigError("levels must be strictly increasing")
 
@@ -336,106 +332,11 @@ def convergence_study(
     return report
 
 
-# -- the pulse problem of ``run`` and of the diagonal-line study -------------
-
 @dataclass
-class RunConfig:
-    """Flat configuration of a generic single run.  The defaults are the
-    pulse problem of diagonal case 1; ``radius`` and ``gamma`` left None are
-    its 0.05 and 0.1 unless a tanh radius or piecewise permeability is set,
-    and ``snapshots`` left None is the final time alone."""
-
-    n: int = 8
-    degree: int = 1
-    epsilon: int = 1
-    sigma: float = 50.0
-    tau: float | None = None
-    t_end: float = 1.0
-    n_circ: int = 16
-    out: str = "."
-    p0: tuple = (-0.4, -0.4, -0.4)
-    p1: tuple = (0.4, 0.4, 0.4)
-    radius: float | None = None
-    radius_min: float | None = None
-    radius_max: float | None = None
-    radius_beta: float | None = None
-    gamma: float | None = None
-    gamma_breaks: tuple | None = None
-    gamma_values: tuple | None = None
-    kappa: float = 1.0
-    kappa_hat: float = 1.0
-    u: tuple | None = None
-    u_hat: float = 1.0
-    c_in: float = 5.0
-    c_in_until: float = 0.1
-    snapshots: tuple | None = None
-
-
-_DIAGONAL_LENGTH = 0.8 * math.sqrt(3.0)
-_CASE1_RADIUS, _CASE1_GAMMA = 0.05, 0.1
-_TANH_RADIUS = {"radius_min": 0.05, "radius_max": 0.08, "radius_beta": 8.0}
-# The three radius/permeability variants of the diagonal-line study, as
-# overrides of the RunConfig defaults; case 3's wall is impermeable on the
-# first third of the vessel.
-DIAGONAL_CASES = {
-    1: {},
-    2: _TANH_RADIUS,
-    3: {**_TANH_RADIUS, "gamma_breaks": (_DIAGONAL_LENGTH / 3.0, 2.0 * _DIAGONAL_LENGTH / 3.0),
-        "gamma_values": (0.0, 0.05, 0.1)},
-}
-
-
-def pulse_problem(cfg: RunConfig) -> TransportProblem:
-    """Pulse injection through a straight vessel: ``c_in`` until ``c_in_until``,
-    zero sources and initial data, the box velocity along the vessel unless
-    ``u`` is given."""
-    tanh = (cfg.radius_min, cfg.radius_max, cfg.radius_beta)
-    if any(v is not None for v in tanh):
-        if None in tanh or cfg.radius is not None:
-            raise ConfigError("tanh radius needs radius_min, radius_max and radius_beta, and radius = none")
-        radius = TanhRadius(*tanh)
-    else:
-        radius = ConstantRadius(_CASE1_RADIUS if cfg.radius is None else cfg.radius)
-    if cfg.gamma_breaks is not None or cfg.gamma_values is not None:
-        if cfg.gamma_breaks is None or cfg.gamma_values is None or cfg.gamma is not None:
-            raise ConfigError("piecewise permeability needs gamma_breaks and gamma_values, and gamma = none")
-        permeability = PiecewisePermeability(tuple(cfg.gamma_breaks), tuple(cfg.gamma_values))
-    else:
-        permeability = ConstantPermeability(_CASE1_GAMMA if cfg.gamma is None else cfg.gamma)
-    geometry = VesselGeometry(cfg.p0, cfg.p1, radius, permeability)
-    u = cfg.u if cfg.u is not None else tuple(geometry.tangent * cfg.u_hat)
-    c_in_value, c_in_until = cfg.c_in, cfg.c_in_until
-    return TransportProblem(
-        geometry=geometry,
-        kappa=cfg.kappa,
-        kappa_hat=cfg.kappa_hat,
-        velocity=u,
-        u_hat=cfg.u_hat,
-        source3=ScalarField3.zero(),
-        source1=None,
-        c_in=lambda t: c_in_value if t <= c_in_until else 0.0,
-        dirichlet=None,
-        t_end=cfg.t_end,
-        dg=DgParams(cfg.epsilon, cfg.sigma),
-        degree=cfg.degree,
-        dt=cfg.tau,
-    )
-
-
-def diagonal_problem(case: int, degree: int = 1) -> TransportProblem:
-    """The pulse problem of one diagonal-line case: 5 units for 0.1 time units."""
-    if case not in DIAGONAL_CASES:
-        raise ConfigError("case must be 1, 2 or 3")
-    return pulse_problem(RunConfig(degree=degree, **DIAGONAL_CASES[case]))
-
-
-@dataclass(kw_only=True)
 class SelfConvergenceReport(StudyReport):
     """Errors of coarse runs against a fine reference run, absolute and
     relative to the reference's norms; the output level is the reference."""
 
-    case: int
-    fine_n: int
     err3: list = field(default_factory=list)
     err1: list = field(default_factory=list)
     rel3: list = field(default_factory=list)
@@ -456,14 +357,13 @@ def cross_error_1d(coarse_dg, coarse_dofs, fine_dg, fine_dofs):
 
 
 def self_convergence(
-    case: int,
+    problem: TransportProblem,
     coarse_levels=(4, 8, 16),
     fine_n: int = 32,
-    degree: int = 1,
     n_circle: int = 16,
     snapshot_times=(),
 ) -> SelfConvergenceReport:
-    """Compare coarse runs of the diagonal-line problem against a fine run.
+    """Compare coarse runs of ``problem`` against a fine run.
 
     The fine reference runs first; after its march only its spaces, states,
     norms and vessel mass are kept.  Errors are evaluated by sampling the
@@ -472,8 +372,7 @@ def self_convergence(
     """
     for n in (*coarse_levels, fine_n):
         check_level(n, n_circle)
-    problem = diagonal_problem(case, degree=degree)
-    report = SelfConvergenceReport(list(coarse_levels), geometry=problem.geometry, case=case, fine_n=fine_n)
+    report = SelfConvergenceReport(list(coarse_levels), geometry=problem.geometry)
     if report.levels[-1] >= fine_n:
         raise ConfigError("fine level must exceed every coarse level")
     fine_fem, fine_dg, fine, fine_report, report.fine_vessel_mass = _march(

@@ -11,7 +11,7 @@ import pytest
 import sympy as sp
 
 from _oracles import dense_1d_operators, seminorm_matrix
-from vesselfem import coupling, dg1d, verify
+from vesselfem import cli, coupling, dg1d, verify
 from vesselfem.dg1d import DgParams, DgSpace, Partition1D
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, TanhRadius, VesselGeometry
 from vesselfem.mesh3d import FemSpace, build_box_mesh
@@ -53,7 +53,7 @@ def manufactured_report():
 @pytest.fixture(scope="module")
 def diagonal_reports():
     return {
-        case: verify.self_convergence(case, coarse_levels=(4, 8, 16), fine_n=32)
+        case: verify.self_convergence(cli.diagonal_problem(case), coarse_levels=(4, 8, 16), fine_n=32)
         for case in (1, 2, 3)
     }
 
@@ -263,7 +263,7 @@ def test_criterion_8a_diagonal_self_convergence(diagonal_reports):
             details.append(f"case1 finest 3D rate {finest:.2f}")
 
     # impermeable inlet third: the coupling rows there are exactly zero
-    geom3 = verify.diagonal_problem(3).geometry
+    geom3 = cli.diagonal_problem(3).geometry
     fem = FemSpace(build_box_mesh(*CENTERED, 8))
     dg = DgSpace(Partition1D.uniform(geom3.length, 9), 1)
     blocks = coupling.assemble_coupling(geom3, fem, dg)

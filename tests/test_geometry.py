@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vesselfem import fem3d, verify
+from vesselfem import cli, fem3d
 from vesselfem.errors import DomainError, GeometryError
 from vesselfem.geometry import (
     ConstantPermeability,
@@ -223,7 +223,7 @@ class TestNonFiniteProfiles:
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_run_config_permeability(self, gamma):
         with pytest.raises(GeometryError, match="permeability must be nonnegative and finite"):
-            verify.pulse_problem(verify.RunConfig(gamma=gamma))
+            cli.problem_from_config(cli.RunConfig(gamma=gamma))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_radius(self, value):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vesselfem import coupling, dg1d, fem3d, linalg, stepper, verify
+from vesselfem import cli, coupling, dg1d, fem3d, linalg, stepper, verify
 from vesselfem.dg1d import DgParams
 from vesselfem.errors import CoefficientError, ConfigError, GeometryError
 from vesselfem.fem3d import ScalarField3
@@ -45,7 +45,8 @@ class TestInputRefused:
 
     @pytest.mark.parametrize("name, value", [("dt", math.nan), ("t_end", math.nan),
                                              ("t_end", math.inf), ("u_hat", math.nan),
-                                             ("u_hat", 0.0), ("u_hat", -1.0), ("degree", 0)])
+                                             ("u_hat", 0.0), ("u_hat", -1.0), ("degree", 0),
+                                             ("degree", 2.0), ("degree", 1.5)])
     def test_problem(self, name, value):
         with pytest.raises(ConfigError):
             replace(quiescent_problem(), **{name: value})
@@ -77,7 +78,7 @@ class TestInputRefused:
         with pytest.raises(ConfigError, match=message):
             replace(quiescent_problem(), velocity=velocity)
 
-    @pytest.mark.parametrize("n_cells, n_circle", [(64, 16), (1, 16), (4, 3)])
+    @pytest.mark.parametrize("n_cells, n_circle", [(64, 16), (1, 16), (4, 3), (8.0, 16), (8, 16.0)])
     def test_level(self, monkeypatch, n_cells, n_circle):
         def refuse(*args, **kwargs):
             raise AssertionError("a mesh was built for a refused level")
@@ -85,6 +86,10 @@ class TestInputRefused:
         monkeypatch.setattr(fem3d, "box_level", refuse)
         with pytest.raises(ConfigError):
             CoupledSystem(quiescent_problem(), n_cells=n_cells, n_circle=n_circle)
+
+    def test_numpy_integers_pass(self):
+        stepper.check_level(np.int64(8), np.int64(16))
+        assert replace(quiescent_problem(), degree=np.int64(2)).degree == 2
 
 
 class TestSharedBoxLevel:
@@ -178,7 +183,7 @@ class TestFactorizationStart:
         tracemalloc.start()
         try:
             with pytest.raises(Probe):
-                CoupledSystem(verify.diagonal_problem(1), n_cells=32)
+                CoupledSystem(cli.diagonal_problem(1), n_cells=32)
         finally:
             tracemalloc.stop()
         assert live[0] <= 26e6  # bytes
@@ -190,7 +195,7 @@ class TestLevelOrdering:
     the exchange-coupled box dofs and the vessel dofs last, and fills less
     than SuperLU's minimum-degree ordering of the same operator."""
 
-    @pytest.mark.parametrize("problem", [verify.diagonal_problem(1), verify.manufactured_problem()],
+    @pytest.mark.parametrize("problem", [cli.diagonal_problem(1), verify.manufactured_problem()],
                              ids=["diagonal_case1", "manufactured"])
     def test_fill_below_minimum_degree(self, problem):
         system = CoupledSystem(problem, n_cells=16)
@@ -200,7 +205,7 @@ class TestLevelOrdering:
 
     def test_order_groups(self):
         """Dirichlet rows, dissection order, coupled box dofs, vessel dofs."""
-        system = CoupledSystem(verify.diagonal_problem(1), n_cells=8)
+        system = CoupledSystem(cli.diagonal_problem(1), n_cells=8)
         order = system._level_order()
         n_box, n_rows = system.fem.n_dofs, system.dirichlet_rows.size
         coupled = np.flatnonzero(np.diff(system.blocks.c_ol.indptr) > 0)
@@ -217,8 +222,8 @@ class TestLevelOrdering:
 def _run_config_problem():
     """A run configuration with a tanh radius, piecewise permeability, DG
     degree 2 and a box velocity off the vessel axis."""
-    return verify.pulse_problem(verify.RunConfig(degree=2, epsilon=0, u=(0.3, -0.2, 0.5),
-                                                 **verify.DIAGONAL_CASES[3]))
+    return cli.problem_from_config(cli.RunConfig(degree=2, epsilon=0, u=(0.3, -0.2, 0.5),
+                                                 **cli.DIAGONAL_CASES[3]))
 
 
 class TestOperatorComposition:
@@ -226,7 +231,7 @@ class TestOperatorComposition:
     of its parts, a stack, the Dirichlet rows' constraint and a permutation
     into the LU's order give; general sums agree to round-off."""
 
-    @pytest.mark.parametrize("problem", [verify.manufactured_problem(), verify.diagonal_problem(1)],
+    @pytest.mark.parametrize("problem", [verify.manufactured_problem(), cli.diagonal_problem(1)],
                              ids=["manufactured", "diagonal_case1"])
     def test_matches_general_sums(self, problem):
         system = CoupledSystem(problem, n_cells=8)
@@ -250,7 +255,7 @@ class TestOperatorComposition:
         assert np.abs(operator.data - general.data).max() <= 1e-15 * np.abs(general.data).max()
 
     @pytest.mark.parametrize("n_cells", [8, 16])
-    @pytest.mark.parametrize("problem", [verify.manufactured_problem(), verify.diagonal_problem(1),
+    @pytest.mark.parametrize("problem", [verify.manufactured_problem(), cli.diagonal_problem(1),
                                          _run_config_problem()],
                              ids=["manufactured", "diagonal_case1", "run_tanh_piecewise"])
     def test_equals_stacked_operator(self, problem, n_cells):
@@ -265,7 +270,7 @@ class TestOperatorComposition:
         """At n = 32 the matrix is in natural order, as SuperLU's minimum
         degree takes it; nothing is factored here."""
         monkeypatch.setattr(linalg.spla, "splu", lambda matrix, **kwargs: None)
-        system = CoupledSystem(verify.diagonal_problem(1), n_cells=stepper.MAX_CELLS)
+        system = CoupledSystem(cli.diagonal_problem(1), n_cells=stepper.MAX_CELLS)
         assert system.factorization._order is None
         expected = stacked_operator(system)
         for name in ("indptr", "indices", "data"):
@@ -421,7 +426,7 @@ class TestRun:
         assert report.wall_time > 0.0
 
     def test_vessel_mass_decays_after_pulse(self):
-        problem = verify.diagonal_problem(1)
+        problem = cli.diagonal_problem(1)
         system = CoupledSystem(problem, n_cells=8)
         final, report = system.run(times=(0.2,))
         [(_, early)] = report.snapshots
@@ -657,7 +662,7 @@ class TestReferenceLoop:
     operands in the reference formula's order: every output is bitwise equal."""
 
     @pytest.mark.parametrize("problem", [
-        verify.manufactured_problem(), verify.diagonal_problem(1), _run_config_problem(),
+        verify.manufactured_problem(), cli.diagonal_problem(1), _run_config_problem(),
         _plain_data_problem(),
     ], ids=["manufactured", "diagonal_case1", "run_tanh_piecewise", "manufactured_plain_callables"])
     def test_bitwise_equal_to_reference_loop(self, problem):
@@ -679,7 +684,7 @@ class TestReferenceLoop:
         assert system.mass3.products == report.n_steps + 1
 
     def test_public_step_and_energy_match_the_march(self):
-        system = CoupledSystem(verify.diagonal_problem(1), n_cells=4)
+        system = CoupledSystem(cli.diagonal_problem(1), n_cells=4)
         final, report = system.run()
         state = system.initialize()
         energies = [system.energy(state)]

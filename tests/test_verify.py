@@ -227,7 +227,7 @@ class TestTimeRate:
         return np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
 
     def test_first_order_in_dt(self):
-        rates = self._rates(verify.diagonal_problem(1))
+        rates = self._rates(cli.diagonal_problem(1))
         assert np.all((0.9 <= rates) & (rates <= 1.2)), rates
 
     def test_first_order_in_dt_on_the_manufactured_pair(self):
@@ -377,27 +377,27 @@ class TestAveragingConsistency:
 
 class TestDiagonalSetup:
     def test_case_parameters(self):
-        g1 = verify.diagonal_problem(1).geometry
+        g1 = cli.diagonal_problem(1).geometry
         assert g1.radius_at(0.3) == 0.05
         assert g1.gamma_at(0.3) == 0.1
-        g2 = verify.diagonal_problem(2).geometry
+        g2 = cli.diagonal_problem(2).geometry
         assert abs(g2.radius_at(g2.length / 2) - 0.065) < 1e-15
-        g3 = verify.diagonal_problem(3).geometry
+        g3 = cli.diagonal_problem(3).geometry
         L = g3.length
         assert g3.gamma_at(0.1 * L) == 0.0
         assert g3.gamma_at(0.5 * L) == 0.05
         assert g3.gamma_at(0.9 * L) == 0.1
         with pytest.raises(ValueError):
-            verify.diagonal_problem(4)
+            cli.diagonal_problem(4)
 
     def test_pulse_inflow(self):
-        problem = verify.diagonal_problem(1)
+        problem = cli.diagonal_problem(1)
         assert problem.c_in(0.05) == 5.0
         assert problem.c_in(0.1) == 5.0
         assert problem.c_in(0.1000001) == 0.0
 
     def test_velocity_along_tangent(self):
-        problem = verify.diagonal_problem(2)
+        problem = cli.diagonal_problem(2)
         u = np.asarray(problem.velocity)
         assert np.allclose(u, problem.geometry.tangent, atol=1e-15)
         assert abs(np.linalg.norm(u) - 1.0) < 1e-15
@@ -405,7 +405,7 @@ class TestDiagonalSetup:
     def test_run_defaults_are_case_1(self):
         # one pulse problem: the run defaults build diagonal case 1's operator bit for bit
         run = CoupledSystem(cli.problem_from_config(cli.RunConfig()), n_cells=8).factorization._matrix
-        case1 = CoupledSystem(verify.diagonal_problem(1), n_cells=8).factorization._matrix
+        case1 = CoupledSystem(cli.diagonal_problem(1), n_cells=8).factorization._matrix
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(run, name), getattr(case1, name), err_msg=name)
 
@@ -413,7 +413,7 @@ class TestDiagonalSetup:
     def test_cases_match_hand_written(self, case):
         # the run-config overrides give the profiles and inflow of the cases as written out
         ref = oracle_diagonal_problem(case)
-        problem = verify.diagonal_problem(case)
+        problem = cli.diagonal_problem(case)
         s = np.linspace(0.0, ref.geometry.length, 1000)
         geom = problem.geometry
         np.testing.assert_array_equal(geom.p0, ref.geometry.p0)
@@ -444,7 +444,7 @@ class TestCrossErrors:
 
     def test_fine_level_must_exceed_coarse(self):
         with pytest.raises(ValueError):
-            verify.self_convergence(1, coarse_levels=(4, 8), fine_n=8)
+            verify.self_convergence(cli.diagonal_problem(1), coarse_levels=(4, 8), fine_n=8)
 
 
 class TestStudySmoke:
@@ -469,8 +469,8 @@ class TestStudySmoke:
         assert np.array_equal(snap.c_hat, state.c_hat)
 
     def test_self_convergence_output_level_is_the_reference(self):
-        report = verify.self_convergence(1, coarse_levels=(2,), fine_n=4, snapshot_times=(0.5, 1.0))
-        _, run_report = CoupledSystem(verify.diagonal_problem(1), n_cells=4).run(times=(0.5, 1.0))
+        report = verify.self_convergence(cli.diagonal_problem(1), coarse_levels=(2,), fine_n=4, snapshot_times=(0.5, 1.0))
+        _, run_report = CoupledSystem(cli.diagonal_problem(1), n_cells=4).run(times=(0.5, 1.0))
         assert report.mesh.n == 4 and report.dg.partition.n_elements == 4
         assert np.array_equal(report.geometry.p1, (0.4, 0.4, 0.4)) and report.geometry.gamma_at(0.3) == 0.1
         assert [t for t, _ in report.snapshots] == [t for t, _ in run_report.snapshots]
@@ -499,12 +499,20 @@ class TestStudyInputRefused:
 
     def test_self_convergence_levels_out_of_order(self):
         with pytest.raises(ConfigError, match="strictly increasing"):
-            verify.self_convergence(1, (8, 4), fine_n=16)
+            verify.self_convergence(cli.diagonal_problem(1), (8, 4), fine_n=16)
+
+    def test_convergence_no_levels(self):
+        with pytest.raises(ConfigError, match="at least one level"):
+            verify.convergence_study([])
+
+    def test_self_convergence_no_levels(self):
+        with pytest.raises(ConfigError, match="at least one level"):
+            verify.self_convergence(cli.diagonal_problem(1), coarse_levels=(), fine_n=8)
 
     @pytest.mark.parametrize("case", [0, 4])
     def test_unknown_case(self, case):
         with pytest.raises(ConfigError, match="case must be 1, 2 or 3"):
-            verify.self_convergence(case, (4,), fine_n=8)
+            cli.diagonal_problem(case)
 
 
 def _track_builds(monkeypatch, collect):
@@ -538,7 +546,7 @@ class TestOneSystemAlive:
         assert len(builds) == 2
 
     def test_self_convergence(self, builds):
-        verify.self_convergence(1, (4,), fine_n=8)
+        verify.self_convergence(cli.diagonal_problem(1), (4,), fine_n=8)
         assert len(builds) == 2
 
 
