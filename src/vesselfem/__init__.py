@@ -8,6 +8,7 @@ from .errors import (
     ConfigError,
     DomainError,
     GeometryError,
+    ReleasedError,
     SolverError,
     VerificationError,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "GeometryError",
     "Partition1D",
     "PiecewisePermeability",
+    "ReleasedError",
     "RunReport",
     "ScalarField3",
     "SolverError",

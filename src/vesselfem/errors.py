@@ -21,5 +21,9 @@ class SolverError(RuntimeError):
     """Linear solver failure: singular pivot or residual above tolerance."""
 
 
+class ReleasedError(RuntimeError):
+    """A marched system was stepped: its LU is freed when its march ends."""
+
+
 class VerificationError(RuntimeError):
     """A built-in verification gate failed (e.g. source-term residual check)."""

@@ -52,9 +52,20 @@ def compose(n, parts, order, identity_rows):
         kept = ~dropped[rows]
         keys.append(rank[col0 + matrix.indices[kept]] * n + rank[rows[kept]])
         terms.append(factor * matrix.data[kept])
-    keys, slots = np.unique(np.concatenate(keys), return_inverse=True)
-    data = np.bincount(slots, weights=np.concatenate(terms))
-    del slots, terms  # freed first, so the result can reuse their heap: 14 MB less resident at n = 32
+    # each key packed above its term's position (both fit an int64 up to
+    # n = 32), so one sort orders the keys and keeps each key's terms listed
+    packed = np.concatenate(keys)
+    bits = packed.size.bit_length()
+    packed <<= bits
+    packed |= np.arange(packed.size)
+    packed.sort()
+    data = np.concatenate(terms)[packed & ((1 << bits) - 1)]
+    packed >>= bits
+    first = np.ones(packed.size, dtype=bool)
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
+    data = np.bincount(np.cumsum(first) - 1, weights=data)
+    keys = packed[first]
+    del packed, first, terms  # freed first, so the result can reuse their heap
     keys, data = keys[data != 0.0], data[data != 0.0]
     return sp.csc_matrix((data, keys % n, np.searchsorted(keys, n * np.arange(n + 1))), shape=(n, n))
 

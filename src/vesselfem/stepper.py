@@ -28,7 +28,7 @@ import numpy as np
 
 from . import coupling, dg1d, fem3d, linalg
 from .dg1d import DgParams, DgSpace, Partition1D
-from .errors import CoefficientError, ConfigError
+from .errors import CoefficientError, ConfigError, ReleasedError
 from .fem3d import ScalarField3
 from .geometry import MAX_CIRCLE_POINTS, MIN_CIRCLE_POINTS, VesselGeometry
 from .mesh3d import DEFAULT_BOX, FemSpace, TetMesh
@@ -154,7 +154,12 @@ def _in_time(datum, vector):
 class CoupledSystem:
     """Discretization of a TransportProblem on DEFAULT_BOX with n_cells cells
     per axis and a uniform vessel partition of n_cells elements; the box
-    part without coefficients is the shared ``fem3d.box_level(n_cells)``."""
+    part without coefficients is the shared ``fem3d.box_level(n_cells)``.
+
+    ``run`` frees the LU and its operator when the march ends, failed or
+    not, so a caller that keeps a marched system while it builds the next
+    holds one factorization, not two; the spaces, mass matrices, blocks,
+    ``dt`` and ``problem`` stay.  A march stepped by hand keeps its LU."""
 
     def __init__(
         self,
@@ -252,7 +257,10 @@ class CoupledSystem:
         return self.mass3 @ state.c, self.mass1 @ state.c_hat
 
     def step(self, state: CoupledState, masses=None) -> CoupledState:
-        """The next state; ``masses`` are ``mass_products(state)`` if formed."""
+        """The next state; ``masses`` are ``mass_products(state)`` if formed.
+        Raises ReleasedError once ``run`` has freed the LU."""
+        if self.factorization is None:
+            raise ReleasedError("this system has marched and freed its LU; build a new one")
         n_new = state.n + 1
         t_new = self.problem.t_end if n_new == self.n_steps else n_new * self.dt
         rhs = self._rhs(t_new, masses or self.mass_products(state))
@@ -277,7 +285,8 @@ class CoupledSystem:
     def run(self, times: Sequence[float] = ()) -> tuple[CoupledState, RunReport]:
         """March to t_end.  For every distinct requested time, the report keeps
         the first state at or after it (to 1e-12) as ``(t, state)``; a state
-        that reaches several times is kept once for each."""
+        that reaches several times is kept once for each.  The LU is freed
+        when the march ends, also by an error, so a system marches once."""
         n_steps = self.n_steps
         state = self.initialize()
         energies = np.empty(n_steps + 1)
@@ -293,15 +302,19 @@ class CoupledSystem:
 
         take(state)
         start = _time.perf_counter()
-        for _ in range(n_steps):
-            state = self.step(state, masses)
-            masses = self.mass_products(state)
-            energies[state.n] = self.energy(state, masses)
-            take(state)
-        wall = _time.perf_counter() - start
+        try:
+            for _ in range(n_steps):
+                state = self.step(state, masses)
+                masses = self.mass_products(state)
+                energies[state.n] = self.energy(state, masses)
+                take(state)
+            wall = _time.perf_counter() - start
+            max_residual = self.factorization.max_residual
+        finally:
+            self.factorization = None
         report = RunReport(
             n_steps=n_steps,
-            max_residual=self.factorization.max_residual,
+            max_residual=max_residual,
             energies=energies,
             wall_time=wall,
             snapshots=snapshots,

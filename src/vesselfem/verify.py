@@ -297,9 +297,9 @@ class ConvergenceReport(StudyReport):
 
 
 def _march(problem, n, n_circle, times=()):
-    """Build ``problem`` at n cells per axis and march it to t_end.  Only the
-    level's spaces, final state, run report and vessel mass outlive the
-    call, so its operator and LU are freed before another level is built."""
+    """Build ``problem`` at n cells per axis and march it to t_end.  ``run``
+    frees the LU; only the level's spaces, final state, run report and
+    vessel mass outlive the call, so the rest of the system dies with it."""
     system = CoupledSystem(problem, n_cells=n, n_circle=n_circle)
     state, run_report = system.run(times)
     return system.fem, system.dg, state, run_report, system.vessel_mass(state)

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from vesselfem import cli, coupling, dg1d, fem3d, linalg, stepper, verify
 from vesselfem.dg1d import DgParams
-from vesselfem.errors import CoefficientError, ConfigError, GeometryError
+from vesselfem.errors import CoefficientError, ConfigError, GeometryError, ReleasedError, SolverError
 from vesselfem.fem3d import ScalarField3
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, VesselGeometry
 from vesselfem.stepper import CoupledSystem, TransportProblem
@@ -119,7 +119,7 @@ class TestSharedBoxLevel:
         CoupledSystem(other, n_cells=4).run()
         for a, b in zip(before, [op.indptr, op.indices, op.data]):
             assert np.array_equal(a, b)
-        again, _ = first.run()
+        again, _ = CoupledSystem(problem, n_cells=4).run()
         assert np.array_equal(again.c, state.c) and np.array_equal(again.c_hat, state.c_hat)
 
     def test_level_arrays_are_read_only(self):
@@ -435,6 +435,52 @@ class TestRun:
         assert final_mass < system.vessel_mass(early)
 
 
+class TestRelease:
+    """A finished march frees its LU, so a caller that keeps a marched system
+    while it builds the next holds one factorization at a time."""
+
+    def test_run_frees_the_lu(self):
+        system = CoupledSystem(replace(quiescent_problem(), c_in=lambda t: 5.0), n_cells=4)
+        lu = weakref.ref(system.factorization)
+        state, report = system.run()
+        assert lu() is None and report.max_residual <= 1e-10
+        with pytest.raises(ReleasedError):
+            system.step(state)
+        with pytest.raises(ReleasedError):
+            system.run()
+        assert system.energy(state) == report.energies[-1]  # the mass matrices stay
+
+    def test_failed_march_frees_the_lu(self):
+        """README's thin vessel that exits 3: run defaults, radius 1e-3, n = 4."""
+        cfg = replace(cli.RunConfig(), n=4, t_end=0.1, radius=1e-3)
+        system = CoupledSystem(cli.problem_from_config(cfg), n_cells=cfg.n, n_circle=cfg.n_circ)
+        lu = weakref.ref(system.factorization)
+        try:
+            system.run()
+        except SolverError:
+            pass
+        else:
+            pytest.fail("the thin vessel marched")
+        assert lu() is None
+
+    def test_sweep_holds_one_factorization(self, monkeypatch):
+        """In ``system = CoupledSystem(...); system.run()`` the previous LU is
+        dead whenever the next is built."""
+        built, alive = [], []
+
+        def factor(matrix, order=None, build=linalg.Factorization):
+            alive.extend(ref for ref in built if ref() is not None)
+            lu = build(matrix, order=order)
+            built.append(weakref.ref(lu))
+            return lu
+
+        monkeypatch.setattr(linalg, "Factorization", factor)
+        for velocity in ((0, 0, 1), (1, 0, 0), (0, 1, 0)):
+            system = CoupledSystem(quiescent_problem(velocity=velocity), n_cells=4)
+            system.run()
+        assert len(built) == 3 and not alive
+
+
 class TestEnergy:
     def test_zero_state(self):
         system = CoupledSystem(quiescent_problem(), n_cells=4)
@@ -667,10 +713,11 @@ class TestReferenceLoop:
     ], ids=["manufactured", "diagonal_case1", "run_tanh_piecewise", "manufactured_plain_callables"])
     def test_bitwise_equal_to_reference_loop(self, problem):
         system = CoupledSystem(problem, n_cells=8)
-        state, report = system.run()
+        factorization = system.factorization  # run frees it
         ref_state, ref_energies = reference_march(system)
+        state, report = system.run()
         n = report.n_steps
-        residuals = system.factorization.residuals
+        residuals = factorization.residuals
         assert len(residuals) == 2 * n
         assert residuals[:n] == residuals[n:]
         assert np.array_equal(report.energies, ref_energies)
@@ -684,8 +731,8 @@ class TestReferenceLoop:
         assert system.mass3.products == report.n_steps + 1
 
     def test_public_step_and_energy_match_the_march(self):
+        final, report = CoupledSystem(cli.diagonal_problem(1), n_cells=4).run()
         system = CoupledSystem(cli.diagonal_problem(1), n_cells=4)
-        final, report = system.run()
         state = system.initialize()
         energies = [system.energy(state)]
         for _ in range(system.n_steps):
