@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import verify
+from . import coupling, verify
 from .dg1d import DgParams, DgSpace, legendre_basis
 from .errors import ConfigError, SolverError, VerificationError
 from .fem3d import ScalarField3
@@ -113,10 +113,6 @@ def write_csv(path, header, rows):
             fp.write(",".join(cell(v) for v in row) + "\n")
 
 
-def _rate_column(rates):
-    return [None] + list(rates)
-
-
 # -- the pulse problem of ``run`` and of the diagonal-line study -------------
 
 @dataclass
@@ -132,7 +128,7 @@ class RunConfig:
     sigma: float = 50.0
     tau: float | None = None
     t_end: float = 1.0
-    n_circ: int = 16
+    n_circ: int = coupling.DEFAULT_N_CIRCLE
     out: str = "."
     p0: tuple = (-0.4, -0.4, -0.4)
     p1: tuple = (0.4, 0.4, 0.4)
@@ -314,8 +310,8 @@ def cmd_manufactured(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     header = ["h", "grad_error", "grad_rate", "l2_error", "l2_rate"]
     for name, grad, l2 in (("table1_3d.csv", "grad3", "l2_3"), ("table2_1d.csv", "grad1", "l2_1")):
-        columns = (getattr(report, grad), _rate_column(report.rates(grad)),
-                   getattr(report, l2), _rate_column(report.rates(l2)))
+        columns = (getattr(report, grad), [None, *report.rates(grad)],
+                   getattr(report, l2), [None, *report.rates(l2)])
         write_csv(os.path.join(args.out, name), header, zip(report.h_labels, *columns))
     _write_snapshots(args.out, f"manufactured_n{levels[-1]}", report, report.geometry, report.snapshots)
     print(f"wrote table1_3d.csv, table2_1d.csv and n={levels[-1]} snapshots to {args.out}")
@@ -335,8 +331,8 @@ def cmd_diagonal(args) -> int:
     write_csv(
         os.path.join(args.out, f"table3_case{args.case}.csv"),
         ["h", "err3d", "rate3d", "err1d", "rate1d", "rel3d", "rel1d"],
-        zip(report.h_labels, report.err3, _rate_column(report.rates("err3")),
-            report.err1, _rate_column(report.rates("err1")), report.rel3, report.rel1),
+        zip(report.h_labels, report.err3, [None, *report.rates("err3")],
+            report.err1, [None, *report.rates("err1")], report.rel3, report.rel1),
     )
     _write_snapshots(args.out, f"diagonal_case{args.case}_t{{tag}}", report, report.geometry, report.snapshots)
     print(f"wrote table3_case{args.case}.csv and snapshots to {args.out}")
@@ -382,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--epsilon", type=int, default=1)
     p.add_argument("--sigma", type=float, default=50.0)
-    p.add_argument("--n-circ", type=int, default=16)
+    p.add_argument("--n-circ", type=int, default=coupling.DEFAULT_N_CIRCLE)
     p.add_argument("--out", default="out_manufactured")
     p.set_defaults(fn=cmd_manufactured)
 
@@ -391,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="4,8,16")
     p.add_argument("--fine", type=int, default=32)
     p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--n-circ", type=int, default=16)
+    p.add_argument("--n-circ", type=int, default=coupling.DEFAULT_N_CIRCLE)
     p.add_argument("--out", default="out_diagonal")
     p.set_defaults(fn=cmd_diagonal)
 

@@ -98,7 +98,7 @@ def box_level(n) -> BoxLevel:
     system at that n."""
     space = FemSpace(build_box_mesh(*DEFAULT_BOX, n))
     mesh = space.mesh
-    level = BoxLevel(space, assemble_mass(space), np.nonzero(space.dirichlet_mask)[0])
+    level = BoxLevel(space, assemble_mass(space), np.nonzero(mesh.boundary_vertex)[0])
     for a in (mesh.vertices, mesh.tets, mesh.grid_index, mesh.boundary_vertex, mesh.shape_gradients,
               level.mass.data, level.dirichlet_rows):
         a.flags.writeable = False

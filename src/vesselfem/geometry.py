@@ -72,6 +72,9 @@ class PiecewisePermeability:
         # finite first: np.diff warns on an infinite breakpoint; NaN fails both
         if not (np.isfinite(self.breakpoints).all() and (np.diff(self.breakpoints) > 0.0).all()):
             raise GeometryError("permeability breakpoints must be increasing and finite")
+        # checked here, not only on the profile samples, which a short stretch falls between
+        if not all(0.0 <= v < np.inf for v in self.values):  # NaN fails too
+            raise GeometryError("permeability values must be nonnegative and finite")
 
     def __call__(self, s):
         idx = np.searchsorted(np.asarray(self.breakpoints), s, side="right")

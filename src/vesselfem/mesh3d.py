@@ -224,21 +224,13 @@ def build_box_mesh(lo, hi, n) -> TetMesh:
 
 @dataclass(frozen=True)
 class FemSpace:
-    """Continuous P1 space on a TetMesh; one dof per vertex."""
+    """Continuous P1 space on a TetMesh: a dof at each of ``mesh.vertices``, fixed on ``mesh.boundary_vertex``."""
 
     mesh: TetMesh
 
     @property
     def n_dofs(self) -> int:
         return self.mesh.n_vertices
-
-    @property
-    def dirichlet_mask(self):
-        return self.mesh.boundary_vertex
-
-    @property
-    def dof_points(self):
-        return self.mesh.vertices
 
     def evaluate(self, dofs, points):
         """Evaluate the P1 field with the given dof vector at physical points."""

@@ -174,6 +174,8 @@ class CoupledSystem:
             raise ConfigError(f"t_end / dt = {steps:.3g} steps exceeds the limit of {MAX_STEPS}")
         self.n_steps = max(1, math.ceil(steps))
         self.dt = problem.t_end / self.n_steps
+        if not math.isfinite(1.0 / self.dt):  # the operator holds M / dt
+            raise ConfigError(f"step dt = {self.dt:.3g} is so small that 1 / dt overflows")
         self.problem = problem
         geom = problem.geometry
         geom.check_inside_box(*DEFAULT_BOX)
@@ -210,7 +212,7 @@ class CoupledSystem:
 
         # each datum's rows and its vector at t; the closures hold fem, dg and
         # arrays, never self, so a system dies with its last reference
-        fem, dg, points = self.fem, self.dg, self.fem.dof_points[self.dirichlet_rows]
+        fem, dg, points = self.fem, self.dg, self.mesh.vertices[self.dirichlet_rows]
         inflow = dg1d.assemble_inflow_rhs(dg, area, problem.u_hat, 1.0)
         data = [(slice(0, nb), None if problem.source3.is_zero else problem.source3,
                  lambda f, t: fem3d.assemble_load(fem, f, t)),

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import fem3d
+from . import coupling, fem3d
 from .dg1d import DgParams, DgSpace
 from .errors import ConfigError, VerificationError
 from .fem3d import ScalarField3
@@ -310,7 +310,7 @@ def convergence_study(
     degree: int = 1,
     epsilon: int = 1,
     sigma: float = 50.0,
-    n_circle: int = 16,
+    n_circle: int = coupling.DEFAULT_N_CIRCLE,
 ) -> ConvergenceReport:
     """Run the vertical-vessel verification problem on refined meshes.
 
@@ -360,7 +360,7 @@ def self_convergence(
     problem: TransportProblem,
     coarse_levels=(4, 8, 16),
     fine_n: int = 32,
-    n_circle: int = 16,
+    n_circle: int = coupling.DEFAULT_N_CIRCLE,
     snapshot_times=(),
 ) -> SelfConvergenceReport:
     """Compare coarse runs of ``problem`` against a fine run.

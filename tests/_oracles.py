@@ -5,9 +5,10 @@ arithmetic, and the simplex moments come from the closed-form factorial
 formula; neither shares code with the package.  The DG traces, jumps and the
 broken seminorm are per-node references that the vectorised face terms are
 checked against; they take only the Legendre basis, the element quadrature
-and the block scatter from the package.  The slot map finds every tet block
-entry's data position on the box pattern by searching the pattern's
-(row, column) keys, the reference the box stencil sum is checked against.
+and the block scatter from the package, which is also built from COO
+triplets by SciPy.  The slot map finds every tet block entry's data
+position on the box pattern by searching the pattern's (row, column) keys,
+the reference the box stencil sum is checked against.
 The reference march keeps the backward Euler step as one formula per step,
 the L2 projection keeps its own quadrature formula, and the two space parts of the manufactured bulk source are the closed forms
 as first written, one function each.  The smooth coupled pair
@@ -186,6 +187,14 @@ def dg_seminorm(space, dofs, params) -> float:
     return float(np.sqrt(max(v @ (m @ v), 0.0)))
 
 
+def scatter_blocks_from_coo(n, *groups):
+    """``linalg.scatter_blocks`` as SciPy builds it from COO triplets."""
+    rows = np.concatenate([np.repeat(i, i.shape[1], axis=1).ravel() for i, _ in groups])
+    cols = np.concatenate([np.tile(i, (1, i.shape[1])).ravel() for i, _ in groups])
+    data = np.concatenate([np.asarray(b, dtype=float).ravel() for _, b in groups])
+    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
 def slot_map(mesh):
     """Data position on ``mesh.csr_pattern`` of entry (i, j) of tet t's block,
     at index 16 t + 4 i + j."""
@@ -239,7 +248,7 @@ def reference_march(system):
     inv_dt = 1.0 / system.dt
     vl, _ = legendre_basis(np.float64(-1.0), system.dg.degree)
     load1 = lambda f, t: dg1d.assemble_load(system.dg, f, t, system.dg.degree + 2)
-    boundary_points = system.fem.dof_points[system.dirichlet_rows]
+    boundary_points = system.fem.mesh.vertices[system.dirichlet_rows]
 
     def energy(state):
         return float(state.c.dot(system.mass3 @ state.c)

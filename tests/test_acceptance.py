@@ -234,7 +234,7 @@ def test_criterion_7_energy_decay(extra_residuals):
         rng = np.random.default_rng(7)
         state = system.initialize()
         state.c = rng.standard_normal(system.fem.n_dofs)
-        state.c[system.fem.dirichlet_mask] = 0.0
+        state.c[system.fem.mesh.boundary_vertex] = 0.0
         state.c_hat = rng.standard_normal(system.dg.n_dofs)
         energies = [system.energy(state)]
         for _ in range(50):

@@ -445,7 +445,8 @@ REFUSED = {
     "epsilon": [("2", "", "epsilon must be -1, 0 or +1")],
     "sigma": [("10", "", "below required minimum")],
     "tau": [("2", "", "need 0 < dt <= t_end")],
-    "t_end": [("0", "", "time horizon must be positive and finite")],
+    "t_end": [("0", "", "time horizon must be positive and finite"),
+              ("1e-320", "n = 16", "1 / dt overflows")],
     "n_circ": [("3", "", "outside the range of 4 to 1024 circle points")],
     "out": [("", "", "output path is empty")],
     "p0": [("0,0", "", "endpoints must be 3D points")],
@@ -459,7 +460,9 @@ REFUSED = {
     "gamma": [("-0.1", "", "permeability must be nonnegative and finite"),
               ("0.2", "gamma_breaks = 0.5\ngamma_values = 0.1,0.2", "and gamma = none")],
     "gamma_breaks": [("0.5", "", "piecewise permeability needs gamma_breaks and gamma_values")],
-    "gamma_values": [("0.1,0.2,0.3", "gamma_breaks = 0.5", "need one more permeability value than breakpoints")],
+    "gamma_values": [("0.1,0.2,0.3", "gamma_breaks = 0.5", "need one more permeability value than breakpoints"),
+                     ("0.1,-50,0.1", "n = 16\nt_end = 0.1\ngamma_breaks = 0.5,0.50001",
+                      "permeability values must be nonnegative and finite")],
     "kappa": [("0", "", "box diffusivity must be positive"), ("-1", "", "box diffusivity must be positive")],
     "kappa_hat": [("0", "", "vessel diffusivity must be positive"),
                   ("-1", "", "vessel diffusivity must be positive")],

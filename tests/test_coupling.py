@@ -56,7 +56,7 @@ class TestLateralAverage:
 
     def test_odd_field_vanishes(self, setup):
         geom, fem, _ = setup
-        c = fem.dof_points[:, 0]
+        c = fem.mesh.vertices[:, 0]
         assert abs((average_matrix(fem, geom, 0.37, 16) @ c)[0]) < 1e-12
 
     def test_quadratic_gap_decays(self):
@@ -65,7 +65,7 @@ class TestLateralAverage:
         gaps = []
         for n in (8, 16, 32):
             fem = FemSpace(build_box_mesh(*CENTERED, n))
-            c = fem.dof_points[:, 0] ** 2 + fem.dof_points[:, 1] ** 2
+            c = fem.mesh.vertices[:, 0] ** 2 + fem.mesh.vertices[:, 1] ** 2
             avg = (average_matrix(fem, geom, 0.5, 16) @ c)[0]
             gaps.append(abs(avg - 0.05**2))
         assert gaps[0] > gaps[1] > gaps[2]

@@ -42,7 +42,7 @@ class TestStiffness:
 
     def test_affine_energy(self, space):
         A = fem3d.assemble_stiffness(space, 1.0)
-        g = space.dof_points[:, 0]
+        g = space.mesh.vertices[:, 0]
         assert abs(g @ (A @ g) - 1.0) < 1e-12
 
     def test_coefficient_scaling(self, space):
@@ -58,12 +58,12 @@ class TestConvection:
 
     def test_odd_integrand_vanishes(self, space):
         B = fem3d.assemble_convection(space, (0.0, 0.0, 1.0))
-        z = space.dof_points[:, 2]
+        z = space.mesh.vertices[:, 2]
         assert abs(z @ (B @ z)) < 1e-13  # -\int z dz/dz over the symmetric cube
 
     def test_affine_pairing(self, space):
         B = fem3d.assemble_convection(space, (0.0, 0.0, 1.0))
-        z = space.dof_points[:, 2]
+        z = space.mesh.vertices[:, 2]
         ones = np.ones(space.n_dofs)
         assert abs(z @ (B @ ones) - (-1.0)) < 1e-12
 
@@ -149,7 +149,7 @@ class TestChunkedQuadrature:
     def _all(self):
         fem = FemSpace(build_box_mesh(*CENTERED, 4))
         fine = FemSpace(build_box_mesh(*CENTERED, 8))
-        x, xf = fem.dof_points, fine.dof_points
+        x, xf = fem.mesh.vertices, fine.mesh.vertices
         c = np.sin(3 * x[:, 0]) + x[:, 1] * x[:, 2]
         cf = np.cos(2 * xf[:, 2]) + xf[:, 0]
         exact = lambda p, t: np.sin(3 * p[:, 0]) + t * p[:, 1] ** 2
@@ -285,7 +285,7 @@ class TestAssemblyMemory:
 class TestDirichlet:
     def test_row_structure(self, space):
         A = fem3d.assemble_stiffness(space, 1.0)
-        rows = np.nonzero(space.dirichlet_mask)[0]
+        rows = np.nonzero(space.mesh.boundary_vertex)[0]
         A2 = constrain_rows(A, rows)
         for i in rows[:10]:
             row = A2.getrow(i)
@@ -294,8 +294,8 @@ class TestDirichlet:
 
     def test_matches_dense_reference(self, space):
         A = fem3d.assemble_stiffness(space, 1.0) + fem3d.assemble_convection(space, (1.0, -2.0, 0.5))
-        rows = np.nonzero(space.dirichlet_mask)[0]
-        free = np.nonzero(~space.dirichlet_mask)[0]
+        rows = np.nonzero(space.mesh.boundary_vertex)[0]
+        free = np.nonzero(~space.mesh.boundary_vertex)[0]
         ref = A.toarray()
         ref[rows] = 0.0
         ref[rows, rows] = 1.0
@@ -310,21 +310,21 @@ class TestDirichlet:
     def test_homogeneous_solve_vanishes_on_boundary(self, space):
         A = fem3d.assemble_stiffness(space, 1.0)
         F = fem3d.assemble_load(space, ScalarField3(fn=lambda x, t: np.full(len(x), 1.0)), 0.0)
-        rows = np.nonzero(space.dirichlet_mask)[0]
+        rows = np.nonzero(space.mesh.boundary_vertex)[0]
         F[rows] = 0.0
         x = linalg.Factorization(constrain_rows(A, rows)).solve(F)
-        assert np.abs(x[space.dirichlet_mask]).max() == 0.0
-        assert x[~space.dirichlet_mask].max() > 0  # -lap c = 1 has positive interior
+        assert np.abs(x[space.mesh.boundary_vertex]).max() == 0.0
+        assert x[~space.mesh.boundary_vertex].max() > 0  # -lap c = 1 has positive interior
 
     def test_exact_trace(self, space):
         g = lambda x, t: x[:, 0] + 2 * x[:, 1] - x[:, 2] + t
         A = fem3d.assemble_stiffness(space, 1.0)
         F = np.zeros(space.n_dofs)
-        rows = np.nonzero(space.dirichlet_mask)[0]
-        F[rows] = fem3d.dirichlet_values(space.dof_points[rows], g, 0.5)
+        rows = np.nonzero(space.mesh.boundary_vertex)[0]
+        F[rows] = fem3d.dirichlet_values(space.mesh.vertices[rows], g, 0.5)
         x = linalg.Factorization(constrain_rows(A, rows)).solve(F)
-        pts = space.dof_points[space.dirichlet_mask]
-        assert np.array_equal(x[space.dirichlet_mask], g(pts, 0.5))
+        pts = space.mesh.vertices[space.mesh.boundary_vertex]
+        assert np.array_equal(x[space.mesh.boundary_vertex], g(pts, 0.5))
 
 
 class TestPoissonConvergence:
@@ -341,8 +341,8 @@ class TestPoissonConvergence:
             sp_ = FemSpace(build_box_mesh(*CENTERED, n))
             A = fem3d.assemble_stiffness(sp_, 1.0)
             F = fem3d.assemble_load(sp_, ScalarField3(fn=lambda x, t: np.full(len(x), -12.0)), 0.0)
-            rows = np.nonzero(sp_.dirichlet_mask)[0]
-            F[rows] = fem3d.dirichlet_values(sp_.dof_points[rows], g, 0.0)
+            rows = np.nonzero(sp_.mesh.boundary_vertex)[0]
+            F[rows] = fem3d.dirichlet_values(sp_.mesh.vertices[rows], g, 0.0)
             x = linalg.Factorization(constrain_rows(A, rows)).solve(F)
             l2, _ = error_norms_3d(sp_, x, g, grad_g, t=0.0)
             errors.append(l2)

@@ -245,6 +245,12 @@ class TestNonFiniteProfiles:
         with pytest.raises(GeometryError, match="increasing and finite"):
             PiecewisePermeability(breakpoints, (0.1,) * (len(breakpoints) + 1))
 
+    @pytest.mark.parametrize("value", [-50.0, math.nan])
+    def test_piecewise_value_on_a_narrow_stretch(self, value):
+        """A stretch narrower than the profile samples' spacing is refused too."""
+        with pytest.raises(GeometryError, match="nonnegative and finite"):
+            PiecewisePermeability((0.5, 0.50001), (0.1, value, 0.1))
+
     def test_piecewise_value(self):
         with pytest.raises(GeometryError, match="nonnegative and finite"):
             diagonal(permeability=PiecewisePermeability((0.5,), (0.1, math.nan)))

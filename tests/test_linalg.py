@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vesselfem import linalg
+from vesselfem import dg1d, linalg
+from vesselfem.dg1d import DgParams, DgSpace, Partition1D
 from vesselfem.errors import SolverError
 
-from _oracles import constrain_rows
+from _oracles import constrain_rows, scatter_blocks_from_coo
 
 
 class TestFactorize:
@@ -137,3 +138,39 @@ class TestCompose:
         out = linalg.compose(2, [(a, 0, 0, 1.0), (a, 0, 0, -1.0), (sp.identity(2, format="csr"), 0, 0, 1.0)],
                              None, np.array([], dtype=int))
         assert out.nnz == 2 and np.array_equal(out.toarray(), np.eye(2))
+
+
+def _assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+class TestScatterBlocks:
+    """The stable row sort lays out each row's entries and sums its
+    duplicates byte for byte as SciPy's COO build does."""
+
+    def test_random_groups_with_duplicates(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            groups = []
+            for b in rng.integers(1, 5, size=rng.integers(1, 4)):
+                m = int(rng.integers(1, 40))
+                magnitudes = 10.0 ** rng.uniform(-8.0, 8.0, size=(m, b, b))
+                groups.append((rng.integers(0, n, size=(m, b)), rng.standard_normal((m, b, b)) * magnitudes))
+            _assert_same_csr(linalg.scatter_blocks(n, *groups), scatter_blocks_from_coo(n, *groups))
+
+    @pytest.mark.parametrize("n", [4, 32])
+    @pytest.mark.parametrize("degree", [1, 2, 5])
+    def test_vessel_forms(self, monkeypatch, degree, n):
+        """The element, face and outflow groups of the three vessel forms."""
+        calls = []
+        monkeypatch.setattr(dg1d, "scatter_blocks", lambda *args: calls.append(args) or linalg.scatter_blocks(*args))
+        space, area = DgSpace(Partition1D.uniform(0.8, n), degree), lambda s: 0.01 + 0.02 * s
+        dg1d.assemble_mass_weighted(space, area)
+        dg1d.assemble_a_lambda(space, 1.0, area, DgParams(1, 50.0))
+        dg1d.assemble_b_lambda(space, 1.0, area)
+        assert [len(args) for args in calls] == [2, 3, 4]
+        for args in calls:
+            _assert_same_csr(linalg.scatter_blocks(*args), scatter_blocks_from_coo(*args))

@@ -375,7 +375,7 @@ class TestStep:
         state = system.initialize()
         rng = np.random.default_rng(8)
         state.c = rng.standard_normal(system.fem.n_dofs)
-        state.c[system.fem.dirichlet_mask] = 0.0
+        state.c[system.fem.mesh.boundary_vertex] = 0.0
         state.c_hat = rng.standard_normal(system.dg.n_dofs)
         early = system.step(state)
         later_start = type(state)(c=state.c, c_hat=state.c_hat, t=0.05, n=5)
@@ -499,7 +499,7 @@ class TestEnergy:
         rng = np.random.default_rng(11)
         state = system.initialize()
         state.c = rng.standard_normal(system.fem.n_dofs)
-        state.c[system.fem.dirichlet_mask] = 0.0
+        state.c[system.fem.mesh.boundary_vertex] = 0.0
         state.c_hat = rng.standard_normal(system.dg.n_dofs)
         energies = [system.energy(state)]
         for _ in range(20):

@@ -136,7 +136,7 @@ class TestErrorNorms:
         prev = None
         for n in (4, 8):
             fem = FemSpace(build_box_mesh(*CENTERED, n))
-            interp = ms.c(fem.dof_points, 1.0)
+            interp = ms.c(fem.mesh.vertices, 1.0)
             l2, grad = verify.error_norms_3d(fem, interp, ms.c, lambda x, t: ms.c_and_grad(x, t)[1], 1.0)
             assert l2 > 0 and grad > 0
             if prev is not None:
@@ -146,14 +146,14 @@ class TestErrorNorms:
     def test_norm_of_known_function(self):
         # ||z||_{L2} on the centered unit cube = 1/sqrt(12)
         fem = FemSpace(build_box_mesh(*CENTERED, 4))
-        l2, _ = verify.error_norms_3d(fem, fem.dof_points[:, 2], None, None, 0.0)
+        l2, _ = verify.error_norms_3d(fem, fem.mesh.vertices[:, 2], None, None, 0.0)
         assert l2 == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-12)
 
     def test_lattice_norms_equal_two_callable_norms(self, ms):
         """The fused norms, evaluated on the blocks' coordinate axes, equal the
         norms from the value and gradient called per point."""
         fem = FemSpace(build_box_mesh(*CENTERED, 8))
-        c = ms.c(fem.dof_points, 1.0) + 1e-3 * np.random.default_rng(2).standard_normal(fem.n_dofs)
+        c = ms.c(fem.mesh.vertices, 1.0) + 1e-3 * np.random.default_rng(2).standard_normal(fem.n_dofs)
         np.testing.assert_allclose(verify.error_norms_3d(fem, c, ms.c_and_grad, ms.c_and_grad, 1.0),
                                    verify.error_norms_3d(fem, c, ms.c, lambda x, t: ms.c_and_grad(x, t)[1], 1.0), rtol=1e-13)
 
@@ -365,7 +365,7 @@ class TestAveragingConsistency:
         for n in (8, 16):
             system = CoupledSystem(verify.manufactured_problem(), n_cells=n)
             geom = system.problem.geometry
-            c_nodal = ms.c(system.fem.dof_points, 1.0)
+            c_nodal = ms.c(system.fem.mesh.vertices, 1.0)
             ss = np.linspace(0.05, geom.length - 0.05, 21)
             gaps.append(max(
                 abs(system.fem.evaluate(c_nodal, geom.circle_points(s, coupling.DEFAULT_N_CIRCLE)).mean()
