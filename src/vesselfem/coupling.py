@@ -52,9 +52,10 @@ def average_matrix(fem: FemSpace, geometry: VesselGeometry, s, n_circle: int):
         raise GeometryError(
             f"section circle at s = {s[np.argmax(overshoot)]} leaves the box: {err}"
         ) from err
-    rows = np.repeat(np.arange(s.size), 4 * n_circle)
-    cols = fem.mesh.tets[tet_ids].ravel()
-    return sp.csr_matrix((bary.ravel() / n_circle, (rows, cols)), shape=(s.size, fem.n_dofs))
+    avg = sp.csr_matrix((bary.ravel() / n_circle, fem.mesh.tets[tet_ids].ravel(),
+                         4 * n_circle * np.arange(s.size + 1)), shape=(s.size, fem.n_dofs))
+    avg.sum_duplicates()  # sorts each row's columns and sums a shared vertex's entries
+    return avg
 
 
 def assemble_coupling(

@@ -109,13 +109,12 @@ def box_block(level: BoxLevel, inv_dt: float, kappa: float, velocity):
     """Box block inv_dt * M + K + C of the backward Euler operator.
 
     Mass, diffusion and convection are all assembled on the mesh's CSR
-    pattern, so the block is one sum of their data arrays on it.
+    pattern, so the block is one sum of their data arrays on it, written
+    into the stiffness matrix.
     """
-    space = level.space
-    stiffness = assemble_stiffness(space, kappa)
-    convection = assemble_convection(space, velocity)
-    data = inv_dt * level.mass.data + stiffness.data + convection.data
-    return sp.csr_matrix((data, stiffness.indices, stiffness.indptr), shape=stiffness.shape)
+    block = assemble_stiffness(level.space, kappa)
+    block.data = inv_dt * level.mass.data + block.data + assemble_convection(level.space, velocity).data
+    return block
 
 
 def assemble_load(space: FemSpace, f: ScalarField3, t: float, order: int = 4):

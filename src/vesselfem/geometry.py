@@ -16,8 +16,6 @@ from .errors import DomainError, GeometryError
 
 _TOL = 1e-12
 _VALIDATION_SAMPLES = 10_000
-MIN_CIRCLE_POINTS = 4
-MAX_CIRCLE_POINTS = 1024  # 16x any study's; coupling holds 4 n_circle entries a Gauss point
 
 
 @dataclass(frozen=True)
@@ -182,8 +180,6 @@ class VesselGeometry:
         the periodic trapezoid rule, spectrally accurate for smooth
         integrands.  For an array s the points have shape ``s.shape + (n, 3)``.
         """
-        if n < MIN_CIRCLE_POINTS:
-            raise ValueError(f"need at least {MIN_CIRCLE_POINTS} circle points")
         center = self.point_at(s)[..., None, :]
         r = np.asarray(self.radius(s, self.length), dtype=float)[..., None, None]
         theta = 2.0 * np.pi * np.arange(n) / n

@@ -30,7 +30,7 @@ from . import coupling, dg1d, fem3d, linalg
 from .dg1d import DgParams, DgSpace, Partition1D
 from .errors import CoefficientError, ConfigError, ReleasedError
 from .fem3d import ScalarField3
-from .geometry import MAX_CIRCLE_POINTS, MIN_CIRCLE_POINTS, VesselGeometry
+from .geometry import VesselGeometry
 from .mesh3d import DEFAULT_BOX, FemSpace, TetMesh
 
 # Largest box level the direct (LU) solver factors in a few GB of memory; the
@@ -42,6 +42,13 @@ MAX_STEPS = 100_000
 # solve residual check (9.0e-11 for the run defaults); far higher degrees
 # exhaust memory in the Gauss rules.
 MAX_DEGREE = 64
+# Section circle points accepted; the coupling holds 4 n_circle entries a Gauss point.
+MIN_CIRCLE_POINTS, MAX_CIRCLE_POINTS = 4, 1024  # the top is 16x any study's
+
+
+def _round_off(x):
+    """The rounding a march's time comparisons absorb at x: 1e-12 of |x|, at least 1e-12."""
+    return 1e-12 * max(1.0, abs(x))
 
 
 def _check_integer(name, value):
@@ -169,9 +176,10 @@ class CoupledSystem:
     ):
         check_level(n_cells, n_circle)
         dt = problem.dt or 0.1 * float(np.max(np.subtract(DEFAULT_BOX[1], DEFAULT_BOX[0]) / n_cells))
-        steps = problem.t_end / dt - 1e-12  # compared before ceil: it may be inf
+        ratio = problem.t_end / dt
+        steps = ratio - _round_off(ratio)  # compared before ceil: nan when the ratio is inf
         if not steps <= MAX_STEPS:
-            raise ConfigError(f"t_end / dt = {steps:.3g} steps exceeds the limit of {MAX_STEPS}")
+            raise ConfigError(f"t_end / dt = {ratio:.3g} steps exceeds the limit of {MAX_STEPS}")
         self.n_steps = max(1, math.ceil(steps))
         self.dt = problem.t_end / self.n_steps
         if not math.isfinite(1.0 / self.dt):  # the operator holds M / dt
@@ -286,9 +294,10 @@ class CoupledSystem:
 
     def run(self, times: Sequence[float] = ()) -> tuple[CoupledState, RunReport]:
         """March to t_end.  For every distinct requested time, the report keeps
-        the first state at or after it (to 1e-12) as ``(t, state)``; a state
-        that reaches several times is kept once for each.  The LU is freed
-        when the march ends, also by an error, so a system marches once."""
+        the first state at or after it (to 1e-12 of the time, at least 1e-12)
+        as ``(t, state)``; a state that reaches several times is kept once for
+        each.  The LU is freed when the march ends, also by an error, so a
+        system marches once."""
         n_steps = self.n_steps
         state = self.initialize()
         energies = np.empty(n_steps + 1)
@@ -298,7 +307,7 @@ class CoupledSystem:
         snapshots = []
 
         def take(state):
-            reached = {target for target in pending if state.t >= target - 1e-12}
+            reached = {target for target in pending if state.t >= target - _round_off(target)}
             pending.difference_update(reached)
             snapshots.extend([(state.t, state)] * len(reached))
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import coupling, fem3d
+from . import coupling
 from .dg1d import DgParams, DgSpace
 from .errors import ConfigError, VerificationError
 from .fem3d import ScalarField3
@@ -296,15 +296,6 @@ class ConvergenceReport(StudyReport):
     l2_1: list = field(default_factory=list)
 
 
-def _march(problem, n, n_circle, times=()):
-    """Build ``problem`` at n cells per axis and march it to t_end.  ``run``
-    frees the LU; only the level's spaces, final state, run report and
-    vessel mass outlive the call, so the rest of the system dies with it."""
-    system = CoupledSystem(problem, n_cells=n, n_circle=n_circle)
-    state, run_report = system.run(times)
-    return system.fem, system.dg, state, run_report, system.vessel_mass(state)
-
-
 def convergence_study(
     levels,
     degree: int = 1,
@@ -324,11 +315,12 @@ def convergence_study(
     source_gate()
     ms = ManufacturedSolution()
     for n in report.levels:
-        fem, dg, state, run_report, _ = _march(problem, n, n_circle)
-        l2_3, grad3 = error_norms_3d(fem, state.c, ms.c_and_grad, ms.c_and_grad, state.t)
-        l2_1, grad1 = error_norms_1d(dg, state.c_hat, ms.c_hat, ms.c_hat_ds, state.t)
+        system = CoupledSystem(problem, n_cells=n, n_circle=n_circle)
+        state, run_report = system.run()
+        l2_3, grad3 = error_norms_3d(system.fem, state.c, ms.c_and_grad, ms.c_and_grad, state.t)
+        l2_1, grad1 = error_norms_1d(system.dg, state.c_hat, ms.c_hat, ms.c_hat_ds, state.t)
         report.add(run_report, grad3=grad3, l2_3=l2_3, grad1=grad1, l2_1=l2_1)
-        report.mesh, report.dg, report.snapshots = fem.mesh, dg, [(state.t, state)]
+        report.mesh, report.dg, report.snapshots = system.mesh, system.dg, [(state.t, state)]
     return report
 
 
@@ -365,8 +357,8 @@ def self_convergence(
 ) -> SelfConvergenceReport:
     """Compare coarse runs of ``problem`` against a fine run.
 
-    The fine reference runs first; after its march only its spaces, states,
-    norms and vessel mass are kept.  Errors are evaluated by sampling the
+    The fine reference runs first and its marched system is kept, without
+    its LU, which ``run`` frees.  Errors are evaluated by sampling the
     fine solution at the coarse quadrature points; both absolute and
     relative (to the fine-solution norm) columns are reported.
     """
@@ -375,17 +367,18 @@ def self_convergence(
     report = SelfConvergenceReport(list(coarse_levels), geometry=problem.geometry)
     if report.levels[-1] >= fine_n:
         raise ConfigError("fine level must exceed every coarse level")
-    fine_fem, fine_dg, fine, fine_report, report.fine_vessel_mass = _march(
-        problem, fine_n, n_circle, snapshot_times
-    )
+    fine_system = CoupledSystem(problem, n_cells=fine_n, n_circle=n_circle)
+    fine, fine_report = fine_system.run(snapshot_times)
+    report.fine_vessel_mass = fine_system.vessel_mass(fine)
     report.add(fine_report)
-    report.mesh, report.dg, report.snapshots = fine_fem.mesh, fine_dg, fine_report.snapshots
-    norm3 = math.sqrt(fine.c.dot(fem3d.box_level(fine_n).mass @ fine.c))
-    norm1 = math.sqrt(fine.c_hat.dot(fine_dg.unit_mass().ravel() * fine.c_hat))
+    report.mesh, report.dg, report.snapshots = fine_system.mesh, fine_system.dg, fine_report.snapshots
+    norm3 = math.sqrt(fine.c.dot(fine_system.mass3 @ fine.c))
+    norm1 = math.sqrt(fine.c_hat.dot(fine_system.dg.unit_mass().ravel() * fine.c_hat))
     for n in report.levels:
-        fem, dg, state, run_report, _ = _march(problem, n, n_circle)
-        e3 = cross_error_3d(fem, state.c, fine_fem, fine.c)
-        e1 = cross_error_1d(dg, state.c_hat, fine_dg, fine.c_hat)
+        system = CoupledSystem(problem, n_cells=n, n_circle=n_circle)
+        state, run_report = system.run()
+        e3 = cross_error_3d(system.fem, state.c, fine_system.fem, fine.c)
+        e1 = cross_error_1d(system.dg, state.c_hat, fine_system.dg, fine.c_hat)
         report.add(run_report, err3=e3, err1=e1, rel3=e3 / norm3 if norm3 > 0 else e3,
                    rel1=e1 / norm1 if norm1 > 0 else e1)
     return report

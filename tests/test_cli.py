@@ -253,7 +253,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise SolverError("synthetic")
 
-        monkeypatch.setattr(cli.verify, "_march", boom)
+        monkeypatch.setattr(cli.verify.CoupledSystem, "run", boom)
         out = tmp_path / "out"
         assert cli.main(["manufactured", "--levels", "4", "--out", str(out)]) == 3
         assert not out.exists()
@@ -651,6 +651,15 @@ class TestRunCommand:
         assert len(rows) == 1 + 5
         assert float(rows[-1].split(",")[1]) == 1.0
         assert (out / "run_t1_3d.vtk").exists()
+
+    def test_snapshot_at_a_large_time(self, tmp_path):
+        """Step 1804 of 2000 reaches t = 16416.399999999998, which a request
+        at 16416.4 takes: the round-off allowance scales with the time."""
+        cfg_file = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg_file.write_text(f"n = 2\nt_end = 18200\ntau = 9.1\nsnapshots = 16416.4\nout = {out}\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        assert sorted(p.name for p in out.glob("*.vtk")) == ["run_t16416p4_1d.vtk", "run_t16416p4_3d.vtk"]
 
     def test_state_reached_by_two_times_written_once(self, tmp_path, monkeypatch):
         written = []

@@ -116,10 +116,6 @@ class TestCirclePoints:
         center = g.point_at(s) @ coef + 2.5
         assert abs(avg - center) < 1e-12
 
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            vertical().circle_points(0.5, 3)
-
 
 class TestSectionProfiles:
     def test_constant_radius_values(self):

@@ -16,12 +16,6 @@ PACKAGE = Path(vesselfem.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_every_export_resolves():
-    missing = [name for name in vesselfem.__all__ if not hasattr(vesselfem, name)]
-    assert not missing, missing
-    assert len(set(vesselfem.__all__)) == len(vesselfem.__all__)
-
-
 def test_solver_leaves_scipy_special_unloaded():
     """The solver and its CLI import numpy, scipy.sparse and scipy.linalg
     only; the tests load scipy.special (tests/_oracles.py), so a fresh
@@ -99,3 +93,8 @@ def test_readme_command_lines_parse():
         prog, *argv = shlex.split(line)
         assert prog == "vesselfem"
         cli.build_parser().parse_args(argv)
+
+
+def test_readme_layout_names_every_module():
+    named = re.findall(r"(?m)^  (\w+\.py) ", _readme_block("## Layout"))
+    assert sorted(named) == sorted({path.name for path in PACKAGE.glob("*.py")} - {"__init__.py"})

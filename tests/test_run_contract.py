@@ -94,6 +94,6 @@ def test_run_exits_cleanly(tmp_path_factory, lines):
     # a snapshot is the first state at or after its time, named by that state's time
     states = [k * (cfg.t_end / steps) for k in range(steps)] + [cfg.t_end]
     for t in set((cfg.t_end,) if cfg.snapshots is None else cfg.snapshots):
-        tag = format(next(s for s in states if s >= t - 1e-12), "g").replace(".", "p")
+        tag = format(next(s for s in states if s >= t - 1e-12 * max(1.0, abs(t))), "g").replace(".", "p")
         assert (out / f"run_t{tag}_3d.vtk").exists() and (out / f"run_t{tag}_1d.vtk").exists()
     shutil.rmtree(base)

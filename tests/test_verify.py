@@ -516,26 +516,28 @@ class TestStudyInputRefused:
 
 
 def _track_builds(monkeypatch, collect):
-    """Weak references to every system built; each build first asserts that
-    every earlier system is dead, after a cyclic collection if ``collect``."""
+    """Weak references (system, its LU) to every system built; each build
+    first asserts that every earlier LU is dead, after a cyclic collection if
+    ``collect``.  A study keeps its marched systems, whose LUs ``run`` freed."""
     built = []
     init = stepper.CoupledSystem.__init__
 
     def tracked(system, *args, **kwargs):
         if collect:
             gc.collect()
-        alive = [ref for ref in built if ref() is not None]
-        assert not alive, f"{len(alive)} earlier system(s) alive at a new build"
+        alive = [lu for _, lu in built if lu() is not None]
+        assert not alive, f"{len(alive)} earlier LU(s) alive at a new build"
         init(system, *args, **kwargs)
-        built.append(weakref.ref(system))
+        built.append((weakref.ref(system), weakref.ref(system.factorization)))
 
     monkeypatch.setattr(stepper.CoupledSystem, "__init__", tracked)
     return built
 
 
 class TestOneSystemAlive:
-    """A study builds a level only once every earlier system, and with it
-    that system's LU, is freed."""
+    """A study builds a level only once every earlier system's LU is freed:
+    the marched systems stay, the self-convergence study's fine reference
+    among them, but hold no factorization."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -551,8 +553,9 @@ class TestOneSystemAlive:
 
 
 class TestOneSystemFreedByRefcount(TestOneSystemAlive):
-    """The same with the cyclic collector off and never run: an earlier system
-    dies by reference counting alone, so nothing it holds refers back to it."""
+    """The same with the cyclic collector off and never run: an earlier LU
+    dies by reference counting alone, so nothing it holds refers back to it,
+    and a run command's system dies with the command."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -575,3 +578,4 @@ class TestOneSystemFreedByRefcount(TestOneSystemAlive):
         for _ in range(2):
             assert cli.main(["run", "--config", str(config)]) == 0
         assert len(builds) == 2
+        assert [system() for system, _ in builds] == [None, None]
