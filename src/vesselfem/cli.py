@@ -10,8 +10,8 @@ Subcommands:
 * ``run`` executes a single configurable pulse problem from a flat
   ``key = value`` config file.
 
-Exit codes: 0 success, 2 configuration error, 3 solver error, 4 failed
-verification gate.
+Exit codes: 0 success, 2 configuration or output error, 3 solver error, 4
+failed verification gate.
 """
 from __future__ import annotations
 
@@ -49,18 +49,15 @@ def _write_rows(fp, fmt, rows):
 
 def _write_vtk(path, title, dataset, points, cells, values):
     """Legacy ASCII file: header, points, the cell sections and one point scalar."""
-    try:
-        with open(path, "w", newline="\n") as fp:
-            fp.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET {dataset}\n")
-            fp.write(f"POINTS {len(points)} double\n")
-            _write_rows(fp, "%.16e %.16e %.16e", points)
-            cells(fp)
-            fp.write(f"POINT_DATA {len(points)}\n")
-            fp.write("SCALARS concentration double 1\n")
-            fp.write("LOOKUP_TABLE default\n")
-            _write_rows(fp, "%.16e", values)
-    except OSError as err:
-        raise OSError(f"cannot write VTK file {path}: {err}") from err
+    with open(path, "w", newline="\n") as fp:
+        fp.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET {dataset}\n")
+        fp.write(f"POINTS {len(points)} double\n")
+        _write_rows(fp, "%.16e %.16e %.16e", points)
+        cells(fp)
+        fp.write(f"POINT_DATA {len(points)}\n")
+        fp.write("SCALARS concentration double 1\n")
+        fp.write("LOOKUP_TABLE default\n")
+        _write_rows(fp, "%.16e", values)
 
 
 def write_vtk_3d(mesh: TetMesh, field, path):
@@ -209,9 +206,9 @@ def diagonal_problem(case: int, degree: int = 1) -> TransportProblem:
 # -- configuration --------------------------------------------------------------
 
 def parse_config_file(path) -> RunConfig:
-    """Parse a flat ``key = value`` file; unknown keys are rejected."""
+    """Parse a flat ``key = value`` file; unknown and repeated keys are rejected."""
     kinds = {f.name: f.type for f in fields(RunConfig)}
-    cfg = RunConfig()
+    cfg, seen = RunConfig(), {}
     try:
         with open(path) as fp:
             lines = fp.readlines()
@@ -226,6 +223,9 @@ def parse_config_file(path) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in kinds:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' already set on line {seen[key]}")
+        seen[key] = lineno
         setattr(cfg, key, _parse_value(key, kinds[key], value))
     return cfg
 
@@ -286,17 +286,18 @@ def _check_out_dir(path):
         raise ConfigError(f"output path {path} cannot be a directory: {probe} is not one")
 
 
-def _write_snapshots(out, template, level, geometry, snapshots):
-    """Write the box/vessel VTK pair of every distinct (t, state) of one level.
-
-    ``level`` is a system or a study report (anything with ``mesh`` and
-    ``dg``).  The files are ``<template>_3d.vtk`` and ``<template>_1d.vtk``
-    in ``out``, with ``{tag}`` in the template replaced by t ('.' as 'p').
-    """
-    for t, state in dict(snapshots).items():
+def _write_outputs(out, tables, template, system, snapshots):
+    """Write a command's outputs into ``out``, made here: each ``(name, header,
+    rows)`` CSV table, then the box/vessel VTK pair of each (t, state) that
+    ``system`` marched to, ``<template>_3d.vtk`` and ``<template>_1d.vtk``
+    with ``{tag}`` in the template replaced by t ('.' as 'p')."""
+    os.makedirs(out, exist_ok=True)
+    for name, header, rows in tables:
+        write_csv(os.path.join(out, name), header, rows)
+    for t, state in snapshots:
         path = os.path.join(out, template.format(tag=format(t, "g").replace(".", "p")))
-        write_vtk_3d(level.mesh, state.c, path + "_3d.vtk")
-        write_vtk_1d(level.dg, state.c_hat, geometry, path + "_1d.vtk")
+        write_vtk_3d(system.mesh, state.c, path + "_3d.vtk")
+        write_vtk_1d(system.dg, state.c_hat, system.problem.geometry, path + "_1d.vtk")
 
 
 def cmd_manufactured(args) -> int:
@@ -307,13 +308,11 @@ def cmd_manufactured(args) -> int:
         levels, degree=args.degree, epsilon=args.epsilon, sigma=args.sigma,
         n_circle=args.n_circ,
     )
-    os.makedirs(args.out, exist_ok=True)
     header = ["h", "grad_error", "grad_rate", "l2_error", "l2_rate"]
-    for name, grad, l2 in (("table1_3d.csv", "grad3", "l2_3"), ("table2_1d.csv", "grad1", "l2_1")):
-        columns = (getattr(report, grad), [None, *report.rates(grad)],
-                   getattr(report, l2), [None, *report.rates(l2)])
-        write_csv(os.path.join(args.out, name), header, zip(report.h_labels, *columns))
-    _write_snapshots(args.out, f"manufactured_n{levels[-1]}", report, report.geometry, report.snapshots)
+    tables = [(name, header, zip(report.h_labels, getattr(report, grad), [None, *report.rates(grad)],
+                                 getattr(report, l2), [None, *report.rates(l2)]))
+              for name, grad, l2 in (("table1_3d.csv", "grad3", "l2_3"), ("table2_1d.csv", "grad1", "l2_1"))]
+    _write_outputs(args.out, tables, f"manufactured_n{levels[-1]}", report.system, report.snapshots)
     print(f"wrote table1_3d.csv, table2_1d.csv and n={levels[-1]} snapshots to {args.out}")
     print(f"max solve residual {report.max_residual:.3e}")
     return 0
@@ -327,14 +326,10 @@ def cmd_diagonal(args) -> int:
         diagonal_problem(args.case, degree=args.degree), coarse_levels=levels, fine_n=args.fine,
         n_circle=args.n_circ, snapshot_times=DIAGONAL_SNAPSHOT_TIMES,
     )
-    os.makedirs(args.out, exist_ok=True)
-    write_csv(
-        os.path.join(args.out, f"table3_case{args.case}.csv"),
-        ["h", "err3d", "rate3d", "err1d", "rate1d", "rel3d", "rel1d"],
-        zip(report.h_labels, report.err3, [None, *report.rates("err3")],
-            report.err1, [None, *report.rates("err1")], report.rel3, report.rel1),
-    )
-    _write_snapshots(args.out, f"diagonal_case{args.case}_t{{tag}}", report, report.geometry, report.snapshots)
+    table = (f"table3_case{args.case}.csv", ["h", "err3d", "rate3d", "err1d", "rate1d", "rel3d", "rel1d"],
+             zip(report.h_labels, report.err3, [None, *report.rates("err3")],
+                 report.err1, [None, *report.rates("err1")], report.rel3, report.rel1))
+    _write_outputs(args.out, [table], f"diagonal_case{args.case}_t{{tag}}", report.system, report.snapshots)
     print(f"wrote table3_case{args.case}.csv and snapshots to {args.out}")
     print(f"max solve residual {report.max_residual:.3e}")
     return 0
@@ -348,13 +343,9 @@ def cmd_run(args) -> int:
     _check_out_dir(cfg.out)
     system = CoupledSystem(problem, n_cells=cfg.n, n_circle=cfg.n_circ)
     state, report = system.run(times)
-    os.makedirs(cfg.out, exist_ok=True)
-    _write_snapshots(cfg.out, "run_t{tag}", system, problem.geometry, report.snapshots)
-    write_csv(
-        os.path.join(cfg.out, "run_energy.csv"),
-        ["step", "time", "energy"],
-        [(str(i), i * system.dt, e) for i, e in enumerate(report.energies)],
-    )
+    energy = ("run_energy.csv", ["step", "time", "energy"],
+              [(str(i), i * system.dt, e) for i, e in enumerate(report.energies)])
+    _write_outputs(cfg.out, [energy], "run_t{tag}", system, report.snapshots)
     with open(os.path.join(cfg.out, "run_summary.txt"), "w") as fp:
         fp.write(f"steps = {report.n_steps}\n")
         fp.write(f"dt = {system.dt:.6e}\n")
@@ -411,6 +402,9 @@ def main(argv=None) -> int:
     except VerificationError as err:
         print(f"verification gate failed: {err}", file=sys.stderr)
         return 4
+    except OSError as err:
+        print(f"output error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

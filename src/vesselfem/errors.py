@@ -9,10 +9,6 @@ class GeometryError(ConfigError):
     """Vessel geometry violates a structural requirement (collapse, leaves the box, ...)."""
 
 
-class CoefficientError(ConfigError):
-    """A PDE coefficient violates its admissible range (e.g. nonpositive diffusivity)."""
-
-
 class DomainError(ValueError):
     """Evaluation requested outside the admissible domain (arclength or box)."""
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import coupling, dg1d, fem3d, linalg
 from .dg1d import DgParams, DgSpace, Partition1D
-from .errors import CoefficientError, ConfigError, ReleasedError
+from .errors import ConfigError, ReleasedError
 from .fem3d import ScalarField3
 from .geometry import VesselGeometry
 from .mesh3d import DEFAULT_BOX, FemSpace, TetMesh
@@ -114,7 +114,7 @@ class TransportProblem:
             raise ConfigError("vessel velocity must be positive and finite")
         for medium, value in (("vessel", self.kappa_hat), ("box", self.kappa)):
             if not 0.0 < value < math.inf:  # NaN fails too
-                raise CoefficientError(f"{medium} diffusivity must be positive and finite, got {value}")
+                raise ConfigError(f"{medium} diffusivity must be positive and finite, got {value}")
         u = np.asarray(self.velocity, dtype=float)
         if u.shape != (3,):
             raise ConfigError(f"box velocity needs 3 components, got shape {u.shape}")
@@ -295,8 +295,8 @@ class CoupledSystem:
     def run(self, times: Sequence[float] = ()) -> tuple[CoupledState, RunReport]:
         """March to t_end.  For every distinct requested time, the report keeps
         the first state at or after it (to 1e-12 of the time, at least 1e-12)
-        as ``(t, state)``; a state that reaches several times is kept once for
-        each.  The LU is freed when the march ends, also by an error, so a
+        as ``(t, state)``; a state that reaches several times is kept once.
+        The LU is freed when the march ends, also by an error, so a
         system marches once."""
         n_steps = self.n_steps
         state = self.initialize()
@@ -308,8 +308,9 @@ class CoupledSystem:
 
         def take(state):
             reached = {target for target in pending if state.t >= target - _round_off(target)}
-            pending.difference_update(reached)
-            snapshots.extend([(state.t, state)] * len(reached))
+            if reached:
+                pending.difference_update(reached)
+                snapshots.append((state.t, state))
 
         take(state)
         start = _time.perf_counter()

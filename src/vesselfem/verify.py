@@ -254,14 +254,12 @@ def error_norms_1d(dg: DgSpace, dofs, exact, exact_ds, t):
 @dataclass
 class StudyReport:
     """Per-level error columns of a study at the final time, the largest
-    solve residual of its runs, the vessel it marched, and its output level:
-    that level's spaces and its (t, state) snapshots."""
+    solve residual of its runs, and its output level: that level's marched
+    system, whose LU ``run`` has freed, and its (t, state) snapshots."""
 
     levels: list
     max_residual: float = 0.0
-    geometry: VesselGeometry | None = None
-    mesh: object = None
-    dg: object = None
+    system: CoupledSystem | None = None
     snapshots: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -311,7 +309,7 @@ def convergence_study(
     for n in levels:
         check_level(n, n_circle)
     problem = manufactured_problem(epsilon=epsilon, sigma=sigma, degree=degree)
-    report = ConvergenceReport(levels=list(levels), geometry=problem.geometry)
+    report = ConvergenceReport(levels=list(levels))
     source_gate()
     ms = ManufacturedSolution()
     for n in report.levels:
@@ -320,7 +318,7 @@ def convergence_study(
         l2_3, grad3 = error_norms_3d(system.fem, state.c, ms.c_and_grad, ms.c_and_grad, state.t)
         l2_1, grad1 = error_norms_1d(system.dg, state.c_hat, ms.c_hat, ms.c_hat_ds, state.t)
         report.add(run_report, grad3=grad3, l2_3=l2_3, grad1=grad1, l2_1=l2_1)
-        report.mesh, report.dg, report.snapshots = system.mesh, system.dg, [(state.t, state)]
+        report.system, report.snapshots = system, [(state.t, state)]
     return report
 
 
@@ -357,21 +355,21 @@ def self_convergence(
 ) -> SelfConvergenceReport:
     """Compare coarse runs of ``problem`` against a fine run.
 
-    The fine reference runs first and its marched system is kept, without
-    its LU, which ``run`` frees.  Errors are evaluated by sampling the
-    fine solution at the coarse quadrature points; both absolute and
-    relative (to the fine-solution norm) columns are reported.
+    The fine reference runs first, and its marched system, without the LU
+    that ``run`` frees, is the report's ``system``.  Errors are evaluated by
+    sampling the fine solution at the coarse quadrature points; both absolute
+    and relative (to the fine-solution norm) columns are reported.
     """
     for n in (*coarse_levels, fine_n):
         check_level(n, n_circle)
-    report = SelfConvergenceReport(list(coarse_levels), geometry=problem.geometry)
+    report = SelfConvergenceReport(list(coarse_levels))
     if report.levels[-1] >= fine_n:
         raise ConfigError("fine level must exceed every coarse level")
     fine_system = CoupledSystem(problem, n_cells=fine_n, n_circle=n_circle)
     fine, fine_report = fine_system.run(snapshot_times)
     report.fine_vessel_mass = fine_system.vessel_mass(fine)
     report.add(fine_report)
-    report.mesh, report.dg, report.snapshots = fine_system.mesh, fine_system.dg, fine_report.snapshots
+    report.system, report.snapshots = fine_system, fine_report.snapshots
     norm3 = math.sqrt(fine.c.dot(fine_system.mass3 @ fine.c))
     norm1 = math.sqrt(fine.c_hat.dot(fine_system.dg.unit_mass().ravel() * fine.c_hat))
     for n in report.levels:

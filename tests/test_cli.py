@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +157,13 @@ class TestConfig:
         cfg_file.write_text("nn = 4\n")
         with pytest.raises(ConfigError, match="unknown key"):
             cli.parse_config_file(cfg_file)
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"n = 2\nt_end = 0.1\n\nn = 4\nout = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        assert f"{cfg_file}:4: key 'n' already set on line 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_is_unknown(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -496,7 +505,8 @@ class TestRunDataRefused:
                              ids=[f"{key}={case[0]}" for key, cases in REFUSED.items() for case in cases])
     def test_refused_before_any_mesh(self, tmp_path, capsys, no_mesh, key, value, companions, message):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(f"out = {tmp_path / 'out'}\n{companions}\n{key} = {value}\n")
+        out = "" if key == "out" else f"out = {tmp_path / 'out'}\n"  # a key may be set once
+        cfg_file.write_text(f"{out}{companions}\n{key} = {value}\n")
         assert cli.main(["run", "--config", str(cfg_file)]) == 2
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
@@ -574,11 +584,40 @@ class TestSnapshotTimes:
         assert not (tmp_path / "out").exists()
 
 
-class TestVtkIoErrors:
-    def test_unwritable_path_has_context(self):
-        mesh = build_box_mesh(*UNIT, 2)
-        with pytest.raises(OSError, match="cannot write VTK file"):
-            cli.write_vtk_3d(mesh, np.zeros(mesh.n_vertices), "/nonexistent_dir/x.vtk")
+class TestOutputWriteErrors:
+    """An output file that cannot be written (a directory stands where it
+    goes) exits 2 with its path on stderr, in a fresh process, without a
+    traceback.  A directory rather than permission bits: root ignores those."""
+
+    @staticmethod
+    def _main(tmp_path, argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "vesselfem.cli", *argv], capture_output=True,
+                              text=True, cwd=tmp_path, env=env, timeout=300)
+
+    @pytest.mark.parametrize("blocked", ["table1_3d.csv", "manufactured_n4_1d.vtk"])
+    def test_manufactured(self, tmp_path, blocked):
+        (tmp_path / "o" / blocked).mkdir(parents=True)
+        self._check(self._main(tmp_path, ["manufactured", "--levels", "4", "--out", "o"]), blocked)
+
+    @pytest.mark.parametrize("blocked", ["table3_case1.csv", "diagonal_case1_t0p5_3d.vtk"])
+    def test_diagonal(self, tmp_path, blocked):
+        (tmp_path / "o" / blocked).mkdir(parents=True)
+        self._check(self._main(tmp_path, ["diagonal", "--levels", "4", "--fine", "8", "--out", "o"]), blocked)
+
+    @pytest.mark.parametrize("blocked", ["run_t1_3d.vtk", "run_energy.csv", "run_summary.txt"])
+    def test_run(self, tmp_path, blocked):
+        (tmp_path / "o" / blocked).mkdir(parents=True)
+        (tmp_path / "run.cfg").write_text("n = 2\nt_end = 1\nout = o\n")
+        self._check(self._main(tmp_path, ["run", "--config", "run.cfg"]), blocked)
+
+    @staticmethod
+    def _check(result, blocked):
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("output error: ") and result.stderr.count("\n") == 1
+        assert os.path.join("o", blocked) in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestRunCommand:

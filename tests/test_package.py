@@ -98,3 +98,16 @@ def test_readme_command_lines_parse():
 def test_readme_layout_names_every_module():
     named = re.findall(r"(?m)^  (\w+\.py) ", _readme_block("## Layout"))
     assert sorted(named) == sorted({path.name for path in PACKAGE.glob("*.py")} - {"__init__.py"})
+
+
+def test_readme_exit_codes_are_what_main_returns():
+    """README's ``Exit codes:`` sentence names 0 and every integer literal
+    that ``cli.main`` returns, and nothing else."""
+    text = (ROOT / "README.md").read_text()
+    sentence = text[text.index("Exit codes:"):].split(". ", 1)[0]
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    returned = {node.value.value for node in ast.walk(main) if isinstance(node, ast.Return)
+                and isinstance(node.value, ast.Constant) and isinstance(node.value.value, int)}
+    assert returned
+    assert sorted(int(v) for v in re.findall(r"\b\d+\b", sentence)) == sorted({0} | returned)

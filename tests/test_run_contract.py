@@ -76,8 +76,8 @@ def test_run_exits_cleanly(tmp_path_factory, lines):
     base = tmp_path_factory.mktemp("run")
     out = base / "out"
     cfg_file = base / "run.cfg"
-    text = "".join(f"{key} = {value}\n" for key, value in lines.items())
-    cfg_file.write_text(f"n = 4\n{text}out = {out}\n")
+    text = "".join(f"{key} = {value}\n" for key, value in {"n": "4", **lines}.items())
+    cfg_file.write_text(f"{text}out = {out}\n")
     code = cli.main(["run", "--config", str(cfg_file)])
     assert code in (0, 2, 3), code
     if code != 0:

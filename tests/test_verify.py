@@ -461,8 +461,10 @@ class TestStudySmoke:
     def test_output_level_is_the_finest_final_state(self):
         report = verify.convergence_study((2, 4))
         state, _ = CoupledSystem(verify.manufactured_problem(), n_cells=4).run()
-        assert report.mesh.n == 4 and report.dg.partition.n_elements == 4
-        assert np.array_equal(report.geometry.p1, (0.0, 0.0, 0.5)) and report.geometry.radius_at(0.3) == 0.05
+        system = report.system
+        assert system.mesh.n == 4 and system.dg.partition.n_elements == 4 and system.factorization is None
+        assert np.array_equal(system.problem.geometry.p1, (0.0, 0.0, 0.5))
+        assert system.problem.geometry.radius_at(0.3) == 0.05
         [(t, snap)] = report.snapshots
         assert t == state.t == 1.0
         assert np.array_equal(snap.c, state.c)
@@ -471,8 +473,10 @@ class TestStudySmoke:
     def test_self_convergence_output_level_is_the_reference(self):
         report = verify.self_convergence(cli.diagonal_problem(1), coarse_levels=(2,), fine_n=4, snapshot_times=(0.5, 1.0))
         _, run_report = CoupledSystem(cli.diagonal_problem(1), n_cells=4).run(times=(0.5, 1.0))
-        assert report.mesh.n == 4 and report.dg.partition.n_elements == 4
-        assert np.array_equal(report.geometry.p1, (0.4, 0.4, 0.4)) and report.geometry.gamma_at(0.3) == 0.1
+        system = report.system
+        assert system.mesh.n == 4 and system.dg.partition.n_elements == 4 and system.factorization is None
+        assert np.array_equal(system.problem.geometry.p1, (0.4, 0.4, 0.4))
+        assert system.problem.geometry.gamma_at(0.3) == 0.1
         assert [t for t, _ in report.snapshots] == [t for t, _ in run_report.snapshots]
         for (_, a), (_, b) in zip(report.snapshots, run_report.snapshots):
             assert np.array_equal(a.c, b.c) and np.array_equal(a.c_hat, b.c_hat)
