@@ -20,6 +20,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -286,18 +288,34 @@ def _check_out_dir(path):
         raise ConfigError(f"output path {path} cannot be a directory: {probe} is not one")
 
 
-def _write_outputs(out, tables, template, system, snapshots):
+def _write_outputs(out, tables, template, system, snapshots, texts=()):
     """Write a command's outputs into ``out``, made here: each ``(name, header,
     rows)`` CSV table, then the box/vessel VTK pair of each (t, state) that
     ``system`` marched to, ``<template>_3d.vtk`` and ``<template>_1d.vtk``
-    with ``{tag}`` in the template replaced by t ('.' as 'p')."""
-    os.makedirs(out, exist_ok=True)
-    for name, header, rows in tables:
-        write_csv(os.path.join(out, name), header, rows)
+    with ``{tag}`` in the template replaced by t ('.' as 'p'), then each
+    ``(name, text)`` of ``texts``.  An OSError removes every file this call
+    began to write, and ``out`` if it made it, before it propagates, so a
+    failed write leaves no output behind."""
+    writes = [(name, partial(write_csv, header=header, rows=rows)) for name, header, rows in tables]
     for t, state in snapshots:
-        path = os.path.join(out, template.format(tag=format(t, "g").replace(".", "p")))
-        write_vtk_3d(system.mesh, state.c, path + "_3d.vtk")
-        write_vtk_1d(system.dg, state.c_hat, system.problem.geometry, path + "_1d.vtk")
+        stem = template.format(tag=format(t, "g").replace(".", "p"))
+        writes += [(stem + "_3d.vtk", partial(write_vtk_3d, system.mesh, state.c)),
+                   (stem + "_1d.vtk", partial(write_vtk_1d, system.dg, state.c_hat, system.problem.geometry))]
+    writes += [(name, lambda path, text=text: Path(path).write_text(text)) for name, text in texts]
+    made, written = not os.path.lexists(out), []
+    try:
+        os.makedirs(out, exist_ok=True)
+        for name, write in writes:
+            path = os.path.join(out, name)
+            written.append(path)  # before the write, which may stop midway
+            write(path)
+    except OSError:
+        for path in written:
+            if os.path.isfile(path):
+                os.remove(path)
+        if made:
+            os.rmdir(out)
+        raise
 
 
 def cmd_manufactured(args) -> int:
@@ -345,14 +363,13 @@ def cmd_run(args) -> int:
     state, report = system.run(times)
     energy = ("run_energy.csv", ["step", "time", "energy"],
               [(str(i), i * system.dt, e) for i, e in enumerate(report.energies)])
-    _write_outputs(cfg.out, [energy], "run_t{tag}", system, report.snapshots)
-    with open(os.path.join(cfg.out, "run_summary.txt"), "w") as fp:
-        fp.write(f"steps = {report.n_steps}\n")
-        fp.write(f"dt = {system.dt:.6e}\n")
-        fp.write(f"max_residual = {report.max_residual:.6e}\n")
-        fp.write(f"final_energy = {report.energies[-1]:.6e}\n")
-        fp.write(f"final_vessel_mass = {system.vessel_mass(state):.6e}\n")
-        fp.write(f"wall_time = {report.wall_time:.3f}\n")
+    summary = (f"steps = {report.n_steps}\n"
+               f"dt = {system.dt:.6e}\n"
+               f"max_residual = {report.max_residual:.6e}\n"
+               f"final_energy = {report.energies[-1]:.6e}\n"
+               f"final_vessel_mass = {system.vessel_mass(state):.6e}\n"
+               f"wall_time = {report.wall_time:.3f}\n")
+    _write_outputs(cfg.out, [energy], "run_t{tag}", system, report.snapshots, [("run_summary.txt", summary)])
     print(f"run finished: {report.n_steps} steps, max residual {report.max_residual:.3e}")
     return 0
 

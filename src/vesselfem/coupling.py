@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from .dg1d import DgSpace
 from .errors import DomainError, GeometryError
 from .geometry import VesselGeometry
-from .mesh3d import FemSpace
+from .mesh3d import POINT_BLOCK, FemSpace
 
 DEFAULT_N_CIRCLE = 16
 
@@ -40,22 +40,26 @@ def average_matrix(fem: FemSpace, geometry: VesselGeometry, s, n_circle: int):
     Row k holds barycentric weight / n_circle at the tet vertices of the
     n_circle points on the section circle at s[k], a vertex shared by several
     points summed into one entry; (A @ c)[k] is the circle mean of the P1
-    field c.
+    field c.  The rows are built POINT_BLOCK circle points at a time (at least
+    one row), each block's piece as the whole matrix would hold its rows.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    pts = geometry.circle_points(s, n_circle)
-    try:
-        tet_ids, bary = fem.mesh.locate_many(pts.reshape(-1, 3))
-    except DomainError as err:
-        mesh = fem.mesh
-        overshoot = np.maximum(mesh.lo - pts, pts - mesh.hi).max(axis=(1, 2))
-        raise GeometryError(
-            f"section circle at s = {s[np.argmax(overshoot)]} leaves the box: {err}"
-        ) from err
-    avg = sp.csr_matrix((bary.ravel() / n_circle, fem.mesh.tets[tet_ids].ravel(),
-                         4 * n_circle * np.arange(s.size + 1)), shape=(s.size, fem.n_dofs))
-    avg.sum_duplicates()  # sorts each row's columns and sums a shared vertex's entries
-    return avg
+    rows, pieces = max(1, POINT_BLOCK // n_circle), []
+    for a in range(0, max(s.size, 1), rows):  # an empty s makes one empty piece
+        sk = s[a:a + rows]
+        pts = geometry.circle_points(sk, n_circle)
+        try:
+            tet_ids, bary = fem.mesh.locate_many(pts.reshape(-1, 3))
+        except DomainError as err:
+            overshoot = np.maximum(fem.mesh.lo - pts, pts - fem.mesh.hi).max(axis=(1, 2))
+            raise GeometryError(
+                f"section circle at s = {sk[np.argmax(overshoot)]} leaves the box: {err}"
+            ) from err
+        piece = sp.csr_matrix((bary.ravel() / n_circle, fem.mesh.tets[tet_ids].ravel(),
+                               4 * n_circle * np.arange(sk.size + 1)), shape=(sk.size, fem.n_dofs))
+        piece.sum_duplicates()  # sorts each row's columns and sums a shared vertex's entries
+        pieces.append(piece)
+    return pieces[0] if len(pieces) == 1 else sp.vstack(pieces, format="csr")
 
 
 def assemble_coupling(

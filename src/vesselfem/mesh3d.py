@@ -10,7 +10,8 @@ block entry, with no per-tet map to data positions.
 Quadrature runs in boxes of whole cells, so every consumer's temporaries
 stay bounded whatever the level; a block gives its points or their
 coordinate axes, over which a closed form is evaluated once per (x, y)
-column and once per z layer.  The interior vertices have one
+column and once per z layer.  Point evaluation locates its points in blocks
+of POINT_BLOCK, as the circle averages do.  The interior vertices have one
 nested-dissection order, built on first use, that the LU factorizations share.
 """
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import ConfigError, DomainError
 DEFAULT_BOX = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))  # the box of every coupled system
 _BOX_TOL = 1e-12  # points this far outside the box are still located
 _CHUNK = 65536  # quadrature points per block of whole cells, at least one
+POINT_BLOCK = 8192  # points located at once by FemSpace.evaluate and the circle averages
 # a vertex and its neighbours along the Kuhn edges: offsets in {-1, 0, 1}^3
 # that do not mix -1 and +1, in lexicographic (so column) order
 _OFFSETS = np.array([d for d in product((-1, 0, 1), repeat=3) if not (1 in d and -1 in d)])
@@ -233,9 +235,14 @@ class FemSpace:
         return self.mesh.n_vertices
 
     def evaluate(self, dofs, points):
-        """Evaluate the P1 field with the given dof vector at physical points."""
-        tet_ids, bary = self.mesh.locate_many(points)
-        return np.einsum("pi,pi->p", bary, np.asarray(dofs)[self.mesh.tets[tet_ids]])
+        """Evaluate the P1 field with the given dof vector at physical points,
+        located and contracted POINT_BLOCK points at a time."""
+        points, dofs = np.atleast_2d(np.asarray(points, dtype=float)), np.asarray(dofs)
+        out = np.empty(len(points), dtype=np.result_type(float, dofs))
+        for a in range(0, len(points), POINT_BLOCK):
+            tet_ids, bary = self.mesh.locate_many(points[a:a + POINT_BLOCK])
+            out[a:a + POINT_BLOCK] = np.einsum("pi,pi->p", bary, dofs[self.mesh.tets[tet_ids]])
+        return out
 
 
 @lru_cache(maxsize=None)

@@ -42,7 +42,8 @@ MAX_STEPS = 100_000
 # solve residual check (9.0e-11 for the run defaults); far higher degrees
 # exhaust memory in the Gauss rules.
 MAX_DEGREE = 64
-# Section circle points accepted; the coupling holds 4 n_circle entries a Gauss point.
+# Section circle points accepted; at any count the averaging matrix is built
+# from blocks of mesh3d.POINT_BLOCK circle points, which bound its temporaries.
 MIN_CIRCLE_POINTS, MAX_CIRCLE_POINTS = 4, 1024  # the top is 16x any study's
 
 

@@ -19,9 +19,13 @@ exchange blocks are also formed as SciPy's products of the weight
 diagonal, and the coupled operator is composed the general way, as sparse sums of its
 parts stacked, Dirichlet rows constrained and permuted into the LU's order,
 and the source gate runs its points in batches, one per time sample.  The
-box error norms also come restricted to the tets away from an axis.
+box error norms also come restricted to the tets away from an axis.  P1
+point evaluation and the circle-average matrix are also formed in one piece,
+every point located at once.  The tracemalloc peak of one call is read here
+for every memory test.
 """
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -486,3 +490,32 @@ def smooth_coupled_problem(degree: int = 1):
         dirichlet=smooth_box,
     )
     return problem, lambda s, t: scale * ms.c_hat(s, t), lambda s, t: scale * ms.c_hat_ds(s, t)
+
+
+# -- one-piece point location ------------------------------------------------
+
+def evaluate_one_piece(fem, dofs, points):
+    """``FemSpace.evaluate`` with every point located and contracted at once."""
+    tet_ids, bary = fem.mesh.locate_many(points)
+    return np.einsum("pi,pi->p", bary, np.asarray(dofs)[fem.mesh.tets[tet_ids]])
+
+
+def average_matrix_one_piece(fem, geometry, s, n_circle):
+    """``coupling.average_matrix`` as one CSR from every circle point located
+    at once, its duplicates summed."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    tet_ids, bary = fem.mesh.locate_many(geometry.circle_points(s, n_circle).reshape(-1, 3))
+    avg = sparse.csr_matrix((bary.ravel() / n_circle, fem.mesh.tets[tet_ids].ravel(),
+                             4 * n_circle * np.arange(s.size + 1)), shape=(s.size, fem.n_dofs))
+    avg.sum_duplicates()
+    return avg
+
+
+def tracemalloc_peak(fn):
+    """Peak bytes that tracemalloc traces while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -16,6 +16,12 @@ from vesselfem.stepper import MAX_DEGREE
 UNIT = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
 
+def _child_env():
+    """This environment with the package's directory first on PYTHONPATH, for a child interpreter."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")])))
+
+
 class TestVtk3d:
     def test_header_and_counts(self, tmp_path):
         mesh = build_box_mesh(*UNIT, 2)
@@ -587,37 +593,58 @@ class TestSnapshotTimes:
 class TestOutputWriteErrors:
     """An output file that cannot be written (a directory stands where it
     goes) exits 2 with its path on stderr, in a fresh process, without a
-    traceback.  A directory rather than permission bits: root ignores those."""
+    traceback, and leaves none of the command's files: what was written
+    before it is removed, and a file already in the directory is kept.  A
+    directory rather than permission bits: root ignores those."""
 
     @staticmethod
     def _main(tmp_path, argv):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")])))
         return subprocess.run([sys.executable, "-m", "vesselfem.cli", *argv], capture_output=True,
-                              text=True, cwd=tmp_path, env=env, timeout=300)
+                              text=True, cwd=tmp_path, env=_child_env(), timeout=300)
+
+    @staticmethod
+    def _block(tmp_path, blocked):
+        (tmp_path / "o" / blocked).mkdir(parents=True)
+        (tmp_path / "o" / "notes.txt").write_text("kept\n")
 
     @pytest.mark.parametrize("blocked", ["table1_3d.csv", "manufactured_n4_1d.vtk"])
     def test_manufactured(self, tmp_path, blocked):
-        (tmp_path / "o" / blocked).mkdir(parents=True)
-        self._check(self._main(tmp_path, ["manufactured", "--levels", "4", "--out", "o"]), blocked)
+        self._block(tmp_path, blocked)
+        self._check(tmp_path, self._main(tmp_path, ["manufactured", "--levels", "4", "--out", "o"]), blocked)
 
     @pytest.mark.parametrize("blocked", ["table3_case1.csv", "diagonal_case1_t0p5_3d.vtk"])
     def test_diagonal(self, tmp_path, blocked):
-        (tmp_path / "o" / blocked).mkdir(parents=True)
-        self._check(self._main(tmp_path, ["diagonal", "--levels", "4", "--fine", "8", "--out", "o"]), blocked)
+        self._block(tmp_path, blocked)
+        self._check(tmp_path, self._main(tmp_path, ["diagonal", "--levels", "4", "--fine", "8", "--out", "o"]), blocked)
 
     @pytest.mark.parametrize("blocked", ["run_t1_3d.vtk", "run_energy.csv", "run_summary.txt"])
     def test_run(self, tmp_path, blocked):
-        (tmp_path / "o" / blocked).mkdir(parents=True)
+        self._block(tmp_path, blocked)
         (tmp_path / "run.cfg").write_text("n = 2\nt_end = 1\nout = o\n")
-        self._check(self._main(tmp_path, ["run", "--config", "run.cfg"]), blocked)
+        self._check(tmp_path, self._main(tmp_path, ["run", "--config", "run.cfg"]), blocked)
 
     @staticmethod
-    def _check(result, blocked):
+    def _check(tmp_path, result, blocked):
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("output error: ") and result.stderr.count("\n") == 1
         assert os.path.join("o", blocked) in result.stderr
         assert "Traceback" not in result.stderr
+        assert sorted(os.listdir(tmp_path / "o")) == sorted([blocked, "notes.txt"])
+        assert not os.listdir(tmp_path / "o" / blocked)
+        assert (tmp_path / "o" / "notes.txt").read_text() == "kept\n"
+
+    def test_failed_write_midway_removes_its_file_and_the_directory(self, tmp_path, monkeypatch):
+        """A write that stops midway (a full disk, say) leaves neither its part
+        of a file nor the output directory the command made."""
+        def full_disk(dg, dofs, geometry, path):
+            with open(path, "w") as fp:
+                fp.write("POINTS")
+            raise OSError(28, "No space left on device", path)
+
+        monkeypatch.setattr(cli, "write_vtk_1d", full_disk)
+        (tmp_path / "run.cfg").write_text(f"n = 2\nt_end = 1\nout = {tmp_path / 'o'}\n")
+        assert cli.main(["run", "--config", str(tmp_path / "run.cfg")]) == 2
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 
 class TestRunCommand:
@@ -711,6 +738,28 @@ class TestRunCommand:
         # both requests reach the step at t = 0.5125, named by that state's time
         assert [os.path.basename(p) for p in written] == ["run_t0p5125_3d.vtk", "run_t0p6_3d.vtk"]
         assert (out / "run_t0p5125_1d.vtk").exists()
+
+
+@pytest.mark.slow
+class TestDenseExchangeMemory:
+    """A run with the densest exchange rule the CLI accepts at n = 16 (degree
+    64, 1024 circle points) keeps the averaging matrix's temporaries to one
+    point block: 113 MB resident, 301 MB when every circle point was located
+    at once.  The child prints its own peak, VmHWM: its getrusage ru_maxrss
+    would not do, since Linux carries the peak of the process that spawned
+    it across exec, and RUSAGE_CHILDREN keeps the largest of every child
+    this process has waited for."""
+
+    def test_peak_rss(self, tmp_path):
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("no /proc/self/status to read VmHWM from")
+        (tmp_path / "run.cfg").write_text("n = 16\ndegree = 64\nn_circ = 1024\nt_end = 0.02\nout = o\n")
+        child = ("import sys\nfrom vesselfem import cli\ncode = cli.main(['run', '--config', 'run.cfg'])\n"
+                 "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\nsys.exit(code)\n")
+        result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                                cwd=tmp_path, env=_child_env(), timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout.split()[-1]) / 1024 < 200  # VmHWM is in kB
 
 
 @pytest.mark.slow

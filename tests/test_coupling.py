@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vesselfem.cli import RunConfig, problem_from_config
 from vesselfem.coupling import assemble_coupling, average_matrix
 from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.errors import GeometryError
@@ -15,9 +16,9 @@ from vesselfem.geometry import (
     TanhRadius,
     VesselGeometry,
 )
-from vesselfem.mesh3d import FemSpace, build_box_mesh
+from vesselfem.mesh3d import POINT_BLOCK, FemSpace, build_box_mesh
 
-from _oracles import product_coupling
+from _oracles import average_matrix_one_piece, product_coupling, tracemalloc_peak
 
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
@@ -91,6 +92,58 @@ class TestLateralAverage:
         u = np.random.default_rng(2).standard_normal(fem.n_dofs)
         expected = [circle_mean(fem, geom, u, sk, n_circle) for sk in s]
         assert np.abs(avg @ u - expected).max() < 1e-13
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for part in ("indptr", "indices", "data"):
+        x, y = getattr(a, part), getattr(b, part)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), part
+
+
+class TestAverageBlocks:
+    """The averaging matrix is built POINT_BLOCK circle points at a time, and
+    equals, byte for byte, the one CSR of every circle point located at once."""
+
+    @staticmethod
+    def dense_exchange(n=16, degree=16, n_circle=1024):
+        """The Gauss points of a run config with a dense exchange rule."""
+        problem = problem_from_config(RunConfig(n=n, degree=degree, n_circ=n_circle))
+        dg = DgSpace(Partition1D.uniform(problem.geometry.length, n), degree)
+        pts, _, _, _ = dg.element_quadrature(degree + 2)
+        return problem.geometry, FemSpace(build_box_mesh(*CENTERED, n)), dg, pts.ravel()
+
+    def test_many_blocks(self):
+        geom, fem, _, s = self.dense_exchange()
+        assert s.size * 1024 > 4 * POINT_BLOCK
+        assert_same_csr(average_matrix(fem, geom, s, 1024), average_matrix_one_piece(fem, geom, s, 1024))
+
+    @pytest.mark.parametrize("n_circle", [1000, 1024, POINT_BLOCK + 16])
+    @pytest.mark.parametrize("rows", [1, 7, 37])
+    def test_ragged_blocks(self, n_circle, rows):
+        """Rows that do not fill the last block, and circles larger than one block."""
+        geom = diagonal_geometry()
+        fem = FemSpace(build_box_mesh(*CENTERED, 8))
+        s = np.linspace(0.0, geom.length, rows)
+        assert_same_csr(average_matrix(fem, geom, s, n_circle), average_matrix_one_piece(fem, geom, s, n_circle))
+
+    def test_no_live_gauss_point(self):
+        geom, fem = vertical_geometry(gamma=0.0), FemSpace(build_box_mesh(*CENTERED, 4))
+        avg = average_matrix(fem, geom, np.empty(0), 1024)
+        assert avg.shape == (0, fem.n_dofs)
+        assert_same_csr(avg, average_matrix_one_piece(fem, geom, np.empty(0), 1024))
+
+    def test_circle_leaving_box_in_a_later_block(self):
+        geom = VesselGeometry((0, 0, -0.5), (0, 0, 0.5), ConstantRadius(0.05), ConstantPermeability(1.0))
+        fem = FemSpace(build_box_mesh((-0.5, -0.5, -0.5), (0.5, 0.5, 0.4), 4))
+        s = np.linspace(0.0, 0.95, 40)  # 8 rows a block; the circles above z = 0.4 are in the last
+        with pytest.raises(GeometryError, match="leaves the box"):
+            average_matrix(fem, geom, s, 1024)
+
+    def test_dense_exchange_memory(self):
+        """n = 16, degree 16, n_circ 1024 (64.3 MB when every circle point was located at once)."""
+        geom, fem, dg, _ = self.dense_exchange()
+        assert tracemalloc_peak(lambda: assemble_coupling(geom, fem, dg, 1024)) < 8e6
 
 
 class TestAssembly:

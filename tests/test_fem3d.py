@@ -7,7 +7,7 @@ from vesselfem import fem3d, linalg, mesh3d, verify
 from vesselfem.fem3d import ScalarField3
 from vesselfem.mesh3d import FemSpace, build_box_mesh
 
-from _oracles import constrain_rows, manufactured_f0, manufactured_f1, slot_map
+from _oracles import constrain_rows, manufactured_f0, manufactured_f1, slot_map, tracemalloc_peak
 
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
@@ -250,25 +250,16 @@ class TestAssemblyMemory:
     """The box assembly's temporaries stay bounded at n = 32, and the cached
     level holds no per-tet map."""
 
-    @staticmethod
-    def _peak(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     @pytest.mark.slow  # an n = 32 box level
     def test_constant_coefficient_matrices(self):
         space = fem3d.box_level(32).space
         limit = 12e6  # bytes; the stencil and the matrix data (4.3 MB each), int32 positions
-        assert self._peak(lambda: fem3d.assemble_mass(space)) < limit
-        assert self._peak(lambda: fem3d.assemble_convection(space, (0.3, -0.2, 0.7))) < limit
+        assert tracemalloc_peak(lambda: fem3d.assemble_mass(space)) < limit
+        assert tracemalloc_peak(lambda: fem3d.assemble_convection(space, (0.3, -0.2, 0.7))) < limit
 
     def test_csr_pattern(self):
         mesh = build_box_mesh(*CENTERED, 32)
-        assert self._peak(lambda: mesh.csr_pattern) < 8e6  # indptr and indices are 2.3 MB
+        assert tracemalloc_peak(lambda: mesh.csr_pattern) < 8e6  # indptr and indices are 2.3 MB
 
     @pytest.mark.slow  # an n = 32 box level
     def test_cached_level(self):

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_jacobi, roots_legendre
 
-from _oracles import simplex_moment
+from _oracles import evaluate_one_piece, simplex_moment
 from vesselfem import mesh3d
 from vesselfem.errors import ConfigError, DomainError
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, VesselGeometry
-from vesselfem.mesh3d import build_box_mesh, tet_quadrature
+from vesselfem.mesh3d import POINT_BLOCK, FemSpace, build_box_mesh, tet_quadrature
 
 UNIT = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
@@ -137,6 +137,36 @@ class TestLocate:
             tets, bary = mesh.locate_many(pts)
             rec = np.einsum("pi,pic->pc", bary, mesh.vertices[mesh.tets[tets]])
             assert np.abs(rec - pts).max() < 1e-10
+
+
+class TestEvaluateBlocks:
+    """evaluate locates and contracts POINT_BLOCK points at a time, and equals,
+    byte for byte, every point located and contracted at once."""
+
+    def test_many_blocks(self):
+        fem = FemSpace(build_box_mesh(*CENTERED, 8))
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-0.5, 0.5, size=(2 * POINT_BLOCK + 17, 3))
+        pts[::97] = fem.mesh.vertices[rng.integers(fem.n_dofs, size=pts[::97].shape[0])]  # on vertices and faces
+        dofs = rng.standard_normal(fem.n_dofs)
+        values = fem.evaluate(dofs, pts)
+        expected = evaluate_one_piece(fem, dofs, pts)
+        assert values.shape == expected.shape and values.dtype == expected.dtype
+        assert values.tobytes() == expected.tobytes()
+
+    def test_one_point_and_integer_dofs(self):
+        fem = FemSpace(build_box_mesh(*CENTERED, 4))
+        dofs = np.arange(fem.n_dofs)
+        point = np.array([0.1, -0.2, 0.3])
+        np.testing.assert_array_equal(fem.evaluate(dofs, point), evaluate_one_piece(fem, dofs, point[None]))
+        assert fem.evaluate(dofs, point).dtype == np.float64
+
+    def test_outside_point_in_a_later_block(self):
+        fem = FemSpace(build_box_mesh(*CENTERED, 4))
+        pts = np.zeros((POINT_BLOCK + 3, 3))
+        pts[-1] = (0.0, 0.0, 0.7)
+        with pytest.raises(DomainError, match="outside the box"):
+            fem.evaluate(np.zeros(fem.n_dofs), pts)
 
 
 class TestQuadrature:

@@ -1,6 +1,5 @@
 import gc
 import math
-import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -16,7 +15,7 @@ from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.stepper import CoupledSystem
 
 from _oracles import batched_verify_sources, error_norms_3d_off_axis, manufactured_f0, manufactured_f1
-from _oracles import smooth_box, smooth_box_grad, smooth_box_parts, smooth_coupled_problem
+from _oracles import smooth_box, smooth_box_grad, smooth_box_parts, smooth_coupled_problem, tracemalloc_peak
 from _oracles import diagonal_problem as oracle_diagonal_problem
 
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
@@ -159,29 +158,29 @@ class TestErrorNorms:
 
 
 class TestErrorNormMemory:
-    """Quadrature blocks bound the temporaries of the error norms at n = 32."""
+    """Quadrature blocks bound the temporaries of the error norms at n = 32,
+    and point blocks those of the cross-mesh error."""
 
     LIMIT = 32e6  # bytes; one block of points with every per-point temporary
+    CROSS_LIMIT = 6e6  # bytes; one quadrature block's fine values and one point block located
 
     @staticmethod
-    def _peak(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    def test_cross_error_3d(self):
-        coarse, fine = (FemSpace(build_box_mesh(*CENTERED, n)) for n in (16, 32))
+    def _cross_peak(levels):
+        coarse, fine = (FemSpace(build_box_mesh(*CENTERED, n)) for n in levels)
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal(coarse.n_dofs), rng.standard_normal(fine.n_dofs)
-        assert self._peak(lambda: verify.cross_error_3d(coarse, a, fine, b)) < self.LIMIT
+        return tracemalloc_peak(lambda: verify.cross_error_3d(coarse, a, fine, b))
+
+    def test_cross_error_3d(self):
+        assert self._cross_peak((16, 32)) < self.CROSS_LIMIT  # 9.9 MB with each quadrature block located at once
+
+    def test_cross_error_3d_coarse_pair(self):
+        assert self._cross_peak((8, 16)) < self.CROSS_LIMIT  # 14.2 MB with each quadrature block located at once
 
     def test_error_norms_3d(self, ms):
         fem = FemSpace(build_box_mesh(*CENTERED, 32))
         c = np.random.default_rng(1).standard_normal(fem.n_dofs)
-        assert self._peak(lambda: verify.error_norms_3d(fem, c, ms.c, lambda x, t: ms.c_and_grad(x, t)[1], 1.0)) < self.LIMIT
+        assert tracemalloc_peak(lambda: verify.error_norms_3d(fem, c, ms.c, lambda x, t: ms.c_and_grad(x, t)[1], 1.0)) < self.LIMIT
 
     def test_one_pass_error_norms_3d(self, ms):
         """Value and gradient from one evaluation per block: the two-callable
@@ -189,7 +188,7 @@ class TestErrorNormMemory:
         fem = FemSpace(build_box_mesh(*CENTERED, 32))
         c = np.random.default_rng(1).standard_normal(fem.n_dofs)
         both = []
-        peak = self._peak(lambda: both.append(verify.error_norms_3d(fem, c, ms.c_and_grad, ms.c_and_grad, 1.0)))
+        peak = tracemalloc_peak(lambda: both.append(verify.error_norms_3d(fem, c, ms.c_and_grad, ms.c_and_grad, 1.0)))
         assert peak < self.LIMIT
         np.testing.assert_allclose(both[0], verify.error_norms_3d(fem, c, ms.c, lambda x, t: ms.c_and_grad(x, t)[1], 1.0), rtol=1e-13)
 
