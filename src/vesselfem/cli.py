@@ -16,6 +16,7 @@ failed verification gate.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -31,10 +32,8 @@ from .errors import ConfigError, SolverError, VerificationError
 from .fem3d import ScalarField3
 from .geometry import ConstantPermeability, ConstantRadius, PiecewisePermeability, TanhRadius, VesselGeometry
 from .mesh3d import TetMesh
-from .stepper import CoupledSystem, TransportProblem, check_level
+from .stepper import CoupledSystem, TransportProblem
 
-# Box levels the two studies accept; the largest is stepper.MAX_CELLS.
-ALLOWED_LEVELS = (4, 8, 16, 32)
 DIAGONAL_SNAPSHOT_TIMES = (0.0125, 0.5, 1.0)
 VTK_ROW_BLOCK = 8192  # rows formatted per write; bounds the tuple and string built for it
 
@@ -261,14 +260,6 @@ def _parse_levels(text):
         raise ConfigError(f"bad levels list: {text!r}") from err
 
 
-def _check_levels(levels, n_circ):
-    """The library's rules first, so that their messages win; then the studies' set."""
-    for n in levels:
-        check_level(n, n_circ)
-        if n not in ALLOWED_LEVELS:
-            raise ConfigError(f"levels must be a subset of {ALLOWED_LEVELS}")
-
-
 def _check_snapshot_times(times, t_end):
     """Reject a snapshot time the march never reaches, before any mesh is built."""
     for t in times:
@@ -294,15 +285,19 @@ def _write_outputs(out, tables, template, system, snapshots, texts=()):
     ``system`` marched to, ``<template>_3d.vtk`` and ``<template>_1d.vtk``
     with ``{tag}`` in the template replaced by t ('.' as 'p'), then each
     ``(name, text)`` of ``texts``.  An OSError removes every file this call
-    began to write, and ``out`` if it made it, before it propagates, so a
-    failed write leaves no output behind."""
+    began to write, and ``out`` and the ancestors of it that it made, before
+    it propagates, so a failed write leaves no output behind."""
     writes = [(name, partial(write_csv, header=header, rows=rows)) for name, header, rows in tables]
     for t, state in snapshots:
         stem = template.format(tag=format(t, "g").replace(".", "p"))
         writes += [(stem + "_3d.vtk", partial(write_vtk_3d, system.mesh, state.c)),
                    (stem + "_1d.vtk", partial(write_vtk_1d, system.dg, state.c_hat, system.problem.geometry))]
     writes += [(name, lambda path, text=text: Path(path).write_text(text)) for name, text in texts]
-    made, written = not os.path.lexists(out), []
+    # out first, up to its topmost missing ancestor (unnormalised: makedirs makes a/b for a/b/..)
+    made, written, probe = [], [], os.path.join(os.getcwd(), out)
+    while not os.path.lexists(probe):
+        made.append(probe)
+        probe = os.path.dirname(probe)
     try:
         os.makedirs(out, exist_ok=True)
         for name, write in writes:
@@ -313,14 +308,14 @@ def _write_outputs(out, tables, template, system, snapshots, texts=()):
         for path in written:
             if os.path.isfile(path):
                 os.remove(path)
-        if made:
-            os.rmdir(out)
+        for path in made:  # makedirs may have stopped above one, and a/b/.. is no new directory
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         raise
 
 
 def cmd_manufactured(args) -> int:
     levels = _parse_levels(args.levels)
-    _check_levels(levels, args.n_circ)
     _check_out_dir(args.out)
     report = verify.convergence_study(
         levels, degree=args.degree, epsilon=args.epsilon, sigma=args.sigma,
@@ -338,7 +333,6 @@ def cmd_manufactured(args) -> int:
 
 def cmd_diagonal(args) -> int:
     levels = _parse_levels(args.levels)
-    _check_levels(levels + (args.fine,), args.n_circ)
     _check_out_dir(args.out)
     report = verify.self_convergence(
         diagonal_problem(args.case, degree=args.degree), coarse_levels=levels, fine_n=args.fine,

@@ -52,8 +52,10 @@ def compose(n, parts, order, identity_rows):
         kept = ~dropped[rows]
         keys.append(rank[col0 + matrix.indices[kept]] * n + rank[rows[kept]])
         terms.append(factor * matrix.data[kept])
-    # each key packed above its term's position (both fit an int64 up to
-    # n = 32), so one sort orders the keys and keeps each key's terms listed
+    # each key packed above its term's position, so one sort orders the keys
+    # and keeps each key's terms listed; keys are below n^2, so this fits an
+    # int64 while bits(n^2) + bits(term count) <= 63: 31 + 19 = 50 at box
+    # level 32, 31 + 21 = 52 there at degree 64 with 1024 circle points
     packed = np.concatenate(keys)
     bits = packed.size.bit_length()
     packed <<= bits

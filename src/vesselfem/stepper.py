@@ -2,12 +2,12 @@
 
 The monolithic operator over (3D dofs, 1D dofs) is time-independent, so it is
 built in one pass, as one CSC matrix in its LU's order (``linalg.compose``),
-and factored once.  Below MAX_CELLS that order is the Dirichlet rows
-(identity rows, no fill), the box level's cached nested dissection of the
-interior vertices without the box dofs the exchange couples, those coupled
-dofs, then the vessel dofs; the coupled dofs reach across any grid plane
-near the vessel, so they go last with it.  At MAX_CELLS the matrix stays in
-natural order, which SuperLU orders by minimum degree.  Each step adds to
+and factored once.  At every level but n = 32 that order is the Dirichlet
+rows (identity rows, no fill), the box level's cached nested dissection of
+the interior vertices without the box dofs the exchange couples, those
+coupled dofs, then the vessel dofs; the coupled dofs reach across any grid
+plane near the vessel, so they go last with it.  At n = 32 the matrix stays
+in natural order, which SuperLU orders by minimum degree.  Each step adds to
 the previous state's mass products each datum's vector at the new time (box
 source, vessel source, and the inflow: ``dg1d.assemble_inflow_rhs`` built once
 and scaled by c_in(t)) in its rows, writes the Dirichlet trace and
@@ -208,9 +208,9 @@ class CoupledSystem:
         )
 
         self.dirichlet_rows = level.dirichlet_rows
-        # n = MAX_CELLS keeps SuperLU's minimum-degree ordering only because
+        # n = 32 keeps SuperLU's minimum-degree ordering only because
         # bench/gates.py's DIAGONAL_RECORDED holds that LU's round-off
-        order = None if n_cells == MAX_CELLS else self._level_order()
+        order = None if n_cells == 32 else self._level_order()
         b, nb = self.blocks, self.fem.n_dofs
         # [box + c_oo, -c_ol; -c_lo, inv_dt M1 + (A + B + c_ll)] in the LU's order
         parts = [(box, 0, 0, 1.0), (b.c_oo, 0, 0, 1.0), (b.c_ol, 0, nb, -1.0), (b.c_lo, nb, 0, -1.0),

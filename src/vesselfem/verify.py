@@ -273,9 +273,10 @@ class StudyReport:
         return [1.0 / n for n in self.levels]
 
     def rates(self, column):
-        """log2 ratio of consecutive errors of a column (coarse over fine)."""
-        e = np.asarray(getattr(self, column), dtype=float)
-        return [float(np.log2(e[i] / e[i + 1])) for i in range(e.size - 1)]
+        """Orders of a column between consecutive levels, log(e_k / e_k+1) /
+        log(n_k+1 / n_k), as log2 ratios; halving levels divide by exactly 1."""
+        e, n = np.asarray(getattr(self, column), dtype=float), self.levels
+        return [float(np.log2(e[i] / e[i + 1]) / np.log2(n[i + 1] / n[i])) for i in range(e.size - 1)]
 
     def add(self, run_report, **errors):
         """Append one run's errors to their columns and fold in its residual."""

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from vesselfem import cli
+from vesselfem import cli, verify
 from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.errors import ConfigError
 from vesselfem.geometry import ConstantPermeability, ConstantRadius, VesselGeometry
@@ -245,7 +246,7 @@ class TestConfig:
 
 class TestExitCodes:
     def test_config_error_is_2(self):
-        assert cli.main(["manufactured", "--levels", "3,5"]) == 2
+        assert cli.main(["manufactured", "--levels", "1,5"]) == 2
         assert cli.main(["diagonal", "--case", "7"]) == 2
         assert cli.main(["diagonal", "--levels", "4,8", "--fine", "8"]) == 2
         assert cli.main(["run", "--config", "/nonexistent/file.cfg"]) == 2
@@ -315,9 +316,6 @@ class TestSolverLimit:
         cfg_file.write_text(f"n = 64\nout = {tmp_path / 'out'}\n")
         self._rejected(["run", "--config", str(cfg_file)], capsys)
         assert not (tmp_path / "out").exists()
-
-    def test_diagonal_fine_outside_levels(self, tmp_path):
-        assert cli.main(["diagonal", "--fine", "24", "--out", str(tmp_path)]) == 2
 
 
 class TestStepLimit:
@@ -646,6 +644,22 @@ class TestOutputWriteErrors:
         assert cli.main(["run", "--config", str(tmp_path / "run.cfg")]) == 2
         assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
+    @pytest.mark.parametrize("out, existing", [("a/b", []), ("a/b", ["a"]), ("a/b/..", [])])
+    def test_failed_write_removes_the_parents_it_made(self, tmp_path, monkeypatch, capsys, out, existing):
+        """With ``out = a/b``, the directories the command made for it go with
+        it, and a parent that was there before stays."""
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_vtk_3d", fail)
+        for name in existing:
+            (tmp_path / name).mkdir()
+        (tmp_path / "run.cfg").write_text(f"n = 2\nt_end = 1\nout = {tmp_path / out}\n")
+        assert cli.main(["run", "--config", str(tmp_path / "run.cfg")]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == sorted(["run.cfg", *existing])
+        assert all(not os.listdir(tmp_path / name) for name in existing)
+
 
 class TestRunCommand:
     def test_small_run_outputs(self, tmp_path):
@@ -800,3 +814,20 @@ class TestDiagonalCommand:
         for t in ("0p0125", "0p5", "1"):
             assert (out / f"diagonal_case1_t{t}_3d.vtk").exists()
             assert (out / f"diagonal_case1_t{t}_1d.vtk").exists()
+
+    def test_levels_that_do_not_halve(self, tmp_path, monkeypatch):
+        """Levels 3, 6 against 12 run, and each rate column holds the order
+        log(e_k / e_k+1) / log(n_k+1 / n_k) of its study's errors."""
+        reports = []
+
+        def study(*args, run=verify.self_convergence, **kwargs):
+            reports.append(run(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(verify, "self_convergence", study)
+        out = tmp_path / "d"
+        assert cli.main(["diagonal", "--levels", "3,6", "--fine", "12", "--out", str(out)]) == 0
+        rows = [row.split(",") for row in (out / "table3_case1.csv").read_text().splitlines()[1:]]
+        for column, name in ((2, "err3"), (4, "err1")):
+            e = getattr(reports[0], name)
+            assert [row[column] for row in rows] == ["", format(math.log(e[0] / e[1]) / math.log(2.0), ".5e")]

@@ -198,6 +198,17 @@ class TestRates:
         report = verify.ConvergenceReport(levels=[4, 8, 16], l2_3=[1.0, 0.25], grad3=[8.0, 4.0, 1.0])
         assert report.rates("l2_3") == [2.0]
         assert report.rates("grad3") == pytest.approx([1.0, 2.0])
+        # halving levels divide by exactly 1: the log2 ratio, to the last bit
+        e = [0.3, 0.07, 0.011]
+        assert verify.ConvergenceReport(levels=[4, 8, 16], l2_3=e).rates("l2_3") == [
+            float(np.log2(e[0] / e[1])), float(np.log2(e[1] / e[2]))]
+        # other level ratios give the order log(e_k / e_k+1) / log(n_k+1 / n_k):
+        # errors that fall like h^p give p
+        for levels in ((4, 16), (3, 5)):
+            for p in (0.75, 1.0, 2.0):
+                e = [n ** -p for n in levels]
+                report = verify.ConvergenceReport(levels=list(levels), l2_3=e)
+                assert report.rates("l2_3") == pytest.approx([p], rel=1e-14)
 
     def test_report_requires_increasing_levels(self):
         with pytest.raises(ValueError):
