@@ -211,9 +211,9 @@ def parse_config_file(path) -> RunConfig:
     kinds = {f.name: f.type for f in fields(RunConfig)}
     cfg, seen = RunConfig(), {}
     try:
-        with open(path) as fp:
+        with open(path, encoding="utf-8") as fp:
             lines = fp.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -269,9 +269,9 @@ def _check_snapshot_times(times, t_end):
 
 def _check_out_dir(path):
     """Reject an output path that cannot become a directory, before any mesh is
-    built: it is empty, or it or the nearest of its ancestors that exists is no directory."""
-    if not path:
-        raise ConfigError("output path is empty")
+    built: it is empty or holds a NUL byte, or it or its nearest existing ancestor is no directory."""
+    if not path or "\0" in path:
+        raise ConfigError("output path is empty" if not path else f"output path {path!r} holds a NUL byte")
     probe = os.path.abspath(path)
     while not os.path.lexists(probe):
         probe = os.path.dirname(probe)
@@ -369,13 +369,16 @@ def cmd_run(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The commands' parser.  A flag value it cannot take, such as ``--fine x``,
+    raises argparse.ArgumentError, which main reports as a configuration error."""
     parser = argparse.ArgumentParser(
         prog="vesselfem",
         description="coupled box/vessel solute transport solver",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("manufactured", help="verification study on the vertical vessel")
+    p = sub.add_parser("manufactured", help="verification study on the vertical vessel", exit_on_error=False)
     p.add_argument("--levels", default="4,8,16")
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--epsilon", type=int, default=1)
@@ -384,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out_manufactured")
     p.set_defaults(fn=cmd_manufactured)
 
-    p = sub.add_parser("diagonal", help="self-convergence study on the diagonal vessel")
+    p = sub.add_parser("diagonal", help="self-convergence study on the diagonal vessel", exit_on_error=False)
     p.add_argument("--case", type=int, default=1)
     p.add_argument("--levels", default="4,8,16")
     p.add_argument("--fine", type=int, default=32)
@@ -393,18 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out_diagonal")
     p.set_defaults(fn=cmd_diagonal)
 
-    p = sub.add_parser("run", help="single run from a key = value config file")
+    p = sub.add_parser("run", help="single run from a key = value config file", exit_on_error=False)
     p.add_argument("--config", required=True)
     p.set_defaults(fn=cmd_run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except ConfigError as err:
+    except (ConfigError, argparse.ArgumentError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except SolverError as err:

@@ -24,38 +24,36 @@ from .mesh3d import DEFAULT_BOX, FemSpace, build_box_mesh, tet_quadrature
 
 @dataclass(frozen=True)
 class ScalarField3:
-    """Scalar datum on the box, a source or a trace; fn maps (points (m,3), t) -> (m,).
+    """Scalar datum on the box, a source or a trace; fn maps (coordinates
+    (x, y, z), t) to values.  The coordinates broadcast together (a quadrature
+    block's axes, the columns of boundary points), the values against them.
 
     A time-separable field f = sum_k g_k(t) p_k(x) keeps its factors too:
-    ``times(t)`` gives the k floats g_k(t), ``parts(x)`` the stacked (k, m) p_k.
+    ``times(t)`` gives the k floats g_k(t), ``parts(x)`` the p_k stacked in front.
     A vessel datum is the same kind of field over arclengths: x is an (m,) array of s.
     ``zero()`` is marked ``is_zero``, so that a march skips it.
-    With ``lattice`` set, fn (and parts) also take a quadrature block's
-    coordinate axes (X, Y, Z) of ``TetMesh.quadrature`` in place of its
-    points, and return values of their broadcast shape (stacked in front).
     """
 
     fn: Callable
     is_zero: bool = False
     times: Callable | None = None
     parts: Callable | None = None
-    lattice: bool = False
 
     def __call__(self, x, t=0.0):
         return np.asarray(self.fn(x, t), dtype=float)
 
     @classmethod
-    def separable(cls, times, parts, lattice=False):
+    def separable(cls, times, parts):
         """Field sum_k g_k(t) p_k(x) with (g_k(t)) = times(t) and (p_k(x)) = parts(x)."""
 
         def fn(x, t):
             return sum(float(g) * p for g, p in zip(times(t), np.asarray(parts(x), dtype=float)))
 
-        return cls(fn=fn, times=times, parts=parts, lattice=lattice)
+        return cls(fn=fn, times=times, parts=parts)
 
     @classmethod
     def zero(cls):
-        return cls(fn=lambda x, t: np.zeros(np.shape(x)[0]), is_zero=True)
+        return cls(fn=lambda x, t: np.zeros(np.broadcast(*x).shape), is_zero=True)
 
 
 def _assemble(space: FemSpace, blocks):
@@ -119,19 +117,20 @@ def box_block(level: BoxLevel, inv_dt: float, kappa: float, velocity):
 
 def assemble_load(space: FemSpace, f: ScalarField3, t: float, order: int = 4):
     """Load vector F_i = (f(., t), phi_i); a field with stacked values, shape
-    (k, m), gives the k load vectors as (k, n_dofs) from one quadrature pass."""
+    (k, ...), gives the k load vectors as (k, n_dofs) from one quadrature pass."""
     mesh = space.mesh
     bary, _ = tet_quadrature(order)
     out = None
-    for sl, xq, wq in mesh.quadrature(order, axes=f.lattice):
-        fq = f(xq, t)  # stacked values have one more axis than a point (3,) or than X
-        out = np.zeros(fq.shape[:fq.ndim - np.ndim(xq[0])] + (space.n_dofs,)) if out is None else out
+    for sl, xyz, wq in mesh.quadrature(order):
+        block = np.broadcast(*xyz).shape
+        fq = f(xyz, t)  # stacked values have one more axis in front
+        fq = np.broadcast_to(fq, np.shape(fq)[:-len(block)] + block)  # a constant, or a field of x alone, too
+        out = np.zeros(fq.shape[:-len(block)] + (space.n_dofs,)) if out is None else out
         for row, fk in zip(out.reshape(-1, space.n_dofs), fq.reshape(-1, *wq.shape)):
             np.add.at(row, mesh.tets[sl].ravel(), ((wq * fk) @ bary).ravel())
     return out
 
 
 def dirichlet_values(points, g, t: float):
-    """Boundary values g(x, t) at the constrained vertices' points, gathered once by the caller."""
-    return np.asarray(g(points, t), dtype=float)
-
+    """Boundary values g((x, y, z), t) at the constrained vertices' points (m, 3), gathered once by the caller."""
+    return np.asarray(g(tuple(points.T), t), dtype=float)

@@ -8,9 +8,9 @@ points share.  Per-shape element blocks are summed onto the one CSR pattern
 of the P1 matrices as a stencil on the cell grid, one shifted slice per
 block entry, with no per-tet map to data positions.
 Quadrature runs in boxes of whole cells, so every consumer's temporaries
-stay bounded whatever the level; a block gives its points or their
-coordinate axes, over which a closed form is evaluated once per (x, y)
-column and once per z layer.  Point evaluation locates its points in blocks
+stay bounded whatever the level; a block gives its points' coordinate
+axes, over which a closed form is evaluated once per (x, y) column and
+once per z layer.  Point evaluation locates its points in blocks
 of POINT_BLOCK, as the circle averages do.  The interior vertices have one
 nested-dissection order, built on first use, that the LU factorizations share.
 """
@@ -168,7 +168,7 @@ class TetMesh:
                 target += blocks[s, i, j]  # in place, no write-back
         return stencil.reshape(len(_OFFSETS), -1).T[self._neighbours()]  # the pattern's entries, row by row
 
-    def quadrature(self, order, axes=False):
+    def quadrature(self, order):
         """Tet quadrature of the given order in blocks that are boxes of whole
         cells, an i-range x j-range x k-range of at most _CHUNK points (one
         cell when a cell alone holds more): whole i-planes, else whole k-rows
@@ -176,9 +176,9 @@ class TetMesh:
         order, cell after cell, each cell's six shapes in order.  A point is
         its cell origin plus one of P = 6 nq per-cell offsets.
 
-        Yields (tet slice, points (m, 3), weights 6|T| w_q (ne, nq)); with
-        ``axes`` the points' coordinate axes X (bi, 1, 1, P), Y (1, bj, 1, P)
-        and Z (1, 1, bk, P) instead, which broadcast to them in that order.
+        Yields (tet slice, the points' coordinate axes (X, Y, Z), weights
+        6|T| w_q (ne, nq)): X (bi, 1, 1, P), Y (1, bj, 1, P) and Z
+        (1, 1, bk, P) broadcast to the block's points, tet after tet.
         """
         bary, w = tet_quadrature(order)
         corners = self.vertices[self.tets[:6]]
@@ -191,8 +191,7 @@ class TetMesh:
             xyz = tuple(origins[c][r].reshape([-1 if d == c else 1 for d in range(4)]) + ref[:, c]
                         for c, r in enumerate(ranges))
             first, ne = 6 * ((start[0] * n + start[1]) * n + start[2]), 6 * math.prod(map(len, ranges))
-            points = xyz if axes else np.stack(np.broadcast_arrays(*xyz), axis=-1).reshape(-1, 3)
-            yield slice(first, first + ne), points, np.broadcast_to(6.0 * self.tet_volume * w, (ne, w.size))
+            yield slice(first, first + ne), xyz, np.broadcast_to(6.0 * self.tet_volume * w, (ne, w.size))
 
     def locate_many(self, points):
         """Locate points in the mesh; returns (tet ids, barycentric coords).

@@ -84,7 +84,7 @@ class TransportProblem:
 
     The coefficients are constants: ``kappa``, ``kappa_hat`` and ``u_hat``
     positive floats, ``velocity`` three floats.  ``source1`` acts on vessel
-    arclength; ``dirichlet`` maps (boundary points, t) to trace values
+    arclength; ``dirichlet`` maps (boundary coordinates (x, y, z), t) to trace values
     (None = homogeneous); ``c_in`` is the prescribed inflow concentration.
     ``dt`` is the requested step, 0.1 times the mesh cell size when left
     None; the system shortens it so that a whole number of steps lands on
@@ -154,7 +154,7 @@ def _in_time(datum, vector):
     and recombined at each t; any other datum is evaluated at each t."""
     if getattr(datum, "parts", None) is None:
         return lambda t: vector(datum, t)
-    parts = ScalarField3(fn=lambda x, t: datum.parts(x), lattice=datum.lattice)
+    parts = ScalarField3(fn=lambda x, t: datum.parts(x))
     evaluated = functools.cache(lambda: vector(parts, 0.0))  # on first use
     return lambda t: sum(float(g) * part for g, part in zip(datum.times(t), evaluated()))
 

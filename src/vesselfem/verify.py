@@ -52,9 +52,9 @@ class ManufacturedSolution:
         return 1.0 - self.radius * np.log(np.maximum(r, self.radius) / self.radius)
 
     def _profile(self, x):
-        """x, y, z, w(r) and sin(pi z) at points (m, 3) or on a block's axes (X, Y, Z), with
-        the same arithmetic per point; r by sqrt, as every point lies in the unit box."""
-        x, y, z = x if isinstance(x, tuple) else np.atleast_2d(np.asarray(x, dtype=float)).T
+        """x, y, z, w(r) and sin(pi z) on coordinates (x, y, z), such as a block's
+        axes (X, Y, Z); r by sqrt, as every point lies in the unit box."""
+        x, y, z = x
         return x, y, z, self.w(np.sqrt(x**2 + y**2)), np.sin(np.pi * z)
 
     def c_hat(self, s, t):
@@ -68,7 +68,7 @@ class ManufacturedSolution:
         return 0.5 * w * (self.phi(t) * (sz + 2.0))
 
     def c_and_grad(self, x, t):
-        """c and its gradient (..., 3) from one profile, at points or on axes."""
+        """c and its gradient (..., 3) from one profile on coordinates (x, y, z)."""
         x, y, z, w, sz = self._profile(x)
         phi, grad = self.phi(t), np.empty(np.broadcast_shapes(w.shape, sz.shape) + (3,))
         chat, rsq = phi * (sz + 2.0), x**2 + y**2
@@ -80,7 +80,7 @@ class ManufacturedSolution:
         return 0.5 * w * chat, grad
 
     def f_parts(self, x):
-        """The bulk source's space parts, stacked (2, m): 1/2 w(r) chat / phi
+        """The bulk source's space parts, stacked (2, ...): 1/2 w(r) chat / phi
         and 1/2 w(r) (d_z - d_zz) chat / phi, the factors of phi' and phi."""
         _, _, z, half_w, sz = self._profile(x)
         half_w *= 0.5
@@ -128,7 +128,7 @@ def manufactured_problem(epsilon: int = 1, sigma: float = 50.0, degree: int = 1,
         kappa_hat=1.0,
         velocity=(0.0, 0.0, 1.0),
         u_hat=1.0,
-        source3=ScalarField3.separable(times, ms.f_parts, lattice=True),
+        source3=ScalarField3.separable(times, ms.f_parts),
         source1=ScalarField3.separable(times, ms.f_hat_parts),
         c_in=ms.c_in,
         dirichlet=ScalarField3.separable(lambda t: (ms.phi(t),), lambda x: ms.f_parts(x)[:1]),  # c = phi p0
@@ -170,11 +170,11 @@ def verify_sources(ms: ManufacturedSolution | None = None, n_points: int = 1000,
     times = rng.uniform(0.05, 0.95, size=n_times)
 
     t = np.repeat(times, [len(run) for run in np.array_split(pts, n_times)])  # a sample per array_split run
-    c_at = lambda d, axis: ms.c(pts + d * np.eye(3)[axis], t)
-    dt = _stencil(lambda d: ms.c(pts, t + d), _FD4_1, h3, 1)
+    c_at = lambda d, axis: ms.c(tuple((pts + d * np.eye(3)[axis]).T), t)
+    dt = _stencil(lambda d: ms.c(tuple(pts.T), t + d), _FD4_1, h3, 1)
     lap = sum(_stencil(lambda d: c_at(d, axis), _FD4_2, h3, 2) for axis in range(3))
     dz = _stencil(lambda d: c_at(d, 2), _FD4_1, h3, 1)
-    f_res = float(np.max(np.abs(dt - lap + dz - ms.f(pts, t))))
+    f_res = float(np.max(np.abs(dt - lap + dz - ms.f(tuple(pts.T), t))))
 
     s = rng.uniform(5 * h1, 1.0 - 5 * h1, size=n_points)
     t = np.repeat(times, [len(run) for run in np.array_split(s, n_times)])
@@ -208,42 +208,37 @@ def source_gate(**kwargs):
 
 # -- error norms -------------------------------------------------------------
 
-def error_norms_3d(fem, c_dofs, exact, exact_grad, t):
-    """(L2 error, gradient L2 error) of a P1 field against reference fields
-    exact(points, t) and exact_grad(points, t), by the order-4 tet rule; None
-    stands for zero.  One callable given as both returns (values, gradients)
-    from one evaluation per block, on the block's axes (``TetMesh.quadrature``)."""
+def error_norms_3d(fem, c_dofs, exact, t):
+    """(L2 error, gradient L2 error) of a P1 field against a reference field,
+    by the order-4 tet rule: exact(axes, t) returns (values, gradients
+    (..., 3)) from one evaluation per block, on the block's axes
+    (``TetMesh.quadrature``); 0.0 stands for a zero field or gradient."""
     mesh = fem.mesh
     bary, _ = tet_quadrature(4)
     dofs = np.asarray(c_dofs, dtype=float)
-    fused = exact is not None and exact == exact_grad
-    l2 = 0.0
-    grad = 0.0
-    for sl, xq, wq in mesh.quadrature(4, axes=fused):
+    l2 = grad = 0.0
+    for sl, xyz, wq in mesh.quadrature(4):
         local = dofs[mesh.tets[sl]]  # (ne, 4)
         ch = local @ bary.T
-        ce, ge = exact(xq, t) if fused else (0.0 * ch if exact is None else exact(xq, t), None)
-        l2 += float(np.einsum("eq,eq->", wq, (ce.reshape(ch.shape) - ch) ** 2))
+        ce, ge = exact(xyz, t)
+        block = np.broadcast(*xyz).shape
+        l2 += float(np.einsum("eq,eq->", wq, (np.broadcast_to(ce, block).reshape(ch.shape) - ch) ** 2))
         # blocks are whole cells, so the tets cycle through the six shapes
         gh = np.einsum("sic,bsi->bsc", mesh.shape_gradients, local.reshape(-1, 6, 4)).reshape(-1, 3)
-        if exact_grad is not None:
-            ge = np.reshape(ge if fused else exact_grad(xq, t), (*wq.shape, 3))
-            diff = np.subtract(ge, gh[:, None, :], out=ge if fused else None)  # a fused ge is ours
-            grad += float(np.einsum("eq,eqc->", wq, np.square(diff, out=diff)))
-        else:
-            grad += float(wq.sum(axis=1).dot(np.sum(gh**2, axis=1)))
+        diff = np.broadcast_to(ge, block + (3,)).reshape(*wq.shape, 3) - gh[:, None, :]
+        grad += float(np.einsum("eq,eqc->", wq, np.square(diff, out=diff)))
     return math.sqrt(l2), math.sqrt(grad)
 
 
-def error_norms_1d(dg: DgSpace, dofs, exact, exact_ds, t):
-    """(L2 error, broken gradient error) of a DG field against closed forms,
-    with degree + 3 Gauss points per element; None stands for zero."""
+def error_norms_1d(dg: DgSpace, dofs, exact, t):
+    """(L2 error, broken gradient error) of a DG field against a reference
+    field, with degree + 3 Gauss points per element: exact(s, t) returns
+    (values, s-derivatives); 0.0 stands for a zero field or derivative."""
     pts, wts, vals, ders = dg.element_quadrature(dg.degree + 3)
     local = np.asarray(dofs, dtype=float).reshape(-1, dg.n_local)
     vh = local @ vals
     dh = np.einsum("ei,eiq->eq", local, ders)
-    ve = exact(pts, t) if exact is not None else 0.0
-    de = exact_ds(pts, t) if exact_ds is not None else 0.0
+    ve, de = exact(pts, t)
     l2 = float(np.einsum("eq,eq->", wts, (ve - vh) ** 2))
     broken = float(np.einsum("eq,eq->", wts, (de - dh) ** 2))
     return math.sqrt(l2), math.sqrt(broken)
@@ -313,11 +308,12 @@ def convergence_study(
     report = ConvergenceReport(levels=list(levels))
     source_gate()
     ms = ManufacturedSolution()
+    c_hat_and_ds = lambda s, t: (ms.c_hat(s, t), ms.c_hat_ds(s, t))
     for n in report.levels:
         system = CoupledSystem(problem, n_cells=n, n_circle=n_circle)
         state, run_report = system.run()
-        l2_3, grad3 = error_norms_3d(system.fem, state.c, ms.c_and_grad, ms.c_and_grad, state.t)
-        l2_1, grad1 = error_norms_1d(system.dg, state.c_hat, ms.c_hat, ms.c_hat_ds, state.t)
+        l2_3, grad3 = error_norms_3d(system.fem, state.c, ms.c_and_grad, state.t)
+        l2_1, grad1 = error_norms_1d(system.dg, state.c_hat, c_hat_and_ds, state.t)
         report.add(run_report, grad3=grad3, l2_3=l2_3, grad1=grad1, l2_1=l2_1)
         report.system, report.snapshots = system, [(state.t, state)]
     return report
@@ -337,14 +333,16 @@ class SelfConvergenceReport(StudyReport):
 
 def cross_error_3d(coarse_fem, coarse_dofs, fine_fem, fine_dofs):
     """L2 distance between two P1 fields, integrated on the coarse mesh."""
-    fine = lambda x, t: fine_fem.evaluate(fine_dofs, x)
-    return error_norms_3d(coarse_fem, coarse_dofs, fine, None, 0.0)[0]
+    def fine(xyz, t):  # the fine field at the block's points, stacked (m, 3); a zero gradient
+        points = np.stack(np.broadcast_arrays(*xyz), axis=-1)
+        return fine_fem.evaluate(fine_dofs, points.reshape(-1, 3)).reshape(points.shape[:-1]), 0.0
+    return error_norms_3d(coarse_fem, coarse_dofs, fine, 0.0)[0]
 
 
 def cross_error_1d(coarse_dg, coarse_dofs, fine_dg, fine_dofs):
     """L2 distance between two broken fields, integrated on the coarse partition."""
-    fine = lambda s, t: fine_dg.evaluate(fine_dofs, s.ravel()).reshape(s.shape)
-    return error_norms_1d(coarse_dg, coarse_dofs, fine, None, 0.0)[0]
+    fine = lambda s, t: (fine_dg.evaluate(fine_dofs, s.ravel()).reshape(s.shape), 0.0)
+    return error_norms_1d(coarse_dg, coarse_dofs, fine, 0.0)[0]
 
 
 def self_convergence(

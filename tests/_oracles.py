@@ -213,20 +213,20 @@ def slot_map(mesh):
     return slot
 
 
-def manufactured_f0(x, radius=0.05):
-    """Time-independent part of the manufactured bulk source: 1/2 w(r) dchat/dt."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2)
+def manufactured_f0(xyz, radius=0.05):
+    """Time-independent part of the manufactured bulk source: 1/2 w(r) dchat/dt,
+    on coordinates (x, y, z)."""
+    x, y, z = xyz
+    r = np.sqrt(x**2 + y**2)
     w = np.where(r > radius, 1.0 - radius * np.log(np.maximum(r, radius) / radius), 1.0)
-    return 0.5 * w * (np.sin(np.pi * x[:, 2]) + 2.0)
+    return 0.5 * w * (np.sin(np.pi * z) + 2.0)
 
 
-def manufactured_f1(x, radius=0.05):
+def manufactured_f1(xyz, radius=0.05):
     """Coefficient of t in the manufactured bulk source: 1/2 w(r) (d_z - d_zz) chat / t."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2)
+    x, y, z = xyz
+    r = np.sqrt(x**2 + y**2)
     w = np.where(r > radius, 1.0 - radius * np.log(np.maximum(r, radius) / radius), 1.0)
-    z = x[:, 2]
     return 0.5 * w * (np.pi**2 * np.sin(np.pi * z) + np.pi * np.cos(np.pi * z))
 
 
@@ -398,11 +398,11 @@ def batched_verify_sources(ms=None, n_points=1000, seed=0):
 
     f_res = 0.0
     for batch, t in zip(np.array_split(pts, n_times), times):
-        c_at = lambda d, axis: ms.c(batch + d * np.eye(3)[axis], t)
-        dt = stencil(lambda d: ms.c(batch, t + d), d1, h3, 1)
+        c_at = lambda d, axis: ms.c(tuple((batch + d * np.eye(3)[axis]).T), t)
+        dt = stencil(lambda d: ms.c(tuple(batch.T), t + d), d1, h3, 1)
         lap = sum(stencil(lambda d: c_at(d, axis), d2, h3, 2) for axis in range(3))
         dz = stencil(lambda d: c_at(d, 2), d1, h3, 1)
-        f_res = max(f_res, float(np.max(np.abs(dt - lap + dz - ms.f(batch, t)))))
+        f_res = max(f_res, float(np.max(np.abs(dt - lap + dz - ms.f(tuple(batch.T), t)))))
 
     s = rng.uniform(5 * h1, 1.0 - 5 * h1, size=n_points)
     area = np.pi * R**2
@@ -415,7 +415,7 @@ def batched_verify_sources(ms=None, n_points=1000, seed=0):
         ds = stencil(lambda d: ms.c_hat(batch + d, t), d1, h1, 1)
         dss = stencil(lambda d: ms.c_hat(batch + d, t), d2, h1, 2)
         ring3 = np.column_stack([np.tile(ring, (batch.size, 1)), np.repeat(batch - 0.5, 64)])
-        cbar = ms.c(ring3, t).reshape(batch.size, 64).mean(axis=1)
+        cbar = ms.c(tuple(ring3.T), t).reshape(batch.size, 64).mean(axis=1)
         resid = (area * dt - area * dss + area * ds
                  + circ * (ms.c_hat(batch, t) - cbar) - ms.f_hat(batch, t))
         fhat_res = max(fhat_res, float(np.max(np.abs(resid))))
@@ -428,15 +428,15 @@ def batched_verify_sources(ms=None, n_points=1000, seed=0):
 def error_norms_3d_off_axis(fem, c_dofs, exact_and_grad, t, r_min):
     """``verify.error_norms_3d`` over the tets whose centroid lies at distance
     r >= r_min from the axis x = y = 0: (L2 error, gradient L2 error) of a P1
-    field by the order-4 rule, exact_and_grad(points, t) giving the exact
-    values and gradients at points (m, 3)."""
+    field by the order-4 rule, exact_and_grad((x, y, z), t) giving the exact
+    values and gradients (m, 3) at the coordinates of points (m, 3)."""
     mesh = fem.mesh
     bary, w = tet_quadrature(4)
     centroids = mesh.vertices[mesh.tets].mean(axis=1)
     kept = np.flatnonzero(np.hypot(centroids[:, 0], centroids[:, 1]) >= r_min)
     local = np.asarray(c_dofs, dtype=float)[mesh.tets[kept]]  # (ne, 4)
     points = np.einsum("qi,eic->eqc", bary, mesh.vertices[mesh.tets[kept]])
-    ce, ge = exact_and_grad(points.reshape(-1, 3), t)
+    ce, ge = exact_and_grad(tuple(points.reshape(-1, 3).T), t)
     gh = np.einsum("eic,ei->ec", mesh.shape_gradients[kept % 6], local)  # tet k has shape k % 6
     wq = 6.0 * mesh.tet_volume * w
     l2 = np.einsum("q,eq->", wq, (ce.reshape(len(kept), -1) - local @ bary.T) ** 2)
@@ -446,22 +446,25 @@ def error_norms_3d_off_axis(fem, c_dofs, exact_and_grad, t, r_min):
 
 # -- the smooth coupled pair -------------------------------------------------
 
-def smooth_box(x, t):
-    """c = t/2 cos(pi x) cos(pi y) (sin(pi z) + 2), smooth across the vessel wall."""
-    x = np.atleast_2d(x)
-    return 0.5 * t * np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1]) * (np.sin(np.pi * x[:, 2]) + 2.0)
+def smooth_box(xyz, t):
+    """c = t/2 cos(pi x) cos(pi y) (sin(pi z) + 2), smooth across the vessel wall,
+    on coordinates (x, y, z)."""
+    x, y, z = xyz
+    return 0.5 * t * np.cos(np.pi * x) * np.cos(np.pi * y) * (np.sin(np.pi * z) + 2.0)
 
 
-def smooth_box_grad(x, t):
-    x = np.atleast_2d(x)
-    (cx, cy, cz), (sx, sy, sz) = np.cos(np.pi * x.T), np.sin(np.pi * x.T)
+def smooth_box_and_grad(xyz, t):
+    """``smooth_box`` and its gradient (..., 3)."""
+    (cx, cy, cz), (sx, sy, sz) = ([f(np.pi * a) for a in xyz] for f in (np.cos, np.sin))
     half = 0.5 * t * np.pi
-    return np.stack([-half * sx * cy * (sz + 2.0), -half * cx * sy * (sz + 2.0), half * cx * cy * cz], axis=1)
+    grad = np.stack(np.broadcast_arrays(-half * sx * cy * (sz + 2.0), -half * cx * sy * (sz + 2.0),
+                                        half * cx * cy * cz), axis=-1)
+    return smooth_box(xyz, t), grad
 
 
-def smooth_box_parts(x):
+def smooth_box_parts(xyz):
     """The box source's space parts: dc/dt and the coefficient of t in (-lap + d_z) c."""
-    (cx, cy, cz), (_, _, sz) = np.cos(np.pi * x.T), np.sin(np.pi * x.T)
+    (cx, cy, cz), (_, _, sz) = ([f(np.pi * a) for a in xyz] for f in (np.cos, np.sin))
     half = 0.5 * cx * cy
     return np.stack([half * (sz + 2.0), half * (np.pi**2 * (3.0 * sz + 4.0) + np.pi * cz)])
 
@@ -473,7 +476,7 @@ def smooth_coupled_problem(degree: int = 1):
     cos(pi x) cos(pi y) over the circle of radius R about the axis is
     J0(sqrt(2) pi R), so chat is the exact circle average of c at r = R: the
     exact exchange term vanishes while the discrete exchange blocks stay on.
-    Returns the problem and the exact vessel field and its s-derivative."""
+    Returns the problem and the exact vessel field with its s-derivative."""
     ms = verify.ManufacturedSolution()
     scale = 0.5 * j0(math.sqrt(2.0) * math.pi * ms.radius)  # chat = scale * ms.c_hat
     area = math.pi * ms.radius**2
@@ -489,7 +492,7 @@ def smooth_coupled_problem(degree: int = 1):
         c_in=lambda t: scale * ms.c_in(t),
         dirichlet=smooth_box,
     )
-    return problem, lambda s, t: scale * ms.c_hat(s, t), lambda s, t: scale * ms.c_hat_ds(s, t)
+    return problem, lambda s, t: (scale * ms.c_hat(s, t), scale * ms.c_hat_ds(s, t))
 
 
 # -- one-piece point location ------------------------------------------------

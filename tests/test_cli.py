@@ -184,6 +184,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cli.parse_config_file(cfg_file)
 
+    def test_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"n = 4\nout = o\xff\n")
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read config file {cfg_file}: ") and err.count("\n") == 1
+
     def test_missing_equals_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("n 4\n")
@@ -558,6 +565,42 @@ class TestOutputPath:
     def test_empty_path(self, tmp_path, capsys, command):
         assert cli.main(self._argv(command, tmp_path, "")) == 2
         assert "output path is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["manufactured", "diagonal", "run"])
+    @pytest.mark.parametrize("name", ["a\0b", "a/\0"])
+    def test_nul_byte(self, tmp_path, capsys, command, name):
+        argv = self._argv(command, tmp_path, os.path.join(tmp_path, name))
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "holds a NUL byte" in err and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestNumberFlags:
+    """A numeric flag that is no number is refused as a bad --levels list is:
+    exit code 2 and one ``configuration error`` line, before any mesh or gate."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        from vesselfem import fem3d
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started for a refused flag")
+
+        monkeypatch.setattr(fem3d, "box_level", refuse)
+        monkeypatch.setattr(cli.verify, "source_gate", refuse)
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("diagonal", "--fine", "32.0"), ("manufactured", "--degree", "one"), ("diagonal", "--case", "1,2"),
+        ("manufactured", "--epsilon", "+-1"), ("diagonal", "--n-circ", "1e2"), ("manufactured", "--sigma", "fifty"),
+    ])
+    def test_refused(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        assert cli.main([command, "--levels", "4", flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: argument {flag}: invalid ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSnapshotTimes:

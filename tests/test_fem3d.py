@@ -7,7 +7,7 @@ from vesselfem import fem3d, linalg, mesh3d, verify
 from vesselfem.fem3d import ScalarField3
 from vesselfem.mesh3d import FemSpace, build_box_mesh
 
-from _oracles import constrain_rows, manufactured_f0, manufactured_f1, slot_map, tracemalloc_peak
+from _oracles import constrain_rows, slot_map, tracemalloc_peak
 
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
 
@@ -70,15 +70,23 @@ class TestConvection:
 
 class TestLoad:
     def test_constant_source_total(self, space):
-        F = fem3d.assemble_load(space, ScalarField3(fn=lambda x, t: np.full(len(x), 1.0)), t=0.0)
+        F = fem3d.assemble_load(space, ScalarField3(fn=lambda x, t: 1.0), t=0.0)
         assert abs(F.sum() - 1.0) < 1e-12
+
+    def test_values_broadcast_to_the_block(self, space):
+        """A field of x alone, or a constant, is broadcast over the block
+        before it is scattered: its load is the full-shape field's."""
+        full = lambda f: ScalarField3(fn=lambda x, t: np.broadcast_to(f(x), np.broadcast(*x).shape))
+        for f in (lambda x: np.sin(3 * x[0]), lambda x: 2.5):
+            assert np.array_equal(fem3d.assemble_load(space, ScalarField3(fn=lambda x, t: f(x)), 0.0),
+                                  fem3d.assemble_load(space, full(f), 0.0))
 
     def test_zero_source(self, space):
         F = fem3d.assemble_load(space, ScalarField3.zero(), t=1.0)
         assert np.all(F == 0.0)
 
     def test_deterministic(self, space):
-        f = ScalarField3(fn=lambda x, t: np.sin(x[:, 0] * 3) + t * x[:, 2] ** 2)
+        f = ScalarField3(fn=lambda x, t: np.sin(x[0] * 3) + t * x[2] ** 2)
         F1 = fem3d.assemble_load(space, f, t=1.0)
         F2 = fem3d.assemble_load(space, f, t=1.0)
         assert np.array_equal(F1, F2)
@@ -89,13 +97,14 @@ def _sample_times(t):
 
 
 def _sample_parts(x):
-    return np.stack([np.sin(3.0 * x[:, 0]) + x[:, 1], x[:, 2] ** 2, np.exp(x[:, 0] * x[:, 1])])
+    x, y, z = np.broadcast_arrays(*x)
+    return np.stack([np.sin(3.0 * x) + y, z**2, np.exp(x * y)])
 
 
 class TestSeparableSource:
     def test_fn_is_sum_of_terms(self):
         f = ScalarField3.separable(_sample_times, _sample_parts)
-        x = np.random.default_rng(5).uniform(-0.5, 0.5, size=(50, 3))
+        x = tuple(np.random.default_rng(5).uniform(-0.5, 0.5, size=(3, 50)))
         for t in (0.0, 0.37, 1.0):
             expected = sum(g * p for g, p in zip(_sample_times(t), _sample_parts(x)))
             assert np.abs(f(x, t) - expected).max() < 1e-15
@@ -103,7 +112,7 @@ class TestSeparableSource:
         assert not f.is_zero
 
     def test_plain_field_has_no_terms(self):
-        for f in (ScalarField3(fn=lambda x, t: x[:, 0]), ScalarField3.zero()):
+        for f in (ScalarField3(fn=lambda x, t: x[0]), ScalarField3.zero()):
             assert f.times is None and f.parts is None
 
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
@@ -128,21 +137,6 @@ class TestSeparableSource:
             assert np.array_equal(stacked[k], single)
 
 
-class TestLatticeLoad:
-    @pytest.mark.parametrize("n", [4, 8])
-    def test_manufactured_parts_equal_per_point_closed_form(self, n):
-        """The manufactured load parts evaluated on the blocks' coordinate
-        axes equal, bit for bit, the same closed form called per point."""
-        space = fem3d.box_level(n).space
-        source = verify.manufactured_problem().source3
-        assert source.lattice
-        parts = lambda lattice: fem3d.assemble_load(
-            space, ScalarField3(fn=lambda x, t: source.parts(x), lattice=lattice), 0.0)
-        points = lambda x, t: np.stack([manufactured_f0(x), manufactured_f1(x)])
-        assert np.array_equal(parts(True), parts(False))
-        assert np.array_equal(parts(True), fem3d.assemble_load(space, ScalarField3(fn=points), 0.0))
-
-
 class TestChunkedQuadrature:
     """Every consumer of the chunked tet quadrature is independent of the chunk size."""
 
@@ -152,17 +146,16 @@ class TestChunkedQuadrature:
         x, xf = fem.mesh.vertices, fine.mesh.vertices
         c = np.sin(3 * x[:, 0]) + x[:, 1] * x[:, 2]
         cf = np.cos(2 * xf[:, 2]) + xf[:, 0]
-        exact = lambda p, t: np.sin(3 * p[:, 0]) + t * p[:, 1] ** 2
-        exact_grad = lambda p, t: np.stack(
-            [3 * np.cos(3 * p[:, 0]), 2 * t * p[:, 1], 0 * p[:, 2]], axis=1
-        )
+        exact = lambda p, t: np.sin(3 * p[0]) + t * p[1] ** 2
+        exact_and_grad = lambda p, t: (exact(p, t), np.stack(
+            np.broadcast_arrays(3 * np.cos(3 * p[0]), 2 * t * p[1], 0 * p[2]), axis=-1))
         ms = verify.ManufacturedSolution()
         return [
             fem3d.assemble_load(fem, ScalarField3(fn=exact), 0.7),
-            fem3d.assemble_load(fem, ScalarField3(fn=lambda p, t: ms.f_parts(p), lattice=True), 0.7),
-            np.array(verify.error_norms_3d(fem, c, ms.c_and_grad, ms.c_and_grad, 0.7)),
-            np.array(verify.error_norms_3d(fem, c, exact, exact_grad, 0.7)),
-            np.array(verify.error_norms_3d(fem, c, None, None, 0.7)),
+            fem3d.assemble_load(fem, ScalarField3(fn=lambda p, t: ms.f_parts(p)), 0.7),
+            np.array(verify.error_norms_3d(fem, c, ms.c_and_grad, 0.7)),
+            np.array(verify.error_norms_3d(fem, c, exact_and_grad, 0.7)),
+            np.array(verify.error_norms_3d(fem, c, lambda p, t: (0.0, 0.0), 0.7)),
             np.array(verify.cross_error_3d(fem, c, fine, cf)),
         ]
 
@@ -300,7 +293,7 @@ class TestDirichlet:
 
     def test_homogeneous_solve_vanishes_on_boundary(self, space):
         A = fem3d.assemble_stiffness(space, 1.0)
-        F = fem3d.assemble_load(space, ScalarField3(fn=lambda x, t: np.full(len(x), 1.0)), 0.0)
+        F = fem3d.assemble_load(space, ScalarField3(fn=lambda x, t: 1.0), 0.0)
         rows = np.nonzero(space.mesh.boundary_vertex)[0]
         F[rows] = 0.0
         x = linalg.Factorization(constrain_rows(A, rows)).solve(F)
@@ -308,14 +301,14 @@ class TestDirichlet:
         assert x[~space.mesh.boundary_vertex].max() > 0  # -lap c = 1 has positive interior
 
     def test_exact_trace(self, space):
-        g = lambda x, t: x[:, 0] + 2 * x[:, 1] - x[:, 2] + t
+        g = lambda x, t: x[0] + 2 * x[1] - x[2] + t
         A = fem3d.assemble_stiffness(space, 1.0)
         F = np.zeros(space.n_dofs)
         rows = np.nonzero(space.mesh.boundary_vertex)[0]
         F[rows] = fem3d.dirichlet_values(space.mesh.vertices[rows], g, 0.5)
         x = linalg.Factorization(constrain_rows(A, rows)).solve(F)
         pts = space.mesh.vertices[space.mesh.boundary_vertex]
-        assert np.array_equal(x[space.mesh.boundary_vertex], g(pts, 0.5))
+        assert np.array_equal(x[space.mesh.boundary_vertex], g(pts.T, 0.5))
 
 
 class TestPoissonConvergence:
@@ -323,19 +316,17 @@ class TestPoissonConvergence:
         # -lap g = -12 with g = x^2 + 2y^2 + 3z^2, exact trace on the boundary
         from vesselfem.verify import error_norms_3d
 
-        g = lambda x, t: x[:, 0] ** 2 + 2 * x[:, 1] ** 2 + 3 * x[:, 2] ** 2
-        grad_g = lambda x, t: np.stack(
-            [2 * x[:, 0], 4 * x[:, 1], 6 * x[:, 2]], axis=1
-        )
+        g = lambda x, t: x[0] ** 2 + 2 * x[1] ** 2 + 3 * x[2] ** 2
+        g_and_grad = lambda x, t: (g(x, t), np.stack(np.broadcast_arrays(2 * x[0], 4 * x[1], 6 * x[2]), axis=-1))
         errors = []
         for n in (4, 8, 16):
             sp_ = FemSpace(build_box_mesh(*CENTERED, n))
             A = fem3d.assemble_stiffness(sp_, 1.0)
-            F = fem3d.assemble_load(sp_, ScalarField3(fn=lambda x, t: np.full(len(x), -12.0)), 0.0)
+            F = fem3d.assemble_load(sp_, ScalarField3(fn=lambda x, t: -12.0), 0.0)
             rows = np.nonzero(sp_.mesh.boundary_vertex)[0]
             F[rows] = fem3d.dirichlet_values(sp_.mesh.vertices[rows], g, 0.0)
             x = linalg.Factorization(constrain_rows(A, rows)).solve(F)
-            l2, _ = error_norms_3d(sp_, x, g, grad_g, t=0.0)
+            l2, _ = error_norms_3d(sp_, x, g_and_grad, t=0.0)
             errors.append(l2)
         slopes = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(slopes >= 1.8)

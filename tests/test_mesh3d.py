@@ -228,19 +228,19 @@ class TestQuadrature:
     def test_points_from_cell_origins_match_corners(self, n, order, chunk, full, monkeypatch):
         """Blocks are boxes of whole cells that tile the tets in order, each
         as large as ``full`` unless the grid ends first, of at most _CHUNK
-        points unless one cell; a point is its cell origin plus a per-shape
-        offset, bitwise, as its broadcast axes give it, and the barycentric
+        points unless one cell; a point, as its broadcast axes give it, is
+        its cell origin plus a per-shape offset, bitwise, and the barycentric
         combination of the tet corners."""
         monkeypatch.setattr(mesh3d, "_CHUNK", chunk)
         mesh = build_box_mesh(*CENTERED, n)
         bary, w = tet_quadrature(order)
         corners = mesh.vertices[mesh.tets[:6]]
         offsets = np.einsum("qi,sic->sqc", bary, corners - corners[:, :1]).reshape(-1, 3)
-        blocks = list(zip(mesh.quadrature(order), mesh.quadrature(order, axes=True)))
+        blocks = list(mesh.quadrature(order))
         assert len(blocks) > 1
         stop = 0
-        for (sl, xq, wq), (sl_axes, axes, wq_axes) in blocks:
-            assert sl == sl_axes and sl.start == stop and np.array_equal(wq, wq_axes)
+        for sl, axes, wq in blocks:
+            assert sl.start == stop
             extent = tuple(a.shape[d] for d, a in enumerate(axes))
             assert [a.shape for a in axes] == [tuple(e if d == c else 1 for d in range(3)) + (6 * w.size,)
                                                for c, e in enumerate(extent)]  # X, Y, Z
@@ -248,10 +248,10 @@ class TestQuadrature:
             assert extent == tuple(min(f, n - a) for f, a in zip(full, first))
             box = np.ravel_multi_index(np.ix_(*(range(a, a + e) for a, e in zip(first, extent))), (n,) * 3)
             assert np.array_equal(box.ravel(), np.arange(sl.start // 6, sl.stop // 6))
+            xq = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, 3)
             assert xq.shape[0] <= mesh3d._CHUNK or sl.stop - sl.start == 6
             origins = mesh.vertices[mesh.tets[sl][::6, 0]]
             assert np.array_equal(xq, (origins[:, None] + offsets).reshape(-1, 3))
-            assert np.array_equal(xq, np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, 3))
             ref = np.einsum("qi,eic->eqc", bary, mesh.vertices[mesh.tets[sl]]).reshape(-1, 3)
             assert np.abs(xq - ref).max() <= 1e-15
             assert wq.shape == (sl.stop - sl.start, w.size)

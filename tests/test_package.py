@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vesselfem
@@ -71,10 +72,10 @@ def test_package_layers_are_acyclic_and_nothing_imports_the_cli():
 
 
 def _readme_block(heading):
-    """The fenced block that follows the line ``heading`` in README.md."""
+    """The fenced block, of any language, that follows the line ``heading`` in README.md."""
     text = (ROOT / "README.md").read_text()
     after = text[text.index(heading + "\n"):]
-    return after.split("```\n", 2)[1]
+    return re.search(r"```\w*\n(.*?)```\n", after, re.S).group(1)
 
 
 def test_readme_run_example(tmp_path):
@@ -84,6 +85,23 @@ def test_readme_run_example(tmp_path):
     assert cli.main(["run", "--config", str(config)]) == 0
     for t in ("0p5", "1"):
         assert {p.name for p in out.glob(f"run_t{t}_*.vtk")} == {f"run_t{t}_3d.vtk", f"run_t{t}_1d.vtk"}
+
+
+def test_readme_separable_example():
+    """README's time-separable source runs as written, on the quadrature's
+    coordinate axes: its load at n = 4 integrates sin(pi z) + t x^2 (to t / 12)
+    and is the recombination of its parts' loads."""
+    from vesselfem import fem3d
+    from vesselfem.fem3d import ScalarField3
+
+    namespace = {}
+    exec(_readme_block("## Time-separable sources"), namespace)
+    source3, space = namespace["source3"], fem3d.box_level(4).space
+    load = fem3d.assemble_load(space, source3, 0.5)
+    parts = fem3d.assemble_load(space, ScalarField3(fn=lambda x, t: source3.parts(x)), 0.0)
+    assert load.shape == (space.n_dofs,) and parts.shape == (2, space.n_dofs)
+    assert abs(load.sum() - 0.5 / 12) < 1e-15
+    assert np.abs(parts[0] + 0.5 * parts[1] - load).max() <= 1e-13 * np.abs(load).max()
 
 
 def test_readme_command_lines_parse():

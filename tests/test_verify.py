@@ -15,7 +15,7 @@ from vesselfem.dg1d import DgSpace, Partition1D
 from vesselfem.stepper import CoupledSystem
 
 from _oracles import batched_verify_sources, error_norms_3d_off_axis, manufactured_f0, manufactured_f1
-from _oracles import smooth_box, smooth_box_grad, smooth_box_parts, smooth_coupled_problem, tracemalloc_peak
+from _oracles import smooth_box, smooth_box_and_grad, smooth_box_parts, smooth_coupled_problem, tracemalloc_peak
 from _oracles import diagonal_problem as oracle_diagonal_problem
 
 CENTERED = ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
@@ -31,8 +31,8 @@ class TestSourceParts:
     first written, so the loads, the tables and the source gate do not move."""
 
     def test_parts_equal_the_closed_forms(self, ms):
-        x = np.random.default_rng(4).uniform(-0.5, 0.5, size=(5000, 3))
-        x[:10, :2] = 0.0  # on the axis, inside the vessel
+        x = np.random.default_rng(4).uniform(-0.5, 0.5, size=(3, 5000))
+        x[:2, :10] = 0.0  # on the axis, inside the vessel
         p0, p1 = ms.f_parts(x)
         assert np.array_equal(p0, manufactured_f0(x))
         assert np.array_equal(p1, manufactured_f1(x))
@@ -49,7 +49,7 @@ class TestExactPair:
     def test_box_field_at_start(self, ms):
         # t -> 0 limit inside the vessel: f = (sin(pi z) + 2) / 2
         pts = np.array([[0.0, 0.0, 0.3], [0.01, -0.02, -0.4]])
-        f0 = ms.f(pts, 0.0)
+        f0 = ms.f(pts.T, 0.0)
         expected = 0.5 * (np.sin(np.pi * pts[:, 2]) + 2.0)
         assert np.allclose(f0, expected, atol=1e-15)
 
@@ -60,8 +60,8 @@ class TestExactPair:
         assert ms.w(R) == 1.0
         z = 0.2
         t = 0.7
-        inner = ms.c(np.array([[R - 1e-12, 0, z]]), t)
-        outer = ms.c(np.array([[R + 1e-12, 0, z]]), t)
+        inner = ms.c((R - 1e-12, 0.0, z), t)
+        outer = ms.c((R + 1e-12, 0.0, z), t)
         assert abs(inner - outer) < 1e-10
 
     def test_wall_flux_balance(self, ms):
@@ -71,12 +71,10 @@ class TestExactPair:
         t, z = 0.6, 0.15
         chat = float(ms.c_hat(z + 0.5, t))
         d = 1e-7
-        outer_slope = float(
-            (ms.c(np.array([[R + 2 * d, 0, z]]), t) - ms.c(np.array([[R + d, 0, z]]), t))[0]
-        ) / d
+        outer_slope = float(ms.c((R + 2 * d, 0.0, z), t) - ms.c((R + d, 0.0, z), t)) / d
         assert abs(outer_slope - (-0.5 * chat)) < 1e-4
         theta = 2 * np.pi * np.arange(32) / 32
-        ring = np.stack([R * np.cos(theta), R * np.sin(theta), np.full(32, z)], axis=1)
+        ring = (R * np.cos(theta), R * np.sin(theta), z)
         cbar = float(np.mean(ms.c(ring, t)))
         assert abs(cbar - 0.5 * chat) < 1e-14
         assert abs((cbar - chat) - (-0.5 * chat)) < 1e-14
@@ -125,18 +123,19 @@ class TestSourceGate:
 class TestErrorNorms:
     def test_zero_fields(self):
         fem = FemSpace(build_box_mesh(*CENTERED, 3))
-        l2, grad = verify.error_norms_3d(fem, np.zeros(fem.n_dofs), None, None, 0.0)
+        zero = lambda x, t: (0.0, 0.0)
+        l2, grad = verify.error_norms_3d(fem, np.zeros(fem.n_dofs), zero, 0.0)
         assert l2 == 0.0 and grad == 0.0
         dg = DgSpace(Partition1D.uniform(1.0, 4), 1)
-        l2, broken = verify.error_norms_1d(dg, np.zeros(dg.n_dofs), None, None, 0.0)
+        l2, broken = verify.error_norms_1d(dg, np.zeros(dg.n_dofs), zero, 0.0)
         assert l2 == 0.0 and broken == 0.0
 
     def test_interpolant_errors_decrease(self, ms):
         prev = None
         for n in (4, 8):
             fem = FemSpace(build_box_mesh(*CENTERED, n))
-            interp = ms.c(fem.mesh.vertices, 1.0)
-            l2, grad = verify.error_norms_3d(fem, interp, ms.c, lambda x, t: ms.c_and_grad(x, t)[1], 1.0)
+            interp = ms.c(fem.mesh.vertices.T, 1.0)
+            l2, grad = verify.error_norms_3d(fem, interp, ms.c_and_grad, 1.0)
             assert l2 > 0 and grad > 0
             if prev is not None:
                 assert l2 < prev[0] and grad < prev[1]
@@ -145,16 +144,8 @@ class TestErrorNorms:
     def test_norm_of_known_function(self):
         # ||z||_{L2} on the centered unit cube = 1/sqrt(12)
         fem = FemSpace(build_box_mesh(*CENTERED, 4))
-        l2, _ = verify.error_norms_3d(fem, fem.mesh.vertices[:, 2], None, None, 0.0)
+        l2, _ = verify.error_norms_3d(fem, fem.mesh.vertices[:, 2], lambda x, t: (0.0, 0.0), 0.0)
         assert l2 == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-12)
-
-    def test_lattice_norms_equal_two_callable_norms(self, ms):
-        """The fused norms, evaluated on the blocks' coordinate axes, equal the
-        norms from the value and gradient called per point."""
-        fem = FemSpace(build_box_mesh(*CENTERED, 8))
-        c = ms.c(fem.mesh.vertices, 1.0) + 1e-3 * np.random.default_rng(2).standard_normal(fem.n_dofs)
-        np.testing.assert_allclose(verify.error_norms_3d(fem, c, ms.c_and_grad, ms.c_and_grad, 1.0),
-                                   verify.error_norms_3d(fem, c, ms.c, lambda x, t: ms.c_and_grad(x, t)[1], 1.0), rtol=1e-13)
 
 
 class TestErrorNormMemory:
@@ -178,19 +169,16 @@ class TestErrorNormMemory:
         assert self._cross_peak((8, 16)) < self.CROSS_LIMIT  # 14.2 MB with each quadrature block located at once
 
     def test_error_norms_3d(self, ms):
+        """The values alone, with 0.0 for the gradient."""
         fem = FemSpace(build_box_mesh(*CENTERED, 32))
         c = np.random.default_rng(1).standard_normal(fem.n_dofs)
-        assert tracemalloc_peak(lambda: verify.error_norms_3d(fem, c, ms.c, lambda x, t: ms.c_and_grad(x, t)[1], 1.0)) < self.LIMIT
+        assert tracemalloc_peak(lambda: verify.error_norms_3d(fem, c, lambda x, t: (ms.c(x, t), 0.0), 1.0)) < self.LIMIT
 
     def test_one_pass_error_norms_3d(self, ms):
-        """Value and gradient from one evaluation per block: the two-callable
-        norms, under the same memory bound."""
+        """Value and gradient from one evaluation per block, under the same bound."""
         fem = FemSpace(build_box_mesh(*CENTERED, 32))
         c = np.random.default_rng(1).standard_normal(fem.n_dofs)
-        both = []
-        peak = tracemalloc_peak(lambda: both.append(verify.error_norms_3d(fem, c, ms.c_and_grad, ms.c_and_grad, 1.0)))
-        assert peak < self.LIMIT
-        np.testing.assert_allclose(both[0], verify.error_norms_3d(fem, c, ms.c, lambda x, t: ms.c_and_grad(x, t)[1], 1.0), rtol=1e-13)
+        assert tracemalloc_peak(lambda: verify.error_norms_3d(fem, c, ms.c_and_grad, 1.0)) < self.LIMIT
 
 
 class TestRates:
@@ -267,12 +255,13 @@ class TestSpatialRates:
             source1=vessel_source,
             dirichlet=smooth_box,
         )
+        c_hat_and_ds = lambda s, t: (ms.c_hat(s, t), ms.c_hat_ds(s, t))
         errors = []
         for n in (4, 8, 16):
             system = CoupledSystem(problem, n_cells=n)
             state, _ = system.run()
-            errors.append(verify.error_norms_3d(system.fem, state.c, smooth_box, smooth_box_grad, 1.0)
-                          + verify.error_norms_1d(system.dg, state.c_hat, ms.c_hat, ms.c_hat_ds, 1.0))
+            errors.append(verify.error_norms_3d(system.fem, state.c, smooth_box_and_grad, 1.0)
+                          + verify.error_norms_1d(system.dg, state.c_hat, c_hat_and_ds, 1.0))
         box_l2, box_grad, vessel_l2, vessel_grad = np.log2(np.divide(errors[1], errors[2]))
         assert 1.85 <= box_l2 <= 2.15 and 0.9 <= box_grad <= 1.1, (box_l2, box_grad)
         assert degree + 0.85 <= vessel_l2 <= degree + 1.15, vessel_l2
@@ -300,7 +289,7 @@ class TestCoupledRates:
     def test_off_axis_norms_cover_the_whole_box(self, coupled_pair, ms):
         fem, _, state = coupled_pair[4]
         np.testing.assert_allclose(error_norms_3d_off_axis(fem, state.c, ms.c_and_grad, 1.0, 0.0),
-                                   verify.error_norms_3d(fem, state.c, ms.c_and_grad, ms.c_and_grad, 1.0),
+                                   verify.error_norms_3d(fem, state.c, ms.c_and_grad, 1.0),
                                    rtol=1e-12)
 
     def test_box_optimal_away_from_the_vessel(self, coupled_pair, ms):
@@ -317,7 +306,7 @@ class TestCoupledRates:
         ring = ms.geometry().circle_points(s, 64)  # (200, 64, 3) at r = R
         wall = fem.evaluate(state.c, ring.reshape(-1, 3)).reshape(s.size, -1).mean(axis=1)
         wall_error = math.sqrt(np.mean((wall - 0.5 * ms.c_hat(s, state.t)) ** 2))
-        vessel_error = verify.error_norms_1d(dg, state.c_hat, ms.c_hat, None, state.t)[0]
+        vessel_error = verify.error_norms_1d(dg, state.c_hat, lambda s, t: (ms.c_hat(s, t), 0.0), state.t)[0]
         assert 1.0 / 1.25 <= vessel_error / wall_error <= 1.25, (vessel_error, wall_error)
 
 
@@ -327,13 +316,13 @@ def smooth_errors():
     t = 1 of the smooth coupled pair, per DG degree, at levels 4, 8 and 16."""
     errors = {}
     for degree in (1, 2):
-        problem, c_hat, c_hat_ds = smooth_coupled_problem(degree)
+        problem, c_hat_and_ds = smooth_coupled_problem(degree)
         errors[degree] = []
         for n in (4, 8, 16):
             system = CoupledSystem(problem, n_cells=n)
             state, _ = system.run()
-            errors[degree].append(verify.error_norms_3d(system.fem, state.c, smooth_box, smooth_box_grad, 1.0)
-                                  + verify.error_norms_1d(system.dg, state.c_hat, c_hat, c_hat_ds, 1.0))
+            errors[degree].append(verify.error_norms_3d(system.fem, state.c, smooth_box_and_grad, 1.0)
+                                  + verify.error_norms_1d(system.dg, state.c_hat, c_hat_and_ds, 1.0))
     return {degree: np.array(e) for degree, e in errors.items()}
 
 
@@ -375,7 +364,7 @@ class TestAveragingConsistency:
         for n in (8, 16):
             system = CoupledSystem(verify.manufactured_problem(), n_cells=n)
             geom = system.problem.geometry
-            c_nodal = ms.c(system.fem.mesh.vertices, 1.0)
+            c_nodal = ms.c(system.fem.mesh.vertices.T, 1.0)
             ss = np.linspace(0.05, geom.length - 0.05, 21)
             gaps.append(max(
                 abs(system.fem.evaluate(c_nodal, geom.circle_points(s, coupling.DEFAULT_N_CIRCLE)).mean()
