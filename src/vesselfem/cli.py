@@ -257,7 +257,7 @@ def _parse_levels(text):
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError as err:
-        raise ConfigError(f"bad levels list: {text!r}") from err
+        raise argparse.ArgumentTypeError(f"bad levels list: {text!r}") from err
 
 
 def _check_snapshot_times(times, t_end):
@@ -315,27 +315,25 @@ def _write_outputs(out, tables, template, system, snapshots, texts=()):
 
 
 def cmd_manufactured(args) -> int:
-    levels = _parse_levels(args.levels)
     _check_out_dir(args.out)
     report = verify.convergence_study(
-        levels, degree=args.degree, epsilon=args.epsilon, sigma=args.sigma,
+        args.levels, degree=args.degree, epsilon=args.epsilon, sigma=args.sigma,
         n_circle=args.n_circ,
     )
     header = ["h", "grad_error", "grad_rate", "l2_error", "l2_rate"]
     tables = [(name, header, zip(report.h_labels, getattr(report, grad), [None, *report.rates(grad)],
                                  getattr(report, l2), [None, *report.rates(l2)]))
               for name, grad, l2 in (("table1_3d.csv", "grad3", "l2_3"), ("table2_1d.csv", "grad1", "l2_1"))]
-    _write_outputs(args.out, tables, f"manufactured_n{levels[-1]}", report.system, report.snapshots)
-    print(f"wrote table1_3d.csv, table2_1d.csv and n={levels[-1]} snapshots to {args.out}")
+    _write_outputs(args.out, tables, f"manufactured_n{args.levels[-1]}", report.system, report.snapshots)
+    print(f"wrote table1_3d.csv, table2_1d.csv and n={args.levels[-1]} snapshots to {args.out}")
     print(f"max solve residual {report.max_residual:.3e}")
     return 0
 
 
 def cmd_diagonal(args) -> int:
-    levels = _parse_levels(args.levels)
     _check_out_dir(args.out)
     report = verify.self_convergence(
-        diagonal_problem(args.case, degree=args.degree), coarse_levels=levels, fine_n=args.fine,
+        diagonal_problem(args.case, degree=args.degree), coarse_levels=args.levels, fine_n=args.fine,
         n_circle=args.n_circ, snapshot_times=DIAGONAL_SNAPSHOT_TIMES,
     )
     table = (f"table3_case{args.case}.csv", ["h", "err3d", "rate3d", "err1d", "rate1d", "rel3d", "rel1d"],
@@ -368,18 +366,22 @@ def cmd_run(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The commands' parser.  A flag value it cannot take, such as ``--fine x``,
-    raises argparse.ArgumentError, which main reports as a configuration error."""
-    parser = argparse.ArgumentParser(
-        prog="vesselfem",
-        description="coupled box/vessel solute transport solver",
-        exit_on_error=False,
-    )
+    """The commands' parser.  Every command line it cannot take (an unknown
+    command or flag, a flag without its value or with one it cannot convert,
+    such as ``--fine x`` or ``--levels 4,x``, a missing command or
+    ``--config``) raises ConfigError, which main reports as a configuration
+    error; ``--help`` prints the usage and exits 0."""
+    parser = _Parser(prog="vesselfem", description="coupled box/vessel solute transport solver")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("manufactured", help="verification study on the vertical vessel", exit_on_error=False)
-    p.add_argument("--levels", default="4,8,16")
+    p = sub.add_parser("manufactured", help="verification study on the vertical vessel")
+    p.add_argument("--levels", type=_parse_levels, default="4,8,16")
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--epsilon", type=int, default=1)
     p.add_argument("--sigma", type=float, default=50.0)
@@ -387,16 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out_manufactured")
     p.set_defaults(fn=cmd_manufactured)
 
-    p = sub.add_parser("diagonal", help="self-convergence study on the diagonal vessel", exit_on_error=False)
+    p = sub.add_parser("diagonal", help="self-convergence study on the diagonal vessel")
     p.add_argument("--case", type=int, default=1)
-    p.add_argument("--levels", default="4,8,16")
+    p.add_argument("--levels", type=_parse_levels, default="4,8,16")
     p.add_argument("--fine", type=int, default=32)
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--n-circ", type=int, default=coupling.DEFAULT_N_CIRCLE)
     p.add_argument("--out", default="out_diagonal")
     p.set_defaults(fn=cmd_diagonal)
 
-    p = sub.add_parser("run", help="single run from a key = value config file", exit_on_error=False)
+    p = sub.add_parser("run", help="single run from a key = value config file")
     p.add_argument("--config", required=True)
     p.set_defaults(fn=cmd_run)
     return parser
@@ -406,7 +408,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ConfigError, argparse.ArgumentError) as err:
+    except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except SolverError as err:

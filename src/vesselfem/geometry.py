@@ -145,7 +145,7 @@ class VesselGeometry:
 
     def _check_arclength(self, s):
         s = np.asarray(s, dtype=float)
-        if np.any(s < -_TOL) or np.any(s > self.length + _TOL):
+        if not np.all((s >= -_TOL) & (s <= self.length + _TOL)):
             raise DomainError(f"arclength outside [0, {self.length}]")
 
     def point_at(self, s):

@@ -200,10 +200,10 @@ class TetMesh:
         tet whose axis path visits the fractional coordinates f in descending
         order, and its barycentrics are (1 - f0, f0 - f1, f1 - f2, f2) of the
         sorted f, non-negative everywhere in the closed box.  Points within
-        _BOX_TOL of the box are clamped onto it; farther out is a DomainError.
+        _BOX_TOL of the box are clamped onto it; farther out, or NaN, is a DomainError.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        outside = np.any((points < self.lo - _BOX_TOL) | (points > self.hi + _BOX_TOL), axis=1)
+        outside = ~np.all((points >= self.lo - _BOX_TOL) & (points <= self.hi + _BOX_TOL), axis=1)
         if np.any(outside):
             raise DomainError(f"point {points[outside][0]} is outside the box")
         u = np.clip((points - self.lo) / self.cell_size, 0.0, self.n)

@@ -22,8 +22,9 @@ and the source gate runs its points in batches, one per time sample.  The
 box error norms also come restricted to the tets away from an axis.  P1
 point evaluation and the circle-average matrix are also formed in one piece,
 every point located at once.  The tracemalloc peak of one call is read here
-for every memory test.
+for every memory test, and each command's flags off the parser's own actions.
 """
+import argparse
 import math
 import tracemalloc
 from dataclasses import replace
@@ -522,3 +523,10 @@ def tracemalloc_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def command_flags(parser):
+    """{command: its flags, without -h and --help} of a parser built with subcommands."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag for a in p._actions for flag in a.option_strings if flag not in ("-h", "--help")}
+            for name, p in sub.choices.items()}

@@ -603,6 +603,51 @@ class TestNumberFlags:
         assert not out.exists()
 
 
+class TestRefusedCommandLine:
+    """Every command line the parser cannot take is refused as a bad value
+    is: exit code 2 and one ``configuration error`` line, never argparse's
+    usage text, before any mesh or gate, and nothing is created."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        from vesselfem import fem3d
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started for a refused command line")
+
+        monkeypatch.setattr(fem3d, "box_level", refuse)
+        monkeypatch.setattr(cli.verify, "source_gate", refuse)
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["diagonal", "--bogus"], "unrecognized arguments: --bogus", id="unknown-flag"),
+        pytest.param(["run", "--levels", "4"], "required: --config", id="run-levels"),
+        pytest.param(["run", "--config", "{cfg}", "--levels", "4"], "unrecognized arguments: --levels 4",
+                     id="run-config-levels"),
+        pytest.param(["manufactured", "--fine", "32"], "unrecognized arguments: --fine 32", id="manufactured-fine"),
+        pytest.param(["run"], "required: --config", id="run-without-config"),
+        pytest.param([], "required: command", id="no-command"),
+        pytest.param(["manufactured", "--levels", "4,x"], "bad levels list: '4,x'", id="levels-text"),
+        pytest.param(["diagonal", "--levels", ""], "bad levels list: ''", id="levels-empty"),
+    ])
+    def test_refused(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 4\nout = {out}\n")
+        if argv[:1] in (["manufactured"], ["diagonal"]):
+            argv = [*argv, "--out", str(out)]
+        assert cli.main([v.format(cfg=cfg) for v in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
+        assert message in captured.err and "usage:" not in captured.err + captured.out
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--help"])
+        assert exit_info.value.code == 0
+        assert "usage: vesselfem" in capsys.readouterr().out
+
+
 class TestSnapshotTimes:
     """A snapshot time outside [0, t_end] is refused before any mesh is built."""
 

@@ -53,6 +53,13 @@ class TestPointAt:
         with pytest.raises(DomainError):
             g.point_at(g.length + 0.01)
 
+    def test_nan_arclength_raises(self):
+        g = vertical()
+        with pytest.raises(DomainError):
+            g.point_at(np.nan)
+        with pytest.raises(DomainError):
+            g.radius_at(np.array([0.5, np.nan]))
+
 
 class TestFrame:
     def test_vertical_frame(self):

@@ -6,14 +6,19 @@ increasing levels in [2, MAX_CELLS], each below ``--fine``.
 The text is drawn from integers in [-3, 70], as lists with repeats, in any
 order, with empty parts and with parts that are no integer.  A ``--fine``
 that is no integer is refused the same way, not by argparse's usage text.
+
+A whole command line drawn from the commands, their flags, unknown flags and
+values either reaches the first mesh or gate, or is refused the same way.
 """
 import contextlib
 import io
+import os
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import command_flags
 from vesselfem import cli, fem3d, verify
 from vesselfem.stepper import MAX_CELLS
 
@@ -85,3 +90,43 @@ def test_levels_refused_or_passed_on(tmp_path_factory, command, levels, fine):
         assert stderr.getvalue().count("\n") == 1
         assert expected is None
     assert not out.exists()
+
+
+COMMANDS = command_flags(cli.build_parser())
+FLAG = st.sampled_from(sorted(set().union(*COMMANDS.values())) + ["--bogus", "-x", "--", "-"])
+VALUE = st.sampled_from(["1", "4", "8", "16", "32", "50", "0", "-1", "2.5", "1e2", "4,8", "4,8,16", "x", "nan", "4,x", ""])
+ARGV = st.one_of(
+    st.lists(st.one_of(st.sampled_from(sorted(COMMANDS)), FLAG, VALUE), max_size=8),
+    st.sampled_from(sorted(COMMANDS)).flatmap(lambda command: st.lists(
+        st.tuples(st.one_of(st.sampled_from(sorted(COMMANDS[command])), FLAG), VALUE), max_size=3).map(
+        lambda pairs: [command, *(token for pair in pairs for token in pair)])),
+)
+
+
+@settings(max_examples=300)
+@given(argv=ARGV)
+@example(argv=[])
+@example(argv=["diagonal", "--bogus"])
+@example(argv=["run", "--levels", "4"])
+@example(argv=["manufactured", "--levels", "4,8"])
+def test_command_line_reaches_work_or_is_refused(tmp_path_factory, argv):
+    cwd = tmp_path_factory.mktemp("argv")
+    stdout, stderr = io.StringIO(), io.StringIO()
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        mp.chdir(cwd)
+        mp.setattr(fem3d, "box_level", reached)
+        mp.setattr(verify, "source_gate", reached)
+        try:
+            code = cli.main(argv)
+        except Reached:
+            code = None
+    if code is not None:
+        assert code == 2
+        assert stderr.getvalue().startswith("configuration error: "), stderr.getvalue()
+        assert stderr.getvalue().count("\n") == 1
+    assert "usage:" not in stdout.getvalue() + stderr.getvalue()
+    assert os.listdir(cwd) == []

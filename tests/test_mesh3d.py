@@ -126,6 +126,16 @@ class TestLocate:
         with pytest.raises(DomainError):
             mesh.locate_many(np.array([1.1, 0.5, 0.5])[None])
 
+    @pytest.mark.parametrize("p", [(np.nan, 0.0, 0.0), (0.0, 0.0, np.nan)])
+    def test_nan_point_raises(self, p):
+        """NaN fails every comparison, so it is no point inside the box: a
+        DomainError, not a tet with NaN barycentrics, also from evaluate."""
+        fem = FemSpace(build_box_mesh(*CENTERED, 4))
+        with pytest.raises(DomainError, match="outside the box"):
+            fem.mesh.locate_many(np.array([(0.1, 0.2, 0.3), p]))
+        with pytest.raises(DomainError, match="outside the box"):
+            fem.evaluate(np.zeros(fem.n_dofs), p)
+
     def test_roundtrip_with_circle_points(self):
         # circle quadrature points along the vessel land in valid tets
         mesh = build_box_mesh(*CENTERED, 8)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import vesselfem
+from _oracles import command_flags
 from vesselfem import cli
 
 PACKAGE = Path(vesselfem.__file__).resolve().parent
@@ -111,6 +112,15 @@ def test_readme_command_lines_parse():
         prog, *argv = shlex.split(line)
         assert prog == "vesselfem"
         cli.build_parser().parse_args(argv)
+
+
+def test_readme_usage_names_every_flag():
+    """README's usage block gives each command exactly the flags its parser defines."""
+    named = {}
+    for line in _readme_block("## Command line").splitlines():
+        _, command, *argv = shlex.split(line)
+        named[command] = {arg for arg in argv if arg.startswith("-")}
+    assert named == command_flags(cli.build_parser())
 
 
 def test_readme_layout_names_every_module():
